@@ -21,7 +21,7 @@ from .dyadic import Dyadic
 from .engine import derive_stream, run_experiment, run_trial
 from .graphs import cycle_graph, path_graph, star_graph
 from .loads import total_load
-from .smoothing import enumerate_ball, t_smooth
+from .smoothing import sampler_total_variation
 
 DETERMINISTIC_CHECKS = [
     "conservation",
@@ -256,15 +256,8 @@ def criterion_6(scale: str) -> CriterionOutcome:
     combos = 0
     for name, build in (("path", path_graph), ("star", star_graph), ("cycle", cycle_graph)):
         for t in (1, 2):
-            base = build(4)
-            ball = enumerate_ball(base, t)
-            index = {g.edges: i for i, g in enumerate(ball)}
-            counts = [0] * len(ball)
             rng = derive_stream(6000, f"uniformity:{name}:{t}")
-            for _ in range(samples):
-                counts[index[t_smooth(base, t, rng).edges]] += 1
-            uniform = Fraction(1, len(ball))
-            tv = float(sum(abs(Fraction(c, samples) - uniform) for c in counts) / 2)
+            tv, _ = sampler_total_variation(build(4), t, samples, rng)
             worst = max(worst, tv)
             combos += 1
     ok = worst <= UNIFORMITY_TOLERANCE

@@ -1,7 +1,7 @@
 """Adaptive adversaries that pick each round's communication graph.
 
-A policy sees the full past (graphs, loads, last round's connections) and
-must answer with a connected simple graph on the same nodes.  The built-in
+A policy sees the committed loads and last round's connections, and must
+answer with a connected simple graph on the same nodes.  The built-in
 policies cover the scenarios the test-bed ships: fixed topologies, loads
 re-sorted onto a line, the sorting-line adversary that keeps every balanced
 pair in ascending order, and uniformly random connected graphs.
@@ -24,15 +24,12 @@ class AdversaryContext:
     """Everything an adaptive adversary may look at before choosing a graph.
 
     `loads` holds the loads after the previous round; `last_matching` the
-    pairs that actually exchanged load in it.  The graph histories are only
-    populated when the engine retains full traces.
+    pairs that actually exchanged load in it.
     """
 
     round_index: int
     loads: LoadState
     last_matching: Sequence[tuple[int, int]] = ()
-    past_adversary_graphs: Sequence[Graph] = ()
-    past_smoothed_graphs: Sequence[Graph] = ()
 
 
 class AdversaryPolicy:

@@ -12,10 +12,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from ..graphs import Graph
-from ..records import RoundOutcome
-
-KIND_TWO_SIDED = "two-sided"
-KIND_MATCHING = "matching"
+from ..records import KIND_MATCHING, KIND_TWO_SIDED, RoundOutcome  # noqa: F401 (re-exported)
 
 
 class BalancingAlgorithm:
@@ -30,6 +27,11 @@ class BalancingAlgorithm:
         self.n = n
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+        """Play one round on integer numerators over a shared exponent.
+
+        The outcome says by how many bits its new loads are finer; integral
+        algorithms never shift.
+        """
         raise NotImplementedError
 
     def is_done(self, loads: list) -> bool:
@@ -62,6 +64,12 @@ def heaviest_gap_neighbor(u: int, neighbors: Sequence[int], loads) -> tuple[Opti
         if best is None or gap > best_gap:
             best, best_gap = v, gap
     return best, best_gap
+
+
+def widest_proposer(proposers: Sequence[int], v: int, loads) -> int:
+    """Proposer maximising |w(u) - w(v)|; the first listed wins ties."""
+    w_v = loads[v]
+    return max(proposers, key=lambda u: abs(loads[u] - w_v))
 
 
 def heaviest_neighbor(u: int, neighbors: Sequence[int], loads) -> Optional[int]:

@@ -13,43 +13,40 @@ holding w(v)/2.  A round has two stages:
 Because the internal stage leaves both halves at w(v)/2, consecutive
 rounds can re-derive the split from the real loads; the stages are still
 exposed separately for direct testing.
+
+All amounts are integer numerators over a shared exponent.  Halving a load
+is the same numerator one bit finer, and an averaging stage moves one bit
+finer again, so a round raises the loads' exponent by two.
 """
 
 from __future__ import annotations
 
-from ..dyadic import Dyadic, as_dyadic, half_sum
 from ..graphs import Graph
 from ..records import RoundOutcome
-from .base import KIND_TWO_SIDED, BalancingAlgorithm, heaviest_gap_neighbor
+from .base import KIND_TWO_SIDED, BalancingAlgorithm, heaviest_gap_neighbor, widest_proposer
 
-DetState = list  # list of (sender_half, answerer_half) Dyadic pairs
+DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
 
 
 def split_evenly(loads) -> DetState:
-    """Fresh half-pairs: both halves of node v hold w(v)/2."""
-    state = []
-    for w in loads:
-        h = as_dyadic(w).half()
-        state.append((h, h))
-    return state
+    """Fresh half-pairs one bit finer than `loads`: both halves hold w(v)/2."""
+    return [(w, w) for w in loads]
 
 
 def internal_round(state: DetState) -> DetState:
-    """Each node's halves meet at their average."""
-    out = []
-    for s, a in state:
-        h = half_sum(s, a)
-        out.append((h, h))
-    return out
+    """Each node's halves meet at their average, one bit finer than `state`."""
+    return [(s + a, s + a) for s, a in state]
 
 
 def interactive_round(state: DetState, graph: Graph):
     """One interactive stage; returns (new_state, outcome).
 
     Proposal targets are chosen by real (whole-node) load gaps, and the
-    matching records those real gaps.  Transfers average the sender half of
-    the proposer with the answerer half of the acceptor; each half joins at
-    most one connection, so a node can exchange with up to two neighbors.
+    matching records those real gaps, in the scale of the halves.
+    Transfers average the sender half of the proposer with the answerer
+    half of the acceptor; each half joins at most one connection, so a node
+    can exchange with up to two neighbors.  The new state, the outcome's
+    loads and its transfers are one bit finer than `state`.
     """
     n = graph.n
     adj = graph.adj
@@ -65,27 +62,19 @@ def interactive_round(state: DetState, graph: Graph):
     for u, v in proposals.items():
         incoming.setdefault(v, []).append(u)
 
-    acceptances: list[tuple[int, int]] = []
-    for v in sorted(incoming):
-        best_u = None
-        best_gap = None
-        for u in incoming[v]:
-            gap = abs(real[u] - real[v])
-            if best_u is None or gap > best_gap:
-                best_u, best_gap = u, gap
-        acceptances.append((best_u, v))
+    acceptances = [(widest_proposer(incoming[v], v, real), v) for v in sorted(incoming)]
 
-    senders = [s for s, _ in state]
-    answerers = [a for _, a in state]
-    matching: list[tuple[int, int, Dyadic]] = []
-    transfers: list[tuple[int, int, Dyadic]] = []
+    senders = [s << 1 for s, _ in state]
+    answerers = [a << 1 for _, a in state]
+    matching: list[tuple[int, int, int]] = []
+    transfers: list[tuple[int, int, int]] = []
     for u, v in acceptances:
-        meet = half_sum(senders[u], answerers[v])
-        moved = abs(meet - senders[u])
+        # Each half joins at most one connection, so both are unchanged yet.
+        meet = state[u][0] + state[v][1]
+        transfers.append((u, v, abs(meet - senders[u])))
         senders[u] = meet
         answerers[v] = meet
         matching.append((u, v, abs(real[u] - real[v])))
-        transfers.append((u, v, moved))
 
     new_state = list(zip(senders, answerers))
     outcome = RoundOutcome(
@@ -94,6 +83,7 @@ def interactive_round(state: DetState, graph: Graph):
         acceptances=acceptances,
         matching=matching,
         transfers=transfers,
+        shift=1,
     )
     return new_state, outcome
 
@@ -104,8 +94,10 @@ class TwoSidedDeterministic(BalancingAlgorithm):
     modes = ("continuous",)
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
-        state = split_evenly(loads)
-        new_state, outcome = interactive_round(state, graph)
+        _, outcome = interactive_round(split_evenly(loads), graph)
         # The internal stage happens implicitly: the next round re-splits
         # each node's total evenly, which is exactly the halves averaging.
+        # The halves' real gaps are doubled: report them in the loads' scale.
+        outcome.matching = [(u, v, gap >> 1) for u, v, gap in outcome.matching]
+        outcome.shift = 2
         return outcome

@@ -20,6 +20,7 @@ from random import Random
 
 from ..dyadic import Dyadic, as_dyadic
 from ..graphs import Graph
+from ..loads import to_scaled
 from ..records import RoundOutcome
 from ..smoothing import DEFAULT_C1
 from .base import KIND_MATCHING, BalancingAlgorithm
@@ -152,20 +153,18 @@ class GaplessBalance(_CallChain):
 
 
 def decompose_by_unit(loads, unit: Dyadic) -> tuple[list[int], list[Dyadic]]:
-    """Write each load as q * unit + r with integer q and 0 <= r < unit."""
+    """Write each Dyadic load as q * unit + r with integer q and 0 <= r < unit."""
     if not unit > 0:
         raise ValueError("the base unit must be positive")
-    unit_fraction = unit.as_fraction()
+    nums, exp = to_scaled(loads)
+    common = max(exp, unit.exp)
+    step = unit.num << (common - unit.exp)
     quotients = []
     remainders = []
-    for w in loads:
-        ratio = as_dyadic(w).as_fraction() / unit_fraction
-        q = ratio.numerator // ratio.denominator
-        r = as_dyadic(w) - unit * q
-        if not (0 <= r < unit):
-            raise AssertionError("remainder out of range")
+    for w in nums:
+        q, r = divmod(w << (common - exp), step)
         quotients.append(q)
-        remainders.append(r)
+        remainders.append(Dyadic(r, common))
     return quotients, remainders
 
 

@@ -71,6 +71,28 @@ def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tup
     return out
 
 
+def accept_lightest(loads: list, proposals: dict[int, int], senders_accept: bool = True):
+    """Each node with proposers accepts the lightest one (lowest id on ties)
+    and the pair splits its total, the floor going to the light side.
+    Without `senders_accept`, a node that proposed accepts nobody."""
+    incoming: dict[int, list[int]] = {}
+    for u, v in proposals.items():
+        if senders_accept or v not in proposals:
+            incoming.setdefault(v, []).append(u)
+
+    new_loads = list(loads)
+    outcome = RoundOutcome(new_loads=new_loads, proposals=proposals)
+    for v in sorted(incoming):
+        u = min(incoming[v], key=loads.__getitem__)
+        low, high = integral_half_sum(loads[u], loads[v])
+        outcome.acceptances.append((u, v))
+        outcome.matching.append((u, v, loads[v] - loads[u]))
+        outcome.transfers.append((u, v, low - loads[u]))
+        new_loads[u] = low
+        new_loads[v] = high
+    return outcome
+
+
 class GapReduce(BalancingAlgorithm):
     name = "gapReduce"
     kind = KIND_MATCHING
@@ -141,35 +163,9 @@ class GapReduce(BalancingAlgorithm):
                 if self._is_heavy(loads[v]):
                     proposals[u] = v
 
-        incoming: dict[int, list[int]] = {}
-        for u, v in proposals.items():
-            incoming.setdefault(v, []).append(u)
-
-        new_loads = list(loads)
-        matching = []
-        transfers = []
-        acceptances = []
-        for v in sorted(incoming):
-            best_u = None
-            best_load = None
-            for u in incoming[v]:
-                if best_u is None or loads[u] < best_load:
-                    best_u, best_load = u, loads[u]
-            low, high = integral_half_sum(loads[best_u], loads[v])
-            acceptances.append((best_u, v))
-            matching.append((best_u, v, loads[v] - loads[best_u]))
-            transfers.append((best_u, v, low - loads[best_u]))
-            new_loads[best_u] = low
-            new_loads[v] = high
-
+        outcome = accept_lightest(loads, proposals)
         self._tick_main()
-        return RoundOutcome(
-            new_loads=new_loads,
-            proposals=proposals,
-            acceptances=acceptances,
-            matching=matching,
-            transfers=transfers,
-        )
+        return outcome
 
     def _tick_main(self):
         self._main_left -= 1
@@ -230,36 +226,8 @@ class GaplessGapReduce(BalancingAlgorithm):
             if 2 * (loads[v] - loads[u]) >= psi:
                 proposals[u] = v
 
-        incoming: dict[int, list[int]] = {}
-        for u, v in proposals.items():
-            if v not in proposals:  # senders do not also accept
-                incoming.setdefault(v, []).append(u)
-
-        new_loads = list(loads)
-        matching = []
-        transfers = []
-        acceptances = []
-        for v in sorted(incoming):
-            best_u = None
-            best_load = None
-            for u in incoming[v]:
-                if best_u is None or loads[u] < best_load:
-                    best_u, best_load = u, loads[u]
-            low, high = integral_half_sum(loads[best_u], loads[v])
-            acceptances.append((best_u, v))
-            matching.append((best_u, v, loads[v] - loads[best_u]))
-            transfers.append((best_u, v, low - loads[best_u]))
-            new_loads[best_u] = low
-            new_loads[v] = high
-
         self._left -= 1
-        return RoundOutcome(
-            new_loads=new_loads,
-            proposals=proposals,
-            acceptances=acceptances,
-            matching=matching,
-            transfers=transfers,
-        )
+        return accept_lightest(loads, proposals, senders_accept=False)
 
     def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
         if self._left == 0 or not loads:

@@ -4,17 +4,19 @@ Every node flips a fair coin to send or receive.  A sender proposes to the
 neighbor with the largest absolute load gap (lowest id on ties); a receiver
 with proposals accepts the largest-gap proposer (lowest id on ties).  A
 proposal to another sender dies, so each node exchanges with at most one
-partner: the algorithm is matching-based.  Continuous transfers average the
-pair exactly; integral transfers give the lighter node the floor.
+partner: the algorithm is matching-based.  Integral transfers give the
+lighter node the floor.  Continuous rounds run the same integral kernel on
+loads one bit finer (doubled numerators), where the floor never bites: the
+pair averages exactly and the round raises the loads' exponent by one.
 """
 
 from __future__ import annotations
 
-from ..dyadic import half_sum, integral_half_sum
+from ..dyadic import integral_half_sum
 from ..graphs import Graph
 from ..loads import MODE_INTEGRAL
 from ..records import RoundOutcome
-from .base import KIND_MATCHING, BalancingAlgorithm, heaviest_gap_neighbor
+from .base import KIND_MATCHING, BalancingAlgorithm, heaviest_gap_neighbor, widest_proposer
 
 
 class RandMaxNeighbor(BalancingAlgorithm):
@@ -38,33 +40,22 @@ class RandMaxNeighbor(BalancingAlgorithm):
             if not (coin >> v) & 1:
                 incoming.setdefault(v, []).append(u)
 
-        new_loads = list(loads)
+        shift = 0 if self.mode == MODE_INTEGRAL else 1
+        new_loads = [w << shift for w in loads]
         matching = []
         transfers = []
         acceptances = []
-        integral = self.mode == MODE_INTEGRAL
         for v in sorted(incoming):
-            best_u = None
-            best_gap = None
-            for u in incoming[v]:
-                gap = abs(loads[u] - loads[v])
-                if best_u is None or gap > best_gap:
-                    best_u, best_gap = u, gap
+            best_u = widest_proposer(incoming[v], v, loads)
             acceptances.append((best_u, v))
-            matching.append((best_u, v, best_gap))
-            w_u, w_v = loads[best_u], loads[v]
-            if integral:
-                low, high = integral_half_sum(w_u, w_v)
-                if w_u <= w_v:
-                    new_loads[best_u], new_loads[v] = low, high
-                else:
-                    new_loads[best_u], new_loads[v] = high, low
-                transfers.append((best_u, v, abs(new_loads[best_u] - w_u)))
+            matching.append((best_u, v, abs(loads[best_u] - loads[v])))
+            w_u, w_v = new_loads[best_u], new_loads[v]
+            low, high = integral_half_sum(w_u, w_v)
+            if w_u <= w_v:
+                new_loads[best_u], new_loads[v] = low, high
             else:
-                meet = half_sum(w_u, w_v)
-                new_loads[best_u] = meet
-                new_loads[v] = meet
-                transfers.append((best_u, v, abs(meet - w_u)))
+                new_loads[best_u], new_loads[v] = high, low
+            transfers.append((best_u, v, abs(new_loads[best_u] - w_u)))
 
         return RoundOutcome(
             new_loads=new_loads,
@@ -72,4 +63,5 @@ class RandMaxNeighbor(BalancingAlgorithm):
             acceptances=acceptances,
             matching=matching,
             transfers=transfers,
+            shift=shift,
         )

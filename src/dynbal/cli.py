@@ -26,7 +26,7 @@ from .config import ConfigError, parse_config
 from .engine import EngineError, derive_stream, run_experiment, run_trial
 from .graphs import cycle_graph, path_graph, star_graph
 from .io import open_trace_writer, render_amount, write_experiment_summary
-from .smoothing import calibrate_hitting_constant, enumerate_ball, t_smooth
+from .smoothing import calibrate_hitting_constant, sampler_total_variation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -239,19 +239,10 @@ def _cmd_smoothing_test(args) -> int:
         raise ConfigError("smoothing-test needs k >= 1 and samples >= 1")
     worst = 0.0
     for name, build in _TEST_SHAPES:
-        base = build(args.n)
-        ball = enumerate_ball(base, args.k)
-        index = {g.edges: i for i, g in enumerate(ball)}
-        counts = [0] * len(ball)
         rng = derive_stream(args.seed, f"smoothing-test:{name}")
-        for _ in range(args.samples):
-            counts[index[t_smooth(base, args.k, rng).edges]] += 1
-        uniform = Fraction(1, len(ball))
-        tv = float(
-            sum(abs(Fraction(c, args.samples) - uniform) for c in counts) / 2
-        )
+        tv, ball_size = sampler_total_variation(build(args.n), args.k, args.samples, rng)
         worst = max(worst, tv)
-        print(f"{name}: ball={len(ball)} samples={args.samples} tv={tv:.4f}")
+        print(f"{name}: ball={ball_size} samples={args.samples} tv={tv:.4f}")
     print(f"worst_tv: {worst:.4f} (tolerance {args.tolerance})")
     return EXIT_OK if worst <= args.tolerance else EXIT_STATISTICAL
 

@@ -9,14 +9,13 @@ Unknown keys are rejected rather than ignored: a typo should fail loudly.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL
 from .adversaries import ADVERSARIES
-from .dyadic import Dyadic
+from .dyadic import DECIMAL_RE, Dyadic
 from .loads import MODE_CONTINUOUS, MODE_INTEGRAL, MODES
 from .metrics import (
     ALL_CHECKS,
@@ -24,8 +23,6 @@ from .metrics import (
     TWO_SIDED_ONLY_CHECKS,
 )
 from .smoothing import DEFAULT_MAX_REJECTIONS
-
-_DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
 
 TRACE_FULL = "full"
 TRACE_SUMMARY = "summary"
@@ -59,7 +56,7 @@ class ConfigError(ValueError):
 def _decimal_fraction(value, what: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _DECIMAL_RE.match(value.strip()):
+    if isinstance(value, str) and DECIMAL_RE.match(value.strip()):
         return Fraction(value.strip())
     raise ConfigError(f"{what} must be an exact decimal string, got {value!r}")
 

@@ -2,9 +2,14 @@
 
 Every load the balancing rules can produce is a repeated half-sum of the
 integer initial loads, so values of the form num / 2**exp are closed under
-all the arithmetic the simulator needs.  Working in this representation
-keeps every comparison exact: the invariant checks can demand equality and
-zero-tolerance inequalities instead of floating-point slack.
+all the arithmetic the simulator needs, and every comparison stays exact:
+the invariant checks can demand equality and zero-tolerance inequalities
+instead of floating-point slack.
+
+Inside a trial the loads are integer numerators over one exponent shared
+by the whole vector (see `dynbal.loads`), so Dyadic is the boundary type:
+it parses exact decimal input (configs, initial-load generators, tau) and
+renders output (trace rows, invariant witnesses, trial result amounts).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-_DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
+DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
 
 DyadicLike = Union["Dyadic", int]
 
@@ -60,7 +65,7 @@ class Dyadic:
         if isinstance(text, int):
             return cls(text)
         stripped = text.strip()
-        if not _DECIMAL_RE.match(stripped):
+        if not DECIMAL_RE.match(stripped):
             raise ValueError(f"not a decimal literal: {text!r}")
         return cls.from_fraction(Fraction(stripped))
 
@@ -193,9 +198,6 @@ class Dyadic:
 
     def __str__(self):
         return self.decimal_str()
-
-
-ZERO = Dyadic(0)
 
 
 def as_dyadic(value: DyadicLike) -> Dyadic:

@@ -26,13 +26,17 @@ from .algorithms import CONTINUOUS_VIA_INTEGRAL, make_algorithm
 from .algorithms.drivers import decompose_by_unit, recombine_by_unit
 from .config import TRACE_FULL, ScenarioConfig
 from .dyadic import Dyadic, as_dyadic
-from .graphs import Graph, is_connected
+from .graphs import is_connected
 from .loads import (
     MODE_CONTINUOUS,
     MODE_INTEGRAL,
     LoadState,
+    compare,
     line_ramp,
+    renormalise,
     single_source,
+    to_dyadics,
+    to_scaled,
     total_load,
     uniform_random,
 )
@@ -43,6 +47,7 @@ from .metrics import (
     check_round,
     max_gap,
     potential,
+    prefix_growth,
     prefix_sums,
     twice_shifted_load,
 )
@@ -222,9 +227,12 @@ def run_trial(
     rng_smoothing = derive_stream(seed, "smoothing")
     rng_algorithm = derive_stream(seed, "algorithm")
 
+    # Loads are numerators over one shared exponent: loads[i] / 2**exp.
     n = cfg.n
-    loads = build_initial_loads(cfg, rng_loads)
-    total = total_load(loads)
+    continuous = cfg.mode == MODE_CONTINUOUS
+    initial = build_initial_loads(cfg, rng_loads)
+    loads, exp = to_scaled(initial) if continuous else (initial, 0)
+    total = Dyadic(total_load(loads), exp) if continuous else total_load(loads)
 
     adversary = _instantiate_adversary(cfg)
     adversary.bind(n, rng_adversary)
@@ -243,7 +251,7 @@ def run_trial(
 
     enabled = cfg.checks
     line_policy = adversary if isinstance(adversary, SortingLinePolicy) else None
-    initial_prefix = None
+    initial_prefix, prefix_exp = None, exp
     if CHECK_PREFIX_MONOTONE in enabled:
         if line_policy is None:
             raise EngineError("prefixMonotone needs the sortingLine adversary")
@@ -253,23 +261,22 @@ def run_trial(
     sample_stride = cfg.trace_level[1] if isinstance(cfg.trace_level, tuple) else None
 
     traces: Optional[list[RoundTrace]] = [] if keep_full else None
-    past_adversary: list[Graph] = []
-    past_smoothed: list[Graph] = []
 
     failure_reports: list[InvariantReport] = []
     invariant_failures = 0
 
+    tau_num, tau_exp = cfg.tau.num, cfg.tau.exp
     gap = max_gap(loads)
-    min_gap_seen = gap
-    converged_at: Optional[int] = 0 if gap <= cfg.tau else None
+    min_gap, min_exp = gap, exp
+    converged_at: Optional[int] = 0 if compare(gap, exp, tau_num, tau_exp) <= 0 else None
 
     phi_prev = None
     if trace_writer is not None:
         phi_prev = potential(loads)
         trace_writer.round_row(
             round_index=0,
-            phi=phi_prev,
-            max_gap=gap,
+            phi=Dyadic(phi_prev, exp),
+            max_gap=Dyadic(gap, exp),
             d_r=0,
             connections=0,
             converged=converged_at is not None,
@@ -295,10 +302,8 @@ def run_trial(
 
             ctx = AdversaryContext(
                 round_index=rounds,
-                loads=LoadState(cfg.mode, loads),
+                loads=LoadState(cfg.mode, loads, exp),
                 last_matching=last_matching,
-                past_adversary_graphs=tuple(past_adversary),
-                past_smoothed_graphs=tuple(past_smoothed),
             )
             base_graph = adversary.next_graph(ctx)
             if base_graph.n != n:
@@ -317,9 +322,10 @@ def run_trial(
             else:
                 graph = base_graph
 
-            before = loads
-            outcome = algorithm.play_round(graph, before)
-            after = outcome.new_loads
+            outcome = algorithm.play_round(graph, loads)
+            after, after_exp = outcome.new_loads, exp + outcome.shift
+            if outcome.shift:
+                after, after_exp = renormalise(after, after_exp)
             gap = max_gap(after)
             d_r = twice_shifted_load(outcome.matching)
 
@@ -329,12 +335,14 @@ def run_trial(
             run_checks = bool(enabled) and rounds % cfg.check_stride == 0
             phi_after = potential(after) if (emit or (run_checks and want_phi)) else None
 
-            trace = RoundTrace(rounds, graph, outcome.matching, gap, d_r, phi=phi_after)
+            trace = RoundTrace(
+                rounds, graph, outcome.matching, gap, d_r, phi_after, exp, after_exp
+            )
             report = None
             if run_checks:
                 report = check_round(
-                    LoadState(cfg.mode, before),
-                    LoadState(cfg.mode, after),
+                    LoadState(cfg.mode, loads, exp),
+                    LoadState(cfg.mode, after, after_exp),
                     trace,
                     algorithm_kind=algorithm.kind,
                     enabled=enabled,
@@ -342,31 +350,31 @@ def run_trial(
                     phi_after=phi_after,
                     line_order=line_order,
                     initial_prefix=initial_prefix,
+                    prefix_exp=prefix_exp,
                 )
                 if not report.ok:
                     invariant_failures += len(report.failed())
                     if len(failure_reports) < MAX_FAILURE_REPORTS:
                         failure_reports.append(report)
 
-            loads = after
+            loads, exp = after, after_exp
             last_matching = tuple((u, v) for u, v, _ in outcome.matching)
-            if gap < min_gap_seen:
-                min_gap_seen = gap
-            if converged_at is None and gap <= cfg.tau:
+            if compare(gap, exp, min_gap, min_exp) < 0:
+                min_gap, min_exp = gap, exp
+            within_tau = compare(gap, exp, tau_num, tau_exp) <= 0
+            if converged_at is None and within_tau:
                 converged_at = rounds
 
             if keep_full:
                 traces.append(trace)
-                past_adversary.append(base_graph)
-                past_smoothed.append(graph)
             if emit:
                 trace_writer.round_row(
                     round_index=rounds,
-                    phi=phi_after,
-                    max_gap=gap,
-                    d_r=d_r,
+                    phi=Dyadic(phi_after, exp),
+                    max_gap=Dyadic(gap, exp),
+                    d_r=Dyadic(d_r, trace.exp + 1),
                     connections=trace.connections,
-                    converged=gap <= cfg.tau,
+                    converged=within_tau,
                     report=report,
                 )
                 last_emitted = rounds
@@ -397,21 +405,25 @@ def run_trial(
     ):
         ctx = AdversaryContext(
             round_index=rounds + 1,
-            loads=LoadState(cfg.mode, loads),
+            loads=LoadState(cfg.mode, loads, exp),
             last_matching=last_matching,
         )
         line_policy.next_graph(ctx)
-        report = _final_prefix_report(rounds + 1, line_policy.order, loads, initial_prefix)
-        if report is not None:
+        witness = prefix_growth(line_policy.order, loads, exp, initial_prefix, prefix_exp)
+        if witness is not None:
+            report = InvariantReport(rounds + 1)
+            report.checks[CHECK_PREFIX_MONOTONE] = False
+            report.witnesses[CHECK_PREFIX_MONOTONE] = witness
             invariant_failures += 1
             if len(failure_reports) < MAX_FAILURE_REPORTS:
                 failure_reports.append(report)
 
+    final_gap = max_gap(loads)
     if trace_writer is not None and last_emitted != rounds:
         trace_writer.round_row(
             round_index=rounds,
-            phi=potential(loads),
-            max_gap=max_gap(loads),
+            phi=Dyadic(potential(loads), exp),
+            max_gap=Dyadic(final_gap, exp),
             d_r=0,
             connections=0,
             converged=converged_at is not None,
@@ -422,30 +434,15 @@ def run_trial(
         rounds_played=rounds,
         budget=budget,
         converged_at=converged_at,
-        final_loads=loads,
-        final_gap=max_gap(loads),
-        min_max_gap=min_gap_seen,
+        final_loads=to_dyadics(loads, exp) if continuous else loads,
+        final_gap=Dyadic(final_gap, exp) if continuous else final_gap,
+        min_max_gap=Dyadic(min_gap, min_exp) if continuous else min_gap,
         total=total,
         invariant_failures=invariant_failures,
         failure_reports=failure_reports,
         traces=traces,
         aborted=aborted,
     )
-
-
-def _final_prefix_report(round_index, order, loads, initial_prefix):
-    current = prefix_sums(order, loads)
-    for i, (now, base) in enumerate(zip(current, initial_prefix)):
-        if now > base:
-            report = InvariantReport(round_index)
-            report.checks[CHECK_PREFIX_MONOTONE] = False
-            report.witnesses[CHECK_PREFIX_MONOTONE] = {
-                "prefix": i,
-                "now": str(now),
-                "baseline": str(base),
-            }
-            return report
-    return None
 
 
 # ----------------------------------------------------------------------

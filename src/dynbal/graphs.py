@@ -70,6 +70,16 @@ def edge_set_connected(n: int, edges) -> bool:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    return _reaches_all(adj)
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n == 1 or _reaches_all(g.adj)
+
+
+def _reaches_all(adj) -> bool:
+    """Whether a walk from node 0 along the adjacency lists visits every node."""
+    n = len(adj)
     seen = bytearray(n)
     seen[0] = 1
     stack = [0]
@@ -82,24 +92,6 @@ def edge_set_connected(n: int, edges) -> bool:
                 count += 1
                 stack.append(v)
     return count == n
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    adj = g.adj
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
 
 
 def hamming_distance(g1: Graph, g2: Graph) -> int:

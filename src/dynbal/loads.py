@@ -1,15 +1,18 @@
 """Per-node load vectors and the initial-load generators scenarios pick by name.
 
-Loads are plain Python ints in integral mode and Dyadic values in continuous
-mode; the hot loops work on bare lists and LoadState is the thin wrapper the
-public interfaces exchange.
+A trial holds its loads as one list of Python ints plus one exponent shared
+by the whole vector: node i carries loads[i] / 2**exp.  The balancing rules
+only ever take repeated half-sums of integer loads, so a round that halves
+raises the exponent by a bit or two and every load stays an integer
+numerator.  Integral mode is simply exp == 0.  Dyadic values appear only at
+the boundary: `to_scaled` takes parsed or generated loads in, `to_dyadics`
+renders numerators back out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
 
 from .dyadic import Dyadic
 
@@ -20,48 +23,65 @@ MODES = (MODE_INTEGRAL, MODE_CONTINUOUS)
 
 @dataclass
 class LoadState:
-    """A snapshot of every node's load.
-
-    `split_halves`, when present, carries the two half-loads the two-sided
-    deterministic algorithm maintains per node; they must sum to the node's
-    real load.
-    """
+    """A snapshot of every node's load: loads[i] / 2**exp."""
 
     mode: str
     loads: list
-    split_halves: Optional[list] = None
+    exp: int = 0
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.exp < 0:
+            raise ValueError("the shared exponent must be non-negative")
+        if self.mode == MODE_INTEGRAL and self.exp:
+            raise ValueError("integral mode needs the shared exponent 0")
         for i, w in enumerate(self.loads):
-            if self.mode == MODE_INTEGRAL:
-                if not isinstance(w, int):
-                    raise ValueError(f"integral mode needs int loads, node {i} has {w!r}")
-            elif not isinstance(w, (int, Dyadic)):
-                raise ValueError(f"continuous mode needs dyadic loads, node {i} has {w!r}")
+            if not isinstance(w, int):
+                raise ValueError(f"loads must be integer numerators, node {i} has {w!r}")
             if w < 0:
                 raise ValueError(f"node {i} has negative load {w}")
-        if self.split_halves is not None:
-            if len(self.split_halves) != len(self.loads):
-                raise ValueError("split halves must cover every node")
-            for i, ((s, a), w) in enumerate(zip(self.split_halves, self.loads)):
-                if s + a != w:
-                    raise ValueError(f"split halves of node {i} do not sum to its load")
-
-    @property
-    def n(self) -> int:
-        return len(self.loads)
 
 
 def total_load(loads) -> object:
-    """Exact total; int when all loads are ints, Dyadic otherwise."""
-    if isinstance(loads, LoadState):
-        loads = loads.loads
-    total = 0
-    for w in loads:
-        total = total + w
-    return total
+    """Exact total, in the scale of the loads given."""
+    return sum(loads)
+
+
+def to_scaled(values) -> tuple[list[int], int]:
+    """Dyadic values as numerators over their largest exponent."""
+    exp = max((w.exp for w in values), default=0)
+    return [w.num << (exp - w.exp) for w in values], exp
+
+
+def to_dyadics(nums, exp: int) -> list[Dyadic]:
+    return [Dyadic(w, exp) for w in nums]
+
+
+def renormalise(nums: list[int], exp: int) -> tuple[list[int], int]:
+    """Drop the factors of two all numerators share, down to exponent 0.
+
+    The result's exponent is the largest exponent of the values in
+    canonical Dyadic form.
+    """
+    acc = 0
+    for w in nums:
+        acc |= w
+    drop = (acc & -acc).bit_length() - 1 if acc else exp
+    if drop > exp:
+        drop = exp
+    if not drop:
+        return nums, exp
+    return [w >> drop for w in nums], exp - drop
+
+
+def compare(a: int, a_exp: int, b: int, b_exp: int) -> int:
+    """Three-way comparison of a / 2**a_exp with b / 2**b_exp."""
+    if a_exp > b_exp:
+        b <<= a_exp - b_exp
+    else:
+        a <<= b_exp - a_exp
+    return (a > b) - (a < b)
 
 
 # ----------------------------------------------------------------------

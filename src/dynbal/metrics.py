@@ -2,19 +2,21 @@
 
 The potential function is the sum of |w(u) - w(v)| over all unordered node
 pairs, computed here by a sorted prefix scan; the tests keep an independent
-brute-force double loop as the oracle.  All checks are exact: they compare
-dyadics and integers with zero tolerance.
+brute-force double loop as the oracle.  The metrics work on integer
+numerators over one shared exponent, and the checks compare amounts of
+different exponents by shifting them to a common one: every verdict is
+exact, with zero tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .dyadic import Dyadic, as_dyadic
-from .graphs import nodes_within
-from .loads import MODE_INTEGRAL, LoadState, total_load
-from .records import RoundTrace
+from .dyadic import Dyadic
+from .loads import MODE_INTEGRAL, LoadState, compare, total_load
+from .records import KIND_MATCHING, KIND_TWO_SIDED, RoundTrace  # noqa: F401 (re-exported)
 
 # External names for the invariant checks, as they appear in scenario
 # configs and CSV columns.
@@ -46,18 +48,11 @@ TWO_SIDED_ONLY_CHECKS = (
     CHECK_SPLIT_POTENTIAL,
 )
 
-KIND_TWO_SIDED = "two-sided"
-KIND_MATCHING = "matching"
-
 
 def potential(loads: Sequence) -> object:
     """Sum of pairwise absolute load differences, via one sort."""
-    ordered = sorted(loads)
-    n = len(ordered)
-    acc = 0
-    for i, w in enumerate(ordered):
-        acc = acc + w * (2 * i - n + 1)
-    return acc
+    n = len(loads)
+    return sum(map(mul, sorted(loads), range(1 - n, n, 2)))
 
 
 def max_gap(loads: Sequence) -> object:
@@ -67,17 +62,14 @@ def max_gap(loads: Sequence) -> object:
     return max(loads) - min(loads)
 
 
-def twice_shifted_load(matching: Iterable[tuple[int, int, object]]) -> Dyadic:
-    """Half the summed pre-round gaps over the connected pairs.
+def twice_shifted_load(matching: Iterable[tuple[int, int, object]]) -> object:
+    """d_r, one bit finer than the matching's gaps: their plain sum.
 
-    In the continuous two-sided round this equals twice the total load that
-    actually moved, which is why the potential must drop by at least half
-    of it.
+    d_r is half the summed pre-round gaps over the connected pairs; in the
+    continuous two-sided round it equals twice the total load that actually
+    moved, which is why the potential must drop by at least half of it.
     """
-    total = 0
-    for _, _, gap in matching:
-        total = total + gap
-    return as_dyadic(total).half()
+    return sum(gap for _, _, gap in matching)
 
 
 def prefix_sums(order: Sequence[int], loads: Sequence) -> list:
@@ -122,14 +114,19 @@ def check_round(
     phi_after=None,
     line_order: Optional[Sequence[int]] = None,
     initial_prefix: Optional[Sequence] = None,
+    prefix_exp: int = 0,
 ) -> InvariantReport:
     """Evaluate the enabled invariants for one committed round.
 
     `phi_before`/`phi_after` may be passed in when the caller already
-    computed them; otherwise they are derived here on demand.
+    computed them (at the exponents of `before` and `after`); otherwise
+    they are derived here on demand.  The matching's gaps are at
+    `before.exp` and `trace.d_r` one bit finer; `initial_prefix` is at
+    `prefix_exp`.
     """
     report = InvariantReport(trace.round_index)
     checks, witnesses = report.checks, report.witnesses
+    exp, after_exp = before.exp, after.exp
 
     def need_phi_before():
         nonlocal phi_before
@@ -145,31 +142,36 @@ def check_round(
 
     for name in enabled:
         if name == CHECK_CONSERVATION:
-            total_before = total_load(before)
-            total_after = total_load(after)
-            good = total_before == total_after
-            if not good:
-                witnesses[name] = {"before": str(total_before), "after": str(total_after)}
-
-        elif name == CHECK_POTENTIAL_DROP:
-            bound = need_phi_before() - trace.d_r.half()
-            good = need_phi_after() <= bound
+            total_before = total_load(before.loads)
+            total_after = total_load(after.loads)
+            good = compare(total_before, exp, total_after, after_exp) == 0
             if not good:
                 witnesses[name] = {
-                    "phi_after": str(phi_after),
-                    "allowed": str(bound),
+                    "before": _text(total_before, exp),
+                    "after": _text(total_after, after_exp),
+                }
+
+        elif name == CHECK_POTENTIAL_DROP:
+            # phi_before - d_r / 2, two bits finer than the loads before.
+            bound = (need_phi_before() << 2) - trace.d_r
+            good = compare(need_phi_after(), after_exp, bound, exp + 2) <= 0
+            if not good:
+                witnesses[name] = {
+                    "phi_after": _text(phi_after, after_exp),
+                    "allowed": _text(bound, exp + 2),
                 }
 
         elif name == CHECK_COVERING_EDGE:
-            good, witness = _covering_edge_ok(before.loads, trace)
+            good, witness = _covering_edge_ok(before, trace)
             if not good:
                 witnesses[name] = witness
 
         elif name == CHECK_SHIFT_LOWER_BOUND:
+            # 30 d_r >= max gap, with d_r one bit finer than the gap.
             gap = max_gap(before.loads)
-            good = trace.d_r * 30 >= gap
+            good = trace.d_r * 30 >= gap * 2
             if not good:
-                witnesses[name] = {"d_r": str(trace.d_r), "max_gap": str(gap)}
+                witnesses[name] = {"d_r": _text(trace.d_r, exp + 1), "max_gap": _text(gap, exp)}
 
         elif name == CHECK_MATCHING_BUDGET:
             good, witness = _matching_budget_ok(trace.matching, algorithm_kind)
@@ -177,8 +179,10 @@ def check_round(
                 witnesses[name] = witness
 
         elif name == CHECK_INTEGRALITY:
-            good = True
-            if after.mode == MODE_INTEGRAL:
+            good = after.mode != MODE_INTEGRAL or after_exp == 0
+            if not good:
+                witnesses[name] = {"exp": after_exp}
+            elif after.mode == MODE_INTEGRAL:
                 for i, w in enumerate(after.loads):
                     if not isinstance(w, int) or w < 0:
                         good = False
@@ -188,25 +192,21 @@ def check_round(
         elif name == CHECK_PREFIX_MONOTONE:
             if line_order is None or initial_prefix is None:
                 raise ValueError("prefixMonotone needs the line order and baseline prefixes")
-            current = prefix_sums(line_order, before.loads)
-            good = True
-            for i, (now, base) in enumerate(zip(current, initial_prefix)):
-                if now > base:
-                    good = False
-                    witnesses[name] = {"prefix": i, "now": str(now), "baseline": str(base)}
-                    break
+            witness = prefix_growth(line_order, before.loads, exp, initial_prefix, prefix_exp)
+            good = witness is None
+            if not good:
+                witnesses[name] = witness
 
         elif name == CHECK_SPLIT_POTENTIAL:
-            halves = []
-            for w in before.loads:
-                h = as_dyadic(w).half()
-                halves.append(h)
-                halves.append(h)
-            good = potential(halves) == need_phi_before() * 2
+            # Both halves of each node, one bit finer than the loads: the
+            # split potential must be twice the whole one.
+            halves = [w for w in before.loads for _ in (0, 1)]
+            split = potential(halves)
+            good = split == need_phi_before() * 4
             if not good:
                 witnesses[name] = {
-                    "split": str(potential(halves)),
-                    "twice_whole": str(need_phi_before() * 2),
+                    "split": _text(split, exp + 1),
+                    "twice_whole": _text(phi_before * 2, exp),
                 }
 
         else:
@@ -217,21 +217,48 @@ def check_round(
     return report
 
 
-def _covering_edge_ok(loads, trace: RoundTrace):
-    """Every positive-gap edge must have a connected edge of at least its
-    gap within three hops."""
+def _text(num, exp: int) -> str:
+    """Exact decimal text of num / 2**exp, for witnesses."""
+    return Dyadic(num, exp).decimal_str()
+
+
+def prefix_growth(order, loads, exp: int, baseline, baseline_exp: int) -> Optional[dict]:
+    """Witness for the first prefix sum (loads read in `order`) above its
+    baseline, or None."""
+    for i, (now, base) in enumerate(zip(prefix_sums(order, loads), baseline)):
+        if compare(now, exp, base, baseline_exp) > 0:
+            return {"prefix": i, "now": _text(now, exp), "baseline": _text(base, baseline_exp)}
+    return None
+
+
+def _covering_edge_ok(before: LoadState, trace: RoundTrace):
+    """Every positive-gap edge must have a connected pair with at least its
+    gap touching a node within three hops of the edge.
+
+    reach[x] starts as the largest connected-pair gap at x; three rounds of
+    neighbour-max propagation make it the largest such gap within three
+    hops of x, so edge (u, v) is covered iff max(reach[u], reach[v]) >= gap.
+    """
+    loads = before.loads
     graph = trace.graph
-    connected = trace.matching
+    reach = [0] * graph.n
+    for a, b, pair_gap in trace.matching:
+        if pair_gap > reach[a]:
+            reach[a] = pair_gap
+        if pair_gap > reach[b]:
+            reach[b] = pair_gap
+    for _ in range(3):
+        spread = list(reach)
+        for u, v in graph.edges:
+            if reach[v] > spread[u]:
+                spread[u] = reach[v]
+            if reach[u] > spread[v]:
+                spread[v] = reach[u]
+        reach = spread
     for u, v in graph.edges:
         gap = abs(loads[u] - loads[v])
-        if not gap > 0:
-            continue
-        near = nodes_within(graph, (u, v), 3)
-        covered = any(
-            (a in near or b in near) and pair_gap >= gap for a, b, pair_gap in connected
-        )
-        if not covered:
-            return False, {"edge": (u, v), "gap": str(gap)}
+        if gap > 0 and reach[u] < gap and reach[v] < gap:
+            return False, {"edge": (u, v), "gap": _text(gap, before.exp)}
     return True, None
 
 

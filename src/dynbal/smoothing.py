@@ -22,7 +22,7 @@ from math import comb
 from random import Random
 from typing import Union
 
-from .graphs import Graph, all_pairs, edge_set_connected
+from .graphs import Graph, all_pairs, edge_set_connected, path_graph
 
 DEFAULT_MAX_REJECTIONS = 10_000
 
@@ -158,6 +158,18 @@ def enumerate_ball(g: Graph, t: int, limit: int = 10**6) -> list[Graph]:
     return found
 
 
+def sampler_total_variation(g: Graph, t: int, samples: int, rng: Random) -> tuple[float, int]:
+    """Total-variation distance between `samples` t_smooth draws and the
+    uniform law on the edit ball around g; also returns the ball's size."""
+    ball = enumerate_ball(g, t)
+    index = {h.edges: i for i, h in enumerate(ball)}
+    counts = [0] * len(ball)
+    for _ in range(samples):
+        counts[index[t_smooth(g, t, rng).edges]] += 1
+    uniform = Fraction(1, len(ball))
+    return float(sum(abs(Fraction(c, samples) - uniform) for c in counts) / 2), len(ball)
+
+
 # ----------------------------------------------------------------------
 # hitting-rate calibration
 # ----------------------------------------------------------------------
@@ -194,7 +206,7 @@ def calibrate_hitting_constant(
     """
     if n < 4:
         raise ValueError("calibration needs at least 4 nodes")
-    base = _sorted_line(n)
+    base = path_graph(n)
     non_edges = [(i, j) for i in range(n) for j in range(i + 2, n)]
     params = SmoothingParams(k=k)
     sizes = sorted({1, max(1, n // 2), min(n, len(non_edges))})
@@ -205,6 +217,3 @@ def calibrate_hitting_constant(
         out[size] = rate * n * n / (k * size)
     return out
 
-
-def _sorted_line(n: int) -> Graph:
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dynbal.algorithms import TwoSidedDeterministic, interactive_round, internal_round, split_evenly
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, path_graph
-from dynbal.loads import LoadState
+from dynbal.loads import LoadState, to_dyadics, to_scaled
 from dynbal.metrics import (
     CHECK_CONSERVATION,
     CHECK_COVERING_EDGE,
@@ -25,20 +25,41 @@ from dynbal.metrics import (
 from dynbal.records import RoundTrace
 
 
-def play(loads, graph):
+def play_scaled(nums, graph):
+    """One round on numerators; the outcome is in the kernel's scales."""
     alg = TwoSidedDeterministic()
-    alg.start(list(loads), "continuous", Random(0), k=0, tau=0, n=graph.n)
-    return alg.play_round(graph, [Dyadic(w) if isinstance(w, int) else w for w in loads])
+    alg.start(list(nums), "continuous", Random(0), k=0, tau=0, n=graph.n)
+    return alg.play_round(graph, list(nums))
+
+
+def play(loads, graph):
+    """One round on int or Dyadic loads, with the outcome rendered back to
+    Dyadic values: gaps in the loads' scale, loads and transfers `shift`
+    bits finer."""
+    nums, exp = to_scaled([Dyadic(w) if isinstance(w, int) else w for w in loads])
+    outcome = play_scaled(nums, graph)
+    after = exp + outcome.shift
+    outcome.new_loads = to_dyadics(outcome.new_loads, after)
+    outcome.matching = [(u, v, Dyadic(gap, exp)) for u, v, gap in outcome.matching]
+    outcome.transfers = [(u, v, Dyadic(t, after)) for u, v, t in outcome.transfers]
+    return outcome
+
+
+def halves(state, exp):
+    return [(Dyadic(s, exp), Dyadic(a, exp)) for s, a in state]
 
 
 def test_split_evenly():
-    state = split_evenly([Dyadic(4), Dyadic(3)])
-    assert state == [(2, 2), (Dyadic(3, 1), Dyadic(3, 1))]
+    # Loads 4 and 3 at exponent 0: the halves sit one bit finer.
+    state = split_evenly([4, 3])
+    assert halves(state, 1) == [(2, 2), (Dyadic(3, 1), Dyadic(3, 1))]
 
 
 def test_internal_round_averages_halves():
-    assert internal_round([(Dyadic(1), Dyadic(3))]) == [(2, 2)]
-    assert internal_round([(Dyadic(5, 1), Dyadic(1, 1))]) == [(Dyadic(3, 1), Dyadic(3, 1))]
+    # (1, 3) at exponent 0 and (5/2, 1/2) at exponent 1; the averages sit
+    # one bit finer than their input.
+    assert halves(internal_round([(1, 3)]), 1) == [(2, 2)]
+    assert halves(internal_round([(5, 1)]), 2) == [(Dyadic(3, 1), Dyadic(3, 1))]
 
 
 def test_two_node_trace():
@@ -48,7 +69,8 @@ def test_two_node_trace():
     assert outcome.acceptances == [(1, 0), (0, 1)]
     assert outcome.matching == [(1, 0, 4), (0, 1, 4)]
     assert outcome.new_loads == [2, 2]
-    assert twice_shifted_load(outcome.matching) == 4
+    # d_r is one bit finer than the gaps it sums.
+    assert twice_shifted_load(outcome.matching).half() == 4
 
 
 def test_zero_gap_nodes_stay_silent():
@@ -69,16 +91,18 @@ def test_three_node_trace_with_shared_center():
     assert outcome.matching == [(2, 0, 8), (0, 2, 8)]
     assert outcome.new_loads == [4, 0, 4]
     before = [Dyadic(0), Dyadic(0), Dyadic(8)]
-    d_r = twice_shifted_load(outcome.matching)
+    d_r = twice_shifted_load(outcome.matching).half()
     assert d_r == 8
     assert potential(outcome.new_loads) <= potential(before) - d_r.half()
 
 
 def test_interactive_round_exposes_halves():
-    state = split_evenly([Dyadic(4), Dyadic(0)])
+    # Loads (4, 0) at exponent 0 split one bit finer; the interactive
+    # stage moves one more bit finer.
+    state = split_evenly([4, 0])
     new_state, outcome = interactive_round(state, path_graph(2))
-    assert new_state == [(1, 1), (1, 1)]
-    assert outcome.transfers == [(1, 0, 1), (0, 1, 1)]
+    assert halves(new_state, 2) == [(1, 1), (1, 1)]
+    assert [(u, v, Dyadic(t, 2)) for u, v, t in outcome.transfers] == [(1, 0, 1), (0, 1, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -114,17 +138,21 @@ ALL_DET_CHECKS = [
 @given(round_scenarios())
 def test_round_satisfies_all_deterministic_laws(scenario):
     graph, loads = scenario
-    outcome = play(loads, graph)
+    nums, exp = to_scaled(loads)
+    outcome = play_scaled(nums, graph)
+    after_exp = exp + outcome.shift
     trace = RoundTrace(
         round_index=1,
         graph=graph,
         matching=outcome.matching,
         max_gap=max_gap(outcome.new_loads),
         d_r=twice_shifted_load(outcome.matching),
+        exp=exp,
+        after_exp=after_exp,
     )
     report = check_round(
-        LoadState("continuous", loads),
-        LoadState("continuous", outcome.new_loads),
+        LoadState("continuous", nums, exp),
+        LoadState("continuous", outcome.new_loads, after_exp),
         trace,
         algorithm_kind=KIND_TWO_SIDED,
         enabled=ALL_DET_CHECKS,

@@ -7,16 +7,22 @@ from hypothesis import given, settings, strategies as st
 from dynbal.algorithms import RandMaxNeighbor
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, path_graph
-from dynbal.loads import total_load
+from dynbal.loads import LoadState, to_dyadics, to_scaled, total_load
 from dynbal.metrics import CHECK_MATCHING_BUDGET, KIND_MATCHING, check_round
-from dynbal.loads import LoadState
 from dynbal.records import RoundTrace
 
 
 def play(loads, graph, mode, seed):
+    """One round; continuous Dyadic loads go in as numerators and their new
+    loads come back rendered as Dyadic values."""
     alg = RandMaxNeighbor()
     alg.start(list(loads), mode, Random(seed), k=0, tau=0, n=graph.n)
-    return alg.play_round(graph, list(loads))
+    if mode == "integral":
+        return alg.play_round(graph, list(loads))
+    nums, exp = to_scaled(loads)
+    outcome = alg.play_round(graph, nums)
+    outcome.new_loads = to_dyadics(outcome.new_loads, exp + outcome.shift)
+    return outcome
 
 
 def test_two_nodes_continuous_either_meet_or_miss():

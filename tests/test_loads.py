@@ -7,8 +7,12 @@ import pytest
 from dynbal.dyadic import Dyadic
 from dynbal.loads import (
     LoadState,
+    compare,
     line_ramp,
+    renormalise,
     single_source,
+    to_dyadics,
+    to_scaled,
     total_load,
     uniform_random,
 )
@@ -18,17 +22,14 @@ def test_total_load_examples():
     assert total_load([1, 2, 3]) == 6
     assert total_load([]) == 0
     assert total_load([Dyadic(1, 1), Dyadic(1, 1)]) == 1
-    assert total_load(LoadState("integral", [4, 4])) == 8
+    assert total_load(LoadState("integral", [4, 4]).loads) == 8
 
 
 def test_validate_accepts_good_states():
     LoadState("integral", [0, 1, 2]).validate()
-    LoadState("continuous", [Dyadic(1, 1), 3]).validate()
-    LoadState(
-        "continuous",
-        [Dyadic(1, 0)],
-        split_halves=[(Dyadic(1, 1), Dyadic(1, 1))],
-    ).validate()
+    # 1/2 and 3 as numerators over exponent 1.
+    LoadState("continuous", [1, 6], exp=1).validate()
+    LoadState("continuous", [1], exp=0).validate()
 
 
 def test_validate_rejects_bad_states():
@@ -39,11 +40,28 @@ def test_validate_rejects_bad_states():
     with pytest.raises(ValueError):
         LoadState("fuzzy", [1]).validate()
     with pytest.raises(ValueError):
-        LoadState(
-            "continuous",
-            [Dyadic(1)],
-            split_halves=[(Dyadic(1, 1), Dyadic(1, 2))],
-        ).validate()
+        LoadState("integral", [1], exp=1).validate()
+    with pytest.raises(ValueError):
+        LoadState("continuous", [1], exp=-1).validate()
+    with pytest.raises(ValueError):
+        LoadState("continuous", [Dyadic(1, 1)], exp=1).validate()
+
+
+def test_scaled_roundtrip_and_renormalise():
+    values = [Dyadic(3, 2), Dyadic(1, 1), Dyadic(5)]
+    nums, exp = to_scaled(values)
+    assert (nums, exp) == ([3, 2, 20], 2)
+    assert to_dyadics(nums, exp) == values
+    assert renormalise([4, 8, 12], 3) == ([1, 2, 3], 1)
+    assert renormalise([6, 2], 1) == ([3, 1], 0)
+    assert renormalise([3, 2], 4) == ([3, 2], 4)
+    assert renormalise([0, 0], 5) == ([0, 0], 0)
+
+
+def test_compare_across_exponents():
+    assert compare(1, 1, 2, 2) == 0
+    assert compare(3, 2, 1, 1) > 0
+    assert compare(1, 0, 3, 1) < 0
 
 
 def test_line_ramp():

@@ -1,13 +1,14 @@
 """Metric definitions against brute-force oracles, plus check_round behaviour."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynbal.dyadic import Dyadic
-from dynbal.graphs import Graph, path_graph
+from dynbal.graphs import Graph, nodes_within, path_graph
 from dynbal.loads import LoadState
 from dynbal.metrics import (
     CHECK_CONSERVATION,
+    CHECK_COVERING_EDGE,
     CHECK_MATCHING_BUDGET,
     CHECK_PREFIX_MONOTONE,
     CHECK_SPLIT_POTENTIAL,
@@ -77,10 +78,12 @@ def test_max_gap_examples():
 
 
 def test_twice_shifted_load_examples():
-    assert twice_shifted_load([]) == 0
-    assert twice_shifted_load([(0, 1, 4)]) == 2
-    assert twice_shifted_load([(0, 1, 2), (2, 3, 6)]) == 4
-    assert twice_shifted_load([(0, 1, Dyadic(1, 1))]) == Dyadic(1, 2)
+    # d_r is one bit finer than the gaps: at exponent 1 for integer gaps.
+    assert Dyadic(twice_shifted_load([]), 1) == 0
+    assert Dyadic(twice_shifted_load([(0, 1, 4)]), 1) == 2
+    assert Dyadic(twice_shifted_load([(0, 1, 2), (2, 3, 6)]), 1) == 4
+    # Gaps of 1/2, numerator 1 at exponent 1: d_r = 1/4.
+    assert Dyadic(twice_shifted_load([(0, 1, 1)]), 2) == Dyadic(1, 2)
 
 
 def test_prefix_sums_example():
@@ -209,3 +212,56 @@ def test_reports_are_pure():
     r2 = check_round(before, after, _trace([]), **args)
     assert r1.checks == r2.checks
     assert r1.witnesses == r2.witnesses
+
+
+# ----------------------------------------------------------------------
+# coveringEdge against its literal definition
+# ----------------------------------------------------------------------
+
+
+def uncovered_edge_oracle(loads, graph, matching):
+    """First positive-gap edge (in edge-set order) with no connected pair of
+    at least its gap touching a node within three hops, via BFS."""
+    for u, v in graph.edges:
+        gap = abs(loads[u] - loads[v])
+        if not gap > 0:
+            continue
+        near = nodes_within(graph, (u, v), 3)
+        if not any((a in near or b in near) and g >= gap for a, b, g in matching):
+            return (u, v)
+    return None
+
+
+@st.composite
+def covering_scenarios(draw):
+    n = draw(st.integers(2, 12))
+    # A random spanning path plus optional extra edges keeps it connected.
+    order = draw(st.permutations(range(n)))
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    loads = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
+    matching = [
+        (a, b, draw(st.integers(0, 16)))
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        if a != b
+    ]
+    return Graph(n, edges), loads, matching
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering_scenarios())
+def test_covering_edge_matches_bfs_definition(scenario):
+    graph, loads, matching = scenario
+    report = check_round(
+        LoadState("continuous", loads),
+        LoadState("continuous", loads),
+        RoundTrace(round_index=1, graph=graph, matching=matching, max_gap=0, d_r=0),
+        algorithm_kind=KIND_TWO_SIDED,
+        enabled=[CHECK_COVERING_EDGE],
+    )
+    expected = uncovered_edge_oracle(loads, graph, matching)
+    assert report.ok == (expected is None)
+    if expected is not None:
+        assert report.witnesses[CHECK_COVERING_EDGE]["edge"] == expected
