@@ -68,6 +68,8 @@ def heaviest_gap_neighbor(u: int, neighbors: Sequence[int], loads) -> tuple[Opti
 
 def widest_proposer(proposers: Sequence[int], v: int, loads) -> int:
     """Proposer maximising |w(u) - w(v)|; the first listed wins ties."""
+    if len(proposers) == 1:
+        return proposers[0]
     w_v = loads[v]
     return max(proposers, key=lambda u: abs(loads[u] - w_v))
 

@@ -69,7 +69,7 @@ def interactive_round(state: DetState, graph: Graph):
     matching: list[tuple[int, int, int]] = []
     transfers: list[tuple[int, int, int]] = []
     for u, v in acceptances:
-        # Each half joins at most one connection, so both are unchanged yet.
+        # Each half joins at most one connection, so both are still unchanged.
         meet = state[u][0] + state[v][1]
         transfers.append((u, v, abs(meet - senders[u])))
         senders[u] = meet

@@ -41,7 +41,7 @@ class RandMaxNeighbor(BalancingAlgorithm):
                 incoming.setdefault(v, []).append(u)
 
         shift = 0 if self.mode == MODE_INTEGRAL else 1
-        new_loads = [w << shift for w in loads]
+        new_loads = [w << shift for w in loads] if shift else list(loads)
         matching = []
         transfers = []
         acceptances = []

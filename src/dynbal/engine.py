@@ -31,7 +31,6 @@ from .loads import (
     MODE_CONTINUOUS,
     MODE_INTEGRAL,
     LoadState,
-    compare,
     line_ramp,
     renormalise,
     single_source,
@@ -268,7 +267,8 @@ def run_trial(
     tau_num, tau_exp = cfg.tau.num, cfg.tau.exp
     gap = max_gap(loads)
     min_gap, min_exp = gap, exp
-    converged_at: Optional[int] = 0 if compare(gap, exp, tau_num, tau_exp) <= 0 else None
+    # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
+    converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
 
     phi_prev = None
     if trace_writer is not None:
@@ -359,9 +359,9 @@ def run_trial(
 
             loads, exp = after, after_exp
             last_matching = tuple((u, v) for u, v, _ in outcome.matching)
-            if compare(gap, exp, min_gap, min_exp) < 0:
+            if gap << min_exp < min_gap << exp:
                 min_gap, min_exp = gap, exp
-            within_tau = compare(gap, exp, tau_num, tau_exp) <= 0
+            within_tau = gap << tau_exp <= tau_num << exp
             if converged_at is None and within_tau:
                 converged_at = rounds
 

@@ -4,9 +4,10 @@ A trial holds its loads as one list of Python ints plus one exponent shared
 by the whole vector: node i carries loads[i] / 2**exp.  The balancing rules
 only ever take repeated half-sums of integer loads, so a round that halves
 raises the exponent by a bit or two and every load stays an integer
-numerator.  Integral mode is simply exp == 0.  Dyadic values appear only at
-the boundary: `to_scaled` takes parsed or generated loads in, `to_dyadics`
-renders numerators back out.
+numerator.  Integral mode is simply exp == 0.  Amounts at different
+exponents compare by cross-shifting: a / 2**ea < b / 2**eb exactly when
+a << eb < b << ea.  Dyadic values appear only at the boundary: `to_scaled`
+takes parsed or generated loads in, `to_dyadics` renders numerators out.
 """
 
 from __future__ import annotations
@@ -73,15 +74,6 @@ def renormalise(nums: list[int], exp: int) -> tuple[list[int], int]:
     if not drop:
         return nums, exp
     return [w >> drop for w in nums], exp - drop
-
-
-def compare(a: int, a_exp: int, b: int, b_exp: int) -> int:
-    """Three-way comparison of a / 2**a_exp with b / 2**b_exp."""
-    if a_exp > b_exp:
-        b <<= a_exp - b_exp
-    else:
-        a <<= b_exp - a_exp
-    return (a > b) - (a < b)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The potential function is the sum of |w(u) - w(v)| over all unordered node
 pairs, computed here by a sorted prefix scan; the tests keep an independent
 brute-force double loop as the oracle.  The metrics work on integer
 numerators over one shared exponent, and the checks compare amounts of
-different exponents by shifting them to a common one: every verdict is
-exact, with zero tolerance.
+different exponents by cross-shifting them: every verdict is exact, with
+zero tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .dyadic import Dyadic
-from .loads import MODE_INTEGRAL, LoadState, compare, total_load
+from .loads import MODE_INTEGRAL, LoadState, total_load
 from .records import KIND_MATCHING, KIND_TWO_SIDED, RoundTrace  # noqa: F401 (re-exported)
 
 # External names for the invariant checks, as they appear in scenario
@@ -144,7 +144,7 @@ def check_round(
         if name == CHECK_CONSERVATION:
             total_before = total_load(before.loads)
             total_after = total_load(after.loads)
-            good = compare(total_before, exp, total_after, after_exp) == 0
+            good = total_before << after_exp == total_after << exp
             if not good:
                 witnesses[name] = {
                     "before": _text(total_before, exp),
@@ -154,7 +154,7 @@ def check_round(
         elif name == CHECK_POTENTIAL_DROP:
             # phi_before - d_r / 2, two bits finer than the loads before.
             bound = (need_phi_before() << 2) - trace.d_r
-            good = compare(need_phi_after(), after_exp, bound, exp + 2) <= 0
+            good = need_phi_after() << (exp + 2) <= bound << after_exp
             if not good:
                 witnesses[name] = {
                     "phi_after": _text(phi_after, after_exp),
@@ -226,7 +226,7 @@ def prefix_growth(order, loads, exp: int, baseline, baseline_exp: int) -> Option
     """Witness for the first prefix sum (loads read in `order`) above its
     baseline, or None."""
     for i, (now, base) in enumerate(zip(prefix_sums(order, loads), baseline)):
-        if compare(now, exp, base, baseline_exp) > 0:
+        if now << baseline_exp > base << exp:
             return {"prefix": i, "now": _text(now, exp), "baseline": _text(base, baseline_exp)}
     return None
 

@@ -7,7 +7,6 @@ import pytest
 from dynbal.dyadic import Dyadic
 from dynbal.loads import (
     LoadState,
-    compare,
     line_ramp,
     renormalise,
     single_source,
@@ -56,12 +55,6 @@ def test_scaled_roundtrip_and_renormalise():
     assert renormalise([6, 2], 1) == ([3, 1], 0)
     assert renormalise([3, 2], 4) == ([3, 2], 4)
     assert renormalise([0, 0], 5) == ([0, 0], 0)
-
-
-def test_compare_across_exponents():
-    assert compare(1, 1, 2, 2) == 0
-    assert compare(3, 2, 1, 1) > 0
-    assert compare(1, 0, 3, 1) < 0
 
 
 def test_line_ramp():
