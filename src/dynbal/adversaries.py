@@ -96,15 +96,17 @@ def sorting_line_postprocess(
 ) -> list[int]:
     """Re-sort every balanced pair into ascending load order on the line.
 
-    Each pair must sit on adjacent line positions; pairs are applied in
-    sorted order.  Equal loads keep their positions.
+    Pairs are applied in sorted order; a pair that does not sit on adjacent
+    line positions when its turn comes (it balanced over an edge off the
+    line, or an earlier swap moved one of its nodes) is left in place.
+    Equal loads keep their positions.
     """
     new_order = list(order)
     position = {node: i for i, node in enumerate(new_order)}
     for u, v in sorted({(min(p), max(p)) for p in pairs}):
         pu, pv = position[u], position[v]
         if abs(pu - pv) != 1:
-            raise ValueError(f"pair ({u}, {v}) is not adjacent on the line")
+            continue
         first, second = (u, v) if pu < pv else (v, u)
         if loads[first] > loads[second]:
             position[first], position[second] = position[second], position[first]
@@ -117,8 +119,8 @@ class SortingLinePolicy(AdversaryPolicy):
     """Keeps a line whose prefix sums can never grow: after every exchange
     the two partners are re-ordered lightest first.
 
-    Under smoothing a pair may balance over an edge that is not part of the
-    line; such pairs are left where they are.
+    Pairs that are not adjacent on the line are left where they are (see
+    `sorting_line_postprocess`).
     """
 
     name = "sortingLine"
@@ -130,17 +132,10 @@ class SortingLinePolicy(AdversaryPolicy):
 
     def next_graph(self, ctx: AdversaryContext) -> Graph:
         if ctx.last_matching:
-            position = {node: i for i, node in enumerate(self.order)}
-            adjacent = [
-                (u, v)
-                for u, v in ctx.last_matching
-                if abs(position[min(u, v)] - position[max(u, v)]) == 1
-            ]
-            if adjacent:
-                updated = sorting_line_postprocess(self.order, adjacent, ctx.loads.loads)
-                if updated != self.order:
-                    self.order = updated
-                    self._graph = line_of(self.order)
+            updated = sorting_line_postprocess(self.order, ctx.last_matching, ctx.loads.loads)
+            if updated != self.order:
+                self.order = updated
+                self._graph = line_of(self.order)
         return self._graph
 
 

@@ -45,45 +45,33 @@ def interactive_round(state: DetState, graph: Graph):
     matching records those real gaps, in the scale of the halves.
     Transfers average the sender half of the proposer with the answerer
     half of the acceptor; each half joins at most one connection, so a node
-    can exchange with up to two neighbors.  The new state, the outcome's
-    loads and its transfers are one bit finer than `state`.
+    can exchange with up to two neighbors.  The new state and the outcome's
+    loads are one bit finer than `state`.
     """
     n = graph.n
     adj = graph.adj
     real = [s + a for s, a in state]
 
-    proposals: dict[int, int] = {}
+    incoming: dict[int, list[int]] = {}
     for u in range(n):
         target, gap = heaviest_gap_neighbor(u, adj[u], real)
         if target is not None and gap > 0:
-            proposals[u] = target
-
-    incoming: dict[int, list[int]] = {}
-    for u, v in proposals.items():
-        incoming.setdefault(v, []).append(u)
-
-    acceptances = [(widest_proposer(incoming[v], v, real), v) for v in sorted(incoming)]
+            incoming.setdefault(target, []).append(u)
 
     senders = [s << 1 for s, _ in state]
     answerers = [a << 1 for _, a in state]
     matching: list[tuple[int, int, int]] = []
-    transfers: list[tuple[int, int, int]] = []
-    for u, v in acceptances:
+    for v in sorted(incoming):
+        u = widest_proposer(incoming[v], v, real)
         # Each half joins at most one connection, so both are still unchanged.
         meet = state[u][0] + state[v][1]
-        transfers.append((u, v, abs(meet - senders[u])))
         senders[u] = meet
         answerers[v] = meet
         matching.append((u, v, abs(real[u] - real[v])))
 
     new_state = list(zip(senders, answerers))
     outcome = RoundOutcome(
-        new_loads=[s + a for s, a in new_state],
-        proposals=proposals,
-        acceptances=acceptances,
-        matching=matching,
-        transfers=transfers,
-        shift=1,
+        new_loads=[s + a for s, a in new_state], matching=matching, shift=1
     )
     return new_state, outcome
 

@@ -81,16 +81,12 @@ def accept_lightest(loads: list, proposals: dict[int, int], senders_accept: bool
             incoming.setdefault(v, []).append(u)
 
     new_loads = list(loads)
-    outcome = RoundOutcome(new_loads=new_loads, proposals=proposals)
+    matching = []
     for v in sorted(incoming):
         u = min(incoming[v], key=loads.__getitem__)
-        low, high = integral_half_sum(loads[u], loads[v])
-        outcome.acceptances.append((u, v))
-        outcome.matching.append((u, v, loads[v] - loads[u]))
-        outcome.transfers.append((u, v, low - loads[u]))
-        new_loads[u] = low
-        new_loads[v] = high
-    return outcome
+        matching.append((u, v, loads[v] - loads[u]))
+        new_loads[u], new_loads[v] = integral_half_sum(loads[u], loads[v])
+    return RoundOutcome(new_loads=new_loads, matching=matching)
 
 
 class GapReduce(BalancingAlgorithm):

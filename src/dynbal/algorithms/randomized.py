@@ -29,39 +29,24 @@ class RandMaxNeighbor(BalancingAlgorithm):
         adj = graph.adj
         coin = self.rng.getrandbits(n)
 
-        proposals: dict[int, int] = {}
+        incoming: dict[int, list[int]] = {}
         for u in range(n):
             if (coin >> u) & 1 and adj[u]:
                 target, _ = heaviest_gap_neighbor(u, adj[u], loads)
-                proposals[u] = target
-
-        incoming: dict[int, list[int]] = {}
-        for u, v in proposals.items():
-            if not (coin >> v) & 1:
-                incoming.setdefault(v, []).append(u)
+                if not (coin >> target) & 1:
+                    incoming.setdefault(target, []).append(u)
 
         shift = 0 if self.mode == MODE_INTEGRAL else 1
         new_loads = [w << shift for w in loads] if shift else list(loads)
         matching = []
-        transfers = []
-        acceptances = []
         for v in sorted(incoming):
-            best_u = widest_proposer(incoming[v], v, loads)
-            acceptances.append((best_u, v))
-            matching.append((best_u, v, abs(loads[best_u] - loads[v])))
-            w_u, w_v = new_loads[best_u], new_loads[v]
+            u = widest_proposer(incoming[v], v, loads)
+            matching.append((u, v, abs(loads[u] - loads[v])))
+            w_u, w_v = new_loads[u], new_loads[v]
             low, high = integral_half_sum(w_u, w_v)
             if w_u <= w_v:
-                new_loads[best_u], new_loads[v] = low, high
+                new_loads[u], new_loads[v] = low, high
             else:
-                new_loads[best_u], new_loads[v] = high, low
-            transfers.append((best_u, v, abs(new_loads[best_u] - w_u)))
+                new_loads[u], new_loads[v] = high, low
 
-        return RoundOutcome(
-            new_loads=new_loads,
-            proposals=proposals,
-            acceptances=acceptances,
-            matching=matching,
-            transfers=transfers,
-            shift=shift,
-        )
+        return RoundOutcome(new_loads=new_loads, matching=matching, shift=shift)

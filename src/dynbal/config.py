@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL
-from .adversaries import ADVERSARIES
+from .adversaries import ADVERSARIES, StaticPolicy
 from .dyadic import DECIMAL_RE, Dyadic
 from .loads import MODE_CONTINUOUS, MODE_INTEGRAL, MODES
 from .metrics import (
@@ -53,8 +53,12 @@ class ConfigError(ValueError):
     """A scenario config that cannot be accepted as written."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decimal_fraction(value, what: str) -> Fraction:
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str) and DECIMAL_RE.match(value.strip()):
         return Fraction(value.strip())
@@ -182,7 +186,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"missing required key {required!r}")
 
     n = raw["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError("n must be a positive integer")
 
     mode = raw["mode"]
@@ -195,27 +199,25 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError("k must be non-negative")
 
     initial_loads = _parse_initial_loads(raw["initialLoads"], n, mode)
-    adversary = _parse_adversary(raw["adversary"])
+    adversary = _parse_adversary(raw["adversary"], n)
     algorithm = _parse_algorithm(raw["algorithm"])
 
     round_budget = raw.get("roundBudget")
-    if round_budget is not None and (
-        not isinstance(round_budget, int) or isinstance(round_budget, bool) or round_budget < 0
-    ):
+    if round_budget is not None and (not _is_int(round_budget) or round_budget < 0):
         raise ConfigError("roundBudget must be a non-negative integer")
 
     trials = raw.get("trials", 1)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("trials must be a positive integer")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
 
     checks = _parse_checks(raw.get("checks", []), algorithm[0], adversary[0])
 
     check_stride = raw.get("checkStride", 1)
-    if not isinstance(check_stride, int) or isinstance(check_stride, bool) or check_stride < 1:
+    if not _is_int(check_stride) or check_stride < 1:
         raise ConfigError("checkStride must be a positive integer")
 
     trace_level = _parse_trace_level(raw.get("traceLevel", TRACE_SUMMARY))
@@ -225,7 +227,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError("stopOnConverge must be a boolean")
 
     max_rejections = raw.get("maxRejections", DEFAULT_MAX_REJECTIONS)
-    if not isinstance(max_rejections, int) or isinstance(max_rejections, bool) or max_rejections < 1:
+    if not _is_int(max_rejections) or max_rejections < 1:
         raise ConfigError("maxRejections must be a positive integer")
 
     cfg = ScenarioConfig(
@@ -305,17 +307,17 @@ def _parse_initial_loads(value, n: int, mode: str) -> tuple:
         if set(params) != {"total"}:
             raise ConfigError("singleSource takes exactly one parameter: total")
         total = params["total"]
-        if not isinstance(total, int) or isinstance(total, bool) or total < 0:
+        if not _is_int(total) or total < 0:
             raise ConfigError("singleSource total must be a non-negative integer")
     elif name == "uniformRandom":
         if not set(params) <= {"maxValue", "granularityBits"}:
             raise ConfigError("uniformRandom takes maxValue and optional granularityBits")
         if "maxValue" not in params:
             raise ConfigError("uniformRandom needs maxValue")
-        if not isinstance(params["maxValue"], int) or params["maxValue"] < 0:
+        if not _is_int(params["maxValue"]) or params["maxValue"] < 0:
             raise ConfigError("uniformRandom maxValue must be a non-negative integer")
         bits = params.get("granularityBits", 0)
-        if not isinstance(bits, int) or bits < 0:
+        if not _is_int(bits) or bits < 0:
             raise ConfigError("granularityBits must be a non-negative integer")
         if mode == MODE_INTEGRAL and bits:
             raise ConfigError("granularityBits needs continuous mode")
@@ -324,15 +326,23 @@ def _parse_initial_loads(value, n: int, mode: str) -> tuple:
     return (name, params)
 
 
-def _parse_adversary(value) -> tuple:
+def _parse_adversary(value, n: int) -> tuple:
     name, params = _name_and_params(value, "adversary")
     if name not in ADVERSARIES:
         raise ConfigError(f"unknown adversary {name!r}")
     if name == "static":
         if not set(params) <= {"graph", "edges"}:
             raise ConfigError("static adversary takes 'graph' or 'edges'")
-        if "edges" in params and not isinstance(params["edges"], list):
-            raise ConfigError("static edges must be a list of pairs")
+        edges = params.get("edges")
+        if edges is not None and not (
+            isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)
+        ):
+            raise ConfigError("static edges must be a list of [u, v] integer pairs")
+        try:
+            StaticPolicy(shape=params.get("graph", "path"), edges=edges).bind(n, None)
+        except ValueError as exc:
+            raise ConfigError(f"static adversary: {exc}") from None
     elif name == "randomConnected":
         if not set(params) <= {"extraEdgeProb"}:
             raise ConfigError("randomConnected takes only extraEdgeProb")
@@ -366,7 +376,7 @@ def _parse_algorithm(value) -> tuple:
         if "psi" not in params:
             raise ConfigError("gaplessGapReduce needs its spread target psi")
         psi = params["psi"]
-        if not isinstance(psi, int) or isinstance(psi, bool) or psi < 0:
+        if not _is_int(psi) or psi < 0:
             raise ConfigError("psi must be a non-negative integer")
     return (name, params)
 
@@ -403,7 +413,7 @@ def _parse_trace_level(value):
         return value
     if isinstance(value, dict) and set(value) == {TRACE_SAMPLED}:
         stride = value[TRACE_SAMPLED]
-        if not isinstance(stride, int) or isinstance(stride, bool) or stride < 1:
+        if not _is_int(stride) or stride < 1:
             raise ConfigError("sampled trace stride must be a positive integer")
         return (TRACE_SAMPLED, stride)
     raise ConfigError("traceLevel must be 'full', 'summary', or {'sampled': stride}")

@@ -5,9 +5,9 @@ The adversary sees only committed state; the sampler and the algorithm draw
 from independent random streams derived from the trial seed by hashing, so
 no component's consumption of randomness can perturb another's.
 
-Idle fast-forward (skipping rounds an algorithm proves load-neutral) is only
-applied when full traces are not being kept, so a full trace always lists
-every simulated round.
+Idle fast-forward (skipping rounds an algorithm proves load-neutral)
+applies at every trace level, so no observation knob changes an outcome;
+a trace shows a skipped span as a jump in its round column.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from .adversaries import AdversaryContext, AdversaryPolicy, SortingLinePolicy, make_adversary
 from .algorithms import CONTINUOUS_VIA_INTEGRAL, make_algorithm
 from .algorithms.drivers import decompose_by_unit, recombine_by_unit
-from .config import TRACE_FULL, ScenarioConfig
+from .config import TRACE_FULL, TRACE_SUMMARY, ScenarioConfig
 from .dyadic import Dyadic, as_dyadic
 from .graphs import is_connected
 from .loads import (
@@ -155,7 +155,6 @@ class TrialResult:
     total: object
     invariant_failures: int
     failure_reports: list[InvariantReport] = field(default_factory=list)
-    traces: Optional[list[RoundTrace]] = None
     aborted: Optional[str] = None
     extra: dict = field(default_factory=dict)
 
@@ -256,10 +255,10 @@ def run_trial(
             raise EngineError("prefixMonotone needs the sortingLine adversary")
         initial_prefix = prefix_sums(line_policy.order, loads)
 
-    keep_full = cfg.trace_level == TRACE_FULL
-    sample_stride = cfg.trace_level[1] if isinstance(cfg.trace_level, tuple) else None
-
-    traces: Optional[list[RoundTrace]] = [] if keep_full else None
+    if trace_writer is None or cfg.trace_level == TRACE_SUMMARY:
+        trace_stride = None
+    else:
+        trace_stride = 1 if cfg.trace_level == TRACE_FULL else cfg.trace_level[1]
 
     failure_reports: list[InvariantReport] = []
     invariant_failures = 0
@@ -292,12 +291,11 @@ def run_trial(
         while rounds < budget:
             if algorithm.is_done(loads):
                 break
-            if not keep_full:
-                skipped = algorithm.consume_idle_rounds(loads, budget - rounds)
-                if skipped:
-                    # Loads are untouched, so phi_prev stays valid.
-                    rounds += skipped
-                    continue
+            skipped = algorithm.consume_idle_rounds(loads, budget - rounds)
+            if skipped:
+                # Loads are untouched, so phi_prev stays valid.
+                rounds += skipped
+                continue
             rounds += 1
 
             ctx = AdversaryContext(
@@ -329,21 +327,16 @@ def run_trial(
             gap = max_gap(after)
             d_r = twice_shifted_load(outcome.matching)
 
-            emit = trace_writer is not None and (
-                keep_full or (sample_stride is not None and rounds % sample_stride == 0)
-            )
+            emit = trace_stride is not None and rounds % trace_stride == 0
             run_checks = bool(enabled) and rounds % cfg.check_stride == 0
             phi_after = potential(after) if (emit or (run_checks and want_phi)) else None
 
-            trace = RoundTrace(
-                rounds, graph, outcome.matching, gap, d_r, phi_after, exp, after_exp
-            )
             report = None
             if run_checks:
                 report = check_round(
                     LoadState(cfg.mode, loads, exp),
                     LoadState(cfg.mode, after, after_exp),
-                    trace,
+                    RoundTrace(rounds, graph, outcome.matching, d_r),
                     algorithm_kind=algorithm.kind,
                     enabled=enabled,
                     phi_before=phi_prev,
@@ -357,27 +350,24 @@ def run_trial(
                     if len(failure_reports) < MAX_FAILURE_REPORTS:
                         failure_reports.append(report)
 
-            loads, exp = after, after_exp
-            last_matching = tuple((u, v) for u, v, _ in outcome.matching)
-            if gap << min_exp < min_gap << exp:
-                min_gap, min_exp = gap, exp
-            within_tau = gap << tau_exp <= tau_num << exp
-            if converged_at is None and within_tau:
-                converged_at = rounds
-
-            if keep_full:
-                traces.append(trace)
+            within_tau = gap << tau_exp <= tau_num << after_exp
             if emit:
                 trace_writer.round_row(
                     round_index=rounds,
-                    phi=Dyadic(phi_after, exp),
-                    max_gap=Dyadic(gap, exp),
-                    d_r=Dyadic(d_r, trace.exp + 1),
-                    connections=trace.connections,
+                    phi=Dyadic(phi_after, after_exp),
+                    max_gap=Dyadic(gap, after_exp),
+                    d_r=Dyadic(d_r, exp + 1),
+                    connections=len(outcome.matching),
                     converged=within_tau,
                     report=report,
                 )
                 last_emitted = rounds
+            loads, exp = after, after_exp
+            last_matching = tuple((u, v) for u, v, _ in outcome.matching)
+            if gap << min_exp < min_gap << exp:
+                min_gap, min_exp = gap, exp
+            if converged_at is None and within_tau:
+                converged_at = rounds
             phi_prev = phi_after
 
             if converged_at is not None and cfg.stop_on_converge:
@@ -440,7 +430,6 @@ def run_trial(
         total=total,
         invariant_failures=invariant_failures,
         failure_reports=failure_reports,
-        traces=traces,
         aborted=aborted,
     )
 
@@ -495,7 +484,6 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
         total=total_before,
         invariant_failures=sub.invariant_failures,
         failure_reports=sub.failure_reports,
-        traces=sub.traces,
         aborted=sub.aborted,
         extra={
             "unit": unit,
@@ -520,16 +508,9 @@ def thread_count() -> int:
         raise EngineError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _slim(result: TrialResult) -> TrialResult:
-    """Drop per-round traces before aggregation (they pin graphs in memory)."""
-    if result.traces is None:
-        return result
-    return replace(result, traces=None)
-
-
 def _experiment_worker(job) -> TrialResult:
     cfg, seed = job
-    return _slim(run_trial(cfg, seed=seed))
+    return run_trial(cfg, seed=seed)
 
 
 def run_experiment(
@@ -558,7 +539,7 @@ def run_experiment(
         for s in seeds:
             writer = trace_writer_factory(s) if trace_writer_factory is not None else None
             try:
-                results.append(_slim(run_trial(cfg, seed=s, trace_writer=writer)))
+                results.append(run_trial(cfg, seed=s, trace_writer=writer))
             finally:
                 if writer is not None and hasattr(writer, "close"):
                     writer.close()

@@ -6,7 +6,6 @@ Amounts are numerators over the trial's shared load exponent (see loads.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .graphs import Graph
 
@@ -17,41 +16,28 @@ KIND_MATCHING = "matching"
 
 @dataclass(slots=True)
 class RoundOutcome:
-    """What one algorithm round did: who proposed, who accepted, what moved.
+    """What one algorithm round did: the loads it left and who exchanged.
 
     `matching` lists the connected pairs as (u, v, pre_round_gap), gaps in
     the scale of the loads the round was given; for the two-sided
     deterministic algorithm the pairs are ordered (sender half of u,
-    answerer half of v) and both directions may appear.  `new_loads` and
-    `transfers` (aligned with `matching`: the amount shifted across each
-    pair) are `shift` bits finer than the loads the round was given.
+    answerer half of v) and both directions may appear.  `new_loads` are
+    `shift` bits finer than the loads the round was given.
     """
 
     new_loads: list
-    proposals: dict[int, int] = field(default_factory=dict)
-    acceptances: list[tuple[int, int]] = field(default_factory=list)
     matching: list[tuple[int, int, object]] = field(default_factory=list)
-    transfers: list = field(default_factory=list)
     shift: int = 0
 
 
 @dataclass(slots=True)
 class RoundTrace:
-    """Per-round summary retained for CSV output and invariant checking.
+    """What the invariant checks see of one simulated round.
 
-    Matching gaps are at the round's starting exponent `exp`, `d_r` one bit
-    finer; `max_gap` and `phi` describe the committed loads, at `after_exp`.
+    Matching gaps are at the round's starting exponent, `d_r` one bit finer.
     """
 
     round_index: int
     graph: Graph
     matching: list[tuple[int, int, object]]
-    max_gap: object
     d_r: object
-    phi: Optional[object] = None
-    exp: int = 0
-    after_exp: int = 0
-
-    @property
-    def connections(self) -> int:
-        return len(self.matching)

@@ -111,8 +111,20 @@ def test_postprocess_keeps_ties():
 
 
 def test_postprocess_rejects_non_adjacent_pairs():
-    with pytest.raises(ValueError):
-        sorting_line_postprocess([0, 1, 2], [(0, 2)], [1, 2, 3])
+    # Nodes 0 and 2 are not neighbours on the line 0-1-2: the pair is left
+    # in place, however its loads compare.
+    assert sorting_line_postprocess([0, 1, 2], [(0, 2)], [3, 2, 1]) == [0, 1, 2]
+
+
+def test_postprocess_chain_of_overlapping_pairs():
+    # A two-sided round can put node 1 in two pairs.  Pair (0, 1) swaps
+    # first, which moves node 1 away from node 2: pair (1, 2) is then no
+    # longer adjacent and is skipped.
+    loads = [5, 3, 1]
+    assert sorting_line_postprocess([0, 1, 2], [(0, 1), (2, 1)], loads) == [1, 0, 2]
+    # Pair (0, 2) is not adjacent before that swap but is after it, so it
+    # is applied too.
+    assert sorting_line_postprocess([0, 1, 2], [(0, 1), (2, 0)], loads) == [1, 2, 0]
 
 
 def test_sorting_line_starts_with_identity():

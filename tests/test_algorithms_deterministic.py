@@ -34,14 +34,11 @@ def play_scaled(nums, graph):
 
 def play(loads, graph):
     """One round on int or Dyadic loads, with the outcome rendered back to
-    Dyadic values: gaps in the loads' scale, loads and transfers `shift`
-    bits finer."""
+    Dyadic values: gaps in the loads' scale, loads `shift` bits finer."""
     nums, exp = to_scaled([Dyadic(w) if isinstance(w, int) else w for w in loads])
     outcome = play_scaled(nums, graph)
-    after = exp + outcome.shift
-    outcome.new_loads = to_dyadics(outcome.new_loads, after)
+    outcome.new_loads = to_dyadics(outcome.new_loads, exp + outcome.shift)
     outcome.matching = [(u, v, Dyadic(gap, exp)) for u, v, gap in outcome.matching]
-    outcome.transfers = [(u, v, Dyadic(t, after)) for u, v, t in outcome.transfers]
     return outcome
 
 
@@ -65,8 +62,6 @@ def test_internal_round_averages_halves():
 def test_two_node_trace():
     # (4, 0) on an edge: both directions connect, everything meets at 2.
     outcome = play([4, 0], path_graph(2))
-    assert outcome.proposals == {0: 1, 1: 0}
-    assert outcome.acceptances == [(1, 0), (0, 1)]
     assert outcome.matching == [(1, 0, 4), (0, 1, 4)]
     assert outcome.new_loads == [2, 2]
     # d_r is one bit finer than the gaps it sums.
@@ -75,7 +70,6 @@ def test_two_node_trace():
 
 def test_zero_gap_nodes_stay_silent():
     outcome = play([5, 5, 5], path_graph(3))
-    assert outcome.proposals == {}
     assert outcome.matching == []
     assert outcome.new_loads == [5, 5, 5]
 
@@ -86,8 +80,6 @@ def test_three_node_trace_with_shared_center():
     # so node 0 and node 2 each take part in two connections.
     graph = Graph(3, [(0, 2), (1, 2)])
     outcome = play([0, 0, 8], graph)
-    assert outcome.proposals == {0: 2, 1: 2, 2: 0}
-    assert outcome.acceptances == [(2, 0), (0, 2)]
     assert outcome.matching == [(2, 0, 8), (0, 2, 8)]
     assert outcome.new_loads == [4, 0, 4]
     before = [Dyadic(0), Dyadic(0), Dyadic(8)]
@@ -98,11 +90,13 @@ def test_three_node_trace_with_shared_center():
 
 def test_interactive_round_exposes_halves():
     # Loads (4, 0) at exponent 0 split one bit finer; the interactive
-    # stage moves one more bit finer.
+    # stage moves one more bit finer.  Each direction pairs a sender half
+    # with an answerer half, and the matching keeps the halves' scale.
     state = split_evenly([4, 0])
     new_state, outcome = interactive_round(state, path_graph(2))
     assert halves(new_state, 2) == [(1, 1), (1, 1)]
-    assert [(u, v, Dyadic(t, 2)) for u, v, t in outcome.transfers] == [(1, 0, 1), (0, 1, 1)]
+    assert outcome.matching == [(1, 0, 8), (0, 1, 8)]
+    assert to_dyadics(outcome.new_loads, 2) == [2, 2]
 
 
 # ----------------------------------------------------------------------
@@ -145,10 +139,7 @@ def test_round_satisfies_all_deterministic_laws(scenario):
         round_index=1,
         graph=graph,
         matching=outcome.matching,
-        max_gap=max_gap(outcome.new_loads),
         d_r=twice_shifted_load(outcome.matching),
-        exp=exp,
-        after_exp=after_exp,
     )
     report = check_round(
         LoadState("continuous", nums, exp),

@@ -116,7 +116,7 @@ def test_light_proposes_only_to_heavy():
     for _ in range(3):
         loads = alg.play_round(g, loads).new_loads
     outcome = alg.play_round(g, loads)
-    assert outcome.proposals == {}
+    assert outcome.matching == []
     assert outcome.new_loads == [0, 4, 8]
 
 
@@ -130,8 +130,7 @@ def test_heavy_accepts_lightest_proposer():
     assert (alg.low, alg.high, alg.psi) == (0, 30, 30)
     outcome = alg.play_round(g, loads)
     # Lights 0 and 1 both aim at the center; the center takes node 0.
-    assert outcome.proposals == {0: 3, 1: 3}
-    assert outcome.acceptances == [(0, 3)]
+    assert outcome.matching == [(0, 3, 30)]
     assert outcome.new_loads == [15, 1, 9, 15]
 
 
@@ -216,14 +215,14 @@ def test_constructor_validation():
 def test_gapless_threshold_is_inclusive():
     alg = started(GaplessGapReduce(psi=4), [0, 2], 2)
     outcome = alg.play_round(path_graph(2), [0, 2])
-    assert outcome.proposals == {0: 1}
+    assert outcome.matching == [(0, 1, 2)]
     assert outcome.new_loads == [1, 1]
 
 
 def test_gapless_below_threshold_stays_put():
     alg = started(GaplessGapReduce(psi=4), [0, 1], 2)
     outcome = alg.play_round(path_graph(2), [0, 1])
-    assert outcome.proposals == {}
+    assert outcome.matching == []
     assert outcome.new_loads == [0, 1]
 
 
@@ -233,8 +232,7 @@ def test_gapless_senders_do_not_accept():
     # and only the (1, 2) pair balances.
     alg = started(GaplessGapReduce(psi=8), [0, 4, 8], 3)
     outcome = alg.play_round(path_graph(3), [0, 4, 8])
-    assert outcome.proposals == {0: 1, 1: 2}
-    assert outcome.acceptances == [(1, 2)]
+    assert outcome.matching == [(1, 2, 4)]
     assert outcome.new_loads == [0, 6, 6]
 
 

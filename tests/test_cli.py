@@ -104,6 +104,22 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_malformed_static_adversary_exits_one(tmp_path, capsys):
+    for i, adversary in enumerate(
+        [
+            {"name": "static", "graph": "wheel"},
+            {"name": "static", "edges": [[0, 7]]},
+            {"name": "static", "edges": [[0]]},
+            {"name": "static", "edges": [[0, 1], [2, 3]]},
+        ]
+    ):
+        path = write_config(tmp_path, name=f"static{i}.json", adversary=adversary)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["run"]) == 1  # missing config argument
     assert main(["frobnicate"]) == 1  # unknown subcommand

@@ -121,6 +121,54 @@ def test_adversary_params():
         config_from_dict(minimal(adversary="chaos"))
 
 
+def test_static_graph_must_be_named():
+    cfg = config_from_dict(minimal(adversary={"name": "static", "graph": "star"}))
+    assert cfg.adversary == ("static", {"graph": "star"})
+    with pytest.raises(ConfigError, match="unknown graph shape 'wheel'"):
+        config_from_dict(minimal(adversary={"name": "static", "graph": "wheel"}))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 7], [1, 2], [2, 3]], r"edge \(0, 7\) out of range for n=4"),
+        ([[0]], r"list of \[u, v\] integer pairs"),
+        ([[0, 1, 2]], r"list of \[u, v\] integer pairs"),
+        ([[0, "1"]], r"list of \[u, v\] integer pairs"),
+        ([[0, True]], r"list of \[u, v\] integer pairs"),
+        ([[0, 1.0]], r"list of \[u, v\] integer pairs"),
+        ([(0, 1)], r"list of \[u, v\] integer pairs"),
+        ("0-1", r"list of \[u, v\] integer pairs"),
+        ([[0, 1], [1, 1], [1, 2], [2, 3]], "self-loop at node 1"),
+        ([[0, 1], [2, 3]], "must be connected"),
+        ([], "must be connected"),
+    ],
+)
+def test_static_edges_validation(edges, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(minimal(adversary={"name": "static", "edges": edges}))
+
+
+def test_static_edges_accepted():
+    edges = [[0, 1], [2, 1], [3, 2]]
+    cfg = config_from_dict(minimal(adversary={"name": "static", "edges": edges}))
+    assert cfg.adversary == ("static", {"edges": edges})
+    single = config_from_dict(
+        minimal(n=1, initialLoads=[3], adversary={"name": "static", "edges": []})
+    )
+    assert single.adversary == ("static", {"edges": []})
+
+
+def test_numbers_reject_booleans():
+    with pytest.raises(ConfigError, match="k must be an exact decimal string"):
+        config_from_dict(minimal(k=True))
+    with pytest.raises(ConfigError, match="maxValue must be a non-negative integer"):
+        config_from_dict(minimal(initialLoads={"name": "uniformRandom", "maxValue": True}))
+    with pytest.raises(ConfigError, match="granularityBits must be a non-negative integer"):
+        bits = {"name": "uniformRandom", "maxValue": 8, "granularityBits": True}
+        config_from_dict(minimal(initialLoads=bits))
+
+
 def test_algorithm_params():
     raw = minimal(
         mode="integral",

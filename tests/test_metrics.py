@@ -100,7 +100,7 @@ def test_prefix_sums_example():
 def _trace(matching, graph=None, d_r=Dyadic(0)):
     g = graph if graph is not None else path_graph(2)
     loads = None
-    return RoundTrace(round_index=1, graph=g, matching=matching, max_gap=0, d_r=d_r)
+    return RoundTrace(round_index=1, graph=g, matching=matching, d_r=d_r)
 
 
 def test_conservation_failure_has_witness():
@@ -257,7 +257,7 @@ def test_covering_edge_matches_bfs_definition(scenario):
     report = check_round(
         LoadState("continuous", loads),
         LoadState("continuous", loads),
-        RoundTrace(round_index=1, graph=graph, matching=matching, max_gap=0, d_r=0),
+        RoundTrace(round_index=1, graph=graph, matching=matching, d_r=0),
         algorithm_kind=KIND_TWO_SIDED,
         enabled=[CHECK_COVERING_EDGE],
     )
