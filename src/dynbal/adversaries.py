@@ -159,10 +159,18 @@ def random_connected_graph(n: int, extra_edge_prob: Fraction, rng: Random) -> Gr
     prob = Fraction(extra_edge_prob)
     if prob > 0:
         num, den = prob.numerator, prob.denominator
+        # rng.randrange(den) inlined: the same getrandbits rejection loop as
+        # CPython's Random._randbelow_with_getrandbits, so the same draws.
+        getrandbits = rng.getrandbits
+        bits = den.bit_length()
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) not in edges and rng.randrange(den) < num:
-                    edges.add((u, v))
+                if (u, v) not in edges:
+                    r = getrandbits(bits)
+                    while r >= den:
+                        r = getrandbits(bits)
+                    if r < num:
+                        edges.add((u, v))
     return Graph(n, edges)
 
 

@@ -152,11 +152,14 @@ class GapReduce(BalancingAlgorithm):
 
         assert self.phase == self.PHASE_MAIN
         adj = graph.adj
+        # _is_light and _is_heavy with the thresholds hoisted out of the loop.
+        light_below = 4 * self.low + self.psi
+        heavy_above = 4 * self.high - self.psi
         proposals: dict[int, int] = {}
         for u in range(graph.n):
-            if adj[u] and self._is_light(loads[u]):
+            if adj[u] and 4 * loads[u] < light_below:
                 v = heaviest_neighbor(u, adj[u], loads)
-                if self._is_heavy(loads[v]):
+                if 4 * loads[v] > heavy_above:
                     proposals[u] = v
 
         outcome = accept_lightest(loads, proposals)

@@ -308,7 +308,6 @@ def run_trial(
                 raise EngineError("adversary changed the node count")
             if not is_connected(base_graph):
                 raise EngineError("adversary produced a disconnected graph")
-            line_order = list(line_policy.order) if line_policy is not None else None
 
             if smoothing is not None:
                 try:
@@ -341,7 +340,7 @@ def run_trial(
                     enabled=enabled,
                     phi_before=phi_prev,
                     phi_after=phi_after,
-                    line_order=line_order,
+                    line_order=list(line_policy.order) if line_policy is not None else None,
                     initial_prefix=initial_prefix,
                     prefix_exp=prefix_exp,
                 )

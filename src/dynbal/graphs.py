@@ -1,13 +1,25 @@
 """Simple undirected graphs on densely labelled nodes 0..n-1.
 
 The simulator draws a fresh communication graph every round, so the type is
-deliberately small: a frozen edge set plus a lazily built adjacency table.
-Connectivity and edge-edit distance are the two family checks the rest of
-the package relies on.
+deliberately small: a frozen edge set plus a lazily built, sorted adjacency
+table and a lazily computed connectivity flag.  Graphs are immutable, so
+`is_connected` walks a given graph at most once; an adversary that hands
+back the same object round after round is validated once.
+
+The smoothing sampler builds its graphs as deltas of the adversary's graph:
+`toggled_adjacency` patches the base adjacency for the flipped pairs only,
+`edge_set_connected` decides the patched graph's connectivity, and
+`Graph.toggled` assembles the accepted graph from those parts without
+re-canonicalising or re-sorting anything.  Adding edges never disconnects a
+graph, so a patch that only adds edges to a connected base is connected
+without a walk; the walk runs only when a flip removes an edge or the base
+itself is disconnected.  Connectivity and edge-edit distance are the two
+family checks the rest of the package relies on.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -15,7 +27,7 @@ from typing import Iterable, Sequence
 class Graph:
     """An immutable simple graph; edges are stored as (min, max) pairs."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -30,6 +42,20 @@ class Graph:
         self.n = n
         self.edges = frozenset(canon)
         self._adj = None
+        self._connected = None
+
+    @classmethod
+    def toggled(cls, base: Graph, pairs, adj) -> Graph:
+        """`base` with the distinct canonical `pairs` flipped, assembled from
+        parts the caller already holds: `adj` is the flipped graph's sorted
+        adjacency (see `toggled_adjacency`), which the caller has found
+        connected, so the result records that without another walk."""
+        g = cls.__new__(cls)
+        g.n = base.n
+        g.edges = base.edges.symmetric_difference(pairs)
+        g._adj = adj
+        g._connected = True
+        return g
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -58,23 +84,50 @@ class Graph:
 # ----------------------------------------------------------------------
 
 
-def edge_set_connected(n: int, edges) -> bool:
-    """Connectivity for a bare edge collection, without building a Graph.
+def toggled_adjacency(base: Graph, pairs) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Sorted adjacency of `base` with the distinct canonical `pairs`
+    flipped, and whether any flip removes an edge of `base`.
 
-    The smoothing sampler rejects disconnected candidates in a tight loop,
-    so this works straight off the edge set.
+    Only the rows of the flipped pairs' endpoints are rebuilt; every other
+    row is shared with `base.adj`.
     """
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return _reaches_all(adj)
+    base_adj = base.adj
+    edges = base.edges
+    rows: dict[int, list[int]] = {}
+    removes = False
+    for u, v in pairs:
+        present = (u, v) in edges
+        removes = removes or present
+        for a, b in ((u, v), (v, u)):
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = list(base_adj[a])
+            if present:
+                row.remove(b)
+            else:
+                insort(row, b)
+    adj = list(base_adj)
+    for a, row in rows.items():
+        adj[a] = tuple(row)
+    return tuple(adj), removes
+
+
+def edge_set_connected(base: Graph, adj, removes_edge: bool) -> bool:
+    """Connectivity of `base` with some node pairs flipped, given the flipped
+    graph's adjacency and whether a flip removed an edge of `base`.
+
+    Adding edges cannot disconnect a graph, so when no flip removed an edge
+    a connected base answers without a walk.  The sampler calls this once
+    per proposal that flips a pair; the benchmark counts proposals by it.
+    """
+    return (not removes_edge and is_connected(base)) or _reaches_all(adj)
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 1 or _reaches_all(g.adj)
+    """Whether g is connected; walked once per graph, then read from g."""
+    if g._connected is None:
+        g._connected = g.n == 1 or _reaches_all(g.adj)
+    return g._connected
 
 
 def _reaches_all(adj) -> bool:

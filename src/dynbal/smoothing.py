@@ -8,6 +8,13 @@ with probability proportional to C(N, j), then a uniform j-subset of pairs;
 reject disconnected proposals.  Because the flip-count weights match the
 ball's layer sizes exactly, accepted samples are exactly uniform.
 
+A proposal is a delta of G: only the adjacency rows of the flipped pairs'
+endpoints are rebuilt, and the accepted graph shares G's other rows and
+knows it is connected.  Adding edges cannot disconnect a graph, so a
+proposal that only adds edges to a connected G is accepted without a walk;
+that skips no proposal the walk would reject, so every draw and every
+accept decision is the one a full rebuild and walk would make.
+
 Fractional smoothing amounts are handled by randomised rounding: k rounds
 up with probability equal to its fractional part, down otherwise.
 """
@@ -22,7 +29,14 @@ from math import comb
 from random import Random
 from typing import Union
 
-from .graphs import Graph, all_pairs, edge_set_connected, path_graph
+from .graphs import (
+    Graph,
+    all_pairs,
+    edge_set_connected,
+    is_connected,
+    path_graph,
+    toggled_adjacency,
+)
 
 DEFAULT_MAX_REJECTIONS = 10_000
 
@@ -51,16 +65,32 @@ class SmoothingParams:
 
     k may be fractional; it must stay at most n/16 for the hitting-rate
     guarantee to apply, although the sampler itself works for any k >= 0.
+    `k_floor` and `k_frac` split k once for the per-round rounding.
     """
 
     k: Fraction = field(default_factory=lambda: Fraction(0))
     max_rejections: int = DEFAULT_MAX_REJECTIONS
+    k_floor: int = field(init=False, repr=False, compare=False)
+    k_frac: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("smoothing amount must be non-negative")
         if self.max_rejections < 1:
             raise ValueError("max_rejections must be positive")
+        self.k_floor, self.k_frac = _split(Fraction(self.k))
+
+
+def _split(value: Fraction) -> tuple[int, Fraction]:
+    floor = value.numerator // value.denominator
+    return floor, value - floor
+
+
+def _round_up(floor: int, frac: Fraction, rng: Random) -> int:
+    """floor + 1 with probability frac, floor otherwise."""
+    if frac == 0:
+        return floor
+    return floor + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
 
 
 def randomized_round(x: Union[int, float, Fraction], rng: Random) -> int:
@@ -69,11 +99,7 @@ def randomized_round(x: Union[int, float, Fraction], rng: Random) -> int:
     value = Fraction(x)
     if value < 0:
         raise ValueError("cannot round a negative amount")
-    floor = value.numerator // value.denominator
-    frac = value - floor
-    if frac == 0:
-        return floor
-    return floor + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
+    return _round_up(*_split(value), rng)
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +130,6 @@ def t_smooth(
     pairs = _pairs(g.n)
     t = min(t, len(pairs))
     cum, total = _layer_cumulative(len(pairs), t)
-    base = g.edges
     for _ in range(max_rejections):
         ticket = rng.randrange(total)
         flips = 0
@@ -112,22 +137,16 @@ def t_smooth(
             flips += 1
         if flips == 0:
             return g
-        chosen = rng.sample(range(len(pairs)), flips)
-        edges = set(base)
-        for idx in chosen:
-            pair = pairs[idx]
-            if pair in edges:
-                edges.remove(pair)
-            else:
-                edges.add(pair)
-        if edge_set_connected(g.n, edges):
-            return Graph(g.n, edges)
+        chosen = [pairs[idx] for idx in rng.sample(range(len(pairs)), flips)]
+        adj, removes_edge = toggled_adjacency(g, chosen)
+        if edge_set_connected(g, adj, removes_edge):
+            return Graph.toggled(g, chosen, adj)
     raise RejectionBudgetExceeded(g.n, t, max_rejections)
 
 
 def k_smooth(g: Graph, params: SmoothingParams, rng: Random) -> Graph:
     """One round of smoothing: round k, then sample from the t-ball."""
-    t = randomized_round(params.k, rng)
+    t = _round_up(params.k_floor, params.k_frac, rng)
     if t == 0:
         return g
     return t_smooth(g, t, rng, params.max_rejections)
@@ -147,14 +166,9 @@ def enumerate_ball(g: Graph, t: int, limit: int = 10**6) -> list[Graph]:
     found = []
     for flips in range(t + 1):
         for subset in combinations(pairs, flips):
-            edges = set(g.edges)
-            for pair in subset:
-                if pair in edges:
-                    edges.remove(pair)
-                else:
-                    edges.add(pair)
-            if edge_set_connected(g.n, edges):
-                found.append(Graph(g.n, edges))
+            candidate = Graph(g.n, g.edges.symmetric_difference(subset))
+            if is_connected(candidate):
+                found.append(candidate)
     return found
 
 

@@ -12,11 +12,12 @@ from dynbal.adversaries import (
     ResortDescendingPolicy,
     SortingLinePolicy,
     StaticPolicy,
+    _random_tree_edges,
     make_adversary,
     random_connected_graph,
     sorting_line_postprocess,
 )
-from dynbal.graphs import is_connected, star_graph
+from dynbal.graphs import Graph, is_connected, star_graph
 from dynbal.loads import LoadState
 
 
@@ -178,6 +179,31 @@ def test_random_connected_is_seed_deterministic():
     a = [random_connected_graph(8, Fraction(1, 10), Random(5)) for _ in range(1)]
     b = [random_connected_graph(8, Fraction(1, 10), Random(5)) for _ in range(1)]
     assert a == b
+
+
+def _randrange_connected_graph(n, extra_edge_prob, rng):
+    """The extra-edge draws written with rng.randrange (reference)."""
+    edges = set(_random_tree_edges(n, rng))
+    num, den = extra_edge_prob.numerator, extra_edge_prob.denominator
+    if num:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in edges and rng.randrange(den) < num:
+                    edges.add((u, v))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+@pytest.mark.parametrize(
+    "prob", [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(3, 7), Fraction(1)]
+)
+def test_random_connected_draws_match_randrange(n, prob):
+    for seed in range(10):
+        rng, reference = Random(seed), Random(seed)
+        assert random_connected_graph(n, prob, rng) == _randrange_connected_graph(
+            n, prob, reference
+        )
+        assert rng.getstate() == reference.getstate()
 
 
 def test_random_connected_varies_between_rounds():

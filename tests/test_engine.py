@@ -5,6 +5,8 @@ import io
 
 import pytest
 
+from dynbal import engine
+from dynbal.adversaries import AdversaryPolicy
 from dynbal.config import config_from_dict
 from dynbal.dyadic import Dyadic
 from dynbal.engine import (
@@ -16,6 +18,7 @@ from dynbal.engine import (
     run_trial,
     wilson_interval,
 )
+from dynbal.graphs import Graph, is_connected, path_graph
 from dynbal.io import TraceCsvWriter
 from dynbal.loads import total_load
 
@@ -265,6 +268,41 @@ def test_sampler_abort_is_reported_not_raised():
     assert aborted is not None, "no seed tripped the one-draw rejection budget"
     assert "rejections" in aborted.aborted
     assert total_load(aborted.final_loads) == total_load([1, 2, 3, 4, 5, 6])
+
+
+class DisconnectsOnRoundThree(AdversaryPolicy):
+    """A path on rounds 1 and 2, then a graph with two components: a new
+    object every round, or one object the policy keeps returning."""
+
+    name = "disconnectsOnRoundThree"
+
+    def __init__(self, fresh: bool):
+        self.fresh = fresh
+        self.split = Graph(4, [(0, 1), (2, 3)])
+
+    def bind(self, n, rng):
+        super().bind(n, rng)
+        self.path = path_graph(n)
+        self.rounds = []
+
+    def next_graph(self, ctx):
+        self.rounds.append(ctx.round_index)
+        if ctx.round_index < 3:
+            return self.path
+        return Graph(4, [(0, 1), (2, 3)]) if self.fresh else self.split
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_disconnected_adversary_graph_is_rejected(monkeypatch, fresh):
+    policy = DisconnectsOnRoundThree(fresh)
+    assert not is_connected(policy.split)  # its connectivity is cached before any trial
+    monkeypatch.setattr(engine, "_instantiate_adversary", lambda cfg: policy)
+    cfg = config_from_dict(scenario(n=4, initialLoads=[8, 0, 0, 0], roundBudget=10))
+    # The second trial sees the kept object again.
+    for _ in range(2):
+        with pytest.raises(EngineError, match="adversary produced a disconnected graph"):
+            run_trial(cfg)
+        assert policy.rounds == [1, 2, 3]
 
 
 # ======================================================================

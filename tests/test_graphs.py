@@ -15,6 +15,7 @@ from dynbal.graphs import (
     nodes_within,
     path_graph,
     star_graph,
+    toggled_adjacency,
 )
 
 
@@ -48,9 +49,31 @@ def test_connectivity_examples():
 
 
 def test_edge_set_connected_matches_graph_check():
-    edges = [(0, 1), (1, 2), (2, 3)]
-    assert edge_set_connected(4, edges) == is_connected(Graph(4, edges))
-    assert not edge_set_connected(3, [(0, 1)])
+    path = path_graph(4)
+    two_parts = Graph(4, [(0, 1), (2, 3)])
+    cases = [
+        (path, [(0, 2)], True),  # additions only: no walk needed
+        (path, [(1, 2)], False),  # removes a bridge
+        (path, [(1, 2), (0, 3)], True),  # removes a bridge, adds a bypass
+        (two_parts, [(1, 2)], True),  # a disconnected base joined by an addition
+        (two_parts, [(0, 2), (0, 1)], False),
+        (Graph(3, [(0, 1)]), [(0, 2)], True),
+    ]
+    for base, pairs, expected in cases:
+        adj, removes_edge = toggled_adjacency(base, pairs)
+        flipped = Graph(base.n, base.edges ^ set(pairs))
+        assert adj == flipped.adj
+        assert removes_edge == bool(base.edges & set(pairs))
+        assert edge_set_connected(base, adj, removes_edge) == is_connected(flipped) == expected
+
+
+def test_connectivity_is_cached_per_graph():
+    g = Graph(4, [(0, 1), (2, 3)])
+    assert not is_connected(g)
+    assert g._connected is False
+    h = path_graph(4)
+    assert h._connected is None
+    assert is_connected(h) and h._connected is True
 
 
 def test_hamming_distance_examples():

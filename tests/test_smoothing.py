@@ -2,12 +2,16 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbal.graphs import (
+    Graph,
+    all_pairs,
     complete_graph,
     hamming_distance,
     is_connected,
@@ -15,6 +19,7 @@ from dynbal.graphs import (
 )
 from dynbal.smoothing import (
     DEFAULT_C1,
+    DEFAULT_MAX_REJECTIONS,
     RejectionBudgetExceeded,
     SmoothingParams,
     calibrate_hitting_constant,
@@ -176,6 +181,85 @@ def test_two_node_ball_collapses_to_identity():
     # on the only connected member, the base graph itself.
     base = path_graph(2)
     assert all(t_smooth(base, 1, Random(s)) == base for s in range(30))
+
+
+def _walk_connected(g):
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in g.adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+def _rebuild_sampler(g, t, rng, max_rejections=DEFAULT_MAX_REJECTIONS):
+    """The sampler without delta graphs (reference): every proposal copies
+    the edge set, flips its pairs, builds a fresh Graph and walks it."""
+    if t <= 0:
+        return g
+    pairs = all_pairs(g.n)
+    t = min(t, len(pairs))
+    cum = list(accumulate(comb(len(pairs), j) for j in range(t + 1)))
+    for _ in range(max_rejections):
+        ticket = rng.randrange(cum[-1])
+        flips = 0
+        while ticket >= cum[flips]:
+            flips += 1
+        if flips == 0:
+            return g
+        edges = set(g.edges)
+        for idx in rng.sample(range(len(pairs)), flips):
+            edges ^= {pairs[idx]}
+        candidate = Graph(g.n, edges)
+        if _walk_connected(candidate):
+            return candidate
+    raise RejectionBudgetExceeded(g.n, t, max_rejections)
+
+
+@st.composite
+def smoothing_bases(draw):
+    """Any graph on 1..9 nodes; about half get a spanning path, so both
+    connected and disconnected bases come up often."""
+    n = draw(st.integers(1, 9))
+    pairs = all_pairs(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, kept in zip(pairs, keep) if kept}
+    if draw(st.booleans()):
+        edges |= path_graph(n).edges
+    return Graph(n, edges)
+
+
+def _draw(sampler, g, t, rng, max_rejections):
+    try:
+        return sampler(g, t, rng, max_rejections)
+    except RejectionBudgetExceeded as exc:
+        return (exc.n, exc.t, exc.rejections)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    smoothing_bases(),
+    st.integers(0, 4),
+    st.integers(0, 10**9),
+    st.sampled_from([1, 2, 3, DEFAULT_MAX_REJECTIONS]),
+    st.booleans(),
+)
+def test_delta_sampler_matches_rebuild_sampler(base, t, seed, max_rejections, prechecked):
+    if prechecked:
+        is_connected(base)  # the engine validates the base before smoothing
+    rng, reference = Random(seed), Random(seed)
+    out = _draw(t_smooth, base, t, rng, max_rejections)
+    expected = _draw(_rebuild_sampler, base, t, reference, max_rejections)
+    assert rng.getstate() == reference.getstate()
+    if isinstance(expected, tuple):
+        assert out == expected
+        return
+    assert isinstance(out, Graph) and out.edges == expected.edges
+    fresh = Graph(out.n, out.edges)
+    assert out.adj == fresh.adj
+    assert is_connected(out) == _walk_connected(fresh)
 
 
 # ----------------------------------------------------------------------
