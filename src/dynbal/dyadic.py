@@ -10,15 +10,59 @@ Inside a trial the loads are integer numerators over one exponent shared
 by the whole vector (see `dynbal.loads`), so Dyadic is the boundary type:
 it parses exact decimal input (configs, initial-load generators, tau) and
 renders output (trace rows, invariant witnesses, trial result amounts).
+
+Rendering.  num / 2**exp equals num * 5**exp / 10**exp, so its decimal
+text is the digits of num * 5**exp with a point exp places from the right.
+A trace's amounts gain about one digit per halving round (thousands of
+digits in long continuous runs), and CPython turns an int into decimal
+text in quadratic time and refuses ints over `sys.int_info`'s digit limit
+(4300 by default).  The product is therefore formed in `decimal`
+(libmpdec), whose numbers are already decimal, so their text costs linear
+time and has no length limit.  The context holds the largest precision
+and exponent range libmpdec allows and traps `Inexact` and `Rounded`: any
+rounding raises instead of changing a digit.  Two bounded caches serve the
+trace's access pattern: powers of five for the last 8 exponents (a
+trace's exponent moves by a few bits per round, so 5**exp is usually one
+small multiply away from a cached power), and the text of the last 8
+amounts rendered (a row's d_r often equals the max_gap of the same row or
+the row before).  Small integers, the common case, skip both and use
+`str`.
 """
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
+
+_CTX = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+_FIVE = decimal.Decimal(5)
+
+# Direct-mapped cache of (exp, 5**exp): the slot is exp mod 8, so any 8
+# consecutive exponents fit at once.  Each slot is replaced by one list
+# store of an immutable pair, which needs no lock.
+_POW5_SLOTS = 8
+_pow5 = [(exp, decimal.Decimal(5**exp)) for exp in range(_POW5_SLOTS)]
+
+# `str` serves ints below 2**2048 (at most 617 digits): that is under every
+# digit limit `sys.set_int_max_str_digits` accepts (at least 640) and is
+# where str's quadratic cost is still smaller than libmpdec's conversion.
+_STR_SAFE = 1 << 2048
 
 DyadicLike = Union["Dyadic", int]
 
@@ -95,12 +139,7 @@ class Dyadic:
 
     def decimal_str(self) -> str:
         """Render the exact finite decimal expansion (no rounding)."""
-        if self.exp == 0:
-            return str(self.num)
-        digits = str(abs(self.num) * 5 ** self.exp).rjust(self.exp + 1, "0")
-        head, tail = digits[: -self.exp], digits[-self.exp :].rstrip("0")
-        sign = "-" if self.num < 0 else ""
-        return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+        return decimal_text(self.num, self.exp)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -198,6 +237,42 @@ class Dyadic:
 
     def __str__(self):
         return self.decimal_str()
+
+
+def decimal_text(num: int, exp: int = 0) -> str:
+    """Exact decimal text of num / 2**exp, of any length."""
+    if exp == 0 and -_STR_SAFE < num < _STR_SAFE:
+        return str(num)
+    return _render(num, exp)
+
+
+def _power_of_five(exp: int) -> decimal.Decimal:
+    slot = exp % _POW5_SLOTS
+    cached_exp, power = _pow5[slot]
+    if cached_exp == exp:
+        return power
+    # Step up from the nearest cached power below: slot - step is the slot
+    # of exp - step (a negative index wraps around the list).
+    for step in range(1, _POW5_SLOTS):
+        near_exp, near = _pow5[slot - step]
+        if near_exp == exp - step:
+            power = _CTX.multiply(near, 5**step)
+            break
+    else:
+        power = _CTX.power(_FIVE, exp)
+    _pow5[slot] = (exp, power)
+    return power
+
+
+@lru_cache(maxsize=8)
+def _render(num: int, exp: int) -> str:
+    if exp == 0:
+        return str(decimal.Decimal(num))
+    product = _CTX.multiply(decimal.Decimal(abs(num)), _power_of_five(exp))
+    digits = str(product).rjust(exp + 1, "0")
+    head, tail = digits[:-exp], digits[-exp:].rstrip("0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
 
 
 def as_dyadic(value: DyadicLike) -> Dyadic:

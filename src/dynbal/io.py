@@ -5,6 +5,16 @@ have one), so a trace can be parsed back without any rounding ambiguity.
 The converged flag renders as "true"/"false"; check columns use "0" for
 pass, "1" for fail, and empty for rounds where the check did not run
 (round zero, or rounds skipped by the check stride).
+
+Amounts of any length render exactly, with no digit limit (see
+`dynbal.dyadic` for how).  Trace rows are written without the `csv`
+module: every row field is an int, decimal text made of digits, "-" and
+".", "true"/"false", or "0"/"1"/empty, so no field can need quoting, and
+joining the fields with "," and ending the line with "\r\n" gives the
+bytes `csv.writer` would, without its per-character quoting scan over
+amounts thousands of digits long.  The header, written once, keeps
+`csv.writer`, as does the experiment summary, whose `aborted` message can
+contain a comma.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import csv
 from typing import Sequence
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, decimal_text
 
 TRACE_COLUMNS = ("round", "phi", "max_gap", "d_r", "connections", "converged")
 
@@ -33,7 +43,7 @@ def render_amount(value) -> str:
     """Exact decimal text for an int or dyadic amount."""
     if isinstance(value, Dyadic):
         return value.decimal_str()
-    return str(value)
+    return decimal_text(value)
 
 
 class TraceCsvWriter:
@@ -43,8 +53,7 @@ class TraceCsvWriter:
         self.checks = tuple(checks)
         self._stream = stream
         self._close_stream = close_stream
-        self._writer = csv.writer(stream)
-        self._writer.writerow(TRACE_COLUMNS + self.checks)
+        csv.writer(stream).writerow(TRACE_COLUMNS + self.checks)
 
     def round_row(
         self,
@@ -58,11 +67,11 @@ class TraceCsvWriter:
         report=None,
     ) -> None:
         row = [
-            round_index,
+            str(round_index),
             render_amount(phi),
             render_amount(max_gap),
             render_amount(d_r),
-            connections,
+            str(connections),
             "true" if converged else "false",
         ]
         for name in self.checks:
@@ -70,7 +79,7 @@ class TraceCsvWriter:
                 row.append("")
             else:
                 row.append("0" if report.checks[name] else "1")
-        self._writer.writerow(row)
+        self._stream.write(",".join(row) + "\r\n")
 
     def close(self) -> None:
         if self._close_stream:

@@ -1,11 +1,13 @@
 """Exactness tests for the dyadic number type, checked against Fraction."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dynbal.dyadic import Dyadic, as_dyadic, half_sum, integral_half_sum
+from dynbal.dyadic import Dyadic, as_dyadic, decimal_text, half_sum, integral_half_sum
+from dynbal.io import render_amount
 
 
 def dyadics(max_num=10**6, max_exp=16):
@@ -191,6 +193,81 @@ def test_decimal_render_examples():
 @given(dyadics())
 def test_decimal_roundtrip(d):
     assert Dyadic.from_decimal(d.decimal_str()) == d
+
+
+def reference_decimal(num: int, exp: int) -> str:
+    """The int formula: digits of |num| * 5**exp with the point exp places in.
+
+    Its int-to-str conversion is subject to Python's digit limit; callers
+    lift the limit around it with `unlimited_int_digits`.
+    """
+    if exp == 0:
+        return str(num)
+    digits = str(abs(num) * 5**exp).rjust(exp + 1, "0")
+    head, tail = digits[:-exp], digits[-exp:].rstrip("0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+
+
+def unlimited_reference(pairs) -> list[str]:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [reference_decimal(num, exp) for num, exp in pairs]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "num, exp",
+    [(1, 7000), (-(3 << 9000 | 1), 9000), (-(1 << 20000), 0), (7 << 15000 | 1, 0)],
+    ids=["one-over-2^7000", "negative-over-2^9000", "negative-int", "positive-int"],
+)
+def test_decimal_render_past_int_digit_limit(num, exp):
+    # Each text is longer than the default limit of 4300 digits for int
+    # to str conversion.
+    (expected,) = unlimited_reference([(num, exp)])
+    assert len(expected) > sys.int_info.default_max_str_digits
+    assert Dyadic(num, exp).decimal_str() == expected
+    assert render_amount(Dyadic(num, exp)) == expected
+    if exp == 0:
+        assert render_amount(num) == expected
+
+
+@st.composite
+def render_walks(draw, max_exp=6000):
+    """(num, exp) pairs whose exponents step by a few bits, jump, or repeat.
+
+    Steps reach the power cache's stepping path, jumps its full power, and
+    repeats the text memo.
+    """
+    pairs = []
+    exp = draw(st.integers(0, max_exp))
+    for _ in range(draw(st.integers(1, 12))):
+        move = draw(st.sampled_from(("step", "jump", "repeat")))
+        if move == "repeat" and pairs:
+            pairs.append(draw(st.sampled_from(pairs)))
+            continue
+        if move == "step":
+            exp = min(max(exp + draw(st.integers(-3, 9)), 0), max_exp)
+        else:
+            exp = draw(st.integers(0, max_exp))
+        bound = 1 << draw(st.integers(0, exp + 64))
+        pairs.append((draw(st.integers(-bound, bound)), exp))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(render_walks())
+def test_decimal_render_matches_int_formula(pairs):
+    canonical = [(Dyadic(num, exp).num, Dyadic(num, exp).exp) for num, exp in pairs]
+    expected = unlimited_reference(canonical)
+    for (num, exp), text in zip(pairs, expected):
+        d = Dyadic(num, exp)
+        assert d.decimal_str() == text
+        assert decimal_text(num, exp) == text
+        if d.exp <= 200:
+            assert Dyadic.from_decimal(text) == d
 
 
 def test_as_dyadic_rejects_floats():

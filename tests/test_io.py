@@ -1,0 +1,128 @@
+"""Trace CSV output: the same bytes as `csv.writer`, amounts of any length."""
+
+import csv
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from dynbal.dyadic import Dyadic
+from dynbal.io import TRACE_COLUMNS, TraceCsvWriter, open_trace_writer
+from dynbal.metrics import ALL_CHECKS, InvariantReport
+
+
+def reference_amount(value) -> str:
+    """Exact decimal text by the int formula, independent of `dynbal.dyadic`."""
+    if isinstance(value, int):
+        return str(value)
+    num, exp = value.num, value.exp
+    if exp == 0:
+        return str(num)
+    digits = str(abs(num) * 5**exp).rjust(exp + 1, "0")
+    head, tail = digits[:-exp], digits[-exp:].rstrip("0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
+
+
+def write_reference(path, checks, rows) -> None:
+    with open(path, "w", newline="") as stream:
+        writer = csv.writer(stream)
+        writer.writerow(TRACE_COLUMNS + tuple(checks))
+        for row in rows:
+            report = row["report"]
+            fields = [
+                row["round_index"],
+                reference_amount(row["phi"]),
+                reference_amount(row["max_gap"]),
+                reference_amount(row["d_r"]),
+                row["connections"],
+                "true" if row["converged"] else "false",
+            ]
+            for name in checks:
+                if report is None or name not in report.checks:
+                    fields.append("")
+                else:
+                    fields.append("0" if report.checks[name] else "1")
+            writer.writerow(fields)
+
+
+def write_traced(path, checks, rows) -> None:
+    writer = open_trace_writer(path, checks)
+    try:
+        for row in rows:
+            writer.round_row(**row)
+    finally:
+        writer.close()
+
+
+amounts = st.one_of(
+    st.integers(0, 10**30),
+    st.builds(Dyadic, st.integers(-(1 << 400), 1 << 400), st.integers(0, 300)),
+)
+
+
+@st.composite
+def reports(draw):
+    if draw(st.booleans()):
+        return None
+    ran = draw(st.lists(st.sampled_from(ALL_CHECKS), unique=True))
+    return InvariantReport(
+        draw(st.integers(0, 10**6)), {name: draw(st.booleans()) for name in ran}
+    )
+
+
+rows = st.fixed_dictionaries(
+    {
+        "round_index": st.integers(0, 10**9),
+        "phi": amounts,
+        "max_gap": amounts,
+        "d_r": amounts,
+        "connections": st.integers(0, 500),
+        "converged": st.booleans(),
+        "report": reports(),
+    }
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    checks=st.lists(st.sampled_from(ALL_CHECKS), unique=True),
+    trace=st.lists(rows, max_size=12),
+)
+def test_trace_writer_matches_csv_writer_bytes(tmp_path_factory, checks, trace):
+    folder = tmp_path_factory.mktemp("trace")
+    write_traced(folder / "traced.csv", checks, trace)
+    write_reference(folder / "reference.csv", checks, trace)
+    assert (folder / "traced.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def test_trace_row_with_amounts_past_int_digit_limit(tmp_path):
+    row = {
+        "round_index": 5699,
+        "phi": Dyadic(-(3 << 9000 | 1), 9000),
+        "max_gap": Dyadic(1, 7000),
+        "d_r": 1 << 20000,
+        "connections": 3,
+        "converged": False,
+        "report": InvariantReport(5699, {ALL_CHECKS[0]: True}),
+    }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        write_reference(tmp_path / "reference.csv", ALL_CHECKS[:1], [row])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    write_traced(tmp_path / "traced.csv", ALL_CHECKS[:1], [row])
+    data = (tmp_path / "traced.csv").read_bytes()
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    assert len(data) > 3 * sys.int_info.default_max_str_digits
+
+
+def test_trace_row_bytes(tmp_path):
+    with open(tmp_path / "trace.csv", "w", newline="") as stream:
+        writer = TraceCsvWriter(stream)
+        writer.round_row(
+            round_index=0, phi=Dyadic(3, 1), max_gap=0, d_r=0, connections=0, converged=True
+        )
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"round,phi,max_gap,d_r,connections,converged\r\n0,1.5,0,0,0,true\r\n"
+    )
