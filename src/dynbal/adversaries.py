@@ -102,17 +102,23 @@ def sorting_line_postprocess(
     Equal loads keep their positions.
     """
     new_order = list(order)
-    position = {node: i for i, node in enumerate(new_order)}
-    for u, v in sorted({(min(p), max(p)) for p in pairs}):
-        pu, pv = position[u], position[v]
-        if abs(pu - pv) != 1:
-            continue
-        first, second = (u, v) if pu < pv else (v, u)
-        if loads[first] > loads[second]:
-            position[first], position[second] = position[second], position[first]
-            lo = min(pu, pv)
-            new_order[lo], new_order[lo + 1] = second, first
+    _swap_pairs(new_order, sorted(range(len(order)), key=order.__getitem__), pairs, loads)
     return new_order
+
+
+def _swap_pairs(order: list[int], position: list[int], pairs, loads) -> bool:
+    """`sorting_line_postprocess` in place on `order` and its inverse
+    `position` (position[node] is node's index in order); True if any swapped."""
+    swapped = False
+    for u, v in sorted({(u, v) if u < v else (v, u) for u, v in pairs}):
+        pu, pv = position[u], position[v]
+        if pu > pv:
+            u, v, pu, pv = v, u, pv, pu
+        if pv - pu == 1 and loads[u] > loads[v]:
+            order[pu], order[pv] = v, u
+            position[u], position[v] = pv, pu
+            swapped = True
+    return swapped
 
 
 class SortingLinePolicy(AdversaryPolicy):
@@ -120,7 +126,9 @@ class SortingLinePolicy(AdversaryPolicy):
     the two partners are re-ordered lightest first.
 
     Pairs that are not adjacent on the line are left where they are (see
-    `sorting_line_postprocess`).
+    `sorting_line_postprocess`).  `order` and its inverse `position` live
+    across rounds and are swapped in place; the line graph is rebuilt only
+    after a swap.
     """
 
     name = "sortingLine"
@@ -128,14 +136,13 @@ class SortingLinePolicy(AdversaryPolicy):
     def bind(self, n: int, rng: Random) -> None:
         super().bind(n, rng)
         self.order = list(range(n))
+        self.position = list(range(n))
         self._graph = line_of(self.order)
 
     def next_graph(self, ctx: AdversaryContext) -> Graph:
-        if ctx.last_matching:
-            updated = sorting_line_postprocess(self.order, ctx.last_matching, ctx.loads.loads)
-            if updated != self.order:
-                self.order = updated
-                self._graph = line_of(self.order)
+        pairs = ctx.last_matching
+        if pairs and _swap_pairs(self.order, self.position, pairs, ctx.loads.loads):
+            self._graph = line_of(self.order)
         return self._graph
 
 

@@ -29,9 +29,14 @@ class RandMaxNeighbor(BalancingAlgorithm):
         adj = graph.adj
         coin = self.rng.getrandbits(n)
 
+        # Senders are the set bits of the coin, walked in ascending id order.
         incoming: dict[int, list[int]] = {}
-        for u in range(n):
-            if (coin >> u) & 1 and adj[u]:
+        senders = coin
+        while senders:
+            bit = senders & -senders
+            senders ^= bit
+            u = bit.bit_length() - 1
+            if adj[u]:
                 target, _ = heaviest_gap_neighbor(u, adj[u], loads)
                 if not (coin >> target) & 1:
                     incoming.setdefault(target, []).append(u)

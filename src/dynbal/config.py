@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
 from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL
 from .adversaries import ADVERSARIES, StaticPolicy
-from .dyadic import DECIMAL_RE, Dyadic
+from .dyadic import DECIMAL_RE, Dyadic, decimal_text
 from .loads import MODE_CONTINUOUS, MODE_INTEGRAL, MODES
 from .metrics import (
     ALL_CHECKS,
@@ -61,14 +62,14 @@ def _decimal_fraction(value, what: str) -> Fraction:
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, str) and DECIMAL_RE.match(value.strip()):
-        return Fraction(value.strip())
+        return Fraction(*Decimal(value.strip()).as_integer_ratio())
     raise ConfigError(f"{what} must be an exact decimal string, got {value!r}")
 
 
 def _fraction_decimal_str(value: Fraction) -> str:
     """Exact decimal rendering for fractions whose denominator divides 10^d."""
     if value.denominator == 1:
-        return str(value.numerator)
+        return decimal_text(value.numerator)
     den = value.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -81,7 +82,7 @@ def _fraction_decimal_str(value: Fraction) -> str:
         raise ValueError(f"{value} has no finite decimal expansion")
     digits = max(twos, fives)
     scaled = value * 10**digits
-    text = str(abs(scaled.numerator)).rjust(digits + 1, "0")
+    text = decimal_text(abs(scaled.numerator)).rjust(digits + 1, "0")
     sign = "-" if value < 0 else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 

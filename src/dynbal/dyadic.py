@@ -111,7 +111,11 @@ class Dyadic:
         stripped = text.strip()
         if not DECIMAL_RE.match(stripped):
             raise ValueError(f"not a decimal literal: {text!r}")
-        return cls.from_fraction(Fraction(stripped))
+        # libmpdec parses exactly and has no digit limit, unlike int(str).
+        num, den = decimal.Decimal(stripped).as_integer_ratio()
+        if den & (den - 1):
+            raise ValueError(f"{stripped} has no finite binary expansion")
+        return cls(num, den.bit_length() - 1)
 
     # ------------------------------------------------------------------
     # conversions

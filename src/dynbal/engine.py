@@ -8,6 +8,12 @@ no component's consumption of randomness can perturb another's.
 Idle fast-forward (skipping rounds an algorithm proves load-neutral)
 applies at every trace level, so no observation knob changes an outcome;
 a trace shows a skipped span as a jump in its round column.
+
+A trial binds its components' round methods once and refills one
+`AdversaryContext` and two `LoadState`s (the round's before and after) each
+round; no callee may keep them past its call.  A checked round sums its
+loads once: its after-total is the next round's before-total, so a round
+that creates or destroys load fails conservation alone.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .loads import (
     uniform_random,
 )
 from .metrics import (
+    CHECK_CONSERVATION,
     CHECK_POTENTIAL_DROP,
     CHECK_PREFIX_MONOTONE,
     InvariantReport,
@@ -230,7 +237,8 @@ def run_trial(
     continuous = cfg.mode == MODE_CONTINUOUS
     initial = build_initial_loads(cfg, rng_loads)
     loads, exp = to_scaled(initial) if continuous else (initial, 0)
-    total = Dyadic(total_load(loads), exp) if continuous else total_load(loads)
+    total_prev = total_load(loads)
+    total = Dyadic(total_prev, exp) if continuous else total_prev
 
     adversary = _instantiate_adversary(cfg)
     adversary.bind(n, rng_adversary)
@@ -283,27 +291,30 @@ def run_trial(
 
     rounds = 0
     last_emitted = 0
-    last_matching: tuple = ()
+    last_matching: list = []
     aborted: Optional[str] = None
     want_phi = CHECK_POTENTIAL_DROP in enabled
+    want_total = CHECK_CONSERVATION in enabled
+
+    before, after_state = LoadState(cfg.mode, loads, exp), LoadState(cfg.mode, loads, exp)
+    ctx = AdversaryContext(round_index=0, loads=before)
+    next_graph, play_round = adversary.next_graph, algorithm.play_round
+    is_done, consume_idle_rounds = algorithm.is_done, algorithm.consume_idle_rounds
 
     if converged_at is None or not cfg.stop_on_converge:
         while rounds < budget:
-            if algorithm.is_done(loads):
+            if is_done(loads):
                 break
-            skipped = algorithm.consume_idle_rounds(loads, budget - rounds)
+            skipped = consume_idle_rounds(loads, budget - rounds)
             if skipped:
-                # Loads are untouched, so phi_prev stays valid.
+                # Loads are untouched, so phi_prev and total_prev stay valid.
                 rounds += skipped
                 continue
             rounds += 1
 
-            ctx = AdversaryContext(
-                round_index=rounds,
-                loads=LoadState(cfg.mode, loads, exp),
-                last_matching=last_matching,
-            )
-            base_graph = adversary.next_graph(ctx)
+            before.loads, before.exp = loads, exp
+            ctx.round_index, ctx.last_matching = rounds, last_matching
+            base_graph = next_graph(ctx)
             if base_graph.n != n:
                 raise EngineError("adversary changed the node count")
             if not is_connected(base_graph):
@@ -319,7 +330,7 @@ def run_trial(
             else:
                 graph = base_graph
 
-            outcome = algorithm.play_round(graph, loads)
+            outcome = play_round(graph, loads)
             after, after_exp = outcome.new_loads, exp + outcome.shift
             if outcome.shift:
                 after, after_exp = renormalise(after, after_exp)
@@ -329,20 +340,24 @@ def run_trial(
             emit = trace_stride is not None and rounds % trace_stride == 0
             run_checks = bool(enabled) and rounds % cfg.check_stride == 0
             phi_after = potential(after) if (emit or (run_checks and want_phi)) else None
+            total_after = total_load(after) if run_checks and want_total else None
 
             report = None
             if run_checks:
+                after_state.loads, after_state.exp = after, after_exp
                 report = check_round(
-                    LoadState(cfg.mode, loads, exp),
-                    LoadState(cfg.mode, after, after_exp),
+                    before,
+                    after_state,
                     RoundTrace(rounds, graph, outcome.matching, d_r),
                     algorithm_kind=algorithm.kind,
                     enabled=enabled,
                     phi_before=phi_prev,
                     phi_after=phi_after,
-                    line_order=list(line_policy.order) if line_policy is not None else None,
+                    line_order=line_policy.order if line_policy is not None else None,
                     initial_prefix=initial_prefix,
                     prefix_exp=prefix_exp,
+                    total_before=total_prev,
+                    total_after=total_after,
                 )
                 if not report.ok:
                     invariant_failures += len(report.failed())
@@ -362,12 +377,12 @@ def run_trial(
                 )
                 last_emitted = rounds
             loads, exp = after, after_exp
-            last_matching = tuple((u, v) for u, v, _ in outcome.matching)
+            last_matching = [(u, v) for u, v, _ in outcome.matching]
             if gap << min_exp < min_gap << exp:
                 min_gap, min_exp = gap, exp
             if converged_at is None and within_tau:
                 converged_at = rounds
-            phi_prev = phi_after
+            phi_prev, total_prev = phi_after, total_after
 
             if converged_at is not None and cfg.stop_on_converge:
                 break
@@ -380,7 +395,7 @@ def run_trial(
         aborted is None
         and rounds < budget
         and not (converged_at is not None and cfg.stop_on_converge)
-        and algorithm.is_done(loads)
+        and is_done(loads)
     ):
         rounds = budget
 
@@ -392,12 +407,9 @@ def run_trial(
         and line_policy is not None
         and rounds > 0
     ):
-        ctx = AdversaryContext(
-            round_index=rounds + 1,
-            loads=LoadState(cfg.mode, loads, exp),
-            last_matching=last_matching,
-        )
-        line_policy.next_graph(ctx)
+        before.loads, before.exp = loads, exp
+        ctx.round_index, ctx.last_matching = rounds + 1, last_matching
+        next_graph(ctx)
         witness = prefix_growth(line_policy.order, loads, exp, initial_prefix, prefix_exp)
         if witness is not None:
             report = InvariantReport(rounds + 1)

@@ -5,7 +5,8 @@ pairs, computed here by a sorted prefix scan; the tests keep an independent
 brute-force double loop as the oracle.  The metrics work on integer
 numerators over one shared exponent, and the checks compare amounts of
 different exponents by cross-shifting them: every verdict is exact, with
-zero tolerance.
+zero tolerance.  `check_round` looks each enabled check up in one table of
+kernels, `_KERNELS`; a kernel returns its check's witness, or None.
 """
 
 from __future__ import annotations
@@ -115,123 +116,64 @@ def check_round(
     line_order: Optional[Sequence[int]] = None,
     initial_prefix: Optional[Sequence] = None,
     prefix_exp: int = 0,
+    total_before=None,
+    total_after=None,
 ) -> InvariantReport:
     """Evaluate the enabled invariants for one committed round.
 
-    `phi_before`/`phi_after` may be passed in when the caller already
-    computed them (at the exponents of `before` and `after`); otherwise
-    they are derived here on demand.  The matching's gaps are at
+    `phi_before`/`phi_after` and `total_before`/`total_after` may be passed
+    in when the caller already computed them (at the exponents of `before`
+    and `after`); otherwise they are derived here on demand, `phi_before`
+    once for every kernel that reads it.  The matching's gaps are at
     `before.exp` and `trace.d_r` one bit finer; `initial_prefix` is at
     `prefix_exp`.
     """
     report = InvariantReport(trace.round_index)
     checks, witnesses = report.checks, report.witnesses
-    exp, after_exp = before.exp, after.exp
-
-    def need_phi_before():
-        nonlocal phi_before
-        if phi_before is None:
-            phi_before = potential(before.loads)
-        return phi_before
-
-    def need_phi_after():
-        nonlocal phi_after
-        if phi_after is None:
-            phi_after = potential(after.loads)
-        return phi_after
-
     for name in enabled:
-        if name == CHECK_CONSERVATION:
-            total_before = total_load(before.loads)
-            total_after = total_load(after.loads)
-            good = total_before << after_exp == total_after << exp
-            if not good:
-                witnesses[name] = {
-                    "before": _text(total_before, exp),
-                    "after": _text(total_after, after_exp),
-                }
-
-        elif name == CHECK_POTENTIAL_DROP:
-            # phi_before - d_r / 2, two bits finer than the loads before.
-            bound = (need_phi_before() << 2) - trace.d_r
-            good = need_phi_after() << (exp + 2) <= bound << after_exp
-            if not good:
-                witnesses[name] = {
-                    "phi_after": _text(phi_after, after_exp),
-                    "allowed": _text(bound, exp + 2),
-                }
-
-        elif name == CHECK_COVERING_EDGE:
-            good, witness = _covering_edge_ok(before, trace)
-            if not good:
-                witnesses[name] = witness
-
-        elif name == CHECK_SHIFT_LOWER_BOUND:
-            # 30 d_r >= max gap, with d_r one bit finer than the gap.
-            gap = max_gap(before.loads)
-            good = trace.d_r * 30 >= gap * 2
-            if not good:
-                witnesses[name] = {"d_r": _text(trace.d_r, exp + 1), "max_gap": _text(gap, exp)}
-
-        elif name == CHECK_MATCHING_BUDGET:
-            good, witness = _matching_budget_ok(trace.matching, algorithm_kind)
-            if not good:
-                witnesses[name] = witness
-
-        elif name == CHECK_INTEGRALITY:
-            good = after.mode != MODE_INTEGRAL or after_exp == 0
-            if not good:
-                witnesses[name] = {"exp": after_exp}
-            elif after.mode == MODE_INTEGRAL:
-                for i, w in enumerate(after.loads):
-                    if not isinstance(w, int) or w < 0:
-                        good = False
-                        witnesses[name] = {"node": i, "load": repr(w)}
-                        break
-
-        elif name == CHECK_PREFIX_MONOTONE:
-            if line_order is None or initial_prefix is None:
-                raise ValueError("prefixMonotone needs the line order and baseline prefixes")
-            witness = prefix_growth(line_order, before.loads, exp, initial_prefix, prefix_exp)
-            good = witness is None
-            if not good:
-                witnesses[name] = witness
-
-        elif name == CHECK_SPLIT_POTENTIAL:
-            # Both halves of each node, one bit finer than the loads: the
-            # split potential must be twice the whole one.
-            halves = [w for w in before.loads for _ in (0, 1)]
-            split = potential(halves)
-            good = split == need_phi_before() * 4
-            if not good:
-                witnesses[name] = {
-                    "split": _text(split, exp + 1),
-                    "twice_whole": _text(phi_before * 2, exp),
-                }
-
-        else:
+        kernel = _KERNELS.get(name)
+        if kernel is None:
             raise ValueError(f"unknown invariant check {name!r}")
-
-        checks[name] = good
-
+        if phi_before is None and name in _READS_PHI_BEFORE:
+            phi_before = potential(before.loads)
+        witness = kernel(before, after, trace, algorithm_kind, phi_before, phi_after,
+                         line_order, initial_prefix, prefix_exp, total_before, total_after)
+        checks[name] = witness is None
+        if witness is not None:
+            witnesses[name] = witness
     return report
 
 
-def _text(num, exp: int) -> str:
-    """Exact decimal text of num / 2**exp, for witnesses."""
-    return Dyadic(num, exp).decimal_str()
+# Each kernel takes check_round's arguments positionally, in its order (the
+# trailing ones it does not read fall into *_), and returns its check's
+# witness, or None when the check holds.
 
 
-def prefix_growth(order, loads, exp: int, baseline, baseline_exp: int) -> Optional[dict]:
-    """Witness for the first prefix sum (loads read in `order`) above its
-    baseline, or None."""
-    for i, (now, base) in enumerate(zip(prefix_sums(order, loads), baseline)):
-        if now << baseline_exp > base << exp:
-            return {"prefix": i, "now": _text(now, exp), "baseline": _text(base, baseline_exp)}
-    return None
+def _conservation(
+    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp,
+    total_before, total_after,
+):
+    if total_before is None:
+        total_before = total_load(before.loads)
+    if total_after is None:
+        total_after = total_load(after.loads)
+    if total_before << after.exp == total_after << before.exp:
+        return None
+    return {"before": _text(total_before, before.exp), "after": _text(total_after, after.exp)}
 
 
-def _covering_edge_ok(before: LoadState, trace: RoundTrace):
+def _potential_drop(before, after, trace, kind, phi_before, phi_after, *_):
+    # phi_before - d_r / 2, two bits finer than the loads before.
+    exp, after_exp = before.exp, after.exp
+    bound = (phi_before << 2) - trace.d_r
+    if phi_after is None:
+        phi_after = potential(after.loads)
+    if phi_after << (exp + 2) <= bound << after_exp:
+        return None
+    return {"phi_after": _text(phi_after, after_exp), "allowed": _text(bound, exp + 2)}
+
+
+def _covering_edge(before, after, trace, *_):
     """Every positive-gap edge must have a connected pair with at least its
     gap touching a node within three hops of the edge.
 
@@ -258,24 +200,90 @@ def _covering_edge_ok(before: LoadState, trace: RoundTrace):
     for u, v in graph.edges:
         gap = abs(loads[u] - loads[v])
         if gap > 0 and reach[u] < gap and reach[v] < gap:
-            return False, {"edge": (u, v), "gap": _text(gap, before.exp)}
-    return True, None
+            return {"edge": (u, v), "gap": _text(gap, before.exp)}
+    return None
 
 
-def _matching_budget_ok(matching, algorithm_kind: str):
-    if algorithm_kind == KIND_TWO_SIDED:
+def _shift_lower_bound(before, after, trace, *_):
+    # 30 d_r >= max gap, with d_r one bit finer than the gap.
+    gap = max_gap(before.loads)
+    if trace.d_r * 30 >= gap * 2:
+        return None
+    return {"d_r": _text(trace.d_r, before.exp + 1), "max_gap": _text(gap, before.exp)}
+
+
+def _matching_budget(before, after, trace, kind, *_):
+    matching = trace.matching
+    if kind == KIND_TWO_SIDED:
         as_sender: dict[int, int] = {}
         as_answerer: dict[int, int] = {}
         for u, v, _ in matching:
             as_sender[u] = as_sender.get(u, 0) + 1
             as_answerer[v] = as_answerer.get(v, 0) + 1
             if as_sender[u] > 1 or as_answerer[v] > 1:
-                return False, {"node": u if as_sender[u] > 1 else v}
-        return True, None
+                return {"node": u if as_sender[u] > 1 else v}
+        return None
     seen: set[int] = set()
     for u, v, _ in matching:
         if u in seen or v in seen:
-            return False, {"node": u if u in seen else v}
+            return {"node": u if u in seen else v}
         seen.add(u)
         seen.add(v)
-    return True, None
+    return None
+
+
+def _integrality(before, after, *_):
+    if after.mode != MODE_INTEGRAL:
+        return None
+    if after.exp:
+        return {"exp": after.exp}
+    for i, w in enumerate(after.loads):
+        if not isinstance(w, int) or w < 0:
+            return {"node": i, "load": repr(w)}
+    return None
+
+
+def _prefix_monotone(
+    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp, *_
+):
+    if line_order is None or initial_prefix is None:
+        raise ValueError("prefixMonotone needs the line order and baseline prefixes")
+    return prefix_growth(line_order, before.loads, before.exp, initial_prefix, prefix_exp)
+
+
+def _split_potential(before, after, trace, kind, phi_before, *_):
+    # Both halves of each node, one bit finer than the loads: the split
+    # potential must be twice the whole one.
+    split = potential([w for w in before.loads for _ in (0, 1)])
+    if split == phi_before * 4:
+        return None
+    return {"split": _text(split, before.exp + 1), "twice_whole": _text(phi_before * 2, before.exp)}
+
+
+_KERNELS = {
+    CHECK_CONSERVATION: _conservation,
+    CHECK_POTENTIAL_DROP: _potential_drop,
+    CHECK_COVERING_EDGE: _covering_edge,
+    CHECK_SHIFT_LOWER_BOUND: _shift_lower_bound,
+    CHECK_MATCHING_BUDGET: _matching_budget,
+    CHECK_INTEGRALITY: _integrality,
+    CHECK_PREFIX_MONOTONE: _prefix_monotone,
+    CHECK_SPLIT_POTENTIAL: _split_potential,
+}
+_READS_PHI_BEFORE = frozenset((CHECK_POTENTIAL_DROP, CHECK_SPLIT_POTENTIAL))
+
+
+def _text(num, exp: int) -> str:
+    """Exact decimal text of num / 2**exp, for witnesses."""
+    return Dyadic(num, exp).decimal_str()
+
+
+def prefix_growth(order, loads, exp: int, baseline, baseline_exp: int) -> Optional[dict]:
+    """Witness for the first prefix sum (loads read in `order`) above its
+    baseline (from `prefix_sums`, so prefix 0 is 0 on both sides), or None."""
+    now = 0
+    for i, (node, base) in enumerate(zip(order, baseline[1:]), 1):
+        now += loads[node]
+        if now << baseline_exp > base << exp:
+            return {"prefix": i, "now": _text(now, exp), "baseline": _text(base, baseline_exp)}
+    return None

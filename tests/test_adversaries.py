@@ -17,7 +17,7 @@ from dynbal.adversaries import (
     random_connected_graph,
     sorting_line_postprocess,
 )
-from dynbal.graphs import Graph, is_connected, star_graph
+from dynbal.graphs import Graph, is_connected, line_of, star_graph
 from dynbal.loads import LoadState
 
 
@@ -152,6 +152,59 @@ def test_sorting_line_ignores_off_line_pairs():
     g = policy.next_graph(ctx_for([9, 0, 0, 1], round_index=2, last_matching=[(0, 3)]))
     assert policy.order == [0, 1, 2, 3]
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
+
+
+def rebuilt_postprocess(order, pairs, loads):
+    """The sorting line rebuilt from scratch each round: a position dict
+    and a set of canonical pairs, applied in sorted order."""
+    new_order = list(order)
+    position = {node: i for i, node in enumerate(new_order)}
+    for u, v in sorted({(min(p), max(p)) for p in pairs}):
+        pu, pv = position[u], position[v]
+        if abs(pu - pv) != 1:
+            continue
+        first, second = (u, v) if pu < pv else (v, u)
+        if loads[first] > loads[second]:
+            position[first], position[second] = position[second], position[first]
+            lo = min(pu, pv)
+            new_order[lo], new_order[lo + 1] = second, first
+    return new_order
+
+
+@st.composite
+def line_rounds(draw):
+    """Rounds of (loads, pairs) at n <= 10.  Pairs may sit off the line,
+    overlap, repeat, and come in both orientations, as two-sided rounds
+    give; loads come from a small range so ties are common."""
+    n = draw(st.integers(2, 10))
+    node = st.integers(0, n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    rounds = []
+    for _ in range(draw(st.integers(1, 12))):
+        pairs = draw(st.lists(pair, max_size=n))
+        if pairs:
+            pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n))]
+        rounds.append((draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), pairs))
+    return n, rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_rounds())
+def test_in_place_sorting_line_equals_rebuild(scenario):
+    n, rounds = scenario
+    policy = SortingLinePolicy()
+    policy.bind(n, Random(0))
+    order = list(range(n))
+    assert policy.next_graph(ctx_for([0] * n)) == line_of(order)
+    for index, (loads, pairs) in enumerate(rounds, 2):
+        order = rebuilt_postprocess(order, pairs, loads)
+        graph = policy.next_graph(ctx_for(loads, round_index=index, last_matching=pairs))
+        assert policy.order == order
+        assert [policy.order[i] for i in policy.position] == list(range(n))
+        assert graph == line_of(order)
+        assert sorting_line_postprocess(order, pairs, loads) == rebuilt_postprocess(
+            order, pairs, loads
+        )
 
 
 # ----------------------------------------------------------------------

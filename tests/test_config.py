@@ -63,6 +63,32 @@ def test_tau_must_be_dyadic():
         config_from_dict(minimal(tau="-1"))
 
 
+def test_decimals_past_int_digit_limit_parse_exactly():
+    # Longer than the 4300 digits int(str) accepts by default: a tau copied
+    # out of a long trace reads back exactly, and so do k and c1.
+    tau = Dyadic(1, 5000)
+    k = Fraction(3, 2**6001) + 1
+
+    def text(value):
+        return Dyadic.from_fraction(value).decimal_str()
+
+    assert len(tau.decimal_str()) > 5000
+    cfg = config_from_dict(
+        minimal(
+            tau=tau.decimal_str(),
+            k=text(k),
+            algorithm={"name": "continuousViaIntegral", "c1": text(1 + k)},
+        )
+    )
+    assert cfg.tau == tau
+    assert cfg.k == k
+    assert cfg.algorithm[1]["c1"] == 1 + k
+    assert config_from_dict(cfg.to_dict()) == cfg
+    assert cfg.to_dict()["tau"] == tau.decimal_str()
+    with pytest.raises(ConfigError, match="tau: .* has no finite binary expansion"):
+        config_from_dict(minimal(tau="0." + "3" * 5000))
+
+
 def test_integral_mode_needs_integer_tau():
     raw = minimal(
         mode="integral",

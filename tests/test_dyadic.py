@@ -266,8 +266,7 @@ def test_decimal_render_matches_int_formula(pairs):
         d = Dyadic(num, exp)
         assert d.decimal_str() == text
         assert decimal_text(num, exp) == text
-        if d.exp <= 200:
-            assert Dyadic.from_decimal(text) == d
+        assert Dyadic.from_decimal(text) == d
 
 
 def test_as_dyadic_rejects_floats():

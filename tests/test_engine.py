@@ -7,6 +7,7 @@ import pytest
 
 from dynbal import engine
 from dynbal.adversaries import AdversaryPolicy
+from dynbal.algorithms.base import BalancingAlgorithm
 from dynbal.config import config_from_dict
 from dynbal.dyadic import Dyadic
 from dynbal.engine import (
@@ -21,6 +22,7 @@ from dynbal.engine import (
 from dynbal.graphs import Graph, is_connected, path_graph
 from dynbal.io import TraceCsvWriter
 from dynbal.loads import total_load
+from dynbal.records import RoundOutcome
 
 
 def scenario(**overrides) -> dict:
@@ -303,6 +305,52 @@ def test_disconnected_adversary_graph_is_rejected(monkeypatch, fresh):
         with pytest.raises(EngineError, match="adversary produced a disconnected graph"):
             run_trial(cfg)
         assert policy.rounds == [1, 2, 3]
+
+
+class CreatesLoadInRoundThree(BalancingAlgorithm):
+    """Moves nothing, except that round 3 adds one unit to node 0."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.rounds = 0
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        new_loads = list(loads)
+        if self.rounds == 3:
+            new_loads[0] += 1
+        return RoundOutcome(new_loads=new_loads)
+
+
+@pytest.mark.parametrize("stride, failing", [(1, [3]), (3, [3]), (2, [])])
+def test_conservation_fails_only_in_the_round_that_creates_load(monkeypatch, stride, failing):
+    # Each checked round is held to its own starting total, not the initial
+    # one: the rounds after the faulty one conserve their load.  With
+    # stride 2 the faulty round goes unchecked and no later round is blamed.
+    monkeypatch.setattr(engine, "make_algorithm", lambda name, **params: CreatesLoadInRoundThree())
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="0",
+            algorithm="randMaxNeighbor",
+            roundBudget=8,
+            checks=["conservation", "integrality"],
+            checkStride=stride,
+        )
+    )
+    result = run_trial(cfg)
+    assert result.rounds_played == 8
+    assert result.final_loads == [2, 2, 3, 4]
+    assert result.invariant_failures == len(failing)
+    assert [report.round_index for report in result.failure_reports] == failing
+    for report in result.failure_reports:
+        assert report.failed() == ["conservation"]
+        assert report.witnesses["conservation"] == {"before": "10", "after": "11"}
 
 
 # ======================================================================

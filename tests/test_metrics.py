@@ -7,13 +7,18 @@ from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, nodes_within, path_graph
 from dynbal.loads import LoadState
 from dynbal.metrics import (
+    ALL_CHECKS,
     CHECK_CONSERVATION,
     CHECK_COVERING_EDGE,
+    CHECK_INTEGRALITY,
     CHECK_MATCHING_BUDGET,
+    CHECK_POTENTIAL_DROP,
     CHECK_PREFIX_MONOTONE,
+    CHECK_SHIFT_LOWER_BOUND,
     CHECK_SPLIT_POTENTIAL,
     KIND_MATCHING,
     KIND_TWO_SIDED,
+    InvariantReport,
     check_round,
     max_gap,
     potential,
@@ -265,3 +270,222 @@ def test_covering_edge_matches_bfs_definition(scenario):
     assert report.ok == (expected is None)
     if expected is not None:
         assert report.witnesses[CHECK_COVERING_EDGE]["edge"] == expected
+
+
+# ----------------------------------------------------------------------
+# check kernels against the name-by-name evaluation they replaced
+# ----------------------------------------------------------------------
+
+
+def reference_check_round(
+    before,
+    after,
+    trace,
+    *,
+    algorithm_kind,
+    enabled,
+    phi_before=None,
+    phi_after=None,
+    line_order=None,
+    initial_prefix=None,
+    prefix_exp=0,
+):
+    """check_round as it was before the kernel table, an if/elif chain over
+    the check names: the oracle for the kernels."""
+    report = InvariantReport(trace.round_index)
+    checks, witnesses = report.checks, report.witnesses
+    exp, after_exp = before.exp, after.exp
+
+    def text(num, e):
+        return Dyadic(num, e).decimal_str()
+
+    def need_phi_before():
+        nonlocal phi_before
+        if phi_before is None:
+            phi_before = potential(before.loads)
+        return phi_before
+
+    def need_phi_after():
+        nonlocal phi_after
+        if phi_after is None:
+            phi_after = potential(after.loads)
+        return phi_after
+
+    for name in enabled:
+        if name == CHECK_CONSERVATION:
+            total_before = sum(before.loads)
+            total_after = sum(after.loads)
+            good = total_before << after_exp == total_after << exp
+            if not good:
+                witnesses[name] = {
+                    "before": text(total_before, exp),
+                    "after": text(total_after, after_exp),
+                }
+        elif name == CHECK_POTENTIAL_DROP:
+            bound = (need_phi_before() << 2) - trace.d_r
+            good = need_phi_after() << (exp + 2) <= bound << after_exp
+            if not good:
+                witnesses[name] = {
+                    "phi_after": text(phi_after, after_exp),
+                    "allowed": text(bound, exp + 2),
+                }
+        elif name == CHECK_COVERING_EDGE:
+            good, witness = reference_covering_edge(before, trace)
+            if not good:
+                witnesses[name] = witness
+        elif name == CHECK_SHIFT_LOWER_BOUND:
+            gap = max_gap(before.loads)
+            good = trace.d_r * 30 >= gap * 2
+            if not good:
+                witnesses[name] = {"d_r": text(trace.d_r, exp + 1), "max_gap": text(gap, exp)}
+        elif name == CHECK_MATCHING_BUDGET:
+            good, witness = reference_matching_budget(trace.matching, algorithm_kind)
+            if not good:
+                witnesses[name] = witness
+        elif name == CHECK_INTEGRALITY:
+            good = after.mode != "integral" or after_exp == 0
+            if not good:
+                witnesses[name] = {"exp": after_exp}
+            elif after.mode == "integral":
+                for i, w in enumerate(after.loads):
+                    if not isinstance(w, int) or w < 0:
+                        good = False
+                        witnesses[name] = {"node": i, "load": repr(w)}
+                        break
+        elif name == CHECK_PREFIX_MONOTONE:
+            if line_order is None or initial_prefix is None:
+                raise ValueError("prefixMonotone needs the line order and baseline prefixes")
+            good = True
+            now_sums = prefix_sums(line_order, before.loads)
+            for i, (now, base) in enumerate(zip(now_sums, initial_prefix)):
+                if now << prefix_exp > base << exp:
+                    good = False
+                    witnesses[name] = {
+                        "prefix": i,
+                        "now": text(now, exp),
+                        "baseline": text(base, prefix_exp),
+                    }
+                    break
+        elif name == CHECK_SPLIT_POTENTIAL:
+            halves = [w for w in before.loads for _ in (0, 1)]
+            split = potential(halves)
+            good = split == need_phi_before() * 4
+            if not good:
+                witnesses[name] = {
+                    "split": text(split, exp + 1),
+                    "twice_whole": text(phi_before * 2, exp),
+                }
+        else:
+            raise ValueError(f"unknown invariant check {name!r}")
+        checks[name] = good
+    return report
+
+
+def reference_covering_edge(before, trace):
+    loads = before.loads
+    graph = trace.graph
+    reach = [0] * graph.n
+    for a, b, pair_gap in trace.matching:
+        reach[a] = max(reach[a], pair_gap)
+        reach[b] = max(reach[b], pair_gap)
+    for _ in range(3):
+        spread = list(reach)
+        for u, v in graph.edges:
+            spread[u] = max(spread[u], reach[v])
+            spread[v] = max(spread[v], reach[u])
+        reach = spread
+    for u, v in graph.edges:
+        gap = abs(loads[u] - loads[v])
+        if gap > 0 and reach[u] < gap and reach[v] < gap:
+            return False, {"edge": (u, v), "gap": Dyadic(gap, before.exp).decimal_str()}
+    return True, None
+
+
+def reference_matching_budget(matching, algorithm_kind):
+    if algorithm_kind == KIND_TWO_SIDED:
+        as_sender, as_answerer = {}, {}
+        for u, v, _ in matching:
+            as_sender[u] = as_sender.get(u, 0) + 1
+            as_answerer[v] = as_answerer.get(v, 0) + 1
+            if as_sender[u] > 1 or as_answerer[v] > 1:
+                return False, {"node": u if as_sender[u] > 1 else v}
+        return True, None
+    seen = set()
+    for u, v, _ in matching:
+        if u in seen or v in seen:
+            return False, {"node": u if u in seen else v}
+        seen.add(u)
+        seen.add(v)
+    return True, None
+
+
+@st.composite
+def check_scenarios(draw):
+    """One round's inputs to check_round, valid or not: conserving or
+    arbitrary after-loads (negative ones too), passed-in potentials that
+    are right, missing or wrong, baselines that the line's prefixes may
+    exceed, and check lists with unknown names or missing context."""
+    n = draw(st.integers(1, 8))
+    mode = draw(st.sampled_from(["integral", "continuous"]))
+    # An integral round that ends off exponent 0 fails integrality.
+    exp = 0 if mode == "integral" else draw(st.integers(0, 3))
+    after_exp = exp + draw(st.integers(0, 1 if mode == "integral" else 3))
+    loads = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        after = [w << (after_exp - exp) for w in draw(st.permutations(loads))]
+    else:
+        after = draw(st.lists(st.integers(0, 320), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            after[draw(st.integers(0, n - 1))] = -1
+    order = draw(st.permutations(range(n)))
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    node = st.integers(0, n - 1)
+    edges |= {(min(a, b), max(a, b)) for a, b in draw(st.lists(st.tuples(node, node))) if a != b}
+    matching = [
+        (a, b, draw(st.integers(0, 40)))
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=n))
+        if a != b
+    ]
+    d_r = draw(st.integers(0, 2) | st.integers(0, 80))
+    trace = RoundTrace(3, Graph(n, edges), matching, d_r)
+    enabled = draw(st.lists(st.sampled_from(ALL_CHECKS), unique=True))
+    if draw(st.integers(0, 14)) == 7:
+        enabled.insert(draw(st.integers(0, len(enabled))), "notACheck")
+
+    def maybe_wrong(value):
+        return draw(st.sampled_from([None, value, value + 1, value - 2]))
+
+    kwargs = dict(
+        algorithm_kind=draw(st.sampled_from([KIND_MATCHING, KIND_TWO_SIDED])),
+        enabled=tuple(enabled) if draw(st.booleans()) else enabled,
+        phi_before=maybe_wrong(potential(loads)),
+        phi_after=maybe_wrong(potential(after)),
+    )
+    if draw(st.integers(0, 9)):
+        prefix_exp = draw(st.integers(0, 3))
+        baseline_loads = draw(st.lists(st.integers(0, 160), min_size=n, max_size=n))
+        kwargs.update(
+            line_order=draw(st.permutations(range(n))),
+            initial_prefix=prefix_sums(draw(st.permutations(range(n))), baseline_loads),
+            prefix_exp=prefix_exp,
+        )
+    return LoadState(mode, loads, exp), LoadState(mode, after, after_exp), trace, kwargs
+
+
+def verdicts(check, *args, **kwargs):
+    try:
+        report = check(*args, **kwargs)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return list(report.checks.items()), report.witnesses, report.round_index
+
+
+@settings(max_examples=300, deadline=None)
+@given(check_scenarios())
+def test_check_kernels_keep_the_name_by_name_verdicts(scenario):
+    before, after, trace, kwargs = scenario
+    expected = verdicts(reference_check_round, before, after, trace, **kwargs)
+    assert verdicts(check_round, before, after, trace, **kwargs) == expected
+    # The engine's carried totals are the same sums, so the verdicts agree.
+    carried = dict(kwargs, total_before=sum(before.loads), total_after=sum(after.loads))
+    assert verdicts(check_round, before, after, trace, **carried) == expected
