@@ -11,12 +11,20 @@ holding w(v)/2.  A round has two stages:
 * internal balancing: each node's two halves re-equalise.
 
 Because the internal stage leaves both halves at w(v)/2, consecutive
-rounds can re-derive the split from the real loads; the stages are still
-exposed separately for direct testing.
+rounds can re-derive the split from the real loads.
 
 All amounts are integer numerators over a shared exponent.  Halving a load
 is the same numerator one bit finer, and an averaging stage moves one bit
 finer again, so a round raises the loads' exponent by two.
+
+`split_evenly`, `interactive_round` and `internal_round` spell out the two
+stages; `play_round` computes the same round in one pass over the loads.
+Every half starts at w, so two bits finer each half is 2w and each node 4w.
+An accepted proposal u -> v replaces u's sender half and v's answerer half
+by their meeting point w_u + w_v, so u gains moved = w_v - w_u and v loses
+it, and the pair's gap in the loads' scale is |moved|.  The real loads are
+the loads doubled, which changes no argmax and no tie, so the proposals
+and acceptances are chosen on the loads directly.
 """
 
 from __future__ import annotations
@@ -82,10 +90,19 @@ class TwoSidedDeterministic(BalancingAlgorithm):
     modes = ("continuous",)
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
-        _, outcome = interactive_round(split_evenly(loads), graph)
-        # The internal stage happens implicitly: the next round re-splits
-        # each node's total evenly, which is exactly the halves averaging.
-        # The halves' real gaps are doubled: report them in the loads' scale.
-        outcome.matching = [(u, v, gap >> 1) for u, v, gap in outcome.matching]
-        outcome.shift = 2
-        return outcome
+        adj = graph.adj
+        incoming: dict[int, list[int]] = {}
+        for u in range(graph.n):
+            target, gap = heaviest_gap_neighbor(u, adj[u], loads)
+            if target is not None and gap > 0:
+                incoming.setdefault(target, []).append(u)
+
+        new_loads = [w << 2 for w in loads]
+        matching: list[tuple[int, int, int]] = []
+        for v in sorted(incoming):
+            u = widest_proposer(incoming[v], v, loads)
+            moved = loads[v] - loads[u]
+            new_loads[u] += moved
+            new_loads[v] -= moved
+            matching.append((u, v, abs(moved)))
+        return RoundOutcome(new_loads=new_loads, matching=matching, shift=2)

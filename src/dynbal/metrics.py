@@ -177,30 +177,38 @@ def _covering_edge(before, after, trace, *_):
     """Every positive-gap edge must have a connected pair with at least its
     gap touching a node within three hops of the edge.
 
-    reach[x] starts as the largest connected-pair gap at x; three rounds of
-    neighbour-max propagation make it the largest such gap within three
-    hops of x, so edge (u, v) is covered iff max(reach[u], reach[v]) >= gap.
+    near[x] is the largest connected-pair gap at x.  Each edge is first
+    tested against near at its own endpoints; only an edge that fails that
+    test needs the three-hop reach, which three rounds of neighbour-max
+    propagation build from near, at most once per round.  Reach only grows
+    with hops, so an edge that near covers is covered, and edge (u, v) is
+    covered iff max(reach[u], reach[v]) >= gap.
     """
     loads = before.loads
-    graph = trace.graph
-    reach = [0] * graph.n
+    edges = trace.graph.edges
+    near = [0] * trace.graph.n
     for a, b, pair_gap in trace.matching:
-        if pair_gap > reach[a]:
-            reach[a] = pair_gap
-        if pair_gap > reach[b]:
-            reach[b] = pair_gap
-    for _ in range(3):
-        spread = list(reach)
-        for u, v in graph.edges:
-            if reach[v] > spread[u]:
-                spread[u] = reach[v]
-            if reach[u] > spread[v]:
-                spread[v] = reach[u]
-        reach = spread
-    for u, v in graph.edges:
+        if pair_gap > near[a]:
+            near[a] = pair_gap
+        if pair_gap > near[b]:
+            near[b] = pair_gap
+    reach = None
+    for u, v in edges:
+        # near is never negative, so a gap above it is positive.
         gap = abs(loads[u] - loads[v])
-        if gap > 0 and reach[u] < gap and reach[v] < gap:
-            return {"edge": (u, v), "gap": _text(gap, before.exp)}
+        if near[u] < gap and near[v] < gap:
+            if reach is None:
+                reach = near
+                for _ in range(3):
+                    spread = list(reach)
+                    for x, y in edges:
+                        if reach[y] > spread[x]:
+                            spread[x] = reach[y]
+                        if reach[x] > spread[y]:
+                            spread[y] = reach[x]
+                    reach = spread
+            if reach[u] < gap and reach[v] < gap:
+                return {"edge": (u, v), "gap": _text(gap, before.exp)}
     return None
 
 
@@ -215,6 +223,8 @@ def _shift_lower_bound(before, after, trace, *_):
 def _matching_budget(before, after, trace, kind, *_):
     matching = trace.matching
     if kind == KIND_TWO_SIDED:
+        if len({u for u, _, _ in matching}) == len({v for _, v, _ in matching}) == len(matching):
+            return None
         as_sender: dict[int, int] = {}
         as_answerer: dict[int, int] = {}
         for u, v, _ in matching:

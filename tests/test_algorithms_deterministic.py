@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbal.algorithms import TwoSidedDeterministic, interactive_round, internal_round, split_evenly
 from dynbal.dyadic import Dyadic
-from dynbal.graphs import Graph, path_graph
+from dynbal.graphs import Graph, path_graph, star_graph
 from dynbal.loads import LoadState, to_dyadics, to_scaled
 from dynbal.metrics import (
     CHECK_CONSERVATION,
@@ -169,3 +169,43 @@ def test_some_progress_whenever_unbalanced(scenario):
     if max_gap(loads) > 0:
         outcome = play(loads, graph)
         assert outcome.matching
+
+
+# ----------------------------------------------------------------------
+# the one-pass round against the two stages it fuses
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def stage_scenarios(draw):
+    """Paths, stars and random connected graphs on up to 10 nodes, with
+    loads drawn from a few values so that ties, zeros and several
+    proposers to one node are common."""
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(["path", "star", "random"]))
+    if shape == "path":
+        graph = path_graph(n)
+    elif shape == "star":
+        graph = star_graph(n, draw(st.integers(0, n - 1)))
+    else:
+        order = draw(st.permutations(range(n)))
+        edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+        node = st.integers(0, n - 1)
+        edges |= {(min(a, b), max(a, b)) for a, b in draw(st.lists(st.tuples(node, node))) if a != b}
+        graph = Graph(n, edges)
+    value = st.sampled_from([0, 0, 1, 3, 3, 8]) | st.integers(0, 2**70)
+    return graph, draw(st.lists(value, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_scenarios())
+def test_play_round_equals_the_two_stages(scenario):
+    graph, nums = scenario
+    _, staged = interactive_round(split_evenly(nums), graph)
+    outcome = play_scaled(nums, graph)
+    # The stages end one bit finer than the halves, two bits finer than
+    # the loads, with the matching's gaps in the halves' (doubled) scale.
+    assert outcome.shift == 2
+    assert outcome.new_loads == staged.new_loads
+    assert all(gap % 2 == 0 for _, _, gap in staged.matching)
+    assert outcome.matching == [(u, v, gap >> 1) for u, v, gap in staged.matching]

@@ -1,7 +1,7 @@
 """Metric definitions against brute-force oracles, plus check_round behaviour."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, nodes_within, path_graph
@@ -257,6 +257,13 @@ def covering_scenarios(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(covering_scenarios())
+# Edge (0, 1) is covered only by the pair (3, 4), three hops away.
+@example((path_graph(5), [0, 4, 4, 4, 4], [(3, 4, 4)]))
+# The same, and then (8, 9), which nothing covers, is the witness.
+@example((path_graph(10), [0] + [4] * 8 + [0], [(3, 4, 4)]))
+# Edge (0, 1) is covered only by a pair of exactly its gap, three hops
+# from node 0 and four from node 1.
+@example((Graph(6, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)]), [4, 0, 4, 4, 4, 4], [(4, 5, 4)]))
 def test_covering_edge_matches_bfs_definition(scenario):
     graph, loads, matching = scenario
     report = check_round(
