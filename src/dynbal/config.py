@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL
+from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL, KIND_MATCHING
 from .adversaries import ADVERSARIES, StaticPolicy
 from .dyadic import DECIMAL_RE, Dyadic, decimal_text
 from .loads import MODE_CONTINUOUS, MODE_INTEGRAL, MODES
@@ -454,3 +454,17 @@ def _validate_combination(cfg: ScenarioConfig) -> None:
 
     if name in ("deterministic", "randMaxNeighbor") and cfg.tau == 0 and cfg.round_budget is None:
         raise ConfigError("tau 0 gives an unbounded default budget; set roundBudget")
+
+    # The sorting line's prefix sums stay at or under their starting values
+    # only in the paper's integral impossibility construction.
+    if CHECK_PREFIX_MONOTONE in cfg.checks:
+        kind, loads = cfg.initial_loads
+        ramp = kind == "lineRamp" or (
+            kind == "explicit" and all(b - a in (0, 1) for a, b in zip(loads, loads[1:]))
+        )
+        if not (cfg.mode == MODE_INTEGRAL and ALGORITHMS[name].kind == KIND_MATCHING
+                and cfg.k == 0 and ramp):
+            raise ConfigError(
+                "prefixMonotone needs a matching-based algorithm in integral mode, k 0, and "
+                "lineRamp or explicit loads rising along node ids in steps of 0 or 1"
+            )

@@ -258,10 +258,42 @@ def test_check_validation():
         config_from_dict(raw)
     with pytest.raises(ConfigError, match="needs the sortingLine adversary"):
         config_from_dict(minimal(checks=["prefixMonotone"]))
-    cfg = config_from_dict(
-        minimal(adversary="sortingLine", checks=["conservation", "prefixMonotone"])
+    line = minimal(
+        adversary="sortingLine",
+        algorithm="randMaxNeighbor",
+        mode="integral",
+        tau="1",
+        checks=["conservation", "prefixMonotone"],
     )
-    assert cfg.checks == ("conservation", "prefixMonotone")
+    assert config_from_dict(line).checks == ("conservation", "prefixMonotone")
+
+
+def test_prefix_monotone_needs_the_impossibility_construction():
+    # A matching-based algorithm, integral mode, k 0, and loads rising
+    # along node ids in steps of 0 or 1, known when the config is parsed.
+    line = minimal(
+        adversary="sortingLine",
+        algorithm="randMaxNeighbor",
+        mode="integral",
+        tau="1",
+        checks=["prefixMonotone"],
+    )
+    config_from_dict(line)
+    config_from_dict({**line, "initialLoads": [0, 0, 1, 2]})
+    config_from_dict({**line, "initialLoads": [3, 3, 3, 3]})
+    outside = [
+        # The two-sided deterministic algorithm, in its continuous mode.
+        {**line, "algorithm": "deterministic", "mode": "continuous", "tau": "0.5"},
+        {**line, "mode": "continuous", "tau": "0.5"},
+        {**line, "k": "1"},
+        {**line, "initialLoads": {"name": "uniformRandom", "maxValue": 48}},
+        {**line, "initialLoads": {"name": "singleSource", "total": 8}},
+        {**line, "initialLoads": [0, 2, 3, 4]},
+        {**line, "initialLoads": [1, 0, 1, 2]},
+    ]
+    for raw in outside:
+        with pytest.raises(ConfigError, match="prefixMonotone needs a matching-based algorithm"):
+            config_from_dict(raw)
 
 
 def test_trace_level_forms():

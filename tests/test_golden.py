@@ -69,12 +69,11 @@ def golden_configs() -> list[dict]:
     for algorithm, mode, ks, extra in SHAPES:
         name = algorithm if isinstance(algorithm, str) else algorithm["name"]
         for n, adversary in zip(SIZES, ADVERSARIES):
-            adversary_name = adversary if isinstance(adversary, str) else adversary["name"]
+            # No prefixMonotone: it needs loads that ramp along the line,
+            # and these are uniformRandom.
             checks = list(BASE_CHECKS)
             if name == "deterministic":
                 checks += TWO_SIDED_CHECKS
-            if adversary_name == "sortingLine":
-                checks.append("prefixMonotone")
             for k in ks:
                 for trace_level in TRACE_LEVELS:
                     seed += 1

@@ -8,6 +8,7 @@ with the knobs at their quietest and at random other settings.
 """
 
 import io
+from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
@@ -48,10 +49,16 @@ BASE_CHECKS = ["conservation", "matchingBudget", "integrality"]
 TWO_SIDED_CHECKS = ["potentialDrop", "coveringEdge", "shiftLowerBound", "splitPotential"]
 
 
+# The sorting-line impossibility construction: the only shape whose
+# configs accept prefixMonotone, on loads that ramp along node ids.
+LINE_CONSTRUCTION = ("randMaxNeighbor", "integral", "1", ("0",))
+
+
 @st.composite
-def quiet_configs(draw) -> dict:
-    """A small valid config with every observation knob at its quietest."""
-    name, mode, tau, ks = draw(st.sampled_from(SHAPES))
+def quiet_configs(draw, line_construction: bool = False) -> dict:
+    """A small valid config with every observation knob at its quietest;
+    with `line_construction`, one inside the sorting-line construction."""
+    name, mode, tau, ks = LINE_CONSTRUCTION if line_construction else draw(st.sampled_from(SHAPES))
     algorithm = {"name": name}
     if name == "gaplessGapReduce":
         algorithm["psi"] = draw(st.integers(0, 16))
@@ -59,16 +66,23 @@ def quiet_configs(draw) -> dict:
         c1 = draw(st.sampled_from([None, "20", "100"]))
         if c1 is not None:
             algorithm["c1"] = c1
-    loads = {"name": "uniformRandom", "maxValue": draw(st.integers(0, 48))}
-    if mode == "continuous":
-        loads["granularityBits"] = draw(st.integers(0, 3))
+    n = draw(st.integers(2, 8))
+    if line_construction:
+        # Loads rising along node ids in steps of 0 or 1.
+        steps = draw(st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))
+        ramp = list(accumulate(steps, initial=draw(st.integers(0, 3))))
+        loads = draw(st.sampled_from(["lineRamp", ramp]))
+    else:
+        loads = {"name": "uniformRandom", "maxValue": draw(st.integers(0, 48))}
+        if mode == "continuous":
+            loads["granularityBits"] = draw(st.integers(0, 3))
     return {
-        "n": draw(st.integers(2, 8)),
+        "n": n,
         "mode": mode,
         "initialLoads": loads,
         "tau": tau,
         "k": draw(st.sampled_from(ks)),
-        "adversary": draw(st.sampled_from(ADVERSARIES)),
+        "adversary": "sortingLine" if line_construction else draw(st.sampled_from(ADVERSARIES)),
         "algorithm": algorithm,
         "roundBudget": draw(st.integers(0, 300)),
         "stopOnConverge": draw(st.booleans()),
@@ -77,13 +91,13 @@ def quiet_configs(draw) -> dict:
 
 
 @st.composite
-def knob_settings(draw, raw: dict) -> tuple[dict, bool]:
+def knob_settings(draw, raw: dict, line_construction: bool = False) -> tuple[dict, bool]:
     """Random observation knobs for `raw`, and whether to attach a writer."""
     name = raw["algorithm"]["name"]
     allowed = list(BASE_CHECKS)
     if name == "deterministic":
         allowed += TWO_SIDED_CHECKS
-    if raw["adversary"] == "sortingLine":
+    if line_construction:
         allowed.append("prefixMonotone")
     knobs = {
         "traceLevel": draw(
@@ -116,4 +130,14 @@ def outcome(raw: dict, writer: bool) -> tuple:
 def test_observation_knobs_never_change_outcomes(data):
     raw = data.draw(quiet_configs())
     knobs, writer = data.draw(knob_settings(raw))
+    assert outcome({**raw, **knobs}, writer) == outcome(raw, writer=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_observation_knobs_never_change_sorting_line_construction_outcomes(data):
+    # prefixMonotone also re-asks the adversary for its next line after the
+    # last round; that must not change the outcome either.
+    raw = data.draw(quiet_configs(line_construction=True))
+    knobs, writer = data.draw(knob_settings(raw, line_construction=True))
     assert outcome({**raw, **knobs}, writer) == outcome(raw, writer=False)
