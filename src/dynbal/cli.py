@@ -5,7 +5,7 @@ Exit codes:
 * 0 - ran to completion (whether or not the trial converged: convergence
       is data, reported on stdout and in the CSV).
 * 1 - usage or config error (bad flags, malformed or invalid scenario,
-      empty scenario directory).
+      empty scenario directory, an output path that cannot be written).
 * 2 - an invariant check failed, or a `verify` criterion failed.
 * 3 - statistical failure: the smoothing sampler exhausted its rejection
       budget, or `smoothing-test` exceeded its tolerance.
@@ -49,6 +49,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

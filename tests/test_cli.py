@@ -104,6 +104,23 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_unwritable_run_output_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_experiment_output_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, trials=2)
+    # A directory under a plain file cannot be made.
+    assert main(["experiment", str(path), "--out", str(path / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_malformed_static_adversary_exits_one(tmp_path, capsys):
     for i, adversary in enumerate(
         [
