@@ -10,21 +10,16 @@ holding w(v)/2.  A round has two stages:
   of halves averages exactly.
 * internal balancing: each node's two halves re-equalise.
 
-Because the internal stage leaves both halves at w(v)/2, consecutive
-rounds can re-derive the split from the real loads.
-
 All amounts are integer numerators over a shared exponent.  Halving a load
 is the same numerator one bit finer, and an averaging stage moves one bit
 finer again, so a round raises the loads' exponent by two.
 
-`split_evenly`, `interactive_round` and `internal_round` spell out the two
-stages; `play_round` computes the same round in one pass over the loads.
-Every half starts at w, so two bits finer each half is 2w and each node 4w.
-An accepted proposal u -> v replaces u's sender half and v's answerer half
-by their meeting point w_u + w_v, so u gains moved = w_v - w_u and v loses
-it, and the pair's gap in the loads' scale is |moved|.  The real loads are
-the loads doubled, which changes no argmax and no tie, so the proposals
-and acceptances are chosen on the loads directly.
+The stage functions spell the round out; `play_round` computes it in one
+pass.  The internal stage leaves both halves at w(v)/2, so every round
+starts from halves at w; two bits finer each node holds 4w, and an accepted
+proposal u -> v meets at w_u + w_v: u gains moved = w_v - w_u, v loses it,
+and the pair's gap is |moved|.  Doubling the loads changes no argmax and no
+tie, so proposals are chosen on the loads directly.
 """
 
 from __future__ import annotations
@@ -96,7 +91,6 @@ class TwoSidedDeterministic(BalancingAlgorithm):
             target, gap = heaviest_gap_neighbor(u, adj[u], loads)
             if target is not None and gap > 0:
                 incoming.setdefault(target, []).append(u)
-
         new_loads = [w << 2 for w in loads]
         matching: list[tuple[int, int, int]] = []
         for v in sorted(incoming):

@@ -455,8 +455,7 @@ def _validate_combination(cfg: ScenarioConfig) -> None:
     if name in ("deterministic", "randMaxNeighbor") and cfg.tau == 0 and cfg.round_budget is None:
         raise ConfigError("tau 0 gives an unbounded default budget; set roundBudget")
 
-    # The sorting line's prefix sums stay at or under their starting values
-    # only in the paper's integral impossibility construction.
+    # Prefix sums stay put only in the paper's integral impossibility construction.
     if CHECK_PREFIX_MONOTONE in cfg.checks:
         kind, loads = cfg.initial_loads
         ramp = kind == "lineRamp" or (
@@ -464,7 +463,5 @@ def _validate_combination(cfg: ScenarioConfig) -> None:
         )
         if not (cfg.mode == MODE_INTEGRAL and ALGORITHMS[name].kind == KIND_MATCHING
                 and cfg.k == 0 and ramp):
-            raise ConfigError(
-                "prefixMonotone needs a matching-based algorithm in integral mode, k 0, and "
-                "lineRamp or explicit loads rising along node ids in steps of 0 or 1"
-            )
+            raise ConfigError("prefixMonotone needs a matching-based algorithm in integral "
+                              "mode, k 0, and loads rising by 0 or 1 per node id")

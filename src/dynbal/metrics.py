@@ -177,28 +177,26 @@ def _covering_edge(before, after, trace, *_):
     """Every positive-gap edge must have a connected pair with at least its
     gap touching a node within three hops of the edge.
 
-    near[x] is the largest connected-pair gap at x.  Each edge is first
-    tested against near at its own endpoints; only an edge that fails that
-    test needs the three-hop reach, which three rounds of neighbour-max
-    propagation build from near, at most once per round.  Reach only grows
-    with hops, so an edge that near covers is covered, and edge (u, v) is
-    covered iff max(reach[u], reach[v]) >= gap.
+    reach[x] starts as the largest connected-pair gap at x.  Only when some
+    edge is not covered at its own endpoints do three rounds of neighbour-max
+    propagation widen it, once, to the largest such gap within three hops;
+    reach only grows, so the verdict and the first uncovered edge stay put.
     """
     loads = before.loads
     edges = trace.graph.edges
-    near = [0] * trace.graph.n
+    reach = [0] * trace.graph.n
     for a, b, pair_gap in trace.matching:
-        if pair_gap > near[a]:
-            near[a] = pair_gap
-        if pair_gap > near[b]:
-            near[b] = pair_gap
-    reach = None
+        if pair_gap > reach[a]:
+            reach[a] = pair_gap
+        if pair_gap > reach[b]:
+            reach[b] = pair_gap
+    widened = False
     for u, v in edges:
-        # near is never negative, so a gap above it is positive.
+        # reach is never negative, so a gap above it is positive.
         gap = abs(loads[u] - loads[v])
-        if near[u] < gap and near[v] < gap:
-            if reach is None:
-                reach = near
+        if reach[u] < gap and reach[v] < gap:
+            if not widened:
+                widened = True
                 for _ in range(3):
                     spread = list(reach)
                     for x, y in edges:
@@ -207,8 +205,9 @@ def _covering_edge(before, after, trace, *_):
                         if reach[x] > spread[y]:
                             spread[y] = reach[x]
                     reach = spread
-            if reach[u] < gap and reach[v] < gap:
-                return {"edge": (u, v), "gap": _text(gap, before.exp)}
+                if reach[u] >= gap or reach[v] >= gap:
+                    continue
+            return {"edge": (u, v), "gap": _text(gap, before.exp)}
     return None
 
 
