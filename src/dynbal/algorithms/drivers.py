@@ -64,41 +64,28 @@ class _CallChain(BalancingAlgorithm):
         self.total = sum(loads)
         self.current: BalancingAlgorithm | None = None
         self.calls_started = 0
-        self._finished = False
 
     def _next_call(self, loads: list) -> BalancingAlgorithm | None:
-        """Return the next sub-call to run, or None when the chain is over."""
+        """Return the next sub-call to run, or None when the chain is over
+        (and None again when asked later: the loads are frozen by then)."""
         raise NotImplementedError
 
-    def _advance(self, loads: list) -> None:
-        while self.current is None and not self._finished:
+    def is_done(self, loads: list) -> bool:
+        # Start calls until one is live or the chain is over.
+        while self.current is None or self.current.is_done(loads):
             call = self._next_call(loads)
             if call is None:
-                self._finished = True
-                return
+                return True
             call.start(loads, self.mode, self.rng, k=self.k, tau=self.tau, n=self.n)
             self.calls_started += 1
-            if not call.is_done(loads):
-                self.current = call
-
-    def is_done(self, loads: list) -> bool:
-        self._advance(loads)
-        return self._finished
+            self.current = call
+        return False
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
-        assert self.current is not None
-        outcome = self.current.play_round(graph, loads)
-        if self.current.is_done(outcome.new_loads):
-            self.current = None
-        return outcome
+        return self.current.play_round(graph, loads)
 
     def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
-        if self.current is None:
-            return 0
-        skip = self.current.consume_idle_rounds(loads, budget_left)
-        if self.current.is_done(loads):
-            self.current = None
-        return skip
+        return self.current.consume_idle_rounds(loads, budget_left)
 
 
 class SmoothedBalance(_CallChain):

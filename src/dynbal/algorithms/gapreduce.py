@@ -94,10 +94,6 @@ class GapReduce(BalancingAlgorithm):
     kind = KIND_MATCHING
     modes = ("integral",)
 
-    PHASE_FLOOD = "flood"
-    PHASE_MAIN = "main"
-    PHASE_DONE = "done"
-
     def __init__(self, c1: Fraction = DEFAULT_C1):
         self.c1 = Fraction(c1)
         if self.c1 <= 0:
@@ -111,11 +107,8 @@ class GapReduce(BalancingAlgorithm):
         # A spread below 2 cannot be narrowed by integral averaging: the
         # whole call is a no-op and is skipped outright.
         if not loads or max(loads) - min(loads) < 2:
-            self.phase = self.PHASE_DONE
-            self._flood_left = 0
-            self._main_left = 0
+            self._flood_left = self._main_left = 0
             return
-        self.phase = self.PHASE_FLOOD
         self._flood_left = n
         self._main_left = self._main_budget
         self.tables = [(w, w) for w in loads]
@@ -127,7 +120,7 @@ class GapReduce(BalancingAlgorithm):
         return self.n + self._main_budget
 
     def is_done(self, loads: list) -> bool:
-        return self.phase == self.PHASE_DONE
+        return self._flood_left == 0 and self._main_left == 0
 
     def _is_light(self, w: int) -> bool:
         return 4 * w < 4 * self.low + self.psi
@@ -136,7 +129,7 @@ class GapReduce(BalancingAlgorithm):
         return 4 * w > 4 * self.high - self.psi
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
-        if self.phase == self.PHASE_FLOOD:
+        if self._flood_left > 0:
             self.tables = flood_min_max_round(self.tables, graph)
             self._flood_left -= 1
             if self._flood_left == 0:
@@ -145,12 +138,8 @@ class GapReduce(BalancingAlgorithm):
                     raise AssertionError("flooding did not converge on a connected graph")
                 self.low, self.high = first
                 self.psi = self.high - self.low
-                self.phase = self.PHASE_MAIN
-                if self._main_left == 0:
-                    self.phase = self.PHASE_DONE
             return RoundOutcome(new_loads=list(loads))
 
-        assert self.phase == self.PHASE_MAIN
         adj = graph.adj
         # _is_light and _is_heavy with the thresholds hoisted out of the loop.
         light_below = 4 * self.low + self.psi
@@ -162,17 +151,11 @@ class GapReduce(BalancingAlgorithm):
                 if 4 * loads[v] > heavy_above:
                     proposals[u] = v
 
-        outcome = accept_lightest(loads, proposals)
-        self._tick_main()
-        return outcome
-
-    def _tick_main(self):
         self._main_left -= 1
-        if self._main_left == 0:
-            self.phase = self.PHASE_DONE
+        return accept_lightest(loads, proposals)
 
     def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
-        if self.phase != self.PHASE_MAIN:
+        if self._flood_left > 0 or self._main_left == 0:
             return 0
         have_light = any(self._is_light(w) for w in loads)
         have_heavy = any(self._is_heavy(w) for w in loads)
@@ -182,8 +165,6 @@ class GapReduce(BalancingAlgorithm):
         # produce a transfer; the rest of the call is provably idle.
         skip = min(self._main_left, budget_left)
         self._main_left -= skip
-        if self._main_left == 0:
-            self.phase = self.PHASE_DONE
         return skip
 
 

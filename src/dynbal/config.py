@@ -109,10 +109,6 @@ class ScenarioConfig:
     def algorithm_name(self) -> str:
         return self.algorithm[0]
 
-    @property
-    def adversary_name(self) -> str:
-        return self.adversary[0]
-
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
 

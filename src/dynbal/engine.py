@@ -7,7 +7,9 @@ no component's consumption of randomness can perturb another's.
 
 Idle fast-forward (skipping rounds an algorithm proves load-neutral)
 applies at every trace level, so no observation knob changes an outcome;
-a trace shows a skipped span as a jump in its round column.
+a trace shows a skipped span as a jump in its round column.  A finished
+algorithm coasts inside the same loop: its loads are frozen, so the rest
+of its budget is accounted in one step without being simulated.
 
 A trial binds its components' round methods once and refills one
 `AdversaryContext` and two `LoadState`s (the round's before and after) each
@@ -163,7 +165,6 @@ class TrialResult:
     invariant_failures: int
     failure_reports: list[InvariantReport] = field(default_factory=list)
     aborted: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -277,17 +278,16 @@ def run_trial(
     # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
     converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
 
+    def write_row(index, phi, row_gap, row_exp, converged, d_r=0, connections=0, report=None):
+        trace_writer.round_row(
+            round_index=index, phi=Dyadic(phi, row_exp), max_gap=Dyadic(row_gap, row_exp),
+            d_r=d_r, connections=connections, converged=converged, report=report,
+        )
+
     phi_prev = None
     if trace_writer is not None:
         phi_prev = potential(loads)
-        trace_writer.round_row(
-            round_index=0,
-            phi=Dyadic(phi_prev, exp),
-            max_gap=Dyadic(gap, exp),
-            d_r=0,
-            connections=0,
-            converged=converged_at is not None,
-        )
+        write_row(0, phi_prev, gap, exp, converged_at is not None)
 
     rounds = 0
     last_emitted = 0
@@ -301,103 +301,82 @@ def run_trial(
     next_graph, play_round = adversary.next_graph, algorithm.play_round
     is_done, consume_idle_rounds = algorithm.is_done, algorithm.consume_idle_rounds
 
-    if converged_at is None or not cfg.stop_on_converge:
-        while rounds < budget:
-            if is_done(loads):
+    while rounds < budget and (converged_at is None or not cfg.stop_on_converge):
+        # A finished algorithm coasts through the rest of its budget.
+        left = budget - rounds
+        skipped = left if is_done(loads) else consume_idle_rounds(loads, left)
+        if skipped:
+            # Loads are untouched, so phi_prev and total_prev stay valid.
+            rounds += skipped
+            continue
+        rounds += 1
+
+        before.loads, before.exp = loads, exp
+        ctx.round_index, ctx.last_matching = rounds, last_matching
+        base_graph = next_graph(ctx)
+        if base_graph.n != n:
+            raise EngineError("adversary changed the node count")
+        if not is_connected(base_graph):
+            raise EngineError("adversary produced a disconnected graph")
+
+        if smoothing is not None:
+            try:
+                graph = k_smooth(base_graph, smoothing, rng_smoothing)
+            except RejectionBudgetExceeded as exc:
+                aborted = str(exc)
+                rounds -= 1
                 break
-            skipped = consume_idle_rounds(loads, budget - rounds)
-            if skipped:
-                # Loads are untouched, so phi_prev and total_prev stay valid.
-                rounds += skipped
-                continue
-            rounds += 1
+        else:
+            graph = base_graph
 
-            before.loads, before.exp = loads, exp
-            ctx.round_index, ctx.last_matching = rounds, last_matching
-            base_graph = next_graph(ctx)
-            if base_graph.n != n:
-                raise EngineError("adversary changed the node count")
-            if not is_connected(base_graph):
-                raise EngineError("adversary produced a disconnected graph")
+        outcome = play_round(graph, loads)
+        after, after_exp = outcome.new_loads, exp + outcome.shift
+        if outcome.shift:
+            after, after_exp = renormalise(after, after_exp)
+        gap = max_gap(after)
+        d_r = twice_shifted_load(outcome.matching)
 
-            if smoothing is not None:
-                try:
-                    graph = k_smooth(base_graph, smoothing, rng_smoothing)
-                except RejectionBudgetExceeded as exc:
-                    aborted = str(exc)
-                    rounds -= 1
-                    break
-            else:
-                graph = base_graph
+        emit = trace_stride is not None and rounds % trace_stride == 0
+        run_checks = bool(enabled) and rounds % cfg.check_stride == 0
+        phi_after = potential(after) if (emit or (run_checks and want_phi)) else None
+        total_after = total_load(after) if run_checks and want_total else None
 
-            outcome = play_round(graph, loads)
-            after, after_exp = outcome.new_loads, exp + outcome.shift
-            if outcome.shift:
-                after, after_exp = renormalise(after, after_exp)
-            gap = max_gap(after)
-            d_r = twice_shifted_load(outcome.matching)
+        report = None
+        if run_checks:
+            after_state.loads, after_state.exp = after, after_exp
+            report = check_round(
+                before,
+                after_state,
+                RoundTrace(rounds, graph, outcome.matching, d_r),
+                algorithm_kind=algorithm.kind,
+                enabled=enabled,
+                phi_before=phi_prev,
+                phi_after=phi_after,
+                line_order=line_policy.order if line_policy is not None else None,
+                initial_prefix=initial_prefix,
+                prefix_exp=prefix_exp,
+                total_before=total_prev,
+                total_after=total_after,
+            )
+            if not report.ok:
+                invariant_failures += len(report.failed())
+                if len(failure_reports) < MAX_FAILURE_REPORTS:
+                    failure_reports.append(report)
 
-            emit = trace_stride is not None and rounds % trace_stride == 0
-            run_checks = bool(enabled) and rounds % cfg.check_stride == 0
-            phi_after = potential(after) if (emit or (run_checks and want_phi)) else None
-            total_after = total_load(after) if run_checks and want_total else None
-
-            report = None
-            if run_checks:
-                after_state.loads, after_state.exp = after, after_exp
-                report = check_round(
-                    before,
-                    after_state,
-                    RoundTrace(rounds, graph, outcome.matching, d_r),
-                    algorithm_kind=algorithm.kind,
-                    enabled=enabled,
-                    phi_before=phi_prev,
-                    phi_after=phi_after,
-                    line_order=line_policy.order if line_policy is not None else None,
-                    initial_prefix=initial_prefix,
-                    prefix_exp=prefix_exp,
-                    total_before=total_prev,
-                    total_after=total_after,
-                )
-                if not report.ok:
-                    invariant_failures += len(report.failed())
-                    if len(failure_reports) < MAX_FAILURE_REPORTS:
-                        failure_reports.append(report)
-
-            within_tau = gap << tau_exp <= tau_num << after_exp
-            if emit:
-                trace_writer.round_row(
-                    round_index=rounds,
-                    phi=Dyadic(phi_after, after_exp),
-                    max_gap=Dyadic(gap, after_exp),
-                    d_r=Dyadic(d_r, exp + 1),
-                    connections=len(outcome.matching),
-                    converged=within_tau,
-                    report=report,
-                )
-                last_emitted = rounds
-            loads, exp = after, after_exp
-            last_matching = [(u, v) for u, v, _ in outcome.matching]
-            if gap << min_exp < min_gap << exp:
-                min_gap, min_exp = gap, exp
-            if converged_at is None and within_tau:
-                converged_at = rounds
-            phi_prev, total_prev = phi_after, total_after
-
-            if converged_at is not None and cfg.stop_on_converge:
-                break
-
-    # A finished algorithm plays out the rest of its budget as no-ops: the
-    # loads are frozen, so the remaining rounds are accounted without being
-    # simulated.  (Convergence stops keep their round count; aborts do not
-    # pretend to have run.)
-    if (
-        aborted is None
-        and rounds < budget
-        and not (converged_at is not None and cfg.stop_on_converge)
-        and is_done(loads)
-    ):
-        rounds = budget
+        within_tau = gap << tau_exp <= tau_num << after_exp
+        if emit:
+            write_row(
+                rounds, phi_after, gap, after_exp, within_tau,
+                Dyadic(d_r, exp + 1), len(outcome.matching), report,
+            )
+            last_emitted = rounds
+        loads, exp = after, after_exp
+        last_matching = [(u, v) for u, v, _ in outcome.matching]
+        if gap << min_exp < min_gap << exp:
+            min_gap, min_exp = gap, exp
+        if converged_at is None and within_tau:
+            converged_at = rounds
+        phi_prev, total_prev = phi_after, total_after
 
     # The sorting-line guarantee also covers the order the adversary would
     # present next (it reflects the final round's exchanges).
@@ -421,14 +400,7 @@ def run_trial(
 
     final_gap = max_gap(loads)
     if trace_writer is not None and last_emitted != rounds:
-        trace_writer.round_row(
-            round_index=rounds,
-            phi=Dyadic(potential(loads), exp),
-            max_gap=Dyadic(final_gap, exp),
-            d_r=0,
-            connections=0,
-            converged=converged_at is not None,
-        )
+        write_row(rounds, potential(loads), final_gap, exp, converged_at is not None)
 
     return TrialResult(
         seed=seed,
@@ -496,11 +468,6 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
         invariant_failures=sub.invariant_failures,
         failure_reports=sub.failure_reports,
         aborted=sub.aborted,
-        extra={
-            "unit": unit,
-            "integralConvergedAt": sub.converged_at,
-            "integralFinalGap": sub.final_gap,
-        },
     )
 
 

@@ -433,7 +433,6 @@ def test_continuous_via_integral_converges_and_conserves():
     assert result.converged
     assert result.final_gap <= Dyadic(1, 1)
     assert total_load(result.final_loads) == Dyadic(6)
-    assert result.extra["unit"] == Dyadic(1, 2)
     # Remainders were frozen: every final load is its original remainder
     # plus a whole number of quarter-units.
     for w, orig in zip(result.final_loads, cfg.initial_loads[1]):
