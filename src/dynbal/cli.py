@@ -116,7 +116,10 @@ def _load_config(path: str):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_run(args) -> int:
@@ -198,32 +201,31 @@ def _cmd_verify(args) -> int:
 
     scale = "full" if args.full else "fast"
 
-    # Resolve the scenario directory before the battery so an empty or
-    # missing directory fails fast instead of after minutes of runs.
-    paths = []
+    # Parse every scenario before the battery so an empty or missing
+    # directory, or a malformed scenario, fails fast instead of after
+    # minutes of runs.
+    scenarios = []
     if args.scenarios:
         directory = Path(args.scenarios)
         if not directory.is_dir():
             raise ConfigError(f"{args.scenarios} is not a directory")
-        paths = sorted(directory.glob("*.json"))
-        if not paths:
+        scenarios = [(path, _load_config(path)) for path in sorted(directory.glob("*.json"))]
+        if not scenarios:
             raise ConfigError("no scenarios found")
 
     all_ok = acceptance.run_battery(scale=scale, stream=sys.stdout)
 
-    if paths:
-        for path in paths:
-            cfg = _load_config(path)
-            result = run_trial(cfg)
-            ok = result.aborted is None and result.invariant_failures == 0
-            status = "pass" if ok else "FAIL"
-            detail = (
-                f"converged at {result.converged_at}"
-                if result.converged
-                else f"gap {render_amount(result.final_gap)} after {result.rounds_played}"
-            )
-            print(f"[{status}] scenario {path.name}: {detail}")
-            all_ok = all_ok and ok
+    for path, cfg in scenarios:
+        result = run_trial(cfg)
+        ok = result.aborted is None and result.invariant_failures == 0
+        status = "pass" if ok else "FAIL"
+        detail = (
+            f"converged at {result.converged_at}"
+            if result.converged
+            else f"gap {render_amount(result.final_gap)} after {result.rounds_played}"
+        )
+        print(f"[{status}] scenario {path.name}: {detail}")
+        all_ok = all_ok and ok
 
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
@@ -243,7 +245,10 @@ def _cmd_smoothing_test(args) -> int:
     worst = 0.0
     for name, build in _TEST_SHAPES:
         rng = derive_stream(args.seed, f"smoothing-test:{name}")
-        tv, ball_size = sampler_total_variation(build(args.n), args.k, args.samples, rng)
+        try:
+            tv, ball_size = sampler_total_variation(build(args.n), args.k, args.samples, rng)
+        except ValueError as exc:  # the ball is too large to enumerate
+            raise ConfigError(str(exc)) from None
         worst = max(worst, tv)
         print(f"{name}: ball={ball_size} samples={args.samples} tv={tv:.4f}")
     print(f"worst_tv: {worst:.4f} (tolerance {args.tolerance})")
@@ -257,6 +262,8 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"k must be a decimal, got {args.k!r}") from None
     if k <= 0:
         raise ConfigError("calibration needs k > 0")
+    if args.n < 4 or args.samples < 1:
+        raise ConfigError("calibration needs n >= 4 and samples >= 1")
     rng = derive_stream(args.seed, "calibrate-c1")
     constants = calibrate_hitting_constant(args.n, k, args.samples, rng)
     for size, value in sorted(constants.items()):

@@ -148,6 +148,14 @@ def test_idle_fast_forward_consumes_remaining_budget():
     assert alg.is_done(loads)
 
 
+def test_finished_call_skips_nothing():
+    # A call skipped outright never set its thresholds; asking it to
+    # fast-forward must not reach them.
+    alg = started(GapReduce(), [3, 4], 2)
+    assert alg.is_done([3, 4])
+    assert alg.consume_idle_rounds([3, 4], 10) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 40), min_size=2, max_size=6),

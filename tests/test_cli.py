@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from dynbal.cli import main
 from dynbal.metrics import InvariantReport
 
@@ -177,6 +179,21 @@ def test_smoothing_test_reports_tv(capsys):
     assert "worst_tv:" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate-c1", "3", "1", "10"],  # too few nodes for the targets
+        ["calibrate-c1", "8", "1", "0"],  # no samples to take a rate over
+        ["smoothing-test", "40", "6", "1"],  # a ball far above the guard
+    ],
+)
+def test_diagnostic_argument_errors_exit_one(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_calibrate_c1_reports_constants(capsys):
     assert main(["calibrate-c1", "8", "1", "500", "--seed", "2"]) == 0
     out = capsys.readouterr().out
@@ -200,3 +217,15 @@ def test_verify_rejects_empty_scenario_dir(tmp_path, capsys):
     empty.mkdir()
     assert main(["verify", "--fast", "--scenarios", str(empty)]) == 1
     assert "no scenarios found" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_malformed_scenario_before_the_battery(tmp_path, capsys):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    write_config(scenarios, name="good.json")
+    (scenarios / "broken.json").write_text(json.dumps({"n": 4}))
+    assert main(["verify", "--fast", "--scenarios", str(scenarios)]) == 1
+    captured = capsys.readouterr()
+    assert "broken.json" in captured.err
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "criterion" not in captured.out

@@ -74,6 +74,32 @@ def test_gapless_balance_runs_the_whole_schedule():
     assert consumed == budget
 
 
+def assert_stays_finished(alg, loads):
+    started, last_call = alg.calls_started, alg.current
+    for _ in range(2):
+        assert alg.is_done(loads)
+        assert alg.calls_started == started
+        assert alg.current is last_call
+
+
+def test_finished_call_chains_stay_finished():
+    smoothed = SmoothedBalance()
+    loads = [4, 4, 5, 4]
+    smoothed.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
+    assert smoothed.is_done(loads)
+    assert_stays_finished(smoothed, loads)
+    assert smoothed.current is None
+
+    gapless = GaplessBalance()
+    loads = [3, 3, 3, 4]
+    gapless.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
+    budget = gapless.planned_rounds()
+    while not gapless.is_done(loads):
+        gapless.consume_idle_rounds(loads, budget)
+    assert gapless.calls_started == len(gapless.schedule)
+    assert_stays_finished(gapless, loads)
+
+
 # ----------------------------------------------------------------------
 # continuous loads via a base unit
 # ----------------------------------------------------------------------
