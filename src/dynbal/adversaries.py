@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations, compress
 from random import Random
 from typing import Optional, Sequence
 
@@ -162,23 +164,56 @@ class RandomConnectedPolicy(AdversaryPolicy):
 
 
 def random_connected_graph(n: int, extra_edge_prob: Fraction, rng: Random) -> Graph:
-    edges = set(_random_tree_edges(n, rng))
+    tree = _random_tree_edges(n, rng)
     prob = Fraction(extra_edge_prob)
-    if prob > 0:
-        num, den = prob.numerator, prob.denominator
-        # rng.randrange(den) inlined: the same getrandbits rejection loop as
-        # CPython's Random._randbelow_with_getrandbits, so the same draws.
-        getrandbits = rng.getrandbits
-        bits = den.bit_length()
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in edges:
-                    r = getrandbits(bits)
-                    while r >= den:
-                        r = getrandbits(bits)
-                    if r < num:
-                        edges.add((u, v))
-    return Graph(n, edges)
+    if prob == 0:
+        return Graph(n, tree)
+    # One coin per non-tree pair in lexicographic order, each drawn as
+    # rng.randrange(den) < num would draw it; then a 1 at every tree pair.
+    mask = _extra_edge_coins(n * (n - 1) // 2 - len(tree), prob, rng)
+    for i in sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree):
+        mask.insert(i, 1)
+    return Graph(n, compress(combinations(range(n), 2), mask))
+
+
+def _extra_edge_coins(count: int, prob: Fraction, rng: Random) -> bytearray:
+    """`count` coins, each 1 with probability `prob`: the draws of
+    rng.randrange(den) < num, through the same getrandbits rejection loop
+    as CPython's Random._randbelow_with_getrandbits."""
+    num, den = prob.numerator, prob.denominator
+    bits = den.bit_length()
+    getrandbits = rng.getrandbits
+    coins = bytearray()
+    if bits > 8:
+        # Per-draw loop; no extraEdgeProb the repository uses has a
+        # denominator above 255, so this path is kept simple, not fast.
+        for _ in range(count):
+            r = getrandbits(bits)
+            while r >= den:
+                r = getrandbits(bits)
+            coins.append(r < num)
+    else:
+        # A draw of getrandbits(bits) is the top byte of one generator word
+        # shifted right, and one call for 32*m bits yields m such words with
+        # the first as the least significant: take every fourth byte of the
+        # little-endian form, drop rejected draws and map the rest to coins.
+        # Each word gives at most one coin, so asking for exactly the
+        # missing number of words never draws past what rejection would.
+        table, rejected = _coin_table(num, den)
+        while len(coins) < count:
+            want = count - len(coins)
+            words = getrandbits(32 * want).to_bytes(4 * want, "little")[3::4]
+            coins += words.translate(table, rejected)
+    return coins
+
+
+@lru_cache(maxsize=None)
+def _coin_table(num: int, den: int) -> tuple[bytes, bytes]:
+    """Top-byte translation table to coins, and the top bytes rejected."""
+    shift = 8 - den.bit_length()
+    table = bytes(int(b >> shift < num) for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= den)
+    return table, rejected
 
 
 def _random_tree_edges(n: int, rng: Random) -> list[tuple[int, int]]:

@@ -14,7 +14,11 @@ fast-forwarded.
 The gapless variant skips flooding entirely: it is handed a target spread
 psi and every node proposes to its heaviest neighbor whenever that
 neighbor is at least psi/2 ahead (inclusive).  Nodes that proposed do not
-also accept, which keeps the variant matching-based.
+also accept, which keeps the variant matching-based.  A node proposes
+exactly when some edge puts it at least psi/2 below the other end (its
+heaviest neighbor is then at least as far ahead), so a round finds its
+proposers in one pass over the edges and looks up the heaviest neighbor
+of those nodes only, in ascending id order as a per-node scan would.
 """
 
 from __future__ import annotations
@@ -157,9 +161,8 @@ class GapReduce(BalancingAlgorithm):
     def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
         if self._flood_left > 0 or self._main_left == 0:
             return 0
-        have_light = any(self._is_light(w) for w in loads)
-        have_heavy = any(self._is_heavy(w) for w in loads)
-        if have_light and have_heavy:
+        # Both predicates are monotone in w, so the extremes decide.
+        if self._is_light(min(loads)) and self._is_heavy(max(loads)):
             return 0
         # With one side empty and thresholds frozen, no future graph can
         # produce a transfer; the rest of the call is provably idle.
@@ -196,15 +199,16 @@ class GaplessGapReduce(BalancingAlgorithm):
         return self._left == 0
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
-        adj = graph.adj
         psi = self.psi
-        proposals: dict[int, int] = {}
-        for u in range(graph.n):
-            if not adj[u]:
-                continue
-            v = heaviest_neighbor(u, adj[u], loads)
-            if 2 * (loads[v] - loads[u]) >= psi:
-                proposals[u] = v
+        # The lower end of every edge at least psi/2 wide proposes (psi >= 2,
+        # so that end is unique); ascending ids keep the per-node order.
+        proposers = {
+            u if loads[u] < loads[v] else v
+            for u, v in graph.edges
+            if 2 * abs(loads[u] - loads[v]) >= psi
+        }
+        adj = graph.adj
+        proposals = {u: heaviest_neighbor(u, adj[u], loads) for u in sorted(proposers)}
 
         self._left -= 1
         return accept_lightest(loads, proposals, senders_accept=False)

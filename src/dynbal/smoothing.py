@@ -6,7 +6,9 @@ G's in at most t node pairs.  Sampling is by rejection: propose uniformly
 over the whole ball (connected or not) by first drawing the flip count j
 with probability proportional to C(N, j), then a uniform j-subset of pairs;
 reject disconnected proposals.  Because the flip-count weights match the
-ball's layer sizes exactly, accepted samples are exactly uniform.
+ball's layer sizes exactly, accepted samples are exactly uniform.  Pairs
+are drawn as lexicographic indices and unranked one at a time, so no
+table of all N pairs is built.
 
 A proposal is a delta of G: only the adjacency rows of the flipped pairs'
 endpoints are rebuilt, and the accepted graph shares G's other rows and
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from random import Random
 from typing import Union
 
@@ -102,9 +104,11 @@ def randomized_round(x: Union[int, float, Fraction], rng: Random) -> int:
     return _round_up(*_split(value), rng)
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(all_pairs(n))
+def _unrank_pair(n: int, total_pairs: int, i: int) -> tuple[int, int]:
+    """The i-th pair of `all_pairs(n)` (lexicographic), without listing them."""
+    k = (isqrt(8 * (total_pairs - 1 - i) + 1) - 1) // 2
+    u = n - 2 - k
+    return u, i - u * (2 * n - u - 1) // 2 + u + 1
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +131,10 @@ def t_smooth(
     """Uniform connected graph within edit distance t of g."""
     if t <= 0:
         return g
-    pairs = _pairs(g.n)
-    t = min(t, len(pairs))
-    cum, total = _layer_cumulative(len(pairs), t)
+    n = g.n
+    npairs = n * (n - 1) // 2
+    t = min(t, npairs)
+    cum, total = _layer_cumulative(npairs, t)
     for _ in range(max_rejections):
         ticket = rng.randrange(total)
         flips = 0
@@ -137,7 +142,7 @@ def t_smooth(
             flips += 1
         if flips == 0:
             return g
-        chosen = [pairs[idx] for idx in rng.sample(range(len(pairs)), flips)]
+        chosen = [_unrank_pair(n, npairs, i) for i in rng.sample(range(npairs), flips)]
         adj, removes_edge = toggled_adjacency(g, chosen)
         if edge_set_connected(g, adj, removes_edge):
             return Graph.toggled(g, chosen, adj)
@@ -158,7 +163,7 @@ def enumerate_ball(g: Graph, t: int, limit: int = 10**6) -> list[Graph]:
     Guarded: refuses when the unrestricted ball would exceed `limit`
     candidates.
     """
-    pairs = _pairs(g.n)
+    pairs = all_pairs(g.n)
     t = min(t, len(pairs))
     _, candidates = _layer_cumulative(len(pairs), t)
     if candidates > limit:

@@ -246,9 +246,24 @@ def _randrange_connected_graph(n, extra_edge_prob, rng):
     return Graph(n, edges)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 64])
 @pytest.mark.parametrize(
-    "prob", [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(3, 7), Fraction(1)]
+    "prob",
+    [
+        Fraction(0),
+        Fraction(1, 10),
+        Fraction(1, 5),
+        Fraction(3, 7),
+        Fraction(1),
+        # Denominators around the one-byte boundary of the batched draws,
+        # and beyond it where the coins are drawn one at a time.
+        Fraction(1, 255),
+        Fraction(254, 255),
+        Fraction(7, 256),
+        Fraction(100, 257),
+        Fraction(1, 1000),
+        Fraction(1, 10**12),
+    ],
 )
 def test_random_connected_draws_match_randrange(n, prob):
     for seed in range(10):

@@ -13,7 +13,9 @@ from dynbal.algorithms import (
     gap_reduce_round_budget,
     gapless_round_budget,
 )
-from dynbal.graphs import Graph, line_of, path_graph
+from dynbal.algorithms.base import heaviest_neighbor
+from dynbal.algorithms.gapreduce import accept_lightest
+from dynbal.graphs import Graph, all_pairs, line_of, path_graph
 from dynbal.loads import total_load
 from dynbal.smoothing import DEFAULT_C1
 
@@ -277,3 +279,76 @@ def test_gapless_rounds_conserve_and_never_widen(loads, psi, seed):
         assert u not in seen and v not in seen
         seen.add(u)
         seen.add(v)
+
+
+# ----------------------------------------------------------------------
+# proposals found from edges equal a scan of every node
+# ----------------------------------------------------------------------
+
+
+def _per_node_gapless_round(graph, loads, psi):
+    """A gapless round that asks every node for its heaviest neighbor
+    (reference)."""
+    adj = graph.adj
+    proposals = {}
+    for u in range(graph.n):
+        if adj[u]:
+            v = heaviest_neighbor(u, adj[u], loads)
+            if 2 * (loads[v] - loads[u]) >= psi:
+                proposals[u] = v
+    return accept_lightest(loads, proposals, senders_accept=False)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree (each node hangs off an earlier one in a shuffled
+    order) plus any set of extra edges, on 1..14 nodes."""
+    n = draw(st.integers(1, 14))
+    order = draw(st.permutations(range(n)))
+    edges = {(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)}
+    pairs = all_pairs(n)
+    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, kept in zip(pairs, extra) if kept}
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs(), st.data(), st.integers(2, 9))
+def test_gapless_edge_proposals_match_per_node_scan(graph, data, psi):
+    # Loads from a narrow range, so ties between neighbors are common.
+    loads = data.draw(st.lists(st.integers(0, 6), min_size=graph.n, max_size=graph.n))
+    alg = started(GaplessGapReduce(psi=psi), loads, graph.n)
+    outcome = alg.play_round(graph, list(loads))
+    expected = _per_node_gapless_round(graph, list(loads), psi)
+    assert outcome.new_loads == expected.new_loads
+    assert outcome.matching == expected.matching
+
+
+def _any_scan_idle_skip(alg, loads, budget_left):
+    """`GapReduce.consume_idle_rounds` as a scan for some light node and
+    some heavy node (reference); leaves the call untouched."""
+    if alg._flood_left > 0 or alg._main_left == 0:
+        return 0
+    if any(alg._is_light(w) for w in loads) and any(alg._is_heavy(w) for w in loads):
+        return 0
+    return min(alg._main_left, budget_left)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=2, max_size=7),
+    st.data(),
+    st.integers(0, 5000),
+)
+def test_idle_skip_from_extremes_matches_any_scan(start_loads, data, budget_left):
+    n = len(start_loads)
+    alg = started(GapReduce(), start_loads, n)
+    if not alg.is_done(start_loads):
+        for _ in range(n):
+            alg.play_round(path_graph(n), start_loads)
+    lo, hi = min(start_loads), max(start_loads)
+    loads = data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    main_left = alg._main_left
+    expected = _any_scan_idle_skip(alg, loads, budget_left)
+    assert alg.consume_idle_rounds(loads, budget_left) == expected
+    assert alg._main_left == main_left - expected

@@ -37,7 +37,7 @@ def test_run_writes_trace_csv(tmp_path):
     path = write_config(tmp_path, traceLevel="full", checks=["conservation"])
     out_file = tmp_path / "trace.csv"
     assert main(["run", str(path), "--out", str(out_file)]) == 0
-    rows = list(csv.reader(out_file.open()))
+    rows = list(csv.reader(out_file.read_text().splitlines()))
     assert rows[0] == ["round", "phi", "max_gap", "d_r", "connections", "converged", "conservation"]
     # Loads (0, 1, 3, 0): pairwise gaps 1+3+0+2+1+3 give potential 10.
     assert rows[1][:3] == ["0", "10", "3"]
@@ -155,7 +155,7 @@ def test_experiment_writes_summary_files(tmp_path, capsys):
     assert "trials: 3" in stdout
     assert "fraction: 1.0" in stdout
 
-    summary = list(csv.reader((out_dir / "summary.csv").open()))
+    summary = list(csv.reader((out_dir / "summary.csv").read_text().splitlines()))
     assert summary[0][0] == "seed"
     assert [row[0] for row in summary[1:]] == ["50", "51", "52"]
     aggregate = json.loads((out_dir / "aggregate.json").read_text())

@@ -1,5 +1,6 @@
 """Smoothing sampler tests: exact rounding, ball enumeration, uniformity."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -29,6 +30,7 @@ from dynbal.smoothing import (
     randomized_round,
     t_smooth,
 )
+from dynbal.smoothing import _unrank_pair
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +262,26 @@ def test_delta_sampler_matches_rebuild_sampler(base, t, seed, max_rejections, pr
     fresh = Graph(out.n, out.edges)
     assert out.adj == fresh.adj
     assert is_connected(out) == _walk_connected(fresh)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 59])
+def test_pair_unranking_matches_lexicographic_pairs(n):
+    total = n * (n - 1) // 2
+    assert [_unrank_pair(n, total, i) for i in range(total)] == all_pairs(n)
+
+
+def test_sampler_keeps_no_table_of_pairs():
+    g = path_graph(2000)
+    assert is_connected(g)  # builds the base adjacency outside the measurement
+    rng = Random(6)
+    tracemalloc.start()
+    try:
+        t_smooth(g, 2, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A table of all 1,999,000 pairs would take over 100 MiB.
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------------------
