@@ -5,6 +5,12 @@ answer with a connected simple graph on the same nodes.  The built-in
 policies cover the scenarios the test-bed ships: fixed topologies, loads
 re-sorted onto a line, the sorting-line adversary that keeps every balanced
 pair in ascending order, and uniformly random connected graphs.
+
+A random connected graph draws its extra-edge coins as rng.randrange(den)
+would, but in batches.  CPython's getrandbits(k) for k <= 32 returns the
+top k bits of one 32-bit generator word, and getrandbits(32*m) returns m
+words with the first drawn as the least significant; so for den < 256 one
+call holds the next m single draws, each in its word's top byte.
 """
 
 from __future__ import annotations
@@ -193,12 +199,9 @@ def _extra_edge_coins(count: int, prob: Fraction, rng: Random) -> bytearray:
                 r = getrandbits(bits)
             coins.append(r < num)
     else:
-        # A draw of getrandbits(bits) is the top byte of one generator word
-        # shifted right, and one call for 32*m bits yields m such words with
-        # the first as the least significant: take every fourth byte of the
-        # little-endian form, drop rejected draws and map the rest to coins.
-        # Each word gives at most one coin, so asking for exactly the
-        # missing number of words never draws past what rejection would.
+        # Top bytes of the words (see the module docstring), rejected ones
+        # dropped.  A word gives at most one coin, so asking for exactly the
+        # missing number never draws past what the per-draw loop would.
         table, rejected = _coin_table(num, den)
         while len(coins) < count:
             want = count - len(coins)

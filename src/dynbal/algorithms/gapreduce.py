@@ -15,10 +15,9 @@ The gapless variant skips flooding entirely: it is handed a target spread
 psi and every node proposes to its heaviest neighbor whenever that
 neighbor is at least psi/2 ahead (inclusive).  Nodes that proposed do not
 also accept, which keeps the variant matching-based.  A node proposes
-exactly when some edge puts it at least psi/2 below the other end (its
-heaviest neighbor is then at least as far ahead), so a round finds its
-proposers in one pass over the edges and looks up the heaviest neighbor
-of those nodes only, in ascending id order as a per-node scan would.
+exactly when some edge puts it at least psi/2 below the other end, so a
+round finds the proposers in one pass over the edges and asks only them,
+in ascending id order, for their heaviest neighbor.
 """
 
 from __future__ import annotations
@@ -200,8 +199,7 @@ class GaplessGapReduce(BalancingAlgorithm):
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
         psi = self.psi
-        # The lower end of every edge at least psi/2 wide proposes (psi >= 2,
-        # so that end is unique); ascending ids keep the per-node order.
+        # psi >= 2, so an edge at least psi/2 wide has one lower end.
         proposers = {
             u if loads[u] < loads[v] else v
             for u, v in graph.edges

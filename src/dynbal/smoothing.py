@@ -6,9 +6,8 @@ G's in at most t node pairs.  Sampling is by rejection: propose uniformly
 over the whole ball (connected or not) by first drawing the flip count j
 with probability proportional to C(N, j), then a uniform j-subset of pairs;
 reject disconnected proposals.  Because the flip-count weights match the
-ball's layer sizes exactly, accepted samples are exactly uniform.  Pairs
-are drawn as lexicographic indices and unranked one at a time, so no
-table of all N pairs is built.
+ball's layer sizes exactly, accepted samples are exactly uniform.  The
+sampled pair indices are unranked, never looked up in a table of pairs.
 
 A proposal is a delta of G: only the adjacency rows of the flipped pairs'
 endpoints are rebuilt, and the accepted graph shares G's other rows and
