@@ -10,7 +10,8 @@ A random connected graph draws its extra-edge coins as rng.randrange(den)
 would, but in batches.  CPython's getrandbits(k) for k <= 32 returns the
 top k bits of one 32-bit generator word, and getrandbits(32*m) returns m
 words with the first drawn as the least significant; so for den < 256 one
-call holds the next m single draws, each in its word's top byte.
+call holds the next m single draws, each in its word's top byte.  The
+mask keeps canonical pairs in lexicographic order, assembled unchecked.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations, compress
 from random import Random
 from typing import Optional, Sequence
 
-from .graphs import NAMED_GRAPHS, Graph, is_connected, line_of
+from .graphs import NAMED_GRAPHS, Graph, graph_from_sorted_pairs, is_connected, line_of
 from .loads import LoadState
 
 
@@ -172,14 +173,13 @@ class RandomConnectedPolicy(AdversaryPolicy):
 def random_connected_graph(n: int, extra_edge_prob: Fraction, rng: Random) -> Graph:
     tree = _random_tree_edges(n, rng)
     prob = Fraction(extra_edge_prob)
-    if prob == 0:
-        return Graph(n, tree)
     # One coin per non-tree pair in lexicographic order, each drawn as
     # rng.randrange(den) < num would draw it; then a 1 at every tree pair.
-    mask = _extra_edge_coins(n * (n - 1) // 2 - len(tree), prob, rng)
+    count = n * (n - 1) // 2 - len(tree)
+    mask = _extra_edge_coins(count, prob, rng) if prob else bytearray(count)
     for i in sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree):
         mask.insert(i, 1)
-    return Graph(n, compress(combinations(range(n), 2), mask))
+    return graph_from_sorted_pairs(n, list(compress(combinations(range(n), 2), mask)))
 
 
 def _extra_edge_coins(count: int, prob: Fraction, rng: Random) -> bytearray:

@@ -18,6 +18,13 @@ also accept, which keeps the variant matching-based.  A node proposes
 exactly when some edge puts it at least psi/2 below the other end, so a
 round finds the proposers in one pass over the edges and asks only them,
 in ascending id order, for their heaviest neighbor.
+
+Both variants keep one proposal memo per call: a node's proposal reads only
+its own adjacency row and the loads, and thresholds and psi never move.  The
+memo holds the base graph a smoothed graph was flipped from (by identity),
+its own copy of the loads and every proposal on that base.  While both stay,
+a round asks only the flipped pairs' endpoints again, on their flipped rows;
+any other round recomputes the base proposals with the pass above.
 """
 
 from __future__ import annotations
@@ -92,7 +99,35 @@ def accept_lightest(loads: list, proposals: dict[int, int], senders_accept: bool
     return RoundOutcome(new_loads=new_loads, matching=matching)
 
 
-class GapReduce(BalancingAlgorithm):
+class _ProposalMemo(BalancingAlgorithm):
+    """A call's memo of its base graph's proposals (see the module docstring).
+    Subclasses give `_propose(u, row, loads)`, u's target or None, and
+    `_base_proposals(graph, loads)`, all of them in ascending proposer order."""
+
+    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self._memo_base, self._memo_loads, self._memo = None, [], {}
+
+    def _proposals(self, graph: Graph, loads: list) -> dict[int, int]:
+        """This round's proposals in ascending proposer order, which
+        `accept_lightest` relies on for its ties."""
+        base = graph if graph.base is None else graph.base
+        if base is not self._memo_base or loads != self._memo_loads:
+            self._memo_base, self._memo_loads = base, list(loads)
+            self._memo = self._base_proposals(base, loads)
+        if not graph.flips:
+            return self._memo
+        touched = {u for pair in graph.flips for u in pair}
+        merged = {u: v for u, v in self._memo.items() if u not in touched}
+        adj = graph.adj
+        for u in touched:
+            v = self._propose(u, adj[u], loads)
+            if v is not None:
+                merged[u] = v
+        return dict(sorted(merged.items()))
+
+
+class GapReduce(_ProposalMemo):
     name = "gapReduce"
     kind = KIND_MATCHING
     modes = ("integral",)
@@ -115,9 +150,7 @@ class GapReduce(BalancingAlgorithm):
         self._flood_left = n
         self._main_left = self._main_budget
         self.tables = [(w, w) for w in loads]
-        self.low = None
-        self.high = None
-        self.psi = None
+        self.low = self.high = self.psi = None
 
     def planned_rounds(self):
         return self.n + self._main_budget
@@ -143,19 +176,25 @@ class GapReduce(BalancingAlgorithm):
                 self.psi = self.high - self.low
             return RoundOutcome(new_loads=list(loads))
 
-        adj = graph.adj
-        # _is_light and _is_heavy with the thresholds hoisted out of the loop.
-        light_below = 4 * self.low + self.psi
-        heavy_above = 4 * self.high - self.psi
-        proposals: dict[int, int] = {}
-        for u in range(graph.n):
-            if adj[u] and 4 * loads[u] < light_below:
-                v = heaviest_neighbor(u, adj[u], loads)
-                if 4 * loads[v] > heavy_above:
-                    proposals[u] = v
-
+        proposals = self._proposals(graph, loads)
         self._main_left -= 1
         return accept_lightest(loads, proposals)
+
+    def _propose(self, u: int, row, loads: list) -> int | None:
+        if row and self._is_light(loads[u]):
+            v = heaviest_neighbor(u, row, loads)
+            if self._is_heavy(loads[v]):
+                return v
+        return None
+
+    def _base_proposals(self, graph: Graph, loads: list) -> dict[int, int]:
+        # Only light nodes can propose; _is_light with its threshold hoisted.
+        light_below = 4 * self.low + self.psi
+        return {
+            u: v
+            for u, row in enumerate(graph.adj)
+            if 4 * loads[u] < light_below and (v := self._propose(u, row, loads)) is not None
+        }
 
     def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
         if self._flood_left > 0 or self._main_left == 0:
@@ -170,7 +209,7 @@ class GapReduce(BalancingAlgorithm):
         return skip
 
 
-class GaplessGapReduce(BalancingAlgorithm):
+class GaplessGapReduce(_ProposalMemo):
     name = "gaplessGapReduce"
     kind = KIND_MATCHING
     modes = ("integral",)
@@ -198,6 +237,18 @@ class GaplessGapReduce(BalancingAlgorithm):
         return self._left == 0
 
     def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+        proposals = self._proposals(graph, loads)
+        self._left -= 1
+        return accept_lightest(loads, proposals, senders_accept=False)
+
+    def _propose(self, u: int, row, loads: list) -> int | None:
+        if row:
+            v = heaviest_neighbor(u, row, loads)
+            if 2 * (loads[v] - loads[u]) >= self.psi:
+                return v
+        return None
+
+    def _base_proposals(self, graph: Graph, loads: list) -> dict[int, int]:
         psi = self.psi
         # psi >= 2, so an edge at least psi/2 wide has one lower end.
         proposers = {
@@ -206,10 +257,7 @@ class GaplessGapReduce(BalancingAlgorithm):
             if 2 * abs(loads[u] - loads[v]) >= psi
         }
         adj = graph.adj
-        proposals = {u: heaviest_neighbor(u, adj[u], loads) for u in sorted(proposers)}
-
-        self._left -= 1
-        return accept_lightest(loads, proposals, senders_accept=False)
+        return {u: heaviest_neighbor(u, adj[u], loads) for u in sorted(proposers)}
 
     def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
         if self._left == 0 or not loads:

@@ -10,11 +10,14 @@ The smoothing sampler builds its graphs as deltas of the adversary's graph:
 `toggled_adjacency` patches the base adjacency for the flipped pairs only,
 `edge_set_connected` decides the patched graph's connectivity, and
 `Graph.toggled` assembles the accepted graph from those parts without
-re-canonicalising or re-sorting anything.  Adding edges never disconnects a
-graph, so a patch that only adds edges to a connected base is connected
-without a walk; the walk runs only when a flip removes an edge or the base
-itself is disconnected.  Connectivity and edge-edit distance are the two
-family checks the rest of the package relies on.
+re-canonicalising or re-sorting anything.  A toggled graph keeps its `base`
+and its `flips`, the canonical flipped pairs, and builds its edge set only
+when `edges` is first read; the drivers' rounds read adjacency rows only.
+Adding edges never disconnects a graph, so a patch that only adds edges to
+a connected base is connected without a walk; the walk runs only when a
+flip removes an edge or the base itself is disconnected.  Connectivity and
+edge-edit distance are the two family checks the rest of the package relies
+on.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from typing import Iterable, Sequence
 
 
 class Graph:
-    """An immutable simple graph; edges are stored as (min, max) pairs."""
+    """An immutable simple graph; edges are stored as (min, max) pairs.
+    A graph from `Graph.toggled` is `base` with the pairs `flips` flipped."""
 
-    __slots__ = ("n", "edges", "_adj", "_connected")
+    __slots__ = ("n", "_edges", "_adj", "_connected", "base", "flips")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -39,10 +43,15 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             canon.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(canon)
-        self._adj = None
-        self._connected = None
+        self._set(n, frozenset(canon), None, None)
+
+    def _set(self, n, edges, adj, connected, base=None, flips=()) -> Graph:
+        """Fill every slot from parts the caller vouches for: canonical
+        `edges` (None to derive them from `base` and `flips`), the sorted
+        adjacency or None, and the connectivity flag or None."""
+        self.n, self._edges, self._adj, self._connected = n, edges, adj, connected
+        self.base, self.flips = base, flips
+        return self
 
     @classmethod
     def toggled(cls, base: Graph, pairs, adj) -> Graph:
@@ -50,21 +59,18 @@ class Graph:
         parts the caller already holds: `adj` is the flipped graph's sorted
         adjacency (see `toggled_adjacency`), which the caller has found
         connected, so the result records that without another walk."""
-        g = cls.__new__(cls)
-        g.n = base.n
-        g.edges = base.edges.symmetric_difference(pairs)
-        g._adj = adj
-        g._connected = True
-        return g
+        return cls.__new__(cls)._set(base.n, None, adj, True, base, tuple(pairs))
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = self.base.edges.symmetric_difference(self.flips)
+        return self._edges
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            self._adj = tuple(tuple(sorted(nbrs)) for nbrs in lists)
+            self._adj = _sorted_rows(self.n, sorted(self.edges))
         return self._adj
 
     def __eq__(self, other):
@@ -174,6 +180,22 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
+
+
+def _sorted_rows(n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows of distinct canonical pairs in lexicographic order; a
+    row gets its lower neighbours first, each list in order, so it is sorted."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple(map(tuple, rows))
+
+
+def graph_from_sorted_pairs(n: int, pairs: list) -> Graph:
+    """`Graph(n, pairs)` for a list of distinct canonical pairs in
+    lexicographic order, built without checking or sorting them again."""
+    return Graph.__new__(Graph)._set(n, frozenset(pairs), _sorted_rows(n, pairs), None)
 
 
 def path_graph(n: int) -> Graph:

@@ -15,9 +15,9 @@ from dynbal.algorithms import (
 )
 from dynbal.algorithms.base import heaviest_neighbor
 from dynbal.algorithms.gapreduce import accept_lightest
-from dynbal.graphs import Graph, all_pairs, line_of, path_graph
+from dynbal.graphs import Graph, all_pairs, line_of, path_graph, toggled_adjacency
 from dynbal.loads import total_load
-from dynbal.smoothing import DEFAULT_C1
+from dynbal.smoothing import DEFAULT_C1, t_smooth
 
 
 def started(alg, loads, n, k=Fraction(1)):
@@ -352,3 +352,96 @@ def test_idle_skip_from_extremes_matches_any_scan(start_loads, data, budget_left
     expected = _any_scan_idle_skip(alg, loads, budget_left)
     assert alg.consume_idle_rounds(loads, budget_left) == expected
     assert alg._main_left == main_left - expected
+
+
+# ----------------------------------------------------------------------
+# the per-call proposal memo equals a scan of every node
+# ----------------------------------------------------------------------
+
+
+def _per_node_gap_reduce_round(alg, graph, loads):
+    """A GapReduce main round that asks every node (reference); the call's
+    frozen thresholds are read through its predicates."""
+    adj = graph.adj
+    proposals = {}
+    for u in range(graph.n):
+        if adj[u] and alg._is_light(loads[u]):
+            v = heaviest_neighbor(u, adj[u], loads)
+            if alg._is_heavy(loads[v]):
+                proposals[u] = v
+    return accept_lightest(loads, proposals)
+
+
+def _in_main_rounds(alg, loads, graph):
+    """Start the call and play its flooding rounds, if it has any."""
+    alg = started(alg, loads, graph.n)
+    if isinstance(alg, GapReduce):
+        while alg._flood_left > 0:
+            alg.play_round(graph, list(loads))
+    return alg
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs(), st.data(), st.sampled_from([None, 2, 3, 4, 5, 8, 9]))
+def test_memo_rounds_match_per_node_scan(base, data, psi):
+    n = base.n
+    loads = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    alg = _in_main_rounds(GapReduce() if psi is None else GaplessGapReduce(psi), loads, base)
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(data.draw(st.integers(1, 10))):
+        if alg.is_done(loads):
+            return
+        shape = data.draw(st.sampled_from(["base", "smooth", "remove", "twin"]))
+        graph = base
+        if shape == "smooth":
+            graph = t_smooth(base, data.draw(st.integers(1, 3)), rng)
+        elif shape == "remove" and base.edges:
+            # A flip list that removes at least one edge, not sorted.
+            pairs = data.draw(
+                st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True)
+                .map(lambda ps: ps + [p for p in sorted(base.edges) if p not in ps][:1])
+            )
+            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
+        elif shape == "twin":
+            graph = base = Graph(n, base.edges)  # equal edges, a new identity
+
+        if psi is None:
+            expected = _per_node_gap_reduce_round(alg, graph, list(loads))
+        else:
+            expected = _per_node_gapless_round(graph, list(loads), psi)
+        outcome = alg.play_round(graph, loads)
+        assert outcome.new_loads == expected.new_loads
+        assert outcome.matching == expected.matching
+
+        step = data.draw(st.sampled_from(["advance", "keep", "mutate", "fresh"]))
+        if step == "advance":
+            loads = outcome.new_loads
+        elif step == "mutate":
+            # The memo must hold its own copy, not the caller's list.
+            loads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 9))
+        elif step == "fresh":
+            loads = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])
+def test_waiting_rounds_ask_only_the_flipped_endpoints(make):
+    n = 64
+    base = path_graph(n)
+    loads = [0] * 8 + [5] * (n - 16) + [40] * 8
+    alg = _in_main_rounds(make(), loads, base)
+    rng = Random(3)
+    asked, scans, flips = [], [], 0
+    for r in range(50):
+        if r == 1:
+            # Count from the second round on, once the memo holds the base.
+            propose, base_proposals = alg._propose, alg._base_proposals
+            alg._propose = lambda *args: asked.append(args[0]) or propose(*args)
+            alg._base_proposals = lambda *args: scans.append(args) or base_proposals(*args)
+        graph = t_smooth(base, 1, rng)
+        asked.clear()
+        alg.play_round(graph, list(loads))
+        if r >= 1:
+            assert not scans
+            assert len(asked) <= 2 * len(graph.flips)
+            flips += len(graph.flips)
+    assert flips > 0

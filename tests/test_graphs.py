@@ -1,7 +1,10 @@
 """Graph construction, connectivity and edit-distance checks."""
 
+from itertools import combinations, compress
+from random import Random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynbal.graphs import (
     Graph,
@@ -9,6 +12,7 @@ from dynbal.graphs import (
     complete_graph,
     cycle_graph,
     edge_set_connected,
+    graph_from_sorted_pairs,
     hamming_distance,
     is_connected,
     line_of,
@@ -65,6 +69,40 @@ def test_edge_set_connected_matches_graph_check():
         assert adj == flipped.adj
         assert removes_edge == bool(base.edges & set(pairs))
         assert edge_set_connected(base, adj, removes_edge) == is_connected(flipped) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_toggled_edges_are_built_on_first_read(n, data):
+    base = Graph(n, data.draw(st.lists(st.sampled_from(all_pairs(n)))) if n > 1 else ())
+    pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), unique=True)) if n > 1 else []
+    g = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
+    checked = Graph(n, base.edges ^ set(pairs))
+    assert (base.base, base.flips) == (None, ())
+    assert g.base is base and g.flips == tuple(pairs)
+    assert g._edges is None
+    assert g.edges == checked.edges
+    assert g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
+    assert g.adj == checked.adj
+    assert hamming_distance(base, g) == len(g.flips)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("mask", ["empty", "sparse", "complete"])
+def test_graph_from_sorted_pairs_equals_checked_constructor(n, mask):
+    npairs = n * (n - 1) // 2
+    rng = Random(n)
+    bits = {
+        "empty": [0] * npairs,
+        "sparse": [int(rng.random() < 0.2) for _ in range(npairs)],
+        "complete": [1] * npairs,
+    }[mask]
+    pairs = list(compress(combinations(range(n), 2), bits))
+    g = graph_from_sorted_pairs(n, pairs)
+    checked = Graph(n, pairs)
+    assert g.edges == checked.edges and g.adj == checked.adj
+    assert (g.base, g.flips) == (None, ())
+    assert is_connected(g) == is_connected(checked)
 
 
 def test_connectivity_is_cached_per_graph():
