@@ -14,7 +14,7 @@ Typical entry points:
 """
 
 from .config import ConfigError, ScenarioConfig, config_from_dict, parse_config
-from .dyadic import Dyadic, as_dyadic, half_sum, integral_half_sum
+from .dyadic import Dyadic, as_dyadic, integral_half_sum
 from .engine import (
     EngineError,
     ExperimentResult,
@@ -50,7 +50,6 @@ __all__ = [
     "check_round",
     "config_from_dict",
     "derive_stream",
-    "half_sum",
     "integral_half_sum",
     "is_connected",
     "k_smooth",

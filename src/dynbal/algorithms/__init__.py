@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .base import KIND_MATCHING, KIND_TWO_SIDED, BalancingAlgorithm
-from .deterministic import TwoSidedDeterministic, internal_round, interactive_round, split_evenly
+from .deterministic import TwoSidedDeterministic
 from .drivers import (
     GaplessBalance,
     SmoothedBalance,

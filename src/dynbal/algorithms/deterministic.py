@@ -14,12 +14,13 @@ All amounts are integer numerators over a shared exponent.  Halving a load
 is the same numerator one bit finer, and an averaging stage moves one bit
 finer again, so a round raises the loads' exponent by two.
 
-The stage functions spell the round out; `play_round` computes it in one
-pass.  The internal stage leaves both halves at w(v)/2, so every round
-starts from halves at w; two bits finer each node holds 4w, and an accepted
-proposal u -> v meets at w_u + w_v: u gains moved = w_v - w_u, v loses it,
-and the pair's gap is |moved|.  Doubling the loads changes no argmax and no
-tie, so proposals are chosen on the loads directly.
+`play_round` computes both stages in one pass (tests/oracles.py spells
+them out as its oracle).  The internal stage leaves both halves at w(v)/2,
+so every round starts from halves at w; two bits finer each node holds 4w,
+and an accepted proposal u -> v meets at w_u + w_v: u gains moved =
+w_v - w_u, v loses it, and the pair's gap is |moved|.  Doubling the loads
+changes no argmax and no tie, so proposals are chosen on the loads
+directly.
 """
 
 from __future__ import annotations
@@ -27,56 +28,6 @@ from __future__ import annotations
 from ..graphs import Graph
 from ..records import RoundOutcome
 from .base import KIND_TWO_SIDED, BalancingAlgorithm, heaviest_gap_neighbor, widest_proposer
-
-DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
-
-
-def split_evenly(loads) -> DetState:
-    """Fresh half-pairs one bit finer than `loads`: both halves hold w(v)/2."""
-    return [(w, w) for w in loads]
-
-
-def internal_round(state: DetState) -> DetState:
-    """Each node's halves meet at their average, one bit finer than `state`."""
-    return [(s + a, s + a) for s, a in state]
-
-
-def interactive_round(state: DetState, graph: Graph):
-    """One interactive stage; returns (new_state, outcome).
-
-    Proposal targets are chosen by real (whole-node) load gaps, and the
-    matching records those real gaps, in the scale of the halves.
-    Transfers average the sender half of the proposer with the answerer
-    half of the acceptor; each half joins at most one connection, so a node
-    can exchange with up to two neighbors.  The new state and the outcome's
-    loads are one bit finer than `state`.
-    """
-    n = graph.n
-    adj = graph.adj
-    real = [s + a for s, a in state]
-
-    incoming: dict[int, list[int]] = {}
-    for u in range(n):
-        target, gap = heaviest_gap_neighbor(u, adj[u], real)
-        if target is not None and gap > 0:
-            incoming.setdefault(target, []).append(u)
-
-    senders = [s << 1 for s, _ in state]
-    answerers = [a << 1 for _, a in state]
-    matching: list[tuple[int, int, int]] = []
-    for v in sorted(incoming):
-        u = widest_proposer(incoming[v], v, real)
-        # Each half joins at most one connection, so both are still unchanged.
-        meet = state[u][0] + state[v][1]
-        senders[u] = meet
-        answerers[v] = meet
-        matching.append((u, v, abs(real[u] - real[v])))
-
-    new_state = list(zip(senders, answerers))
-    outcome = RoundOutcome(
-        new_loads=[s + a for s, a in new_state], matching=matching, shift=1
-    )
-    return new_state, outcome
 
 
 class TwoSidedDeterministic(BalancingAlgorithm):

@@ -57,6 +57,9 @@ class _CallChain(BalancingAlgorithm):
     kind = KIND_MATCHING
     modes = ("integral",)
 
+    def __init__(self, c1: Fraction = DEFAULT_C1):
+        self.c1 = Fraction(c1)
+
     def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self.k = Fraction(k)
@@ -91,9 +94,6 @@ class _CallChain(BalancingAlgorithm):
 class SmoothedBalance(_CallChain):
     name = "smoothedBalance"
 
-    def __init__(self, c1: Fraction = DEFAULT_C1):
-        self.c1 = Fraction(c1)
-
     def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self.calls_budget = smoothed_calls_budget(self.total, tau)
@@ -113,9 +113,6 @@ class SmoothedBalance(_CallChain):
 
 class GaplessBalance(_CallChain):
     name = "gaplessBalance"
-
-    def __init__(self, c1: Fraction = DEFAULT_C1):
-        self.c1 = Fraction(c1)
 
     def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
@@ -139,8 +136,12 @@ class GaplessBalance(_CallChain):
 # ----------------------------------------------------------------------
 
 
-def decompose_by_unit(loads, unit: Dyadic) -> tuple[list[int], list[Dyadic]]:
-    """Write each Dyadic load as q * unit + r with integer q and 0 <= r < unit."""
+def decompose_by_unit(loads, unit: Dyadic) -> tuple[list[int], list[int], int, int]:
+    """Write each Dyadic load as q * unit + r with integer q and 0 <= r < unit.
+
+    Returns (quotients, remainders, exp, step): the remainders and the unit
+    are numerators over the shared exponent exp, the unit's being step.
+    """
     if not unit > 0:
         raise ValueError("the base unit must be positive")
     nums, exp = to_scaled(loads)
@@ -151,9 +152,10 @@ def decompose_by_unit(loads, unit: Dyadic) -> tuple[list[int], list[Dyadic]]:
     for w in nums:
         q, r = divmod(w << (common - exp), step)
         quotients.append(q)
-        remainders.append(Dyadic(r, common))
-    return quotients, remainders
+        remainders.append(r)
+    return quotients, remainders, common, step
 
 
-def recombine_by_unit(quotients: list[int], remainders: list[Dyadic], unit: Dyadic) -> list[Dyadic]:
-    return [unit * q + r for q, r in zip(quotients, remainders)]
+def recombine_by_unit(quotients: list[int], remainders: list[int], step: int) -> list[int]:
+    """The numerators q * step + r, over the exponent `decompose_by_unit` returned."""
+    return [q * step + r for q, r in zip(quotients, remainders)]

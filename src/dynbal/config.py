@@ -160,9 +160,6 @@ class ScenarioConfig:
             out["maxRejections"] = self.max_rejections
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def parse_config(text: str) -> ScenarioConfig:
     try:

@@ -8,7 +8,8 @@ instead of floating-point slack.
 
 Inside a trial the loads are integer numerators over one exponent shared
 by the whole vector (see `dynbal.loads`), so Dyadic is the boundary type:
-it parses exact decimal input (configs, initial-load generators, tau) and
+it parses exact decimal input (configs, initial-load generators, tau),
+compares and hashes exactly, adds (to sum a result's reported loads) and
 renders output (trace rows, invariant witnesses, trial result amounts).
 
 Rendering.  num / 2**exp equals num * 5**exp / 10**exp, so its decimal
@@ -133,14 +134,6 @@ class Dyadic:
             raise ValueError(f"{self} is not an integer")
         return self.num
 
-    def floor(self) -> int:
-        return self.num >> self.exp if self.exp else self.num
-
-    def ceil(self) -> int:
-        if self.exp == 0:
-            return self.num
-        return -((-self.num) >> self.exp)
-
     def decimal_str(self) -> str:
         """Render the exact finite decimal expansion (no rounding)."""
         return decimal_text(self.num, self.exp)
@@ -162,33 +155,6 @@ class Dyadic:
         return Dyadic((self.num << (other.exp - self.exp)) + other.num, other.exp)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Dyadic(other)
-        elif not isinstance(other, Dyadic):
-            return NotImplemented
-        return self + Dyadic(-other.num, other.exp)
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return Dyadic(other) - self
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Dyadic(self.num * other, self.exp)
-        if isinstance(other, Dyadic):
-            return Dyadic(self.num * other.num, self.exp + other.exp)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __abs__(self):
-        return Dyadic(abs(self.num), self.exp)
 
     def __bool__(self):
         return self.num != 0
@@ -285,11 +251,6 @@ def as_dyadic(value: DyadicLike) -> Dyadic:
     if isinstance(value, int):
         return Dyadic(value)
     raise TypeError(f"cannot treat {value!r} as a dyadic rational")
-
-
-def half_sum(a: DyadicLike, b: DyadicLike) -> Dyadic:
-    """Exact (a + b) / 2, the continuous pairwise balancing step."""
-    return (as_dyadic(a) + as_dyadic(b)).half()
 
 
 def integral_half_sum(a: int, b: int) -> tuple[int, int]:

@@ -65,8 +65,6 @@ from .smoothing import RejectionBudgetExceeded, SmoothingParams, k_smooth
 # How many failing per-round reports a trial keeps for inspection.
 MAX_FAILURE_REPORTS = 25
 
-STREAM_LABELS = ("loads", "adversary", "smoothing", "algorithm")
-
 THREADS_ENV_VAR = "DYNBAL_THREADS"
 
 
@@ -425,13 +423,12 @@ def run_trial(
 def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -> TrialResult:
     """Decompose into multiples of tau/2, balance the integer parts to
     spread one, recombine.  The frozen remainders are each below the unit,
-    so integral convergence forces the real spread under tau."""
+    so integral convergence forces the real spread under tau.  The loads
+    stay numerators over the decomposition's exponent until the result."""
     rng_loads = derive_stream(seed, "loads")
     loads = build_initial_loads(cfg, rng_loads)
-    total_before = total_load(loads)
-
-    unit = cfg.tau.half()
-    quotients, remainders = decompose_by_unit(loads, unit)
+    quotients, remainders, exp, step = decompose_by_unit(loads, cfg.tau.half())
+    total = step * sum(quotients) + sum(remainders)
 
     sub_cfg = replace(
         cfg,
@@ -443,13 +440,13 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
     )
     sub = run_trial(sub_cfg, seed=seed, trace_writer=trace_writer)
 
-    final = recombine_by_unit(sub.final_loads, remainders, unit)
-    total_after = total_load(final)
-    if total_after != total_before:
+    final = recombine_by_unit(sub.final_loads, remainders, step)
+    if total_load(final) != total:
         raise EngineError("recombination broke conservation")
 
     gap = max_gap(final)
-    converged = gap <= cfg.tau
+    # Cross-shifted as in run_trial: gap / 2**exp <= tau.
+    converged = gap << cfg.tau.exp <= cfg.tau.num << exp
     converged_at = sub.converged_at
     if converged and converged_at is None:
         converged_at = sub.rounds_played
@@ -461,10 +458,10 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
         rounds_played=sub.rounds_played,
         budget=sub.budget,
         converged_at=converged_at,
-        final_loads=final,
-        final_gap=gap,
-        min_max_gap=gap,
-        total=total_before,
+        final_loads=to_dyadics(final, exp),
+        final_gap=Dyadic(gap, exp),
+        min_max_gap=Dyadic(gap, exp),
+        total=Dyadic(total, exp),
         invariant_failures=sub.invariant_failures,
         failure_reports=sub.failure_reports,
         aborted=sub.aborted,

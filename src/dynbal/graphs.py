@@ -153,13 +153,6 @@ def _reaches_all(adj) -> bool:
     return count == n
 
 
-def hamming_distance(g1: Graph, g2: Graph) -> int:
-    """Number of node pairs whose edge/non-edge status differs."""
-    if g1.n != g2.n:
-        raise ValueError("graphs must share the same node set")
-    return len(g1.edges ^ g2.edges)
-
-
 def nodes_within(g: Graph, sources: Iterable[int], depth: int) -> set[int]:
     """All nodes within `depth` hops of any source node."""
     adj = g.adj

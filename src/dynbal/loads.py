@@ -30,19 +30,6 @@ class LoadState:
     loads: list
     exp: int = 0
 
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.exp < 0:
-            raise ValueError("the shared exponent must be non-negative")
-        if self.mode == MODE_INTEGRAL and self.exp:
-            raise ValueError("integral mode needs the shared exponent 0")
-        for i, w in enumerate(self.loads):
-            if not isinstance(w, int):
-                raise ValueError(f"loads must be integer numerators, node {i} has {w!r}")
-            if w < 0:
-                raise ValueError(f"node {i} has negative load {w}")
-
 
 def total_load(loads) -> object:
     """Exact total, in the scale of the loads given."""

@@ -28,7 +28,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt
 from random import Random
-from typing import Union
 
 from .graphs import (
     Graph,
@@ -92,15 +91,6 @@ def _round_up(floor: int, frac: Fraction, rng: Random) -> int:
     if frac == 0:
         return floor
     return floor + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
-
-
-def randomized_round(x: Union[int, float, Fraction], rng: Random) -> int:
-    """Round x up with probability frac(x), down otherwise; exact for
-    Fraction and int inputs."""
-    value = Fraction(x)
-    if value < 0:
-        raise ValueError("cannot round a negative amount")
-    return _round_up(*_split(value), rng)
 
 
 def _unrank_pair(n: int, total_pairs: int, i: int) -> tuple[int, int]:

@@ -1,0 +1,72 @@
+"""Reference implementations the tests hold the package's fast paths to.
+
+* The two stages of the two-sided deterministic round, spelled out on
+  (sender_half, answerer_half) numerator pairs: `TwoSidedDeterministic.
+  play_round` fuses them into one pass and must give the same loads and
+  matching.
+* The edit distance between two graphs on the same nodes, which bounds
+  what the smoothing sampler may change.
+"""
+
+from __future__ import annotations
+
+from dynbal.algorithms.base import heaviest_gap_neighbor, widest_proposer
+from dynbal.graphs import Graph
+from dynbal.records import RoundOutcome
+
+DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
+
+
+def split_evenly(loads) -> DetState:
+    """Fresh half-pairs one bit finer than `loads`: both halves hold w(v)/2."""
+    return [(w, w) for w in loads]
+
+
+def internal_round(state: DetState) -> DetState:
+    """Each node's halves meet at their average, one bit finer than `state`."""
+    return [(s + a, s + a) for s, a in state]
+
+
+def interactive_round(state: DetState, graph: Graph):
+    """One interactive stage; returns (new_state, outcome).
+
+    Proposal targets are chosen by real (whole-node) load gaps, and the
+    matching records those real gaps, in the scale of the halves.
+    Transfers average the sender half of the proposer with the answerer
+    half of the acceptor; each half joins at most one connection, so a node
+    can exchange with up to two neighbors.  The new state and the outcome's
+    loads are one bit finer than `state`.
+    """
+    n = graph.n
+    adj = graph.adj
+    real = [s + a for s, a in state]
+
+    incoming: dict[int, list[int]] = {}
+    for u in range(n):
+        target, gap = heaviest_gap_neighbor(u, adj[u], real)
+        if target is not None and gap > 0:
+            incoming.setdefault(target, []).append(u)
+
+    senders = [s << 1 for s, _ in state]
+    answerers = [a << 1 for _, a in state]
+    matching: list[tuple[int, int, int]] = []
+    for v in sorted(incoming):
+        u = widest_proposer(incoming[v], v, real)
+        # Each half joins at most one connection, so both are still unchanged.
+        meet = state[u][0] + state[v][1]
+        senders[u] = meet
+        answerers[v] = meet
+        matching.append((u, v, abs(real[u] - real[v])))
+
+    new_state = list(zip(senders, answerers))
+    outcome = RoundOutcome(
+        new_loads=[s + a for s, a in new_state], matching=matching, shift=1
+    )
+    return new_state, outcome
+
+
+def hamming_distance(g1: Graph, g2: Graph) -> int:
+    """Number of node pairs whose edge/non-edge status differs."""
+    if g1.n != g2.n:
+        raise ValueError("graphs must share the same node set")
+    return len(g1.edges ^ g2.edges)

@@ -5,7 +5,7 @@ from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from dynbal.algorithms import TwoSidedDeterministic, interactive_round, internal_round, split_evenly
+from dynbal.algorithms import TwoSidedDeterministic
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, path_graph, star_graph
 from dynbal.loads import LoadState, to_dyadics, to_scaled
@@ -23,6 +23,7 @@ from dynbal.metrics import (
     twice_shifted_load,
 )
 from dynbal.records import RoundTrace
+from oracles import interactive_round, internal_round, split_evenly
 
 
 def play_scaled(nums, graph):
@@ -82,10 +83,10 @@ def test_three_node_trace_with_shared_center():
     outcome = play([0, 0, 8], graph)
     assert outcome.matching == [(2, 0, 8), (0, 2, 8)]
     assert outcome.new_loads == [4, 0, 4]
-    before = [Dyadic(0), Dyadic(0), Dyadic(8)]
     d_r = twice_shifted_load(outcome.matching).half()
     assert d_r == 8
-    assert potential(outcome.new_loads) <= potential(before) - d_r.half()
+    after = [w.as_fraction() for w in outcome.new_loads]
+    assert potential(after) <= potential([0, 0, 8]) - d_r.as_fraction() / 2
 
 
 def test_interactive_round_exposes_halves():
@@ -166,7 +167,7 @@ def test_some_progress_whenever_unbalanced(scenario):
     # On a connected graph some edge has a positive gap whenever the loads
     # differ anywhere, so an unconverged round always connects someone.
     graph, loads = scenario
-    if max_gap(loads) > 0:
+    if max_gap(to_scaled(loads)[0]) > 0:
         outcome = play(loads, graph)
         assert outcome.matching
 

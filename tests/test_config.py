@@ -324,7 +324,7 @@ def test_round_trip_preserves_everything():
         "maxRejections": 777,
     }
     cfg = config_from_dict(raw)
-    again = config_from_dict(json.loads(cfg.to_json()))
+    again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
 

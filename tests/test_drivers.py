@@ -15,7 +15,7 @@ from dynbal.algorithms import (
     smoothed_calls_budget,
 )
 from dynbal.dyadic import Dyadic
-from dynbal.loads import total_load
+from dynbal.loads import to_dyadics, total_load
 
 
 def test_smoothed_calls_budget_values():
@@ -107,10 +107,12 @@ def test_finished_call_chains_stay_finished():
 
 def test_decompose_examples():
     unit = Dyadic(1, 3)  # 1/8
-    q, r = decompose_by_unit([Dyadic(3, 3), Dyadic(5, 4), Dyadic(0)], unit)
+    q, r, exp, step = decompose_by_unit([Dyadic(3, 3), Dyadic(5, 4), Dyadic(0)], unit)
     assert q == [3, 2, 0]
-    assert r == [Dyadic(0), Dyadic(1, 4), Dyadic(0)]
-    assert recombine_by_unit(q, r, unit) == [Dyadic(3, 3), Dyadic(5, 4), Dyadic(0)]
+    assert to_dyadics(r, exp) == [Dyadic(0), Dyadic(1, 4), Dyadic(0)]
+    assert Dyadic(step, exp) == unit
+    rebuilt = recombine_by_unit(q, r, step)
+    assert to_dyadics(rebuilt, exp) == [Dyadic(3, 3), Dyadic(5, 4), Dyadic(0)]
 
 
 def test_decompose_rejects_zero_unit():
@@ -125,10 +127,28 @@ def test_decompose_rejects_zero_unit():
 )
 def test_decompose_recombine_roundtrip(loads, unit_exp):
     unit = Dyadic(1, unit_exp)
-    q, r = decompose_by_unit(loads, unit)
+    q, r, exp, step = decompose_by_unit(loads, unit)
     assert all(isinstance(x, int) and x >= 0 for x in q)
-    assert all(0 <= rem < unit for rem in r)
-    assert recombine_by_unit(q, r, unit) == loads
+    assert all(0 <= rem < step for rem in r)
+    assert to_dyadics(recombine_by_unit(q, r, step), exp) == loads
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.builds(Dyadic, st.integers(0, 10**6), st.integers(0, 12)), min_size=1, max_size=10),
+    st.builds(Dyadic, st.integers(1, 4096), st.integers(0, 12)),
+)
+def test_numerator_decompose_matches_fraction_reference(loads, tau):
+    # The unit continuousViaIntegral uses, tau / 2, checked in Fractions.
+    q, r, exp, step = decompose_by_unit(loads, tau.half())
+    unit = tau.as_fraction() / 2
+    scale = Fraction(1, 1 << exp)
+    assert step * scale == unit
+    for w, q_i, r_i in zip(loads, q, r):
+        assert w.as_fraction() == q_i * unit + r_i * scale
+        assert 0 <= r_i * scale < unit
+    # Recombination gives back the original numerators over exp.
+    assert recombine_by_unit(q, r, step) == [w.as_fraction() / scale for w in loads]
 
 
 @given(
@@ -138,7 +158,8 @@ def test_recombined_totals_survive_integral_rebalancing(loads):
     # Whatever the integral run does to the quotients, conservation of the
     # integer total plus frozen remainders conserves the real total.
     unit = Dyadic(1, 2)
-    q, r = decompose_by_unit(loads, unit)
+    q, r, exp, step = decompose_by_unit(loads, unit)
     shuffled = list(reversed(q))  # stand-in for any total-preserving run
-    rebuilt = recombine_by_unit(shuffled, r, unit)
-    assert total_load(rebuilt) == total_load(loads) + unit * (sum(shuffled) - sum(q))
+    rebuilt = recombine_by_unit(shuffled, r, step)
+    moved = Dyadic(step * (sum(shuffled) - sum(q)), exp)
+    assert Dyadic(total_load(rebuilt), exp) == total_load(loads) + moved

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynbal.dyadic import Dyadic, as_dyadic, decimal_text, half_sum, integral_half_sum
+from dynbal.dyadic import Dyadic, as_dyadic, decimal_text, integral_half_sum
 from dynbal.io import render_amount
 
 
@@ -51,12 +51,6 @@ def test_canonical_form_invariant(d):
 # ----------------------------------------------------------------------
 
 
-def test_half_sum_examples():
-    assert half_sum(3, 8) == Dyadic(11, 1)
-    assert half_sum(5, 5) == 5
-    assert half_sum(Dyadic(1, 1), Dyadic(1, 2)) == Dyadic(3, 3)
-
-
 def test_integral_half_sum_examples():
     assert integral_half_sum(2, 9) == (5, 6)
     assert integral_half_sum(4, 4) == (4, 4)
@@ -75,25 +69,19 @@ def test_integral_half_sum_conserves_and_orders(a, b):
     assert 0 <= high - low <= 1
 
 
-@given(dyadics(), dyadics())
-def test_half_sum_matches_fraction(a, b):
-    expected = (a.as_fraction() + b.as_fraction()) / 2
-    assert half_sum(a, b).as_fraction() == expected
-
-
 # ----------------------------------------------------------------------
 # arithmetic vs the Fraction oracle
 # ----------------------------------------------------------------------
+# Dyadic keeps only the arithmetic its readers use: addition (summing
+# reported loads) and halving (tau / 2).  Trials subtract and multiply on
+# integer numerators.
 
 
 @given(dyadics(), dyadics())
 def test_add_sub_mul_match_fraction(a, b):
     fa, fb = a.as_fraction(), b.as_fraction()
     assert (a + b).as_fraction() == fa + fb
-    assert (a - b).as_fraction() == fa - fb
-    assert (a * b).as_fraction() == fa * fb
-    assert (-a).as_fraction() == -fa
-    assert abs(a).as_fraction() == abs(fa)
+    assert sum([a, b]).as_fraction() == fa + fb
     assert a.half().as_fraction() == fa / 2
 
 
@@ -102,9 +90,6 @@ def test_mixed_int_arithmetic(a, k):
     fa = a.as_fraction()
     assert (a + k).as_fraction() == fa + k
     assert (k + a).as_fraction() == k + fa
-    assert (a - k).as_fraction() == fa - k
-    assert (k - a).as_fraction() == k - fa
-    assert (a * k).as_fraction() == fa * k
 
 
 @given(dyadics(), dyadics())
@@ -135,27 +120,6 @@ def test_hash_consistent_with_int_equality(d):
     if d.is_integer:
         assert hash(d) == hash(d.num)
     assert hash(d) == hash(Dyadic(d.num, d.exp))
-
-
-# ----------------------------------------------------------------------
-# floor / ceil
-# ----------------------------------------------------------------------
-
-
-def test_floor_ceil_examples():
-    assert Dyadic(5, 1).floor() == 2
-    assert Dyadic(5, 1).ceil() == 3
-    assert Dyadic(-5, 1).floor() == -3
-    assert Dyadic(-5, 1).ceil() == -2
-    assert Dyadic(4).floor() == Dyadic(4).ceil() == 4
-
-
-@given(dyadics())
-def test_floor_ceil_match_fraction(d):
-    import math
-
-    assert d.floor() == math.floor(d.as_fraction())
-    assert d.ceil() == math.ceil(d.as_fraction())
 
 
 # ----------------------------------------------------------------------

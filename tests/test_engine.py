@@ -436,8 +436,29 @@ def test_continuous_via_integral_converges_and_conserves():
     # Remainders were frozen: every final load is its original remainder
     # plus a whole number of quarter-units.
     for w, orig in zip(result.final_loads, cfg.initial_loads[1]):
-        diff = (w - orig).as_fraction() / Dyadic(1, 2).as_fraction()
+        diff = (w.as_fraction() - orig.as_fraction()) / Dyadic(1, 2).as_fraction()
         assert diff.denominator == 1
+
+
+def test_continuous_via_integral_amount_types_match_deterministic():
+    # One node: nothing moves, and both report their amounts as Dyadic.
+    spec = {
+        "n": 1,
+        "initialLoads": ["0.75"],
+        "mode": "continuous",
+        "tau": "0.25",
+        "k": "1",
+        "adversary": "static",
+    }
+    via = run_trial(config_from_dict({**spec, "algorithm": "continuousViaIntegral"}))
+    det = run_trial(config_from_dict({**spec, "algorithm": "deterministic"}))
+    for result in (via, det):
+        assert (result.converged_at, result.rounds_played) == (0, 0)
+        assert result.final_loads == [Dyadic(3, 2)]
+    for field in ("total", "final_gap", "min_max_gap"):
+        got, want = getattr(via, field), getattr(det, field)
+        assert (type(got), got) == (type(want), want), field
+    assert via.final_gap == Dyadic(0)
 
 
 # ======================================================================

@@ -13,7 +13,6 @@ from dynbal.graphs import (
     cycle_graph,
     edge_set_connected,
     graph_from_sorted_pairs,
-    hamming_distance,
     is_connected,
     line_of,
     nodes_within,
@@ -21,6 +20,7 @@ from dynbal.graphs import (
     star_graph,
     toggled_adjacency,
 )
+from oracles import hamming_distance
 
 
 def test_edges_are_canonicalised():

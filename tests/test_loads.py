@@ -1,4 +1,4 @@
-"""Load state validation, totals, and the named initial-load generators."""
+"""Load totals, the shared-exponent helpers and the initial-load generators."""
 
 from random import Random
 
@@ -22,28 +22,6 @@ def test_total_load_examples():
     assert total_load([]) == 0
     assert total_load([Dyadic(1, 1), Dyadic(1, 1)]) == 1
     assert total_load(LoadState("integral", [4, 4]).loads) == 8
-
-
-def test_validate_accepts_good_states():
-    LoadState("integral", [0, 1, 2]).validate()
-    # 1/2 and 3 as numerators over exponent 1.
-    LoadState("continuous", [1, 6], exp=1).validate()
-    LoadState("continuous", [1], exp=0).validate()
-
-
-def test_validate_rejects_bad_states():
-    with pytest.raises(ValueError):
-        LoadState("integral", [0.5]).validate()
-    with pytest.raises(ValueError):
-        LoadState("integral", [-1]).validate()
-    with pytest.raises(ValueError):
-        LoadState("fuzzy", [1]).validate()
-    with pytest.raises(ValueError):
-        LoadState("integral", [1], exp=1).validate()
-    with pytest.raises(ValueError):
-        LoadState("continuous", [1], exp=-1).validate()
-    with pytest.raises(ValueError):
-        LoadState("continuous", [Dyadic(1, 1)], exp=1).validate()
 
 
 def test_scaled_roundtrip_and_renormalise():

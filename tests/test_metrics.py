@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, nodes_within, path_graph
-from dynbal.loads import LoadState
+from dynbal.loads import LoadState, to_scaled
 from dynbal.metrics import (
     ALL_CHECKS,
     CHECK_CONSERVATION,
@@ -45,9 +45,15 @@ def test_potential_examples():
     assert potential([7]) == 0
 
 
+def fractions(loads):
+    return [w.as_fraction() for w in loads]
+
+
 def test_potential_on_dyadics():
-    loads = [Dyadic(1, 1), Dyadic(3, 2), 2]
-    assert potential(loads) == brute_potential(loads)
+    # Numerators over a shared exponent, as trials hold them.
+    loads = [Dyadic(1, 1), Dyadic(3, 2), Dyadic(2)]
+    nums, exp = to_scaled(loads)
+    assert Dyadic(potential(nums), exp) == brute_potential(fractions(loads))
 
 
 @given(st.lists(st.integers(0, 1000), max_size=12))
@@ -62,7 +68,8 @@ def test_potential_matches_brute_force(loads):
     )
 )
 def test_potential_matches_brute_force_dyadic(loads):
-    assert potential(loads) == brute_potential(loads)
+    nums, exp = to_scaled(loads)
+    assert Dyadic(potential(nums), exp) == brute_potential(fractions(loads))
 
 
 @given(st.lists(st.integers(0, 100), min_size=2, max_size=12))
@@ -79,7 +86,8 @@ def test_potential_bounds(loads):
 def test_max_gap_examples():
     assert max_gap(list(range(1, 9))) == 7
     assert max_gap([4]) == 0
-    assert max_gap([Dyadic(1, 1), Dyadic(7, 2)]) == Dyadic(5, 2)
+    nums, exp = to_scaled([Dyadic(1, 1), Dyadic(7, 2)])
+    assert Dyadic(max_gap(nums), exp) == Dyadic(5, 2)
 
 
 def test_twice_shifted_load_examples():
@@ -187,10 +195,11 @@ def test_prefix_monotone_requires_context():
 
 
 def test_split_potential_identity_holds_for_any_loads():
-    loads = [Dyadic(1, 1), Dyadic(9, 2), 3, 0]
+    # 1/2, 9/4, 3 and 0 as numerators over exponent 2.
+    loads = [2, 9, 12, 0]
     report = check_round(
-        LoadState("continuous", loads),
-        LoadState("continuous", loads),
+        LoadState("continuous", loads, 2),
+        LoadState("continuous", loads, 2),
         _trace([], graph=path_graph(4)),
         algorithm_kind=KIND_TWO_SIDED,
         enabled=[CHECK_SPLIT_POTENTIAL],

@@ -14,7 +14,6 @@ from dynbal.graphs import (
     Graph,
     all_pairs,
     complete_graph,
-    hamming_distance,
     is_connected,
     path_graph,
 )
@@ -27,15 +26,21 @@ from dynbal.smoothing import (
     enumerate_ball,
     k_smooth,
     measure_hitting_rate,
-    randomized_round,
     t_smooth,
 )
-from dynbal.smoothing import _unrank_pair
+from dynbal.smoothing import _round_up, _unrank_pair
+from oracles import hamming_distance
 
 
 # ----------------------------------------------------------------------
 # randomised rounding
 # ----------------------------------------------------------------------
+
+
+def randomized_round(k, rng: Random) -> int:
+    """One round's smoothing amount, drawn as k_smooth draws it."""
+    params = SmoothingParams(k=Fraction(k))
+    return _round_up(params.k_floor, params.k_frac, rng)
 
 
 def test_integer_amounts_never_randomise():
