@@ -4,6 +4,7 @@ An algorithm is started once per trial with the initial loads and its own
 random stream, then asked to play one round at a time against whatever
 graph the engine presents.  It never sees the adversary's or the sampler's
 randomness, and it observes loads only as they stood when the round began.
+The loads it is given are the trial's committed tuple (see loads.py).
 """
 
 from __future__ import annotations
@@ -20,25 +21,27 @@ class BalancingAlgorithm:
     kind = KIND_MATCHING
     modes: tuple[str, ...] = ()
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         """Reset per-trial state.  Subclasses must call super().start()."""
         self.mode = mode
         self.rng = rng
         self.n = n
 
-    def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+    def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         """Play one round on integer numerators over a shared exponent.
 
+        The outcome's new loads are a new tuple, or `loads` itself when no
+        load moved; the engine then keeps everything it derived from them.
         The outcome says by how many bits its new loads are finer; integral
         algorithms never shift.
         """
         raise NotImplementedError
 
-    def is_done(self, loads: list) -> bool:
+    def is_done(self, loads: tuple) -> bool:
         """True when the algorithm has no further rounds to play."""
         return False
 
-    def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
+    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         """Skip rounds that provably cannot move any load.
 
         Returns how many rounds were fast-forwarded.  Only safe when the

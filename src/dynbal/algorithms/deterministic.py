@@ -35,7 +35,7 @@ class TwoSidedDeterministic(BalancingAlgorithm):
     kind = KIND_TWO_SIDED
     modes = ("continuous",)
 
-    def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+    def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         adj = graph.adj
         incoming: dict[int, list[int]] = {}
         for u in range(graph.n):
@@ -50,4 +50,4 @@ class TwoSidedDeterministic(BalancingAlgorithm):
             new_loads[u] += moved
             new_loads[v] -= moved
             matching.append((u, v, abs(moved)))
-        return RoundOutcome(new_loads=new_loads, matching=matching, shift=2)
+        return RoundOutcome(new_loads=tuple(new_loads), matching=matching, shift=2)

@@ -60,7 +60,7 @@ class _CallChain(BalancingAlgorithm):
     def __init__(self, c1: Fraction = DEFAULT_C1):
         self.c1 = Fraction(c1)
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self.k = Fraction(k)
         self.tau = tau
@@ -68,12 +68,12 @@ class _CallChain(BalancingAlgorithm):
         self.current: BalancingAlgorithm | None = None
         self.calls_started = 0
 
-    def _next_call(self, loads: list) -> BalancingAlgorithm | None:
+    def _next_call(self, loads: tuple) -> BalancingAlgorithm | None:
         """Return the next sub-call to run, or None when the chain is over
         (and None again when asked later: the loads are frozen by then)."""
         raise NotImplementedError
 
-    def is_done(self, loads: list) -> bool:
+    def is_done(self, loads: tuple) -> bool:
         # Start calls until one is live or the chain is over.
         while self.current is None or self.current.is_done(loads):
             call = self._next_call(loads)
@@ -84,17 +84,17 @@ class _CallChain(BalancingAlgorithm):
             self.current = call
         return False
 
-    def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+    def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         return self.current.play_round(graph, loads)
 
-    def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
+    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         return self.current.consume_idle_rounds(loads, budget_left)
 
 
 class SmoothedBalance(_CallChain):
     name = "smoothedBalance"
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self.calls_budget = smoothed_calls_budget(self.total, tau)
         self._per_call = n + gap_reduce_round_budget(n, self.total, self.c1, self.k)
@@ -102,7 +102,7 @@ class SmoothedBalance(_CallChain):
     def planned_rounds(self):
         return self.calls_budget * self._per_call
 
-    def _next_call(self, loads: list):
+    def _next_call(self, loads: tuple):
         if self.calls_started >= self.calls_budget:
             return None
         if loads and max(loads) - min(loads) <= self.tau:
@@ -114,7 +114,7 @@ class SmoothedBalance(_CallChain):
 class GaplessBalance(_CallChain):
     name = "gaplessBalance"
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         tau_int = as_dyadic(tau).to_int() if not isinstance(tau, int) else tau
         self.schedule = gapless_schedule(self.total, tau_int)
@@ -123,7 +123,7 @@ class GaplessBalance(_CallChain):
     def planned_rounds(self):
         return len(self.schedule) * self._per_call
 
-    def _next_call(self, loads: list):
+    def _next_call(self, loads: tuple):
         # The whole schedule always runs; calls whose spread target is
         # already met burn no simulated time thanks to idle fast-forward.
         if self.calls_started >= len(self.schedule):

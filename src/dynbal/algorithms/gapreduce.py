@@ -21,10 +21,13 @@ in ascending id order, for their heaviest neighbor.
 
 Both variants keep one proposal memo per call: a node's proposal reads only
 its own adjacency row and the loads, and thresholds and psi never move.  The
-memo holds the base graph a smoothed graph was flipped from (by identity),
-its own copy of the loads and every proposal on that base.  While both stay,
-a round asks only the flipped pairs' endpoints again, on their flipped rows;
-any other round recomputes the base proposals with the pass above.
+memo holds the base graph a smoothed graph was flipped from and the loads'
+committed tuple, both by identity, and every proposal on that base.  While
+both stay, a round asks only the flipped pairs' endpoints again, on their
+flipped rows; any other round recomputes the base proposals with the pass
+above.  A round that moves no load hands its tuple back, so the memo holds
+across it.  Loads given as a list are never remembered: a list could change
+in place between rounds.
 """
 
 from __future__ import annotations
@@ -81,10 +84,11 @@ def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tup
     return out
 
 
-def accept_lightest(loads: list, proposals: dict[int, int], senders_accept: bool = True):
+def accept_lightest(loads: tuple, proposals: dict[int, int], senders_accept: bool = True):
     """Each node with proposers accepts the lightest one (lowest id on ties)
     and the pair splits its total, the floor going to the light side.
-    Without `senders_accept`, a node that proposed accepts nobody."""
+    Without `senders_accept`, a node that proposed accepts nobody.  When no
+    split moves a unit the outcome hands `loads` itself back."""
     incoming: dict[int, list[int]] = {}
     for u, v in proposals.items():
         if senders_accept or v not in proposals:
@@ -92,11 +96,14 @@ def accept_lightest(loads: list, proposals: dict[int, int], senders_accept: bool
 
     new_loads = list(loads)
     matching = []
+    moved = False
     for v in sorted(incoming):
         u = min(incoming[v], key=loads.__getitem__)
         matching.append((u, v, loads[v] - loads[u]))
-        new_loads[u], new_loads[v] = integral_half_sum(loads[u], loads[v])
-    return RoundOutcome(new_loads=new_loads, matching=matching)
+        low, high = integral_half_sum(loads[u], loads[v])
+        new_loads[u], new_loads[v] = low, high
+        moved = moved or low != loads[u]
+    return RoundOutcome(new_loads=tuple(new_loads) if moved else loads, matching=matching)
 
 
 class _ProposalMemo(BalancingAlgorithm):
@@ -104,16 +111,17 @@ class _ProposalMemo(BalancingAlgorithm):
     Subclasses give `_propose(u, row, loads)`, u's target or None, and
     `_base_proposals(graph, loads)`, all of them in ascending proposer order."""
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        self._memo_base, self._memo_loads, self._memo = None, [], {}
+        self._memo_base, self._memo_loads, self._memo = None, None, {}
 
-    def _proposals(self, graph: Graph, loads: list) -> dict[int, int]:
+    def _proposals(self, graph: Graph, loads: tuple) -> dict[int, int]:
         """This round's proposals in ascending proposer order, which
         `accept_lightest` relies on for its ties."""
         base = graph if graph.base is None else graph.base
-        if base is not self._memo_base or loads != self._memo_loads:
-            self._memo_base, self._memo_loads = base, list(loads)
+        if base is not self._memo_base or loads is not self._memo_loads:
+            self._memo_base = base
+            self._memo_loads = loads if type(loads) is tuple else None
             self._memo = self._base_proposals(base, loads)
         if not graph.flips:
             return self._memo
@@ -137,7 +145,7 @@ class GapReduce(_ProposalMemo):
         if self.c1 <= 0:
             raise ValueError("the hitting constant must be positive")
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self.k = Fraction(k)
         total = sum(loads)
@@ -155,7 +163,7 @@ class GapReduce(_ProposalMemo):
     def planned_rounds(self):
         return self.n + self._main_budget
 
-    def is_done(self, loads: list) -> bool:
+    def is_done(self, loads: tuple) -> bool:
         return self._flood_left == 0 and self._main_left == 0
 
     def _is_light(self, w: int) -> bool:
@@ -164,7 +172,7 @@ class GapReduce(_ProposalMemo):
     def _is_heavy(self, w: int) -> bool:
         return 4 * w > 4 * self.high - self.psi
 
-    def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+    def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         if self._flood_left > 0:
             self.tables = flood_min_max_round(self.tables, graph)
             self._flood_left -= 1
@@ -174,20 +182,20 @@ class GapReduce(_ProposalMemo):
                     raise AssertionError("flooding did not converge on a connected graph")
                 self.low, self.high = first
                 self.psi = self.high - self.low
-            return RoundOutcome(new_loads=list(loads))
+            return RoundOutcome(new_loads=loads)
 
         proposals = self._proposals(graph, loads)
         self._main_left -= 1
         return accept_lightest(loads, proposals)
 
-    def _propose(self, u: int, row, loads: list) -> int | None:
+    def _propose(self, u: int, row, loads: tuple) -> int | None:
         if row and self._is_light(loads[u]):
             v = heaviest_neighbor(u, row, loads)
             if self._is_heavy(loads[v]):
                 return v
         return None
 
-    def _base_proposals(self, graph: Graph, loads: list) -> dict[int, int]:
+    def _base_proposals(self, graph: Graph, loads: tuple) -> dict[int, int]:
         # Only light nodes can propose; _is_light with its threshold hoisted.
         light_below = 4 * self.low + self.psi
         return {
@@ -196,7 +204,7 @@ class GapReduce(_ProposalMemo):
             if 4 * loads[u] < light_below and (v := self._propose(u, row, loads)) is not None
         }
 
-    def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
+    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         if self._flood_left > 0 or self._main_left == 0:
             return 0
         # Both predicates are monotone in w, so the extremes decide.
@@ -222,7 +230,7 @@ class GaplessGapReduce(_ProposalMemo):
         if self.c1 <= 0:
             raise ValueError("the hitting constant must be positive")
 
-    def start(self, loads: list, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self.k = Fraction(k)
         total = sum(loads)
@@ -233,22 +241,22 @@ class GaplessGapReduce(_ProposalMemo):
     def planned_rounds(self):
         return self._budget
 
-    def is_done(self, loads: list) -> bool:
+    def is_done(self, loads: tuple) -> bool:
         return self._left == 0
 
-    def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+    def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         proposals = self._proposals(graph, loads)
         self._left -= 1
         return accept_lightest(loads, proposals, senders_accept=False)
 
-    def _propose(self, u: int, row, loads: list) -> int | None:
+    def _propose(self, u: int, row, loads: tuple) -> int | None:
         if row:
             v = heaviest_neighbor(u, row, loads)
             if 2 * (loads[v] - loads[u]) >= self.psi:
                 return v
         return None
 
-    def _base_proposals(self, graph: Graph, loads: list) -> dict[int, int]:
+    def _base_proposals(self, graph: Graph, loads: tuple) -> dict[int, int]:
         psi = self.psi
         # psi >= 2, so an edge at least psi/2 wide has one lower end.
         proposers = {
@@ -259,7 +267,7 @@ class GaplessGapReduce(_ProposalMemo):
         adj = graph.adj
         return {u: heaviest_neighbor(u, adj[u], loads) for u in sorted(proposers)}
 
-    def consume_idle_rounds(self, loads: list, budget_left: int) -> int:
+    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         if self._left == 0 or not loads:
             return 0
         spread = max(loads) - min(loads)

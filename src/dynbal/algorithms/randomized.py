@@ -24,7 +24,7 @@ class RandMaxNeighbor(BalancingAlgorithm):
     kind = KIND_MATCHING
     modes = ("integral", "continuous")
 
-    def play_round(self, graph: Graph, loads: list) -> RoundOutcome:
+    def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         n = graph.n
         adj = graph.adj
         coin = self.rng.getrandbits(n)
@@ -44,6 +44,7 @@ class RandMaxNeighbor(BalancingAlgorithm):
         shift = 0 if self.mode == MODE_INTEGRAL else 1
         new_loads = [w << shift for w in loads] if shift else list(loads)
         matching = []
+        moved = shift
         for v in sorted(incoming):
             u = widest_proposer(incoming[v], v, loads)
             matching.append((u, v, abs(loads[u] - loads[v])))
@@ -53,5 +54,9 @@ class RandMaxNeighbor(BalancingAlgorithm):
                 new_loads[u], new_loads[v] = low, high
             else:
                 new_loads[u], new_loads[v] = high, low
+            # A pair within one unit splits into the loads it had.
+            moved = moved or new_loads[u] != w_u
 
-        return RoundOutcome(new_loads=new_loads, matching=matching, shift=shift)
+        return RoundOutcome(
+            new_loads=tuple(new_loads) if moved else loads, matching=matching, shift=shift
+        )

@@ -16,6 +16,11 @@ A trial binds its components' round methods once and refills one
 round; no callee may keep them past its call.  A checked round sums its
 loads once: its after-total is the next round's before-total, so a round
 that creates or destroys load fails conservation alone.
+
+The committed loads are an immutable tuple (see loads.py).  A round whose
+algorithm hands back the very tuple it was given, unshifted, moved no load:
+the trial keeps its gap, total and potential, and the checks reuse what
+they derived from that tuple through the trial's `CheckMemo`.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .metrics import (
     CHECK_CONSERVATION,
     CHECK_POTENTIAL_DROP,
     CHECK_PREFIX_MONOTONE,
+    CheckMemo,
     InvariantReport,
     check_round,
     max_gap,
@@ -236,13 +242,14 @@ def run_trial(
     continuous = cfg.mode == MODE_CONTINUOUS
     initial = build_initial_loads(cfg, rng_loads)
     loads, exp = to_scaled(initial) if continuous else (initial, 0)
+    loads = tuple(loads)
     total_prev = total_load(loads)
     total = Dyadic(total_prev, exp) if continuous else total_prev
 
     adversary = _instantiate_adversary(cfg)
     adversary.bind(n, rng_adversary)
     algorithm = make_algorithm(cfg.algorithm_name, **cfg.algorithm[1])
-    algorithm.start(list(loads), cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau, n=n)
+    algorithm.start(loads, cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau, n=n)
 
     budget = cfg.round_budget
     if budget is None:
@@ -269,6 +276,7 @@ def run_trial(
 
     failure_reports: list[InvariantReport] = []
     invariant_failures = 0
+    check_memo = CheckMemo()
 
     tau_num, tau_exp = cfg.tau.num, cfg.tau.exp
     gap = max_gap(loads)
@@ -329,15 +337,23 @@ def run_trial(
 
         outcome = play_round(graph, loads)
         after, after_exp = outcome.new_loads, exp + outcome.shift
-        if outcome.shift:
-            after, after_exp = renormalise(after, after_exp)
-        gap = max_gap(after)
+        if after is loads and after_exp == exp:
+            # No load moved: the gap, total and potential carry over.
+            phi_after, total_after = phi_prev, total_prev
+        else:
+            if outcome.shift:
+                after, after_exp = renormalise(after, after_exp)
+            after = tuple(after)
+            gap = max_gap(after)
+            phi_after = total_after = None
         d_r = twice_shifted_load(outcome.matching)
 
         emit = trace_stride is not None and rounds % trace_stride == 0
         run_checks = bool(enabled) and rounds % cfg.check_stride == 0
-        phi_after = potential(after) if (emit or (run_checks and want_phi)) else None
-        total_after = total_load(after) if run_checks and want_total else None
+        if phi_after is None and (emit or (run_checks and want_phi)):
+            phi_after = potential(after)
+        if total_after is None and run_checks and want_total:
+            total_after = total_load(after)
 
         report = None
         if run_checks:
@@ -355,6 +371,7 @@ def run_trial(
                 prefix_exp=prefix_exp,
                 total_before=total_prev,
                 total_after=total_after,
+                memo=check_memo,
             )
             if not report.ok:
                 invariant_failures += len(report.failed())
@@ -405,7 +422,7 @@ def run_trial(
         rounds_played=rounds,
         budget=budget,
         converged_at=converged_at,
-        final_loads=to_dyadics(loads, exp) if continuous else loads,
+        final_loads=to_dyadics(loads, exp) if continuous else list(loads),
         final_gap=Dyadic(final_gap, exp) if continuous else final_gap,
         min_max_gap=Dyadic(min_gap, min_exp) if continuous else min_gap,
         total=total,

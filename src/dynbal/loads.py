@@ -1,10 +1,13 @@
 """Per-node load vectors and the initial-load generators scenarios pick by name.
 
-A trial holds its loads as one list of Python ints plus one exponent shared
-by the whole vector: node i carries loads[i] / 2**exp.  The balancing rules
-only ever take repeated half-sums of integer loads, so a round that halves
-raises the exponent by a bit or two and every load stays an integer
-numerator.  Integral mode is simply exp == 0.  Amounts at different
+A trial commits its loads as one immutable tuple of Python ints plus one
+exponent shared by the whole vector: node i carries loads[i] / 2**exp.
+A round that moves no load hands back the very tuple it was given, so what
+was derived from a committed vector (its total, potential, gap and check
+verdicts) stays valid for as long as the same object is committed.  The
+balancing rules only ever take repeated half-sums of integer loads, so a
+round that halves raises the exponent by a bit or two and every load stays
+an integer numerator.  Integral mode is simply exp == 0.  Amounts at different
 exponents compare by cross-shifting: a / 2**ea < b / 2**eb exactly when
 a << eb < b << ea.  Dyadic values appear only at the boundary: `to_scaled`
 takes parsed or generated loads in, `to_dyadics` renders numerators out.
@@ -27,7 +30,7 @@ class LoadState:
     """A snapshot of every node's load: loads[i] / 2**exp."""
 
     mode: str
-    loads: list
+    loads: tuple
     exp: int = 0
 
 

@@ -6,7 +6,9 @@ brute-force double loop as the oracle.  The metrics work on integer
 numerators over one shared exponent, and the checks compare amounts of
 different exponents by cross-shifting them: every verdict is exact, with
 zero tolerance.  `check_round` looks each enabled check up in one table of
-kernels, `_KERNELS`; a kernel returns its check's witness, or None.
+kernels, `_KERNELS`; a kernel returns its check's witness, or None.  A
+round that moved no load (the same tuple at the same exponent, see
+loads.py) passes conservation by identity.
 """
 
 from __future__ import annotations
@@ -104,6 +106,18 @@ class InvariantReport:
         return [name for name, good in self.checks.items() if not good]
 
 
+@dataclass(slots=True)
+class CheckMemo:
+    """What `check_round` carries from one round of a trial to the next: the
+    tuple integrality last judged, at its exponent, and the witness it gave
+    (None when the check held).  Only tuples are remembered, since a list
+    could change under the memo between rounds."""
+
+    loads: Optional[tuple] = None
+    exp: int = 0
+    integrality: Optional[dict] = None
+
+
 def check_round(
     before: LoadState,
     after: LoadState,
@@ -118,6 +132,7 @@ def check_round(
     prefix_exp: int = 0,
     total_before=None,
     total_after=None,
+    memo: Optional[CheckMemo] = None,
 ) -> InvariantReport:
     """Evaluate the enabled invariants for one committed round.
 
@@ -126,7 +141,8 @@ def check_round(
     and `after`); otherwise they are derived here on demand, `phi_before`
     once for every kernel that reads it.  The matching's gaps are at
     `before.exp` and `trace.d_r` one bit finer; `initial_prefix` is at
-    `prefix_exp`.
+    `prefix_exp`.  `memo` is one trial's `CheckMemo`, passed to every round
+    of that trial; the reports are the same with it or without it.
     """
     report = InvariantReport(trace.round_index)
     checks, witnesses = report.checks, report.witnesses
@@ -137,7 +153,7 @@ def check_round(
         if phi_before is None and name in _READS_PHI_BEFORE:
             phi_before = potential(before.loads)
         witness = kernel(before, after, trace, algorithm_kind, phi_before, phi_after,
-                         line_order, initial_prefix, prefix_exp, total_before, total_after)
+                         line_order, initial_prefix, prefix_exp, total_before, total_after, memo)
         checks[name] = witness is None
         if witness is not None:
             witnesses[name] = witness
@@ -151,8 +167,10 @@ def check_round(
 
 def _conservation(
     before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp,
-    total_before, total_after,
+    total_before, total_after, *_
 ):
+    if after.loads is before.loads and after.exp == before.exp:
+        return None
     if total_before is None:
         total_before = total_load(before.loads)
     if total_after is None:
@@ -241,15 +259,26 @@ def _matching_budget(before, after, trace, kind, *_):
     return None
 
 
-def _integrality(before, after, *_):
+def _integrality(
+    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp,
+    total_before, total_after, memo,
+):
     if after.mode != MODE_INTEGRAL:
         return None
-    if after.exp:
-        return {"exp": after.exp}
-    for i, w in enumerate(after.loads):
-        if not isinstance(w, int) or w < 0:
-            return {"node": i, "load": repr(w)}
-    return None
+    loads, exp = after.loads, after.exp
+    if memo is not None and loads is memo.loads and exp == memo.exp:
+        return memo.integrality
+    witness = None
+    if exp:
+        witness = {"exp": exp}
+    else:
+        for i, w in enumerate(loads):
+            if not isinstance(w, int) or w < 0:
+                witness = {"node": i, "load": repr(w)}
+                break
+    if memo is not None and type(loads) is tuple:
+        memo.loads, memo.exp, memo.integrality = loads, exp, witness
+    return witness
 
 
 def _prefix_monotone(
@@ -291,6 +320,15 @@ def prefix_growth(order, loads, exp: int, baseline, baseline_exp: int) -> Option
     """Witness for the first prefix sum (loads read in `order`) above its
     baseline (from `prefix_sums`, so prefix 0 is 0 on both sides), or None."""
     now = 0
+    if exp == baseline_exp:
+        # One scale on both sides: compare the running sums as they are.
+        i = 0
+        for node in order:
+            now += loads[node]
+            i += 1
+            if now > baseline[i]:
+                return {"prefix": i, "now": _text(now, exp), "baseline": _text(baseline[i], exp)}
+        return None
     for i, (node, base) in enumerate(zip(order, baseline[1:]), 1):
         now += loads[node]
         if now << baseline_exp > base << exp:

@@ -22,10 +22,11 @@ class RoundOutcome:
     the scale of the loads the round was given; for the two-sided
     deterministic algorithm the pairs are ordered (sender half of u,
     answerer half of v) and both directions may appear.  `new_loads` are
-    `shift` bits finer than the loads the round was given.
+    `shift` bits finer than the loads the round was given: a new tuple, or
+    the given tuple itself when the round moved no load.
     """
 
-    new_loads: list
+    new_loads: tuple
     matching: list[tuple[int, int, object]] = field(default_factory=list)
     shift: int = 0
 

@@ -207,6 +207,6 @@ def test_play_round_equals_the_two_stages(scenario):
     # The stages end one bit finer than the halves, two bits finer than
     # the loads, with the matching's gaps in the halves' (doubled) scale.
     assert outcome.shift == 2
-    assert outcome.new_loads == staged.new_loads
+    assert outcome.new_loads == tuple(staged.new_loads)
     assert all(gap % 2 == 0 for _, _, gap in staged.matching)
     assert outcome.matching == [(u, v, gap >> 1) for u, v, gap in staged.matching]

@@ -65,7 +65,7 @@ def test_flooding_reaches_everyone_in_n_rounds(n, raw_loads, seed):
 def test_pair_call_balances_completely():
     g = path_graph(2)
     alg = started(GapReduce(), [0, 8], 2)
-    loads = [0, 8]
+    loads = (0, 8)
     rounds = 0
     while not alg.is_done(loads) and rounds < 10_000:
         skipped = alg.consume_idle_rounds(loads, 10_000)
@@ -74,7 +74,7 @@ def test_pair_call_balances_completely():
             continue
         loads = alg.play_round(g, loads).new_loads
         rounds += 1
-    assert loads == [4, 4]
+    assert loads == (4, 4)
     assert alg.psi == 8
     # Two flooding rounds, one productive round, rest skipped.
     assert rounds == alg.planned_rounds()
@@ -83,23 +83,23 @@ def test_pair_call_balances_completely():
 def test_spread_three_exchanges_one_unit():
     g = path_graph(2)
     alg = started(GapReduce(), [10, 13], 2)
-    loads = [10, 13]
+    loads = (10, 13)
     for _ in range(2):
         loads = alg.play_round(g, loads).new_loads
     assert (alg.low, alg.high, alg.psi) == (10, 13, 3)
     outcome = alg.play_round(g, loads)
     assert outcome.matching == [(0, 1, 3)]
-    assert outcome.new_loads == [11, 12]
+    assert outcome.new_loads == (11, 12)
 
 
 def test_spread_two_meets_in_the_middle():
     g = path_graph(2)
     alg = started(GapReduce(), [5, 7], 2)
-    loads = [5, 7]
+    loads = (5, 7)
     for _ in range(2):
         loads = alg.play_round(g, loads).new_loads
     outcome = alg.play_round(g, loads)
-    assert outcome.new_loads == [6, 6]
+    assert outcome.new_loads == (6, 6)
 
 
 def test_sub_two_spread_is_a_no_op():
@@ -126,28 +126,51 @@ def test_heavy_accepts_lightest_proposer():
     # Star center 3 heavy; two light leaves with different loads.
     g = Graph(4, [(0, 3), (1, 3), (2, 3)])
     alg = started(GapReduce(), [0, 1, 9, 30], 4)
-    loads = [0, 1, 9, 30]
+    loads = (0, 1, 9, 30)
     for _ in range(4):
         loads = alg.play_round(g, loads).new_loads
     assert (alg.low, alg.high, alg.psi) == (0, 30, 30)
     outcome = alg.play_round(g, loads)
     # Lights 0 and 1 both aim at the center; the center takes node 0.
     assert outcome.matching == [(0, 3, 30)]
-    assert outcome.new_loads == [15, 1, 9, 15]
+    assert outcome.new_loads == (15, 1, 9, 15)
 
 
 def test_idle_fast_forward_consumes_remaining_budget():
     alg = started(GapReduce(), [0, 8], 2)
-    loads = [0, 8]
+    loads = (0, 8)
     g = path_graph(2)
     for _ in range(2):
         loads = alg.play_round(g, loads).new_loads
     loads = alg.play_round(g, loads).new_loads
-    assert loads == [4, 4]
+    assert loads == (4, 4)
     remaining = alg._main_left
     assert remaining > 0
     assert alg.consume_idle_rounds(loads, 10**9) == remaining
     assert alg.is_done(loads)
+
+
+def test_rounds_that_move_nothing_hand_back_their_tuple():
+    # Flooding rounds move nothing; nor does a main round that accepts no
+    # pair, or one whose only pair is one unit apart.  Each hands back the
+    # very tuple it was given; a moving round returns a new tuple.
+    g = path_graph(2)
+    loads = (0, 8)
+    alg = started(GapReduce(), loads, 2)
+    for _ in range(2):
+        assert alg.play_round(g, loads).new_loads is loads
+    moved = alg.play_round(g, loads).new_loads
+    assert type(moved) is tuple and moved is not loads and moved == (4, 4)
+    idle = alg.play_round(g, moved)
+    assert idle.matching == [] and idle.new_loads is moved
+
+    assert accept_lightest(loads, {}).new_loads is loads
+    unit_gap = (4, 5)
+    outcome = accept_lightest(unit_gap, {0: 1})
+    assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
+    alg = started(GaplessGapReduce(psi=2), unit_gap, 2)
+    outcome = alg.play_round(g, unit_gap)
+    assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
 
 
 def test_finished_call_skips_nothing():
@@ -224,9 +247,9 @@ def test_constructor_validation():
 
 def test_gapless_threshold_is_inclusive():
     alg = started(GaplessGapReduce(psi=4), [0, 2], 2)
-    outcome = alg.play_round(path_graph(2), [0, 2])
+    outcome = alg.play_round(path_graph(2), (0, 2))
     assert outcome.matching == [(0, 1, 2)]
-    assert outcome.new_loads == [1, 1]
+    assert outcome.new_loads == (1, 1)
 
 
 def test_gapless_below_threshold_stays_put():
@@ -241,9 +264,9 @@ def test_gapless_senders_do_not_accept():
     # node 1 proposes to 2.  Node 1 is a sender, so node 0's proposal dies
     # and only the (1, 2) pair balances.
     alg = started(GaplessGapReduce(psi=8), [0, 4, 8], 3)
-    outcome = alg.play_round(path_graph(3), [0, 4, 8])
+    outcome = alg.play_round(path_graph(3), (0, 4, 8))
     assert outcome.matching == [(1, 2, 4)]
-    assert outcome.new_loads == [0, 6, 6]
+    assert outcome.new_loads == (0, 6, 6)
 
 
 def test_gapless_idle_when_spread_too_small():
@@ -385,7 +408,7 @@ def _in_main_rounds(alg, loads, graph):
 @given(connected_graphs(), st.data(), st.sampled_from([None, 2, 3, 4, 5, 8, 9]))
 def test_memo_rounds_match_per_node_scan(base, data, psi):
     n = base.n
-    loads = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    loads = tuple(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
     alg = _in_main_rounds(GapReduce() if psi is None else GaplessGapReduce(psi), loads, base)
     rng = Random(data.draw(st.integers(0, 2**32)))
     for _ in range(data.draw(st.integers(1, 10))):
@@ -410,24 +433,31 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
         else:
             expected = _per_node_gapless_round(graph, list(loads), psi)
         outcome = alg.play_round(graph, loads)
-        assert outcome.new_loads == expected.new_loads
+        assert list(outcome.new_loads) == list(expected.new_loads)
         assert outcome.matching == expected.matching
+        if list(outcome.new_loads) == list(loads):
+            assert outcome.new_loads is loads
 
-        step = data.draw(st.sampled_from(["advance", "keep", "mutate", "fresh"]))
+        step = data.draw(st.sampled_from(["advance", "keep", "mutate", "copy", "fresh"]))
         if step == "advance":
             loads = outcome.new_loads
         elif step == "mutate":
-            # The memo must hold its own copy, not the caller's list.
+            # A list may change in place between rounds: the memo must not
+            # trust one it was given before.
+            if type(loads) is tuple:
+                loads = list(loads)
             loads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 9))
+        elif step == "copy":
+            loads = tuple(list(loads))  # equal loads, a new identity
         elif step == "fresh":
-            loads = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+            loads = tuple(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
 
 
 @pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])
 def test_waiting_rounds_ask_only_the_flipped_endpoints(make):
     n = 64
     base = path_graph(n)
-    loads = [0] * 8 + [5] * (n - 16) + [40] * 8
+    loads = (0,) * 8 + (5,) * (n - 16) + (40,) * 8
     alg = _in_main_rounds(make(), loads, base)
     rng = Random(3)
     asked, scans, flips = [], [], 0
@@ -439,7 +469,7 @@ def test_waiting_rounds_ask_only_the_flipped_endpoints(make):
             alg._base_proposals = lambda *args: scans.append(args) or base_proposals(*args)
         graph = t_smooth(base, 1, rng)
         asked.clear()
-        alg.play_round(graph, list(loads))
+        alg.play_round(graph, loads)
         if r >= 1:
             assert not scans
             assert len(asked) <= 2 * len(graph.flips)

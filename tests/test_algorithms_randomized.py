@@ -13,12 +13,13 @@ from dynbal.records import RoundTrace
 
 
 def play(loads, graph, mode, seed):
-    """One round; continuous Dyadic loads go in as numerators and their new
-    loads come back rendered as Dyadic values."""
+    """One round; integral loads go in as a tuple, as the engine commits
+    them, continuous Dyadic loads as numerators, and their new loads come
+    back rendered as Dyadic values."""
     alg = RandMaxNeighbor()
     alg.start(list(loads), mode, Random(seed), k=0, tau=0, n=graph.n)
     if mode == "integral":
-        return alg.play_round(graph, list(loads))
+        return alg.play_round(graph, tuple(loads))
     nums, exp = to_scaled(loads)
     outcome = alg.play_round(graph, nums)
     outcome.new_loads = to_dyadics(outcome.new_loads, exp + outcome.shift)
@@ -43,8 +44,8 @@ def test_two_nodes_integral_floor_to_lighter():
     saw_transfer = False
     for seed in range(40):
         outcome = play([2, 9], path_graph(2), "integral", seed)
-        assert outcome.new_loads in ([2, 9], [5, 6])
-        if outcome.new_loads == [5, 6]:
+        assert outcome.new_loads in ((2, 9), (5, 6))
+        if outcome.new_loads == (5, 6):
             saw_transfer = True
     assert saw_transfer
 
@@ -53,7 +54,27 @@ def test_adjacent_unit_gap_moves_nothing():
     # (a, a+1) connects but the floor/ceil split returns the same values.
     for seed in range(20):
         outcome = play([4, 5], path_graph(2), "integral", seed)
-        assert outcome.new_loads == [4, 5]
+        assert outcome.new_loads == (4, 5)
+
+
+def test_round_that_moves_nothing_hands_back_its_tuple():
+    # Pairs within one unit split into the loads they had: the round hands
+    # back the very tuple it was given.  A round that moves a unit, and
+    # every continuous round (it shifts), returns a new tuple.
+    graph = path_graph(3)
+    cases = (((4, 5, 4), "integral"), ((2, 9, 3), "integral"), ((4, 5, 4), "continuous"))
+    saw = set()
+    for seed in range(40):
+        for loads, mode in cases:
+            alg = RandMaxNeighbor()
+            alg.start(loads, mode, Random(seed), k=0, tau=0, n=3)
+            outcome = alg.play_round(graph, loads)
+            moved = mode == "continuous" or loads == (2, 9, 3) and outcome.matching
+            assert type(outcome.new_loads) is tuple
+            assert (outcome.new_loads is loads) == (not moved)
+            saw.add((loads, mode, bool(outcome.matching)))
+    assert ((4, 5, 4), "integral", True) in saw
+    assert ((2, 9, 3), "integral", True) in saw
 
 
 def test_receiver_prefers_largest_gap_then_lowest_id():
@@ -68,7 +89,7 @@ def test_receiver_prefers_largest_gap_then_lowest_id():
         if Random(seed).getrandbits(3) == 0b101:
             both_sent += 1
             assert outcome.matching == [(0, 1, 8)]
-            assert outcome.new_loads == [4, 4, 0]
+            assert outcome.new_loads == (4, 4, 0)
     assert both_sent
 
 

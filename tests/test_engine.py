@@ -353,6 +353,132 @@ def test_conservation_fails_only_in_the_round_that_creates_load(monkeypatch, str
         assert report.witnesses["conservation"] == {"before": "10", "after": "11"}
 
 
+class CommitsNegativeLoadInRoundTwo(BalancingAlgorithm):
+    """Round 2 moves two units off node 0, leaving it at -1; every other
+    round hands the committed tuple back, so the bad vector stays committed."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.rounds = 0
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        if self.rounds == 2:
+            return RoundOutcome(new_loads=(loads[0] - 2, loads[1] + 2) + loads[2:])
+        return RoundOutcome(new_loads=loads)
+
+
+@pytest.mark.parametrize("stride, failing", [(1, [2, 3, 4, 5, 6, 7, 8]), (3, [3, 6])])
+def test_committed_negative_load_fails_integrality_every_checked_round(
+    monkeypatch, stride, failing
+):
+    monkeypatch.setattr(
+        engine, "make_algorithm", lambda name, **params: CommitsNegativeLoadInRoundTwo()
+    )
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="0",
+            algorithm="randMaxNeighbor",
+            roundBudget=8,
+            checks=["conservation", "integrality"],
+            checkStride=stride,
+        )
+    )
+    result = run_trial(cfg)
+    assert result.final_loads == [-1, 4, 3, 4]
+    assert [report.round_index for report in result.failure_reports] == failing
+    for report in result.failure_reports:
+        assert report.failed() == ["integrality"]
+        assert report.witnesses["integrality"] == {"node": 0, "load": "-1"}
+
+
+class HalvesEveryLoadInRoundTwo(BalancingAlgorithm):
+    """Round 2 hands back the very tuple it was given, one bit finer, so
+    every load halves; the other rounds move nothing."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.rounds = 0
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        return RoundOutcome(new_loads=loads, shift=1 if self.rounds == 2 else 0)
+
+
+def test_same_tuple_at_a_finer_exponent_is_a_new_vector(monkeypatch):
+    # Only the tuple and its exponent together name a committed vector: the
+    # halving round loses load, and from then on the loads sit off exponent 0.
+    monkeypatch.setattr(
+        engine, "make_algorithm", lambda name, **params: HalvesEveryLoadInRoundTwo()
+    )
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="0",
+            algorithm="randMaxNeighbor",
+            roundBudget=5,
+            checks=["conservation", "integrality"],
+        )
+    )
+    result = run_trial(cfg)
+    assert [(r.round_index, r.failed()) for r in result.failure_reports] == [
+        (2, ["conservation", "integrality"]),
+        (3, ["integrality"]),
+        (4, ["integrality"]),
+        (5, ["integrality"]),
+    ]
+    for report in result.failure_reports:
+        assert report.witnesses["integrality"] == {"exp": 1}
+
+
+def test_rounds_that_move_no_load_reuse_what_was_derived(monkeypatch):
+    # On the sorting line over lineRamp every gap is one, so randMaxNeighbor's
+    # pairs split into the loads they had: each round hands its tuple back,
+    # and the trial sums its loads once and takes their spread at the start
+    # and the end only.
+    calls = {"total_load": 0, "max_gap": 0}
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(loads):
+            calls[name] += 1
+            return fn(loads)
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    counted("total_load")
+    counted("max_gap")
+    cfg = config_from_dict(
+        scenario(
+            n=8,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="1",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=300,
+            checks=["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+        )
+    )
+    result = run_trial(cfg)
+    assert result.rounds_played == 300
+    assert result.invariant_failures == 0
+    assert result.final_loads == list(range(1, 9))
+    assert calls == {"total_load": 1, "max_gap": 2}
+
+
 # ======================================================================
 # trace CSV
 # ======================================================================

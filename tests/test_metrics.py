@@ -18,10 +18,12 @@ from dynbal.metrics import (
     CHECK_SPLIT_POTENTIAL,
     KIND_MATCHING,
     KIND_TWO_SIDED,
+    CheckMemo,
     InvariantReport,
     check_round,
     max_gap,
     potential,
+    prefix_growth,
     prefix_sums,
     twice_shifted_load,
 )
@@ -112,7 +114,6 @@ def test_prefix_sums_example():
 
 def _trace(matching, graph=None, d_r=Dyadic(0)):
     g = graph if graph is not None else path_graph(2)
-    loads = None
     return RoundTrace(round_index=1, graph=g, matching=matching, d_r=d_r)
 
 
@@ -505,3 +506,132 @@ def test_check_kernels_keep_the_name_by_name_verdicts(scenario):
     # The engine's carried totals are the same sums, so the verdicts agree.
     carried = dict(kwargs, total_before=sum(before.loads), total_after=sum(after.loads))
     assert verdicts(check_round, before, after, trace, **carried) == expected
+
+
+# ----------------------------------------------------------------------
+# the per-trial check memo
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def round_sequences(draw):
+    """Committed vectors as a trial commits them, round after round: each
+    round keeps the tuple it had (the very object), commits an equal copy,
+    moves a unit (possibly below zero), sets a negative load, or commits at
+    another exponent.  Plus the trial's mode, a check stride above one and
+    a check list that needs no line context and holds integrality."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    loads = tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    exp = 0
+    committed = [(loads, exp)]
+    for _ in range(draw(st.integers(1, 16))):
+        step = draw(st.sampled_from(["keep", "keep", "keep", "copy", "move", "negative", "exp"]))
+        if step == "copy":
+            loads = tuple(list(loads))
+        elif step in ("move", "negative"):
+            moved = list(loads)
+            if step == "move":
+                moved[draw(node)] -= 1
+                moved[draw(node)] += 1
+            else:
+                moved[draw(node)] = -draw(st.integers(1, 3))
+            loads = tuple(moved)
+        elif step == "exp":
+            exp = draw(st.integers(0, 2))
+        committed.append((loads, exp))
+    mode = draw(st.sampled_from(["integral", "integral", "continuous"]))
+    stride = draw(st.integers(2, 4))
+    others = [name for name in ALL_CHECKS if name not in (CHECK_PREFIX_MONOTONE, CHECK_INTEGRALITY)]
+    more = draw(st.lists(st.sampled_from(others), unique=True))
+    enabled = draw(st.permutations([CHECK_INTEGRALITY] + more))
+    return mode, committed, stride, enabled
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_sequences())
+def test_check_memo_keeps_every_report(sequence):
+    # One memo over the checked rounds of a trial gives the reports that
+    # check_round gives without one, and that the name-by-name oracle gives.
+    mode, committed, stride, enabled = sequence
+    memo = CheckMemo()
+    graph = path_graph(len(committed[0][0]))
+    for r in range(stride, len(committed), stride):
+        before = LoadState(mode, *committed[r - 1])
+        after = LoadState(mode, *committed[r])
+        trace = RoundTrace(r, graph, [], 0)
+        kwargs = dict(algorithm_kind=KIND_MATCHING, enabled=enabled)
+        expected = verdicts(check_round, before, after, trace, **kwargs)
+        assert verdicts(check_round, before, after, trace, memo=memo, **kwargs) == expected
+        assert verdicts(reference_check_round, before, after, trace, **kwargs) == expected
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, Dyadic(3, 1)], ids=["negative", "float", "dyadic"])
+def test_committed_bad_vector_fails_integrality_every_round(bad):
+    # A vector that fails integrality and stays committed fails it again in
+    # every checked round, with the same witness, memo or not.
+    loads = (3, bad, 1)
+    memo = CheckMemo()
+    witnesses = []
+    for r in range(1, 6):
+        state = LoadState("integral", loads)
+        for kwargs in ({}, {"memo": memo}):
+            report = check_round(
+                state,
+                state,
+                _trace([], path_graph(3)),
+                algorithm_kind=KIND_MATCHING,
+                enabled=[CHECK_INTEGRALITY],
+                **kwargs,
+            )
+            assert report.failed() == [CHECK_INTEGRALITY]
+            witnesses.append(report.witnesses[CHECK_INTEGRALITY])
+    assert witnesses == [{"node": 1, "load": repr(bad)}] * 10
+
+
+def test_check_memo_remembers_tuples_only():
+    memo = CheckMemo()
+    loads = [1, 2]
+    state = LoadState("integral", loads)
+    kwargs = dict(algorithm_kind=KIND_MATCHING, enabled=[CHECK_INTEGRALITY], memo=memo)
+    assert check_round(state, state, _trace([]), **kwargs).ok
+    assert memo.loads is None
+    loads[0] = -5  # a list may change in place
+    assert check_round(state, state, _trace([]), **kwargs).failed() == [CHECK_INTEGRALITY]
+
+
+# ----------------------------------------------------------------------
+# prefix scans with and without shifts
+# ----------------------------------------------------------------------
+
+
+def shifted_prefix_growth(order, loads, exp, baseline, baseline_exp):
+    """prefix_growth as it was before its one-scale path: every step
+    cross-shifts (reference)."""
+    now = 0
+    for i, (node, base) in enumerate(zip(order, baseline[1:]), 1):
+        now += loads[node]
+        if now << baseline_exp > base << exp:
+            return {
+                "prefix": i,
+                "now": Dyadic(now, exp).decimal_str(),
+                "baseline": Dyadic(base, baseline_exp).decimal_str(),
+            }
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 9), st.integers(0, 3), st.integers(0, 3))
+def test_one_scale_prefix_scan_matches_shifted_scan(data, n, exp, shift):
+    # Baselines near the loads' own prefixes, so growth is found often and
+    # at every position.
+    loads = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(n)))
+    baseline = prefix_sums(data.draw(st.permutations(range(n))), loads)
+    baseline = [0] + [b + data.draw(st.integers(-3, 3)) for b in baseline[1:]]
+    expected = shifted_prefix_growth(order, loads, exp, baseline, exp)
+    assert prefix_growth(order, loads, exp, baseline, exp) == expected
+    # The same amounts at a finer exponent take the shifted path and must
+    # report the same witness.
+    finer = [w << shift for w in loads]
+    assert prefix_growth(order, finer, exp + shift, baseline, exp) == expected
