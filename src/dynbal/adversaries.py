@@ -91,7 +91,9 @@ class ResortDescendingPolicy(AdversaryPolicy):
 
     def next_graph(self, ctx: AdversaryContext) -> Graph:
         loads = ctx.loads.loads
-        order = tuple(sorted(range(self.n), key=lambda v: (-loads[v], v)))
+        # A stable sort stays stable under reverse=True: equal loads keep
+        # ascending ids, the order the key (-loads[v], v) would give.
+        order = tuple(sorted(range(self.n), key=loads.__getitem__, reverse=True))
         if order != self._last_order:
             self._last_order = order
             self._last_graph = line_of(order)
@@ -179,7 +181,13 @@ def random_connected_graph(n: int, extra_edge_prob: Fraction, rng: Random) -> Gr
     mask = _extra_edge_coins(count, prob, rng) if prob else bytearray(count)
     for i in sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree):
         mask.insert(i, 1)
-    return graph_from_sorted_pairs(n, list(compress(combinations(range(n), 2), mask)))
+    return graph_from_sorted_pairs(n, list(compress(_pairs(n), mask)))
+
+
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every canonical pair of n nodes, in lexicographic order."""
+    return tuple(combinations(range(n), 2))
 
 
 def _extra_edge_coins(count: int, prob: Fraction, rng: Random) -> bytearray:
@@ -225,7 +233,15 @@ def _random_tree_edges(n: int, rng: Random) -> list[tuple[int, int]]:
         return []
     if n == 2:
         return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    # rng.randrange(n) per entry, through the same getrandbits rejection
+    # loop as CPython's Random._randbelow_with_getrandbits.
+    getrandbits, bits = rng.getrandbits, n.bit_length()
+    seq = []
+    for _ in range(n - 2):
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        seq.append(v)
     degree = [1] * n
     for v in seq:
         degree[v] += 1

@@ -8,7 +8,6 @@ Unknown keys are rejected rather than ignored: a typo should fail loudly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -162,6 +161,8 @@ class ScenarioConfig:
 
 
 def parse_config(text: str) -> ScenarioConfig:
+    import json  # here, so that config_from_dict callers never load it
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,14 +20,15 @@ that creates or destroys load fails conservation alone.
 The committed loads are an immutable tuple (see loads.py).  A round whose
 algorithm hands back the very tuple it was given, unshifted, moved no load:
 the trial keeps its gap, total and potential, and the checks reuse what
-they derived from that tuple through the trial's `CheckMemo`.
+they derived from that tuple through the trial's `CheckMemo`.  A committed
+load that is not an integer numerator stops the trial with an `EngineError`
+naming the round and the node.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, log, sqrt
@@ -337,48 +338,60 @@ def run_trial(
 
         outcome = play_round(graph, loads)
         after, after_exp = outcome.new_loads, exp + outcome.shift
-        if after is loads and after_exp == exp:
-            # No load moved: the gap, total and potential carry over.
-            phi_after, total_after = phi_prev, total_prev
-        else:
-            if outcome.shift:
-                after, after_exp = renormalise(after, after_exp)
-            after = tuple(after)
-            gap = max_gap(after)
-            phi_after = total_after = None
-        d_r = twice_shifted_load(outcome.matching)
+        try:
+            if after is loads and after_exp == exp:
+                # No load moved: the gap, total and potential carry over.
+                phi_after, total_after = phi_prev, total_prev
+            else:
+                if outcome.shift:
+                    after, after_exp = renormalise(after, after_exp)
+                after = tuple(after)
+                gap = max_gap(after)
+                phi_after = total_after = None
+            d_r = twice_shifted_load(outcome.matching)
 
-        emit = trace_stride is not None and rounds % trace_stride == 0
-        run_checks = bool(enabled) and rounds % cfg.check_stride == 0
-        if phi_after is None and (emit or (run_checks and want_phi)):
-            phi_after = potential(after)
-        if total_after is None and run_checks and want_total:
-            total_after = total_load(after)
+            emit = trace_stride is not None and rounds % trace_stride == 0
+            run_checks = bool(enabled) and rounds % cfg.check_stride == 0
+            if phi_after is None and (emit or (run_checks and want_phi)):
+                phi_after = potential(after)
+            if total_after is None and run_checks and want_total:
+                total_after = total_load(after)
 
-        report = None
-        if run_checks:
-            after_state.loads, after_state.exp = after, after_exp
-            report = check_round(
-                before,
-                after_state,
-                RoundTrace(rounds, graph, outcome.matching, d_r),
-                algorithm_kind=algorithm.kind,
-                enabled=enabled,
-                phi_before=phi_prev,
-                phi_after=phi_after,
-                line_order=line_policy.order if line_policy is not None else None,
-                initial_prefix=initial_prefix,
-                prefix_exp=prefix_exp,
-                total_before=total_prev,
-                total_after=total_after,
-                memo=check_memo,
-            )
-            if not report.ok:
-                invariant_failures += len(report.failed())
-                if len(failure_reports) < MAX_FAILURE_REPORTS:
-                    failure_reports.append(report)
+            report = None
+            if run_checks:
+                after_state.loads, after_state.exp = after, after_exp
+                report = check_round(
+                    before,
+                    after_state,
+                    RoundTrace(rounds, graph, outcome.matching, d_r),
+                    algorithm_kind=algorithm.kind,
+                    enabled=enabled,
+                    phi_before=phi_prev,
+                    phi_after=phi_after,
+                    line_order=line_policy.order if line_policy is not None else None,
+                    initial_prefix=initial_prefix,
+                    prefix_exp=prefix_exp,
+                    total_before=total_prev,
+                    total_after=total_after,
+                    memo=check_memo,
+                )
+                if not report.ok:
+                    invariant_failures += len(report.failed())
+                    if len(failure_reports) < MAX_FAILURE_REPORTS:
+                        failure_reports.append(report)
 
-        within_tau = gap << tau_exp <= tau_num << after_exp
+            within_tau = gap << tau_exp <= tau_num << after_exp
+        except TypeError as exc:
+            # Integer numerators never fail these shifts (nor the
+            # conservation kernel's), so the guard costs a sound round
+            # nothing: only a failing round is searched for its bad load.
+            for node, w in enumerate(after):
+                if not isinstance(w, int):
+                    raise EngineError(
+                        f"round {rounds}: the algorithm committed the non-integer "
+                        f"load {w!r} at node {node}"
+                    ) from exc
+            raise
         if emit:
             write_row(
                 rounds, phi_after, gap, after_exp, within_tau,
@@ -523,6 +536,9 @@ def run_experiment(
         threads = thread_count()
 
     if threads > 1 and len(seeds) > 1 and trace_writer_factory is None:
+        # Imported here: it loads multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(cfg, s) for s in seeds]
         with ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
             results = list(pool.map(_experiment_worker, jobs))

@@ -6,12 +6,15 @@
   matching.
 * The edit distance between two graphs on the same nodes, which bounds
   what the smoothing sampler may change.
+* A random connected graph drawn one `rng.randrange` call at a time:
+  `adversaries.random_connected_graph` batches and caches its draws and
+  must give the same edges and leave the generator in the same state.
 """
 
 from __future__ import annotations
 
 from dynbal.algorithms.base import heaviest_gap_neighbor, widest_proposer
-from dynbal.graphs import Graph
+from dynbal.graphs import Graph, is_connected
 from dynbal.records import RoundOutcome
 
 DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
@@ -70,3 +73,34 @@ def hamming_distance(g1: Graph, g2: Graph) -> int:
     if g1.n != g2.n:
         raise ValueError("graphs must share the same node set")
     return len(g1.edges ^ g2.edges)
+
+
+def randrange_connected_graph(n: int, extra_edge_prob, rng) -> Graph:
+    """A uniform random labelled tree, decoded from a Pruefer sequence of
+    rng.randrange(n) draws, plus one rng.randrange(den) < num coin for each
+    other pair in lexicographic order (no coins at probability 0)."""
+    tree = set()
+    if n == 2:
+        tree.add((0, 1))
+    elif n > 2:
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        for v in seq:
+            leaf = min(u for u in range(n) if degree[u] == 1)
+            tree.add((min(leaf, v), max(leaf, v)))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        u, w = (u for u in range(n) if degree[u] == 1)
+        tree.add((u, w))
+    edges = set(tree)
+    num, den = extra_edge_prob.numerator, extra_edge_prob.denominator
+    if num:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in tree and rng.randrange(den) < num:
+                    edges.add((u, v))
+    graph = Graph(n, edges)
+    assert is_connected(graph)
+    return graph

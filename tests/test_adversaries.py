@@ -12,13 +12,13 @@ from dynbal.adversaries import (
     ResortDescendingPolicy,
     SortingLinePolicy,
     StaticPolicy,
-    _random_tree_edges,
     make_adversary,
     random_connected_graph,
     sorting_line_postprocess,
 )
-from dynbal.graphs import Graph, is_connected, line_of, star_graph
+from dynbal.graphs import is_connected, line_of, star_graph
 from dynbal.loads import LoadState
+from oracles import randrange_connected_graph
 
 
 def ctx_for(loads, round_index=1, last_matching=()):
@@ -84,6 +84,23 @@ def test_resort_descending_caches_unchanged_orders():
     g1 = policy.next_graph(ctx_for([1, 5, 3]))
     g2 = policy.next_graph(ctx_for([2, 6, 4]))
     assert g1 is g2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    st.sampled_from([0, 1, 2**2000]),
+)
+def test_resort_descending_matches_negated_key_order(levels, offset):
+    # Few distinct levels force ties; the offset makes the loads big ints.
+    loads = tuple(offset + level for level in levels)
+    n = len(loads)
+    policy = ResortDescendingPolicy()
+    policy.bind(n, Random(0))
+    graph = policy.next_graph(ctx_for(loads))
+    expected = tuple(sorted(range(n), key=lambda v: (-loads[v], v)))
+    assert policy._last_order == expected
+    assert graph == line_of(expected)
 
 
 # ----------------------------------------------------------------------
@@ -234,19 +251,7 @@ def test_random_connected_is_seed_deterministic():
     assert a == b
 
 
-def _randrange_connected_graph(n, extra_edge_prob, rng):
-    """The extra-edge draws written with rng.randrange (reference)."""
-    edges = set(_random_tree_edges(n, rng))
-    num, den = extra_edge_prob.numerator, extra_edge_prob.denominator
-    if num:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in edges and rng.randrange(den) < num:
-                    edges.add((u, v))
-    return Graph(n, edges)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20, 64])
 @pytest.mark.parametrize(
     "prob",
     [
@@ -263,14 +268,14 @@ def _randrange_connected_graph(n, extra_edge_prob, rng):
         Fraction(100, 257),
         Fraction(1, 1000),
         Fraction(1, 10**12),
+        Fraction(1, 300),
     ],
 )
 def test_random_connected_draws_match_randrange(n, prob):
     for seed in range(10):
         rng, reference = Random(seed), Random(seed)
-        assert random_connected_graph(n, prob, rng) == _randrange_connected_graph(
-            n, prob, reference
-        )
+        graph = random_connected_graph(n, prob, rng)
+        assert graph.edges == randrange_connected_graph(n, prob, reference).edges
         assert rng.getstate() == reference.getstate()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -396,6 +397,46 @@ def test_committed_negative_load_fails_integrality_every_checked_round(
     for report in result.failure_reports:
         assert report.failed() == ["integrality"]
         assert report.witnesses["integrality"] == {"node": 0, "load": "-1"}
+
+
+class MovesHalfAUnitInRoundTwo(BalancingAlgorithm):
+    """Round 2 moves half a unit from node 0 to node 1, committing a load
+    numerator that is not an integer; every other round moves nothing."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral", "continuous")
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.rounds = 0
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        if self.rounds == 2:
+            half = Fraction(1, 2)
+            return RoundOutcome(new_loads=(loads[0] - half, loads[1] + half) + loads[2:])
+        return RoundOutcome(new_loads=loads)
+
+
+@pytest.mark.parametrize("mode", ["integral", "continuous"])
+@pytest.mark.parametrize("checks", [["conservation", "integrality"], []])
+def test_committed_non_integer_load_is_an_engine_error(monkeypatch, mode, checks):
+    monkeypatch.setattr(
+        engine, "make_algorithm", lambda name, **params: MovesHalfAUnitInRoundTwo()
+    )
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode=mode,
+            tau="0",
+            algorithm="randMaxNeighbor",
+            roundBudget=8,
+            checks=checks,
+        )
+    )
+    with pytest.raises(EngineError, match=r"^round 2: .* load Fraction\(1, 2\) at node 0$"):
+        run_trial(cfg)
 
 
 class HalvesEveryLoadInRoundTwo(BalancingAlgorithm):

@@ -4,6 +4,9 @@ function, method and class attribute the benchmark's tracer wraps.
 `perfbench/spans.py` looks its targets up when it is imported and when
 `Tracer.install()` runs, so deleting or renaming one of them fails here,
 not only in the benchmark's own steps.
+
+Also what a serial trial costs a fresh interpreter to import: the process
+pool and the JSON parser load only on the paths that use them.
 """
 
 import os
@@ -47,13 +50,37 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(dynbal.__all__)) == len(dynbal.__all__)
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
+# Every path a serial trial takes, then the modules it must not have loaded.
+COLD_START_SNIPPET = """
+import sys
+import dynbal
+cfg = dynbal.config_from_dict({
+    "n": 4, "initialLoads": "lineRamp", "mode": "integral", "tau": "1", "k": "1",
+    "adversary": "randomConnected", "algorithm": "randMaxNeighbor",
+    "roundBudget": 20, "trials": 2, "checks": ["conservation", "integrality"],
+})
+dynbal.run_trial(cfg)
+dynbal.run_experiment(cfg, threads=1)
+print(sorted(m for m in ("concurrent.futures", "multiprocessing", "json") if m in sys.modules))
+"""
+
+
+def run_fresh(snippet: str, *args: str) -> str:
+    """Stdout of `snippet` in a fresh interpreter that imports this dynbal."""
     src = str(Path(dynbal.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", INSTALL_SNIPPET, str(SPANS_FILE)],
+        [sys.executable, "-c", snippet, *args],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "installed and uninstalled"
+    return done.stdout.strip()
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    assert run_fresh(INSTALL_SNIPPET, str(SPANS_FILE)) == "installed and uninstalled"
+
+
+def test_serial_trials_load_neither_the_process_pool_nor_json():
+    assert run_fresh(COLD_START_SNIPPET) == "[]"
