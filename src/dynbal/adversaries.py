@@ -119,7 +119,15 @@ def sorting_line_postprocess(
 
 def _swap_pairs(order: list[int], position: list[int], pairs, loads) -> bool:
     """`sorting_line_postprocess` in place on `order` and its inverse
-    `position` (position[node] is node's index in order); True if any swapped."""
+    `position` (position[node] is node's index in order); True if any swapped.
+    No position moves before the first swap, so one unsorted scan for a pair
+    adjacent and out of order now tells whether any pair swaps at all."""
+    for u, v in pairs:
+        step = position[v] - position[u]
+        if step == 1 and loads[u] > loads[v] or step == -1 and loads[v] > loads[u]:
+            break
+    else:
+        return False
     swapped = False
     for u, v in sorted({(u, v) if u < v else (v, u) for u, v in pairs}):
         pu, pv = position[u], position[v]
@@ -139,7 +147,8 @@ class SortingLinePolicy(AdversaryPolicy):
     Pairs that are not adjacent on the line are left where they are (see
     `sorting_line_postprocess`).  `order` and its inverse `position` live
     across rounds and are swapped in place; the line graph is rebuilt only
-    after a swap.
+    after a swap, so a round that swaps nothing (found by one unsorted scan
+    of its pairs, see `_swap_pairs`) presents the same graph object.
     """
 
     name = "sortingLine"

@@ -22,7 +22,8 @@ algorithm hands back the very tuple it was given, unshifted, moved no load:
 the trial keeps its gap, total and potential, and the checks reuse what
 they derived from that tuple through the trial's `CheckMemo`.  A committed
 load that is not an integer numerator stops the trial with an `EngineError`
-naming the round and the node.
+naming the node and the round: the round it was committed in when a shift
+fails on it, else the last round, when the final vector is searched once.
 """
 
 from __future__ import annotations
@@ -222,6 +223,15 @@ def _instantiate_adversary(cfg: ScenarioConfig) -> AdversaryPolicy:
     return make_adversary(name, **kwargs)
 
 
+def _check_integer_loads(loads, when: str) -> None:
+    """Raise `EngineError` at the first load numerator that is not an int."""
+    for node, w in enumerate(loads):
+        if not isinstance(w, int):
+            raise EngineError(
+                f"{when}: the algorithm committed the non-integer load {w!r} at node {node}"
+            )
+
+
 def run_trial(
     cfg: ScenarioConfig,
     seed: Optional[int] = None,
@@ -381,16 +391,11 @@ def run_trial(
                         failure_reports.append(report)
 
             within_tau = gap << tau_exp <= tau_num << after_exp
-        except TypeError as exc:
+        except TypeError:
             # Integer numerators never fail these shifts (nor the
             # conservation kernel's), so the guard costs a sound round
             # nothing: only a failing round is searched for its bad load.
-            for node, w in enumerate(after):
-                if not isinstance(w, int):
-                    raise EngineError(
-                        f"round {rounds}: the algorithm committed the non-integer "
-                        f"load {w!r} at node {node}"
-                    ) from exc
+            _check_integer_loads(after, f"round {rounds}")
             raise
         if emit:
             write_row(
@@ -405,6 +410,9 @@ def run_trial(
         if converged_at is None and within_tau:
             converged_at = rounds
         phi_prev, total_prev = phi_after, total_after
+
+    # A bad load between the extremes fails no shift; search the final vector.
+    _check_integer_loads(loads, f"by round {rounds}")
 
     # The sorting-line guarantee also covers the order the adversary would
     # present next (it reflects the final round's exchanges).

@@ -4,6 +4,9 @@
   (sender_half, answerer_half) numerator pairs: `TwoSidedDeterministic.
   play_round` fuses them into one pass and must give the same loads and
   matching.
+* The randomized max-gap round as it asks every sender afresh and builds
+  a new load list every round: `RandMaxNeighbor.play_round` remembers its
+  senders' proposals and must give the same outcome and draws.
 * The edit distance between two graphs on the same nodes, which bounds
   what the smoothing sampler may change.
 * A random connected graph drawn one `rng.randrange` call at a time:
@@ -14,7 +17,9 @@
 from __future__ import annotations
 
 from dynbal.algorithms.base import heaviest_gap_neighbor, widest_proposer
+from dynbal.dyadic import integral_half_sum
 from dynbal.graphs import Graph, is_connected
+from dynbal.loads import MODE_INTEGRAL
 from dynbal.records import RoundOutcome
 
 DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
@@ -66,6 +71,47 @@ def interactive_round(state: DetState, graph: Graph):
         new_loads=[s + a for s, a in new_state], matching=matching, shift=1
     )
     return new_state, outcome
+
+
+def rand_max_neighbor_round(rng, mode: str, graph: Graph, loads) -> RoundOutcome:
+    """One randomized max-gap round that asks every sender for its
+    heaviest-gap neighbor; the new loads are a new tuple unless no load
+    moved, when they are `loads` itself."""
+    n = graph.n
+    adj = graph.adj
+    coin = rng.getrandbits(n)
+
+    # Senders are the set bits of the coin, walked in ascending id order.
+    incoming: dict[int, list[int]] = {}
+    senders = coin
+    while senders:
+        bit = senders & -senders
+        senders ^= bit
+        u = bit.bit_length() - 1
+        if adj[u]:
+            target, _ = heaviest_gap_neighbor(u, adj[u], loads)
+            if not (coin >> target) & 1:
+                incoming.setdefault(target, []).append(u)
+
+    shift = 0 if mode == MODE_INTEGRAL else 1
+    new_loads = [w << shift for w in loads] if shift else list(loads)
+    matching = []
+    moved = shift
+    for v in sorted(incoming):
+        u = widest_proposer(incoming[v], v, loads)
+        matching.append((u, v, abs(loads[u] - loads[v])))
+        w_u, w_v = new_loads[u], new_loads[v]
+        low, high = integral_half_sum(w_u, w_v)
+        if w_u <= w_v:
+            new_loads[u], new_loads[v] = low, high
+        else:
+            new_loads[u], new_loads[v] = high, low
+        # A pair within one unit splits into the loads it had.
+        moved = moved or new_loads[u] != w_u
+
+    return RoundOutcome(
+        new_loads=tuple(new_loads) if moved else loads, matching=matching, shift=shift
+    )
 
 
 def hamming_distance(g1: Graph, g2: Graph) -> int:

@@ -212,13 +212,17 @@ def test_in_place_sorting_line_equals_rebuild(scenario):
     policy = SortingLinePolicy()
     policy.bind(n, Random(0))
     order = list(range(n))
-    assert policy.next_graph(ctx_for([0] * n)) == line_of(order)
+    graph = policy.next_graph(ctx_for([0] * n))
+    assert graph == line_of(order)
     for index, (loads, pairs) in enumerate(rounds, 2):
+        last_order, last_graph = order, graph
         order = rebuilt_postprocess(order, pairs, loads)
         graph = policy.next_graph(ctx_for(loads, round_index=index, last_matching=pairs))
         assert policy.order == order
         assert [policy.order[i] for i in policy.position] == list(range(n))
         assert graph == line_of(order)
+        # An unmoved order presents the very graph object of the last round.
+        assert (graph is last_graph) == (order == last_order)
         assert sorting_line_postprocess(order, pairs, loads) == rebuilt_postprocess(
             order, pairs, loads
         )

@@ -18,6 +18,7 @@ from dynbal.algorithms.gapreduce import accept_lightest
 from dynbal.graphs import Graph, all_pairs, line_of, path_graph, toggled_adjacency
 from dynbal.loads import total_load
 from dynbal.smoothing import DEFAULT_C1, t_smooth
+from strategies import connected_graphs
 
 
 def started(alg, loads, n, k=Fraction(1)):
@@ -320,19 +321,6 @@ def _per_node_gapless_round(graph, loads, psi):
             if 2 * (loads[v] - loads[u]) >= psi:
                 proposals[u] = v
     return accept_lightest(loads, proposals, senders_accept=False)
-
-
-@st.composite
-def connected_graphs(draw):
-    """A random tree (each node hangs off an earlier one in a shuffled
-    order) plus any set of extra edges, on 1..14 nodes."""
-    n = draw(st.integers(1, 14))
-    order = draw(st.permutations(range(n)))
-    edges = {(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)}
-    pairs = all_pairs(n)
-    extra = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges |= {pair for pair, kept in zip(pairs, extra) if kept}
-    return Graph(n, edges)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,15 +1,19 @@
-"""Randomized max-gap baseline: role flips, exact transfers, matching budget."""
+"""Randomized max-gap baseline: role flips, exact transfers, matching budget,
+and the per-trial proposal memo."""
 
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from dynbal.algorithms import RandMaxNeighbor
+from dynbal.adversaries import AdversaryContext, SortingLinePolicy
+from dynbal.algorithms import RandMaxNeighbor, randomized
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, path_graph
-from dynbal.loads import LoadState, to_dyadics, to_scaled, total_load
+from dynbal.loads import LoadState, line_ramp, to_dyadics, to_scaled, total_load
 from dynbal.metrics import CHECK_MATCHING_BUDGET, KIND_MATCHING, check_round
 from dynbal.records import RoundTrace
+from oracles import rand_max_neighbor_round
+from strategies import connected_graphs
 
 
 def play(loads, graph, mode, seed):
@@ -142,3 +146,79 @@ def test_rounds_are_seed_deterministic():
     b = play(loads, graph, "integral", 123)
     assert a.new_loads == b.new_loads
     assert a.matching == b.matching
+
+
+# ----------------------------------------------------------------------
+# the per-trial proposal memo equals asking every sender afresh
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs(max_n=10), st.sampled_from(["integral", "continuous"]), st.data())
+def test_memo_rounds_match_the_reference(graph, mode, data):
+    n = graph.n
+    seed = data.draw(st.integers(0, 2**32))
+    rng, reference_rng = Random(seed), Random(seed)
+    # Loads from a narrow range, so ties and unit gaps are common.
+    loads = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    alg = RandMaxNeighbor()
+    alg.start(loads, mode, rng, k=0, tau=0, n=n)
+    for _ in range(data.draw(st.integers(1, 10))):
+        shape = data.draw(st.sampled_from(["keep", "twin", "other"]))
+        if shape == "twin":
+            graph = Graph(n, graph.edges)  # equal edges, a new identity
+        elif shape == "other":
+            graph = data.draw(connected_graphs(max_n=n, min_n=n))
+
+        expected = rand_max_neighbor_round(reference_rng, mode, graph, list(loads))
+        outcome = alg.play_round(graph, loads)
+        assert list(outcome.new_loads) == list(expected.new_loads)
+        assert outcome.matching == expected.matching
+        assert outcome.shift == expected.shift
+        assert rng.getstate() == reference_rng.getstate()
+        if mode == "integral" and list(outcome.new_loads) == list(loads):
+            assert outcome.new_loads is loads
+
+        step = data.draw(st.sampled_from(["advance", "keep", "mutate", "copy", "fresh"]))
+        if step == "advance":
+            loads = outcome.new_loads
+        elif step == "mutate":
+            # A list may change in place between rounds: the memo must not
+            # trust one it was given before.
+            if type(loads) is tuple:
+                loads = list(loads)
+            loads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 6))
+        elif step == "copy":
+            loads = tuple(list(loads))  # equal loads, a new identity
+        elif step == "fresh":
+            loads = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+
+
+def test_frozen_sorting_line_asks_each_node_once(monkeypatch):
+    # The sorting line at n=8 on ramp loads: every pair it matches is within
+    # one unit and already in order, so no load moves and the line never
+    # changes.  While graph and tuple stay, each node is asked at most once.
+    n = 8
+    asked = []
+    ask = randomized.heaviest_gap_neighbor
+    monkeypatch.setattr(
+        randomized, "heaviest_gap_neighbor", lambda u, *args: asked.append(u) or ask(u, *args)
+    )
+    policy = SortingLinePolicy()
+    policy.bind(n, Random(0))
+    loads = tuple(line_ramp(n))
+    alg = RandMaxNeighbor()
+    alg.start(loads, "integral", Random(0), k=0, tau=0, n=n)
+    ctx = AdversaryContext(round_index=0, loads=LoadState("integral", loads))
+    first_graph = policy.next_graph(ctx)
+    pairs = 0
+    for r in range(1, 51):
+        ctx.round_index = r
+        graph = policy.next_graph(ctx)
+        assert graph is first_graph
+        outcome = alg.play_round(graph, loads)
+        assert outcome.new_loads is loads
+        ctx.last_matching = [(u, v) for u, v, _ in outcome.matching]
+        pairs += len(outcome.matching)
+    assert pairs > 0
+    assert len(asked) <= n

@@ -400,11 +400,15 @@ def test_committed_negative_load_fails_integrality_every_checked_round(
 
 
 class MovesHalfAUnitInRoundTwo(BalancingAlgorithm):
-    """Round 2 moves half a unit from node 0 to node 1, committing a load
-    numerator that is not an integer; every other round moves nothing."""
+    """Round 2 moves half a unit from node `giver` to the next node,
+    committing load numerators that are not integers; every other round
+    moves nothing."""
 
     name = "randMaxNeighbor"
     modes = ("integral", "continuous")
+
+    def __init__(self, giver=0):
+        self.giver = giver
 
     def start(self, loads, mode, rng, *, k, tau, n):
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
@@ -413,8 +417,10 @@ class MovesHalfAUnitInRoundTwo(BalancingAlgorithm):
     def play_round(self, graph, loads):
         self.rounds += 1
         if self.rounds == 2:
-            half = Fraction(1, 2)
-            return RoundOutcome(new_loads=(loads[0] - half, loads[1] + half) + loads[2:])
+            new_loads = list(loads)
+            new_loads[self.giver] -= Fraction(1, 2)
+            new_loads[self.giver + 1] += Fraction(1, 2)
+            return RoundOutcome(new_loads=tuple(new_loads))
         return RoundOutcome(new_loads=loads)
 
 
@@ -436,6 +442,28 @@ def test_committed_non_integer_load_is_an_engine_error(monkeypatch, mode, checks
         )
     )
     with pytest.raises(EngineError, match=r"^round 2: .* load Fraction\(1, 2\) at node 0$"):
+        run_trial(cfg)
+
+
+@pytest.mark.parametrize("mode", ["integral", "continuous"])
+def test_non_integer_load_between_the_extremes_is_an_engine_error(monkeypatch, mode):
+    # Loads 1, 3/2, 7/2, 4 keep integer extremes, so no round's shift fails
+    # on them; with no checks the final vector is what finds the bad load.
+    monkeypatch.setattr(
+        engine, "make_algorithm", lambda name, **params: MovesHalfAUnitInRoundTwo(giver=1)
+    )
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode=mode,
+            tau="0",
+            algorithm="randMaxNeighbor",
+            roundBudget=8,
+            checks=[],
+        )
+    )
+    with pytest.raises(EngineError, match=r"^by round 8: .* load Fraction\(3, 2\) at node 1$"):
         run_trial(cfg)
 
 
