@@ -17,6 +17,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -154,7 +155,7 @@ def _cmd_run(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
 
     out_dir = Path(args.out) if args.out else None
     factory = None

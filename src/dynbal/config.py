@@ -4,18 +4,20 @@ Configs are plain JSON objects.  Numeric *amounts* (tau, k, probabilities,
 dyadic loads) travel as exact decimal strings so nothing is ever rounded on
 the way in; counts (n, trials, seeds, budgets) are ordinary JSON integers.
 Unknown keys are rejected rather than ignored: a typo should fail loudly.
+A `ScenarioConfig` holds what the engine hands its components (their
+constructor arguments, the trace's row stride); it is never serialised back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL, KIND_MATCHING
 from .adversaries import ADVERSARIES, StaticPolicy
-from .dyadic import DECIMAL_RE, Dyadic, decimal_text
+from .dyadic import DECIMAL_RE, Dyadic
 from .loads import MODE_CONTINUOUS, MODE_INTEGRAL, MODES
 from .metrics import (
     ALL_CHECKS,
@@ -23,10 +25,6 @@ from .metrics import (
     TWO_SIDED_ONLY_CHECKS,
 )
 from .smoothing import DEFAULT_MAX_REJECTIONS
-
-TRACE_FULL = "full"
-TRACE_SUMMARY = "summary"
-TRACE_SAMPLED = "sampled"
 
 GENERATOR_NAMES = ("lineRamp", "singleSource", "uniformRandom")
 
@@ -65,27 +63,6 @@ def _decimal_fraction(value, what: str) -> Fraction:
     raise ConfigError(f"{what} must be an exact decimal string, got {value!r}")
 
 
-def _fraction_decimal_str(value: Fraction) -> str:
-    """Exact decimal rendering for fractions whose denominator divides 10^d."""
-    if value.denominator == 1:
-        return decimal_text(value.numerator)
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        raise ValueError(f"{value} has no finite decimal expansion")
-    digits = max(twos, fives)
-    scaled = value * 10**digits
-    text = decimal_text(abs(scaled.numerator)).rjust(digits + 1, "0")
-    sign = "-" if value < 0 else ""
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     n: int
@@ -93,14 +70,14 @@ class ScenarioConfig:
     initial_loads: tuple  # ("explicit", loads) | (generator_name, params)
     tau: Dyadic
     k: Fraction
-    adversary: tuple  # (name, params)
-    algorithm: tuple  # (name, params)
+    adversary: tuple  # (name, constructor keyword arguments)
+    algorithm: tuple  # (name, constructor keyword arguments)
     round_budget: Optional[int] = None
     trials: int = 1
     seed: int = 0
     checks: tuple[str, ...] = ()
     check_stride: int = 1
-    trace_level: Union[str, tuple] = TRACE_SUMMARY
+    trace_stride: Optional[int] = None  # every stride-th round's row; None: summary
     stop_on_converge: bool = True
     max_rejections: int = DEFAULT_MAX_REJECTIONS
 
@@ -108,64 +85,13 @@ class ScenarioConfig:
     def algorithm_name(self) -> str:
         return self.algorithm[0]
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "n": self.n,
-            "mode": self.mode,
-            "tau": self.tau.decimal_str(),
-            "k": _fraction_decimal_str(self.k),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        kind, payload = self.initial_loads
-        if kind == "explicit":
-            out["initialLoads"] = [
-                w if isinstance(w, int) else w.decimal_str() for w in payload
-            ]
-        elif payload:
-            out["initialLoads"] = {"name": kind, **payload}
-        else:
-            out["initialLoads"] = kind
-
-        for key, (name, params) in (("adversary", self.adversary), ("algorithm", self.algorithm)):
-            rendered = dict(params)
-            if "extraEdgeProb" in rendered:
-                rendered["extraEdgeProb"] = _fraction_decimal_str(rendered["extraEdgeProb"])
-            if "c1" in rendered:
-                rendered["c1"] = _fraction_decimal_str(rendered["c1"])
-            out[key] = {"name": name, **rendered} if rendered else name
-
-        if self.round_budget is not None:
-            out["roundBudget"] = self.round_budget
-        if self.checks:
-            out["checks"] = list(self.checks)
-        if self.check_stride != 1:
-            out["checkStride"] = self.check_stride
-        if self.trace_level != TRACE_SUMMARY:
-            if isinstance(self.trace_level, tuple):
-                out["traceLevel"] = {TRACE_SAMPLED: self.trace_level[1]}
-            else:
-                out["traceLevel"] = self.trace_level
-        if not self.stop_on_converge:
-            out["stopOnConverge"] = False
-        if self.max_rejections != DEFAULT_MAX_REJECTIONS:
-            out["maxRejections"] = self.max_rejections
-        return out
-
 
 def parse_config(text: str) -> ScenarioConfig:
     import json  # here, so that config_from_dict callers never load it
 
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -215,7 +141,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     if not _is_int(check_stride) or check_stride < 1:
         raise ConfigError("checkStride must be a positive integer")
 
-    trace_level = _parse_trace_level(raw.get("traceLevel", TRACE_SUMMARY))
+    trace_stride = _parse_trace_stride(raw.get("traceLevel", "summary"))
 
     stop_on_converge = raw.get("stopOnConverge", True)
     if not isinstance(stop_on_converge, bool):
@@ -238,7 +164,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         seed=seed,
         checks=checks,
         check_stride=check_stride,
-        trace_level=trace_level,
+        trace_stride=trace_stride,
         stop_on_converge=stop_on_converge,
         max_rejections=max_rejections,
     )
@@ -328,14 +254,17 @@ def _parse_adversary(value, n: int) -> tuple:
     if name == "static":
         if not set(params) <= {"graph", "edges"}:
             raise ConfigError("static adversary takes 'graph' or 'edges'")
+        if not isinstance(params.get("graph", ""), str):
+            raise ConfigError(f"static graph must be a shape name, got {params['graph']!r}")
         edges = params.get("edges")
         if edges is not None and not (
             isinstance(edges, list)
             and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)
         ):
             raise ConfigError("static edges must be a list of [u, v] integer pairs")
+        params = {"shape" if key == "graph" else key: val for key, val in params.items()}
         try:
-            StaticPolicy(shape=params.get("graph", "path"), edges=edges).bind(n, None)
+            StaticPolicy(**params).bind(n, None)
         except ValueError as exc:
             raise ConfigError(f"static adversary: {exc}") from None
     elif name == "randomConnected":
@@ -345,7 +274,7 @@ def _parse_adversary(value, n: int) -> tuple:
             prob = _decimal_fraction(params["extraEdgeProb"], "extraEdgeProb")
             if not 0 <= prob <= 1:
                 raise ConfigError("extraEdgeProb must lie in [0, 1]")
-            params = {"extraEdgeProb": prob}
+            params = {"extra_edge_prob": prob}
     elif params:
         raise ConfigError(f"adversary {name} takes no parameters")
     return (name, params)
@@ -382,7 +311,10 @@ def _name_and_params(value, what: str) -> tuple[str, dict]:
     if isinstance(value, dict):
         if "name" not in value:
             raise ConfigError(f"{what} object needs a 'name'")
-        return value["name"], {key: val for key, val in value.items() if key != "name"}
+        name = value["name"]
+        if not isinstance(name, str):
+            raise ConfigError(f"{what} name must be a string, got {name!r}")
+        return name, {key: val for key, val in value.items() if key != "name"}
     raise ConfigError(f"{what} must be a name or an object with a name")
 
 
@@ -403,14 +335,17 @@ def _parse_checks(value, algorithm_name: str, adversary_name: str) -> tuple[str,
     return tuple(seen)
 
 
-def _parse_trace_level(value):
-    if value in (TRACE_FULL, TRACE_SUMMARY):
-        return value
-    if isinstance(value, dict) and set(value) == {TRACE_SAMPLED}:
-        stride = value[TRACE_SAMPLED]
+def _parse_trace_stride(value) -> Optional[int]:
+    """traceLevel as a row stride: "full" is 1 and "summary" is None."""
+    if value == "summary":
+        return None
+    if value == "full":
+        return 1
+    if isinstance(value, dict) and set(value) == {"sampled"}:
+        stride = value["sampled"]
         if not _is_int(stride) or stride < 1:
             raise ConfigError("sampled trace stride must be a positive integer")
-        return (TRACE_SAMPLED, stride)
+        return stride
     raise ConfigError("traceLevel must be 'full', 'summary', or {'sampled': stride}")
 
 

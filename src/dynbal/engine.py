@@ -36,10 +36,10 @@ from math import ceil, log, sqrt
 from random import Random
 from typing import Optional
 
-from .adversaries import AdversaryContext, AdversaryPolicy, SortingLinePolicy, make_adversary
+from .adversaries import AdversaryContext, SortingLinePolicy, make_adversary
 from .algorithms import CONTINUOUS_VIA_INTEGRAL, make_algorithm
 from .algorithms.drivers import decompose_by_unit, recombine_by_unit
-from .config import TRACE_FULL, TRACE_SUMMARY, ScenarioConfig
+from .config import ScenarioConfig
 from .dyadic import Dyadic, as_dyadic
 from .graphs import is_connected
 from .loads import (
@@ -121,7 +121,7 @@ def deterministic_round_budget(n: int, total, tau) -> int:
     logarithmic arm in floats, which is safe because its ceil is never
     within one of the true value for the magnitudes involved.
     """
-    total_fr = as_dyadic(total).as_fraction() if not isinstance(total, Fraction) else total
+    total_fr = as_dyadic(total).as_fraction()
     tau_fr = as_dyadic(tau).as_fraction()
     if total_fr <= 0:
         return 0
@@ -210,19 +210,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 # ----------------------------------------------------------------------
 
 
-def _instantiate_adversary(cfg: ScenarioConfig) -> AdversaryPolicy:
-    name, params = cfg.adversary
-    kwargs = {}
-    if name == "static":
-        if "graph" in params:
-            kwargs["shape"] = params["graph"]
-        if "edges" in params:
-            kwargs["edges"] = params["edges"]
-    elif name == "randomConnected" and "extraEdgeProb" in params:
-        kwargs["extra_edge_prob"] = params["extraEdgeProb"]
-    return make_adversary(name, **kwargs)
-
-
 def _check_integer_loads(loads, when: str) -> None:
     """Raise `EngineError` at the first load numerator that is not an int."""
     for node, w in enumerate(loads):
@@ -257,7 +244,7 @@ def run_trial(
     total_prev = total_load(loads)
     total = Dyadic(total_prev, exp) if continuous else total_prev
 
-    adversary = _instantiate_adversary(cfg)
+    adversary = make_adversary(cfg.adversary[0], **cfg.adversary[1])
     adversary.bind(n, rng_adversary)
     algorithm = make_algorithm(cfg.algorithm_name, **cfg.algorithm[1])
     algorithm.start(loads, cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau, n=n)
@@ -274,16 +261,13 @@ def run_trial(
 
     enabled = cfg.checks
     line_policy = adversary if isinstance(adversary, SortingLinePolicy) else None
-    initial_prefix, prefix_exp = None, exp
+    initial_prefix = None
     if CHECK_PREFIX_MONOTONE in enabled:
         if line_policy is None:
             raise EngineError("prefixMonotone needs the sortingLine adversary")
         initial_prefix = prefix_sums(line_policy.order, loads)
 
-    if trace_writer is None or cfg.trace_level == TRACE_SUMMARY:
-        trace_stride = None
-    else:
-        trace_stride = 1 if cfg.trace_level == TRACE_FULL else cfg.trace_level[1]
+    trace_stride = cfg.trace_stride if trace_writer is not None else None
 
     failure_reports: list[InvariantReport] = []
     invariant_failures = 0
@@ -380,7 +364,6 @@ def run_trial(
                     phi_after=phi_after,
                     line_order=line_policy.order if line_policy is not None else None,
                     initial_prefix=initial_prefix,
-                    prefix_exp=prefix_exp,
                     total_before=total_prev,
                     total_after=total_after,
                     memo=check_memo,
@@ -425,7 +408,7 @@ def run_trial(
         before.loads, before.exp = loads, exp
         ctx.round_index, ctx.last_matching = rounds + 1, last_matching
         next_graph(ctx)
-        witness = prefix_growth(line_policy.order, loads, exp, initial_prefix, prefix_exp)
+        witness = prefix_growth(line_policy.order, loads, exp, initial_prefix)
         if witness is not None:
             report = InvariantReport(rounds + 1)
             report.checks[CHECK_PREFIX_MONOTONE] = False

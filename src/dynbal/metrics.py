@@ -129,7 +129,6 @@ def check_round(
     phi_after=None,
     line_order: Optional[Sequence[int]] = None,
     initial_prefix: Optional[Sequence] = None,
-    prefix_exp: int = 0,
     total_before=None,
     total_after=None,
     memo: Optional[CheckMemo] = None,
@@ -141,7 +140,7 @@ def check_round(
     and `after`); otherwise they are derived here on demand, `phi_before`
     once for every kernel that reads it.  The matching's gaps are at
     `before.exp` and `trace.d_r` one bit finer; `initial_prefix` is at
-    `prefix_exp`.  `memo` is one trial's `CheckMemo`, passed to every round
+    exponent 0.  `memo` is one trial's `CheckMemo`, passed to every round
     of that trial; the reports are the same with it or without it.
     """
     report = InvariantReport(trace.round_index)
@@ -153,7 +152,7 @@ def check_round(
         if phi_before is None and name in _READS_PHI_BEFORE:
             phi_before = potential(before.loads)
         witness = kernel(before, after, trace, algorithm_kind, phi_before, phi_after,
-                         line_order, initial_prefix, prefix_exp, total_before, total_after, memo)
+                         line_order, initial_prefix, total_before, total_after, memo)
         checks[name] = witness is None
         if witness is not None:
             witnesses[name] = witness
@@ -166,7 +165,7 @@ def check_round(
 
 
 def _conservation(
-    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp,
+    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix,
     total_before, total_after, *_
 ):
     if after.loads is before.loads and after.exp == before.exp:
@@ -260,7 +259,7 @@ def _matching_budget(before, after, trace, kind, *_):
 
 
 def _integrality(
-    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp,
+    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix,
     total_before, total_after, memo,
 ):
     if after.mode != MODE_INTEGRAL:
@@ -282,11 +281,11 @@ def _integrality(
 
 
 def _prefix_monotone(
-    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, prefix_exp, *_
+    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, *_
 ):
     if line_order is None or initial_prefix is None:
         raise ValueError("prefixMonotone needs the line order and baseline prefixes")
-    return prefix_growth(line_order, before.loads, before.exp, initial_prefix, prefix_exp)
+    return prefix_growth(line_order, before.loads, before.exp, initial_prefix)
 
 
 def _split_potential(before, after, trace, kind, phi_before, *_):
@@ -316,21 +315,18 @@ def _text(num, exp: int) -> str:
     return Dyadic(num, exp).decimal_str()
 
 
-def prefix_growth(order, loads, exp: int, baseline, baseline_exp: int) -> Optional[dict]:
+def prefix_growth(order, loads, exp: int, baseline) -> Optional[dict]:
     """Witness for the first prefix sum (loads read in `order`) above its
-    baseline (from `prefix_sums`, so prefix 0 is 0 on both sides), or None."""
+    baseline (from `prefix_sums`, so prefix 0 is 0 on both sides), or None.
+    Both are whole units, as in the integral construction the check belongs
+    to; loads at another exponent are their own witness, as in integrality."""
+    if exp:
+        return {"exp": exp}
     now = 0
-    if exp == baseline_exp:
-        # One scale on both sides: compare the running sums as they are.
-        i = 0
-        for node in order:
-            now += loads[node]
-            i += 1
-            if now > baseline[i]:
-                return {"prefix": i, "now": _text(now, exp), "baseline": _text(baseline[i], exp)}
-        return None
-    for i, (node, base) in enumerate(zip(order, baseline[1:]), 1):
+    i = 0
+    for node in order:
         now += loads[node]
-        if now << baseline_exp > base << exp:
-            return {"prefix": i, "now": _text(now, exp), "baseline": _text(base, baseline_exp)}
+        i += 1
+        if now > baseline[i]:
+            return {"prefix": i, "now": _text(now, 0), "baseline": _text(baseline[i], 0)}
     return None

@@ -130,6 +130,8 @@ def test_malformed_static_adversary_exits_one(tmp_path, capsys):
             {"name": "static", "edges": [[0, 7]]},
             {"name": "static", "edges": [[0]]},
             {"name": "static", "edges": [[0, 1], [2, 3]]},
+            {"name": "static", "graph": ["path"]},
+            {"name": ["x"]},
         ]
     ):
         path = write_config(tmp_path, name=f"static{i}.json", adversary=adversary)
@@ -162,6 +164,15 @@ def test_experiment_writes_summary_files(tmp_path, capsys):
     assert aggregate["successes"] == 3
     for seed in (50, 51, 52):
         assert (out_dir / f"trial_{seed}.csv").exists()
+
+
+def test_experiment_seed_overrides_the_config(tmp_path, capsys):
+    path = write_config(tmp_path, trials=2, seed=50)
+    out_dir = tmp_path / "results"
+    assert main(["experiment", str(path), "--seed", "7", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    summary = list(csv.reader((out_dir / "summary.csv").read_text().splitlines()))
+    assert [row[0] for row in summary[1:]] == ["7", "8"]
 
 
 def test_experiment_respects_thread_env(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
-"""Scenario parsing: strict validation and exact round-tripping."""
+"""Scenario parsing: strict validation and exact numeric fields."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ def test_minimal_config_defaults():
     assert cfg.seed == 0
     assert cfg.checks == ()
     assert cfg.check_stride == 1
-    assert cfg.trace_level == "summary"
+    assert cfg.trace_stride is None
     assert cfg.stop_on_converge is True
     assert cfg.round_budget is None
 
@@ -45,6 +46,15 @@ def test_parse_config_rejects_non_json():
         parse_config("{nope")
     with pytest.raises(ConfigError, match="JSON object"):
         parse_config("[1, 2]")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+def test_integer_past_json_digit_limit_is_a_config_error():
+    digits = sys.get_int_max_str_digits() + 700
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config(json.dumps(minimal()).replace('"n": 4', f'"n": 4, "seed": {"7" * digits}'))
 
 
 def test_unknown_and_missing_keys():
@@ -83,8 +93,6 @@ def test_decimals_past_int_digit_limit_parse_exactly():
     assert cfg.tau == tau
     assert cfg.k == k
     assert cfg.algorithm[1]["c1"] == 1 + k
-    assert config_from_dict(cfg.to_dict()) == cfg
-    assert cfg.to_dict()["tau"] == tau.decimal_str()
     with pytest.raises(ConfigError, match="tau: .* has no finite binary expansion"):
         config_from_dict(minimal(tau="0." + "3" * 5000))
 
@@ -138,20 +146,24 @@ def test_adversary_params():
     cfg = config_from_dict(
         minimal(adversary={"name": "randomConnected", "extraEdgeProb": "0.25"})
     )
-    assert cfg.adversary == ("randomConnected", {"extraEdgeProb": Fraction(1, 4)})
+    assert cfg.adversary == ("randomConnected", {"extra_edge_prob": Fraction(1, 4)})
     with pytest.raises(ConfigError, match=r"lie in \[0, 1\]"):
         config_from_dict(
             minimal(adversary={"name": "randomConnected", "extraEdgeProb": "2"})
         )
     with pytest.raises(ConfigError, match="unknown adversary"):
         config_from_dict(minimal(adversary="chaos"))
+    with pytest.raises(ConfigError, match=r"adversary name must be a string, got \['x'\]"):
+        config_from_dict(minimal(adversary={"name": ["x"]}))
 
 
 def test_static_graph_must_be_named():
     cfg = config_from_dict(minimal(adversary={"name": "static", "graph": "star"}))
-    assert cfg.adversary == ("static", {"graph": "star"})
+    assert cfg.adversary == ("static", {"shape": "star"})
     with pytest.raises(ConfigError, match="unknown graph shape 'wheel'"):
         config_from_dict(minimal(adversary={"name": "static", "graph": "wheel"}))
+    with pytest.raises(ConfigError, match=r"static graph must be a shape name, got \['path'\]"):
+        config_from_dict(minimal(adversary={"name": "static", "graph": ["path"]}))
 
 
 @pytest.mark.parametrize(
@@ -208,6 +220,8 @@ def test_algorithm_params():
         config_from_dict(minimal(mode="integral", tau="0", k="1", algorithm={"name": "gaplessGapReduce"}))
     with pytest.raises(ConfigError, match="accepts parameters"):
         config_from_dict(minimal(algorithm={"name": "deterministic", "c1": "2"}))
+    with pytest.raises(ConfigError, match=r"algorithm name must be a string, got \['x'\]"):
+        config_from_dict(minimal(algorithm={"name": ["x"]}))
 
 
 def test_mode_algorithm_compatibility():
@@ -297,15 +311,22 @@ def test_prefix_monotone_needs_the_impossibility_construction():
 
 
 def test_trace_level_forms():
-    assert config_from_dict(minimal(traceLevel="full")).trace_level == "full"
-    assert config_from_dict(minimal(traceLevel={"sampled": 10})).trace_level == ("sampled", 10)
+    assert config_from_dict(minimal(traceLevel="summary")).trace_stride is None
+    assert config_from_dict(minimal(traceLevel="full")).trace_stride == 1
+    assert config_from_dict(minimal(traceLevel={"sampled": 10})).trace_stride == 10
     with pytest.raises(ConfigError, match="traceLevel"):
         config_from_dict(minimal(traceLevel="verbose"))
     with pytest.raises(ConfigError, match="stride"):
         config_from_dict(minimal(traceLevel={"sampled": 0}))
 
 
-def test_round_trip_preserves_everything():
+def test_full_trace_is_sampled_every_round():
+    full = config_from_dict(minimal(traceLevel="full"))
+    assert full == config_from_dict(minimal(traceLevel={"sampled": 1}))
+    assert full != config_from_dict(minimal(traceLevel={"sampled": 2}))
+
+
+def test_every_field_parses_to_its_argument():
     raw = {
         "n": 8,
         "initialLoads": {"name": "uniformRandom", "maxValue": 8, "granularityBits": 3},
@@ -324,18 +345,31 @@ def test_round_trip_preserves_everything():
         "maxRejections": 777,
     }
     cfg = config_from_dict(raw)
-    again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+    assert cfg.n == 8
+    assert cfg.initial_loads == ("uniformRandom", {"maxValue": 8, "granularityBits": 3})
+    assert cfg.mode == "continuous"
+    assert cfg.tau == Dyadic(1, 2)
+    assert cfg.k == Fraction(3, 2)
+    assert cfg.adversary == ("randomConnected", {"extra_edge_prob": Fraction(1, 10)})
+    assert cfg.algorithm == ("continuousViaIntegral", {"c1": Fraction(2)})
+    assert cfg.round_budget == 500
+    assert cfg.trials == 10
+    assert cfg.seed == 42
+    assert cfg.checks == ("conservation", "matchingBudget")
+    assert cfg.check_stride == 5
+    assert cfg.trace_stride == 25
+    assert cfg.stop_on_converge is False
+    assert cfg.max_rejections == 777
+    # JSON text parses to the same config as the object it encodes.
+    assert parse_config(json.dumps(raw)) == cfg
 
 
-def test_round_trip_explicit_loads():
+def test_explicit_loads_mix_integers_and_decimals():
     cfg = config_from_dict(minimal(initialLoads=["0.5", 2, "3.25", 0]))
-    again = config_from_dict(cfg.to_dict())
-    assert again == cfg
-    assert cfg.to_dict()["initialLoads"] == ["0.5", "2", "3.25", "0"]
-
-
-def test_with_seed():
-    cfg = config_from_dict(minimal())
-    assert cfg.with_seed(9).seed == 9
-    assert cfg.seed == 0
+    assert cfg.initial_loads == ("explicit", (Dyadic(1, 1), Dyadic(2), Dyadic(13, 2), Dyadic(0)))
+    integral = config_from_dict(
+        minimal(initialLoads=["1", 2, "3.0", 0], mode="integral", tau="1",
+                adversary="sortingLine", algorithm="randMaxNeighbor")
+    )
+    assert integral.initial_loads == ("explicit", (1, 2, 3, 0))
+    assert all(type(w) is int for w in integral.initial_loads[1])

@@ -299,7 +299,7 @@ class DisconnectsOnRoundThree(AdversaryPolicy):
 def test_disconnected_adversary_graph_is_rejected(monkeypatch, fresh):
     policy = DisconnectsOnRoundThree(fresh)
     assert not is_connected(policy.split)  # its connectivity is cached before any trial
-    monkeypatch.setattr(engine, "_instantiate_adversary", lambda cfg: policy)
+    monkeypatch.setattr(engine, "make_adversary", lambda name, **params: policy)
     cfg = config_from_dict(scenario(n=4, initialLoads=[8, 0, 0, 0], roundBudget=10))
     # The second trial sees the kept object again.
     for _ in range(2):

@@ -305,7 +305,6 @@ def reference_check_round(
     phi_after=None,
     line_order=None,
     initial_prefix=None,
-    prefix_exp=0,
 ):
     """check_round as it was before the kernel table, an if/elif chain over
     the check names: the oracle for the kernels."""
@@ -373,16 +372,20 @@ def reference_check_round(
             if line_order is None or initial_prefix is None:
                 raise ValueError("prefixMonotone needs the line order and baseline prefixes")
             good = True
-            now_sums = prefix_sums(line_order, before.loads)
-            for i, (now, base) in enumerate(zip(now_sums, initial_prefix)):
-                if now << prefix_exp > base << exp:
-                    good = False
-                    witnesses[name] = {
-                        "prefix": i,
-                        "now": text(now, exp),
-                        "baseline": text(base, prefix_exp),
-                    }
-                    break
+            if exp:
+                good = False
+                witnesses[name] = {"exp": exp}
+            else:
+                now_sums = prefix_sums(line_order, before.loads)
+                for i, (now, base) in enumerate(zip(now_sums, initial_prefix)):
+                    if now > base:
+                        good = False
+                        witnesses[name] = {
+                            "prefix": i,
+                            "now": text(now, 0),
+                            "baseline": text(base, 0),
+                        }
+                        break
         elif name == CHECK_SPLIT_POTENTIAL:
             halves = [w for w in before.loads for _ in (0, 1)]
             split = potential(halves)
@@ -479,12 +482,10 @@ def check_scenarios(draw):
         phi_after=maybe_wrong(potential(after)),
     )
     if draw(st.integers(0, 9)):
-        prefix_exp = draw(st.integers(0, 3))
         baseline_loads = draw(st.lists(st.integers(0, 160), min_size=n, max_size=n))
         kwargs.update(
             line_order=draw(st.permutations(range(n))),
             initial_prefix=prefix_sums(draw(st.permutations(range(n))), baseline_loads),
-            prefix_exp=prefix_exp,
         )
     return LoadState(mode, loads, exp), LoadState(mode, after, after_exp), trace, kwargs
 
@@ -601,7 +602,7 @@ def test_check_memo_remembers_tuples_only():
 
 
 # ----------------------------------------------------------------------
-# prefix scans with and without shifts
+# prefix scans
 # ----------------------------------------------------------------------
 
 
@@ -621,17 +622,17 @@ def shifted_prefix_growth(order, loads, exp, baseline, baseline_exp):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.integers(0, 9), st.integers(0, 3), st.integers(0, 3))
-def test_one_scale_prefix_scan_matches_shifted_scan(data, n, exp, shift):
+@given(st.data(), st.integers(0, 9), st.integers(0, 3))
+def test_one_scale_prefix_scan_matches_shifted_scan(data, n, exp):
     # Baselines near the loads' own prefixes, so growth is found often and
     # at every position.
     loads = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
     order = data.draw(st.permutations(range(n)))
     baseline = prefix_sums(data.draw(st.permutations(range(n))), loads)
     baseline = [0] + [b + data.draw(st.integers(-3, 3)) for b in baseline[1:]]
-    expected = shifted_prefix_growth(order, loads, exp, baseline, exp)
-    assert prefix_growth(order, loads, exp, baseline, exp) == expected
-    # The same amounts at a finer exponent take the shifted path and must
-    # report the same witness.
-    finer = [w << shift for w in loads]
-    assert prefix_growth(order, finer, exp + shift, baseline, exp) == expected
+    assert prefix_growth(order, loads, 0, baseline) == shifted_prefix_growth(
+        order, loads, 0, baseline, 0
+    )
+    # Loads off whole units are the witness, wherever their prefixes lie.
+    if exp:
+        assert prefix_growth(order, loads, exp, baseline) == {"exp": exp}
