@@ -1,17 +1,23 @@
-"""Shared protocol for round-based balancing algorithms.
+"""Shared protocol for round-based balancing algorithms, and their round.
 
 An algorithm is started once per trial with the initial loads and its own
 random stream, then asked to play one round at a time against whatever
 graph the engine presents.  It never sees the adversary's or the sampler's
 randomness, and it observes loads only as they stood when the round began.
 The loads it is given are the trial's committed tuple (see loads.py).
+
+Every algorithm here plays one kind of round: each node offers its load to
+at most one neighbor, each target accepts one offer, and each accepted pair
+splits its load.  An offer is a `(target, key)` pair keyed by the gap.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
 
+from ..dyadic import integral_half_sum
 from ..graphs import Graph
 from ..records import KIND_MATCHING, KIND_TWO_SIDED, RoundOutcome  # noqa: F401 (re-exported)
 
@@ -69,14 +75,6 @@ def heaviest_gap_neighbor(u: int, neighbors: Sequence[int], loads) -> tuple[Opti
     return best, best_gap
 
 
-def widest_proposer(proposers: Sequence[int], v: int, loads) -> int:
-    """Proposer maximising |w(u) - w(v)|; the first listed wins ties."""
-    if len(proposers) == 1:
-        return proposers[0]
-    w_v = loads[v]
-    return max(proposers, key=lambda u: abs(loads[u] - w_v))
-
-
 def heaviest_neighbor(u: int, neighbors: Sequence[int], loads) -> Optional[int]:
     """Neighbor with the largest load, lowest id on ties."""
     best = None
@@ -86,3 +84,83 @@ def heaviest_neighbor(u: int, neighbors: Sequence[int], loads) -> Optional[int]:
         if best is None or w_v > best_load:
             best, best_load = v, w_v
     return best
+
+
+_TARGET = itemgetter(1)
+
+
+def accept_offers(offers: dict, senders: Optional[int] = None) -> list[tuple[int, int, object]]:
+    """The matching `(u, v, key)` in ascending target order: each target v
+    takes the highest key, the lowest proposer u on ties.  `offers` maps
+    proposers to their `(target, key)`, in any order; with the bit mask
+    `senders`, only its nodes' offers count and none of them accepts."""
+    accepted: dict[int, tuple[int, int, object]] = {}
+    for u, (v, key) in offers.items():
+        if senders is not None and (not senders >> u & 1 or senders >> v & 1):
+            continue
+        held = accepted.get(v)
+        if held is None or key > held[2] or key == held[2] and u < held[0]:
+            accepted[v] = u, v, key
+    return sorted(accepted.values(), key=_TARGET)
+
+
+def split_pairs(loads, matching, shift: int = 0):
+    """A new tuple in which each pair of `accept_offers`' matching, keyed by
+    its gap, splits its total on loads `shift` bits finer, the lighter side
+    taking the floor; `loads` itself when nothing can move."""
+    if not shift:
+        for _, _, gap in matching:
+            if gap > 1:
+                break
+        else:
+            return loads
+    new_loads = [w << shift for w in loads] if shift else list(loads)
+    for u, v, _ in matching:
+        w_u, w_v = new_loads[u], new_loads[v]
+        low, high = integral_half_sum(w_u, w_v)
+        new_loads[u], new_loads[v] = (low, high) if w_u <= w_v else (high, low)
+    return tuple(new_loads)
+
+
+class ProposalMemo(BalancingAlgorithm):
+    """Remembers offers, each of which reads only its node's adjacency row
+    and the loads.  The key is the base graph a smoothed graph was flipped
+    from and the loads' committed tuple, both by identity (a list is never
+    remembered: it could change in place); while it holds, a round asks only
+    the flipped pairs' endpoints again, on their flipped rows.  Subclasses
+    give `_propose(u, row, loads)`, u's offer or None, and, unless every
+    round names its `senders` (each then asked the first time it sends),
+    `_base_proposals(graph, loads)`, every offer on `graph`."""
+
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self._memo_base, self._memo_loads, self._memo, self._asked = None, None, {}, 0
+
+    def _offers(self, graph: Graph, loads: tuple, senders: Optional[int] = None) -> dict:
+        """This round's offers for `accept_offers` with the same `senders`."""
+        base = graph if graph.base is None else graph.base
+        if base is not self._memo_base or loads is not self._memo_loads:
+            self._memo_base = base
+            self._memo_loads = loads if type(loads) is tuple else None
+            self._memo = {} if senders is not None else self._base_proposals(base, loads)
+            self._asked = 0
+        memo = self._memo
+        if senders is not None and (unasked := senders & ~self._asked):
+            self._asked |= unasked
+            rows = base.adj
+            while unasked:
+                bit = unasked & -unasked
+                unasked ^= bit
+                u = bit.bit_length() - 1
+                if (offer := self._propose(u, rows[u], loads)) is not None:
+                    memo[u] = offer
+        if not graph.flips:
+            return memo
+        merged = dict(memo)
+        adj = graph.adj
+        for u in {u for pair in graph.flips for u in pair}:
+            if (offer := self._propose(u, adj[u], loads)) is None:
+                merged.pop(u, None)
+            else:
+                merged[u] = offer
+        return merged

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..graphs import Graph
 from ..records import RoundOutcome
-from .base import KIND_TWO_SIDED, BalancingAlgorithm, heaviest_gap_neighbor, widest_proposer
+from .base import KIND_TWO_SIDED, BalancingAlgorithm, accept_offers, heaviest_gap_neighbor
 
 
 class TwoSidedDeterministic(BalancingAlgorithm):
@@ -36,18 +36,15 @@ class TwoSidedDeterministic(BalancingAlgorithm):
     modes = ("continuous",)
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
-        adj = graph.adj
-        incoming: dict[int, list[int]] = {}
-        for u in range(graph.n):
-            target, gap = heaviest_gap_neighbor(u, adj[u], loads)
-            if target is not None and gap > 0:
-                incoming.setdefault(target, []).append(u)
+        offers = {
+            u: offer
+            for u, row in enumerate(graph.adj)
+            if (offer := heaviest_gap_neighbor(u, row, loads))[1] > 0
+        }
+        matching = accept_offers(offers)
         new_loads = [w << 2 for w in loads]
-        matching: list[tuple[int, int, int]] = []
-        for v in sorted(incoming):
-            u = widest_proposer(incoming[v], v, loads)
+        for u, v, _ in matching:
             moved = loads[v] - loads[u]
             new_loads[u] += moved
             new_loads[v] -= moved
-            matching.append((u, v, abs(moved)))
         return RoundOutcome(new_loads=tuple(new_loads), matching=matching, shift=2)

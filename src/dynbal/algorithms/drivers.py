@@ -29,6 +29,7 @@ from .gapreduce import (
     GaplessGapReduce,
     gap_reduce_round_budget,
     gapless_round_budget,
+    hitting_constant,
 )
 
 
@@ -58,7 +59,7 @@ class _CallChain(BalancingAlgorithm):
     modes = ("integral",)
 
     def __init__(self, c1: Fraction = DEFAULT_C1):
-        self.c1 = Fraction(c1)
+        self.c1 = hitting_constant(c1)
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)

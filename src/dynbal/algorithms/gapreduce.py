@@ -6,28 +6,20 @@ every round this reaches everyone.  With the frozen extremes m and M and
 the spread psi = M - m, a node is light when w < m + psi/4 and heavy when
 w > M - psi/4.  For the main rounds each light node proposes to its
 heaviest neighbor provided that neighbor is heavy; each heavy node accepts
-its lightest proposer; the pair splits its total with the floor going to
-the light node.  Thresholds never move within a call, so once either side
-is exhausted the remaining rounds provably transfer nothing and can be
-fast-forwarded.
+its lightest proposer, the one with the widest gap; the pair splits its
+total with the floor going to the light node.  Thresholds never move within
+a call, so once either side is exhausted the remaining rounds provably
+transfer nothing and can be fast-forwarded.
 
 The gapless variant skips flooding entirely: it is handed a target spread
 psi and every node proposes to its heaviest neighbor whenever that
 neighbor is at least psi/2 ahead (inclusive).  Nodes that proposed do not
 also accept, which keeps the variant matching-based.  A node proposes
 exactly when some edge puts it at least psi/2 below the other end, so a
-round finds the proposers in one pass over the edges and asks only them,
-in ascending id order, for their heaviest neighbor.
+round finds the proposers in one pass over the edges and asks only them.
 
-Both variants keep one proposal memo per call: a node's proposal reads only
-its own adjacency row and the loads, and thresholds and psi never move.  The
-memo holds the base graph a smoothed graph was flipped from and the loads'
-committed tuple, both by identity, and every proposal on that base.  While
-both stay, a round asks only the flipped pairs' endpoints again, on their
-flipped rows; any other round recomputes the base proposals with the pass
-above.  A round that moves no load hands its tuple back, so the memo holds
-across it.  Loads given as a list are never remembered: a list could change
-in place between rounds.
+Both variants keep the shared proposal memo (see base.py) for one call, as
+thresholds and psi never move within it; a memo miss runs the passes above.
 """
 
 from __future__ import annotations
@@ -36,11 +28,18 @@ from fractions import Fraction
 from math import ceil, e, log
 from random import Random
 
-from ..dyadic import integral_half_sum
 from ..graphs import Graph
 from ..records import RoundOutcome
 from ..smoothing import DEFAULT_C1
-from .base import KIND_MATCHING, BalancingAlgorithm, heaviest_neighbor
+from .base import KIND_MATCHING, ProposalMemo, accept_offers, heaviest_neighbor, split_pairs
+
+
+def hitting_constant(c1) -> Fraction:
+    """`c1` as a Fraction; every planned budget divides by it."""
+    c1 = Fraction(c1)
+    if c1 <= 0:
+        raise ValueError("the hitting constant must be positive")
+    return c1
 
 
 def _guarded_log_argument(n: int, total: int) -> float:
@@ -84,66 +83,13 @@ def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tup
     return out
 
 
-def accept_lightest(loads: tuple, proposals: dict[int, int], senders_accept: bool = True):
-    """Each node with proposers accepts the lightest one (lowest id on ties)
-    and the pair splits its total, the floor going to the light side.
-    Without `senders_accept`, a node that proposed accepts nobody.  When no
-    split moves a unit the outcome hands `loads` itself back."""
-    incoming: dict[int, list[int]] = {}
-    for u, v in proposals.items():
-        if senders_accept or v not in proposals:
-            incoming.setdefault(v, []).append(u)
-
-    new_loads = list(loads)
-    matching = []
-    moved = False
-    for v in sorted(incoming):
-        u = min(incoming[v], key=loads.__getitem__)
-        matching.append((u, v, loads[v] - loads[u]))
-        low, high = integral_half_sum(loads[u], loads[v])
-        new_loads[u], new_loads[v] = low, high
-        moved = moved or low != loads[u]
-    return RoundOutcome(new_loads=tuple(new_loads) if moved else loads, matching=matching)
-
-
-class _ProposalMemo(BalancingAlgorithm):
-    """A call's memo of its base graph's proposals (see the module docstring).
-    Subclasses give `_propose(u, row, loads)`, u's target or None, and
-    `_base_proposals(graph, loads)`, all of them in ascending proposer order."""
-
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        self._memo_base, self._memo_loads, self._memo = None, None, {}
-
-    def _proposals(self, graph: Graph, loads: tuple) -> dict[int, int]:
-        """This round's proposals in ascending proposer order, which
-        `accept_lightest` relies on for its ties."""
-        base = graph if graph.base is None else graph.base
-        if base is not self._memo_base or loads is not self._memo_loads:
-            self._memo_base = base
-            self._memo_loads = loads if type(loads) is tuple else None
-            self._memo = self._base_proposals(base, loads)
-        if not graph.flips:
-            return self._memo
-        touched = {u for pair in graph.flips for u in pair}
-        merged = {u: v for u, v in self._memo.items() if u not in touched}
-        adj = graph.adj
-        for u in touched:
-            v = self._propose(u, adj[u], loads)
-            if v is not None:
-                merged[u] = v
-        return dict(sorted(merged.items()))
-
-
-class GapReduce(_ProposalMemo):
+class GapReduce(ProposalMemo):
     name = "gapReduce"
     kind = KIND_MATCHING
     modes = ("integral",)
 
     def __init__(self, c1: Fraction = DEFAULT_C1):
-        self.c1 = Fraction(c1)
-        if self.c1 <= 0:
-            raise ValueError("the hitting constant must be positive")
+        self.c1 = hitting_constant(c1)
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
@@ -184,24 +130,24 @@ class GapReduce(_ProposalMemo):
                 self.psi = self.high - self.low
             return RoundOutcome(new_loads=loads)
 
-        proposals = self._proposals(graph, loads)
+        matching = accept_offers(self._offers(graph, loads))
         self._main_left -= 1
-        return accept_lightest(loads, proposals)
+        return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
-    def _propose(self, u: int, row, loads: tuple) -> int | None:
+    def _propose(self, u: int, row, loads: tuple):
         if row and self._is_light(loads[u]):
             v = heaviest_neighbor(u, row, loads)
             if self._is_heavy(loads[v]):
-                return v
+                return v, loads[v] - loads[u]
         return None
 
-    def _base_proposals(self, graph: Graph, loads: tuple) -> dict[int, int]:
+    def _base_proposals(self, graph: Graph, loads: tuple) -> dict:
         # Only light nodes can propose; _is_light with its threshold hoisted.
         light_below = 4 * self.low + self.psi
         return {
-            u: v
+            u: offer
             for u, row in enumerate(graph.adj)
-            if 4 * loads[u] < light_below and (v := self._propose(u, row, loads)) is not None
+            if 4 * loads[u] < light_below and (offer := self._propose(u, row, loads)) is not None
         }
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
@@ -217,7 +163,7 @@ class GapReduce(_ProposalMemo):
         return skip
 
 
-class GaplessGapReduce(_ProposalMemo):
+class GaplessGapReduce(ProposalMemo):
     name = "gaplessGapReduce"
     kind = KIND_MATCHING
     modes = ("integral",)
@@ -226,9 +172,7 @@ class GaplessGapReduce(_ProposalMemo):
         if psi < 0:
             raise ValueError("target spread must be non-negative")
         self.psi = psi
-        self.c1 = Fraction(c1)
-        if self.c1 <= 0:
-            raise ValueError("the hitting constant must be positive")
+        self.c1 = hitting_constant(c1)
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
@@ -245,18 +189,23 @@ class GaplessGapReduce(_ProposalMemo):
         return self._left == 0
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
-        proposals = self._proposals(graph, loads)
+        offers = self._offers(graph, loads)
+        # Every proposer's offer counts, and no proposer accepts.
+        proposers = 0
+        for u in offers:
+            proposers |= 1 << u
+        matching = accept_offers(offers, proposers)
         self._left -= 1
-        return accept_lightest(loads, proposals, senders_accept=False)
+        return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
-    def _propose(self, u: int, row, loads: tuple) -> int | None:
+    def _propose(self, u: int, row, loads: tuple):
         if row:
             v = heaviest_neighbor(u, row, loads)
             if 2 * (loads[v] - loads[u]) >= self.psi:
-                return v
+                return v, loads[v] - loads[u]
         return None
 
-    def _base_proposals(self, graph: Graph, loads: tuple) -> dict[int, int]:
+    def _base_proposals(self, graph: Graph, loads: tuple) -> dict:
         psi = self.psi
         # psi >= 2, so an edge at least psi/2 wide has one lower end.
         proposers = {
@@ -265,7 +214,7 @@ class GaplessGapReduce(_ProposalMemo):
             if 2 * abs(loads[u] - loads[v]) >= psi
         }
         adj = graph.adj
-        return {u: heaviest_neighbor(u, adj[u], loads) for u in sorted(proposers)}
+        return {u: self._propose(u, adj[u], loads) for u in proposers}
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         if self._left == 0 or not loads:

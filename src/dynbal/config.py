@@ -93,6 +93,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:  # nested deeper than the decoder recurses
+        raise ConfigError("config is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return config_from_dict(raw)

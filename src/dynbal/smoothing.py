@@ -40,9 +40,14 @@ from .graphs import (
 
 DEFAULT_MAX_REJECTIONS = 10_000
 
-# Hitting constant measured with `dynbal calibrate-c1` (n=16, k=1, 2e5
-# samples): ~2.4 for every target-set size.  2.0 keeps the budgets
-# conservative.
+# Hitting constant c: a smoothed graph contains a given non-edge with
+# probability at least c * k / n^2.  Exact values from `enumerate_ball`
+# (k = t, worst single non-edge, n = 5 -> 10): at t = 1 path and star
+# 3.571 -> 2.703, cycle 2.273 -> 2.174; at t = 2 path 2.632 -> 2.309, star
+# 2.941 -> 2.571, cycle 2.717 -> 2.270.  At t = 1 the ball of a connected
+# base has at most n(n-1)/2 + 1 members and one of them holds the non-edge,
+# so c >= 2n^2 / (n^2 - n + 2) > 2; the cycle attains it.  2 keeps the
+# budgets conservative.
 DEFAULT_C1 = Fraction(2)
 
 

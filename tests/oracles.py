@@ -7,6 +7,9 @@
 * The randomized max-gap round as it asks every sender afresh and builds
   a new load list every round: `RandMaxNeighbor.play_round` remembers its
   senders' proposals and must give the same outcome and draws.
+* A gap-reduction round's acceptance as each target choosing its lightest
+  proposer: the calls accept the widest gap through the shared kernel and
+  must give the same loads and matching.
 * The edit distance between two graphs on the same nodes, which bounds
   what the smoothing sampler may change.
 * A random connected graph drawn one `rng.randrange` call at a time:
@@ -16,13 +19,19 @@
 
 from __future__ import annotations
 
-from dynbal.algorithms.base import heaviest_gap_neighbor, widest_proposer
+from dynbal.algorithms.base import heaviest_gap_neighbor
 from dynbal.dyadic import integral_half_sum
 from dynbal.graphs import Graph, is_connected
 from dynbal.loads import MODE_INTEGRAL
 from dynbal.records import RoundOutcome
 
 DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
+
+
+def _widest_proposer(proposers, v: int, loads) -> int:
+    """Proposer maximising |w(u) - w(v)|; the first listed wins ties."""
+    w_v = loads[v]
+    return max(proposers, key=lambda u: abs(loads[u] - w_v))
 
 
 def split_evenly(loads) -> DetState:
@@ -59,7 +68,7 @@ def interactive_round(state: DetState, graph: Graph):
     answerers = [a << 1 for _, a in state]
     matching: list[tuple[int, int, int]] = []
     for v in sorted(incoming):
-        u = widest_proposer(incoming[v], v, real)
+        u = _widest_proposer(incoming[v], v, real)
         # Each half joins at most one connection, so both are still unchanged.
         meet = state[u][0] + state[v][1]
         senders[u] = meet
@@ -98,7 +107,7 @@ def rand_max_neighbor_round(rng, mode: str, graph: Graph, loads) -> RoundOutcome
     matching = []
     moved = shift
     for v in sorted(incoming):
-        u = widest_proposer(incoming[v], v, loads)
+        u = _widest_proposer(incoming[v], v, loads)
         matching.append((u, v, abs(loads[u] - loads[v])))
         w_u, w_v = new_loads[u], new_loads[v]
         low, high = integral_half_sum(w_u, w_v)
@@ -112,6 +121,28 @@ def rand_max_neighbor_round(rng, mode: str, graph: Graph, loads) -> RoundOutcome
     return RoundOutcome(
         new_loads=tuple(new_loads) if moved else loads, matching=matching, shift=shift
     )
+
+
+def accept_lightest(loads, proposals: dict[int, int], senders_accept: bool = True) -> RoundOutcome:
+    """Each node with proposers accepts the lightest one (lowest id on ties)
+    and the pair splits its total, the floor going to the light side.
+    Without `senders_accept`, a node that proposed accepts nobody.  When no
+    split moves a unit the outcome hands `loads` itself back."""
+    incoming: dict[int, list[int]] = {}
+    for u, v in proposals.items():
+        if senders_accept or v not in proposals:
+            incoming.setdefault(v, []).append(u)
+
+    new_loads = list(loads)
+    matching = []
+    moved = False
+    for v in sorted(incoming):
+        u = min(incoming[v], key=loads.__getitem__)
+        matching.append((u, v, loads[v] - loads[u]))
+        low, high = integral_half_sum(loads[u], loads[v])
+        new_loads[u], new_loads[v] = low, high
+        moved = moved or low != loads[u]
+    return RoundOutcome(new_loads=tuple(new_loads) if moved else loads, matching=matching)
 
 
 def hamming_distance(g1: Graph, g2: Graph) -> int:

@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 from dynbal.algorithms import (
     GapReduce,
     GaplessGapReduce,
+    RandMaxNeighbor,
     flood_min_max_round,
     gap_reduce_round_budget,
     gapless_round_budget,
 )
-from dynbal.algorithms.base import heaviest_neighbor
-from dynbal.algorithms.gapreduce import accept_lightest
+from dynbal.algorithms.base import accept_offers, heaviest_neighbor, split_pairs
 from dynbal.graphs import Graph, all_pairs, line_of, path_graph, toggled_adjacency
 from dynbal.loads import total_load
 from dynbal.smoothing import DEFAULT_C1, t_smooth
+from oracles import accept_lightest
 from strategies import connected_graphs
 
 
@@ -165,10 +166,10 @@ def test_rounds_that_move_nothing_hand_back_their_tuple():
     idle = alg.play_round(g, moved)
     assert idle.matching == [] and idle.new_loads is moved
 
-    assert accept_lightest(loads, {}).new_loads is loads
+    assert split_pairs(loads, accept_offers({})) is loads
     unit_gap = (4, 5)
-    outcome = accept_lightest(unit_gap, {0: 1})
-    assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
+    matching = accept_offers({0: (1, 1)})
+    assert matching == [(0, 1, 1)] and split_pairs(unit_gap, matching) is unit_gap
     alg = started(GaplessGapReduce(psi=2), unit_gap, 2)
     outcome = alg.play_round(g, unit_gap)
     assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
@@ -235,8 +236,6 @@ def test_budget_rejects_zero_smoothing():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        GapReduce(c1=Fraction(0))
     with pytest.raises(ValueError):
         GaplessGapReduce(psi=-1)
 
@@ -441,25 +440,31 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
             loads = tuple(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
 
 
-@pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])
+@pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9), RandMaxNeighbor])
 def test_waiting_rounds_ask_only_the_flipped_endpoints(make):
+    # While base and tuple stay, a round asks the flipped pairs' endpoints
+    # on their flipped rows and any other node on its base row at most once
+    # (randMaxNeighbor asks a sender the first time its coin says so).
     n = 64
     base = path_graph(n)
     loads = (0,) * 8 + (5,) * (n - 16) + (40,) * 8
     alg = _in_main_rounds(make(), loads, base)
     rng = Random(3)
-    asked, scans, flips = [], [], 0
+    asked, scans, flips, on_base = [], [], 0, set()
     for r in range(50):
         if r == 1:
             # Count from the second round on, once the memo holds the base.
-            propose, base_proposals = alg._propose, alg._base_proposals
-            alg._propose = lambda *args: asked.append(args[0]) or propose(*args)
+            propose, base_proposals = alg._propose, getattr(alg, "_base_proposals", None)
+            alg._propose = lambda *args: asked.append(args[:2]) or propose(*args)
             alg._base_proposals = lambda *args: scans.append(args) or base_proposals(*args)
         graph = t_smooth(base, 1, rng)
         asked.clear()
         alg.play_round(graph, loads)
         if r >= 1:
             assert not scans
-            assert len(asked) <= 2 * len(graph.flips)
+            again = [u for u, row in asked if row is base.adj[u]]
+            assert len(asked) - len(again) <= 2 * len(graph.flips)
+            assert len(set(again)) == len(again) and not on_base.intersection(again)
+            on_base.update(again)
             flips += len(graph.flips)
     assert flips > 0

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from dynbal.adversaries import AdversaryContext, SortingLinePolicy
 from dynbal.algorithms import RandMaxNeighbor, randomized
 from dynbal.dyadic import Dyadic
-from dynbal.graphs import Graph, path_graph
+from dynbal.graphs import Graph, all_pairs, path_graph, toggled_adjacency
 from dynbal.loads import LoadState, line_ramp, to_dyadics, to_scaled, total_load
 from dynbal.metrics import CHECK_MATCHING_BUDGET, KIND_MATCHING, check_round
 from dynbal.records import RoundTrace
+from dynbal.smoothing import t_smooth
 from oracles import rand_max_neighbor_round
 from strategies import connected_graphs
 
@@ -163,12 +164,24 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
     loads = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
     alg = RandMaxNeighbor()
     alg.start(loads, mode, rng, k=0, tau=0, n=n)
+    base, smooth_rng = graph, Random(seed + 1)
     for _ in range(data.draw(st.integers(1, 10))):
-        shape = data.draw(st.sampled_from(["keep", "twin", "other"]))
-        if shape == "twin":
-            graph = Graph(n, graph.edges)  # equal edges, a new identity
+        shape = data.draw(st.sampled_from(["keep", "base", "twin", "other", "smooth", "remove"]))
+        if shape == "base":
+            graph = base
+        elif shape == "twin":
+            graph = base = Graph(n, base.edges)  # equal edges, a new identity
         elif shape == "other":
-            graph = data.draw(connected_graphs(max_n=n, min_n=n))
+            graph = base = data.draw(connected_graphs(max_n=n, min_n=n))
+        elif shape == "smooth":
+            graph = t_smooth(base, data.draw(st.integers(1, 3)), smooth_rng)
+        elif shape == "remove" and base.edges:
+            # A flip list that removes at least one edge, not sorted.
+            pairs = data.draw(
+                st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True)
+                .map(lambda ps: ps + [p for p in sorted(base.edges) if p not in ps][:1])
+            )
+            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
 
         expected = rand_max_neighbor_round(reference_rng, mode, graph, list(loads))
         outcome = alg.play_round(graph, loads)

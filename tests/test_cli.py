@@ -106,6 +106,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_exits_one(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_unwritable_run_output_exits_one(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path), "--out", str(tmp_path / "missing" / "x.csv")]) == 1

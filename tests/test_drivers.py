@@ -11,6 +11,7 @@ from dynbal.algorithms import (
     SmoothedBalance,
     decompose_by_unit,
     gapless_schedule,
+    make_algorithm,
     recombine_by_unit,
     smoothed_calls_budget,
 )
@@ -24,6 +25,23 @@ def test_smoothed_calls_budget_values():
     assert smoothed_calls_budget(8, 8) == 0
     assert smoothed_calls_budget(0, 1) == 0
     assert smoothed_calls_budget(512, Dyadic(2)) == 23
+
+
+@pytest.mark.parametrize("c1", [0, -1, Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("smoothedBalance", {}),
+        ("gaplessBalance", {}),
+        ("gapReduce", {}),
+        ("gaplessGapReduce", {"psi": 4}),
+    ],
+)
+def test_nonpositive_hitting_constant_is_rejected(name, params, c1):
+    # Every planned budget divides by c1: zero would divide by zero, and a
+    # negative constant would plan no rounds at all.
+    with pytest.raises(ValueError, match="hitting constant"):
+        make_algorithm(name, c1=c1, **params)
 
 
 def test_gapless_schedule_frozen():
