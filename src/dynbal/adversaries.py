@@ -32,8 +32,8 @@ from .loads import LoadState
 class AdversaryContext:
     """Everything an adaptive adversary may look at before choosing a graph.
 
-    `loads` holds the loads after the previous round; `last_matching` the
-    pairs that actually exchanged load in it.
+    `loads` is the record of the loads the previous round committed;
+    `last_matching` the pairs that actually exchanged load in it.
     """
 
     round_index: int

@@ -52,6 +52,7 @@ def gap_reduce_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> in
     """Main-loop rounds for one call: ceil(5 n^2 ln(n ln T) / (c1 k))."""
     if k <= 0:
         raise ValueError("gap reduction needs a positive smoothing amount")
+    c1 = hitting_constant(c1)
     rounds = 5 * n * n * log(_guarded_log_argument(n, total)) / (float(c1) * float(k))
     return max(0, ceil(rounds))
 
@@ -60,6 +61,7 @@ def gapless_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> int:
     """Per-call rounds for the gapless variant: the plain budget times ln n."""
     if k <= 0:
         raise ValueError("gap reduction needs a positive smoothing amount")
+    c1 = hitting_constant(c1)
     rounds = (
         2 * n * n * log(_guarded_log_argument(n, total)) * log(n)
         / (float(c1) * float(k))

@@ -12,18 +12,18 @@ algorithm coasts inside the same loop: its loads are frozen, so the rest
 of its budget is accounted in one step without being simulated.
 
 A trial binds its components' round methods once and refills one
-`AdversaryContext` and two `LoadState`s (the round's before and after) each
-round; no callee may keep them past its call.  A checked round sums its
-loads once: its after-total is the next round's before-total, so a round
-that creates or destroys load fails conservation alone.
+`AdversaryContext` each round; no callee may keep it past its call.
 
-The committed loads are an immutable tuple (see loads.py).  A round whose
-algorithm hands back the very tuple it was given, unshifted, moved no load:
-the trial keeps its gap, total and potential, and the checks reuse what
-they derived from that tuple through the trial's `CheckMemo`.  A committed
-load that is not an integer numerator stops the trial with an `EngineError`
-naming the node and the round: the round it was committed in when a shift
-fails on it, else the last round, when the final vector is searched once.
+The committed loads are one `LoadState` record over an immutable tuple (see
+loads.py).  A round whose algorithm hands back the very tuple it was given,
+unshifted, moved no load: the trial keeps the very record, and with it the
+gap and whatever the trace and the checks derived from it.  Any other round
+commits a new record.  Each round is checked against the record it started
+from, so a round that creates or destroys load fails conservation alone.
+A committed load that is not an integer numerator stops the trial with an
+`EngineError` naming the node and the round: the round it was committed in
+when a shift fails on it, else the last round, when the final vector is
+searched once.
 """
 
 from __future__ import annotations
@@ -55,16 +55,14 @@ from .loads import (
     uniform_random,
 )
 from .metrics import (
-    CHECK_CONSERVATION,
-    CHECK_POTENTIAL_DROP,
     CHECK_PREFIX_MONOTONE,
-    CheckMemo,
     InvariantReport,
     check_round,
     max_gap,
-    potential,
     prefix_growth,
     prefix_sums,
+    state_potential,
+    state_total,
     twice_shifted_load,
 )
 from .records import RoundTrace
@@ -240,9 +238,11 @@ def run_trial(
     continuous = cfg.mode == MODE_CONTINUOUS
     initial = build_initial_loads(cfg, rng_loads)
     loads, exp = to_scaled(initial) if continuous else (initial, 0)
-    loads = tuple(loads)
-    total_prev = total_load(loads)
-    total = Dyadic(total_prev, exp) if continuous else total_prev
+    state = LoadState(cfg.mode, tuple(loads), exp)
+    loads = state.loads
+    total = state_total(state)
+    if continuous:
+        total = Dyadic(total, exp)
 
     adversary = make_adversary(cfg.adversary[0], **cfg.adversary[1])
     adversary.bind(n, rng_adversary)
@@ -271,7 +271,6 @@ def run_trial(
 
     failure_reports: list[InvariantReport] = []
     invariant_failures = 0
-    check_memo = CheckMemo()
 
     tau_num, tau_exp = cfg.tau.num, cfg.tau.exp
     gap = max_gap(loads)
@@ -285,20 +284,15 @@ def run_trial(
             d_r=d_r, connections=connections, converged=converged, report=report,
         )
 
-    phi_prev = None
     if trace_writer is not None:
-        phi_prev = potential(loads)
-        write_row(0, phi_prev, gap, exp, converged_at is not None)
+        write_row(0, state_potential(state), gap, exp, converged_at is not None)
 
     rounds = 0
     last_emitted = 0
     last_matching: list = []
     aborted: Optional[str] = None
-    want_phi = CHECK_POTENTIAL_DROP in enabled
-    want_total = CHECK_CONSERVATION in enabled
 
-    before, after_state = LoadState(cfg.mode, loads, exp), LoadState(cfg.mode, loads, exp)
-    ctx = AdversaryContext(round_index=0, loads=before)
+    ctx = AdversaryContext(round_index=0, loads=state)
     next_graph, play_round = adversary.next_graph, algorithm.play_round
     is_done, consume_idle_rounds = algorithm.is_done, algorithm.consume_idle_rounds
 
@@ -307,13 +301,11 @@ def run_trial(
         left = budget - rounds
         skipped = left if is_done(loads) else consume_idle_rounds(loads, left)
         if skipped:
-            # Loads are untouched, so phi_prev and total_prev stay valid.
             rounds += skipped
             continue
         rounds += 1
 
-        before.loads, before.exp = loads, exp
-        ctx.round_index, ctx.last_matching = rounds, last_matching
+        ctx.round_index, ctx.loads, ctx.last_matching = rounds, state, last_matching
         base_graph = next_graph(ctx)
         if base_graph.n != n:
             raise EngineError("adversary changed the node count")
@@ -334,39 +326,25 @@ def run_trial(
         after, after_exp = outcome.new_loads, exp + outcome.shift
         try:
             if after is loads and after_exp == exp:
-                # No load moved: the gap, total and potential carry over.
-                phi_after, total_after = phi_prev, total_prev
+                # No load moved: keep the record and what was derived from it.
+                committed = state
             else:
                 if outcome.shift:
                     after, after_exp = renormalise(after, after_exp)
-                after = tuple(after)
-                gap = max_gap(after)
-                phi_after = total_after = None
+                committed = LoadState(cfg.mode, tuple(after), after_exp)
+                gap = max_gap(committed.loads)
             d_r = twice_shifted_load(outcome.matching)
 
-            emit = trace_stride is not None and rounds % trace_stride == 0
-            run_checks = bool(enabled) and rounds % cfg.check_stride == 0
-            if phi_after is None and (emit or (run_checks and want_phi)):
-                phi_after = potential(after)
-            if total_after is None and run_checks and want_total:
-                total_after = total_load(after)
-
             report = None
-            if run_checks:
-                after_state.loads, after_state.exp = after, after_exp
+            if enabled and rounds % cfg.check_stride == 0:
                 report = check_round(
-                    before,
-                    after_state,
+                    state,
+                    committed,
                     RoundTrace(rounds, graph, outcome.matching, d_r),
                     algorithm_kind=algorithm.kind,
                     enabled=enabled,
-                    phi_before=phi_prev,
-                    phi_after=phi_after,
                     line_order=line_policy.order if line_policy is not None else None,
                     initial_prefix=initial_prefix,
-                    total_before=total_prev,
-                    total_after=total_after,
-                    memo=check_memo,
                 )
                 if not report.ok:
                     invariant_failures += len(report.failed())
@@ -374,25 +352,24 @@ def run_trial(
                         failure_reports.append(report)
 
             within_tau = gap << tau_exp <= tau_num << after_exp
+            if trace_stride is not None and rounds % trace_stride == 0:
+                write_row(
+                    rounds, state_potential(committed), gap, after_exp, within_tau,
+                    Dyadic(d_r, exp + 1), len(outcome.matching), report,
+                )
+                last_emitted = rounds
         except TypeError:
             # Integer numerators never fail these shifts (nor the
             # conservation kernel's), so the guard costs a sound round
             # nothing: only a failing round is searched for its bad load.
             _check_integer_loads(after, f"round {rounds}")
             raise
-        if emit:
-            write_row(
-                rounds, phi_after, gap, after_exp, within_tau,
-                Dyadic(d_r, exp + 1), len(outcome.matching), report,
-            )
-            last_emitted = rounds
-        loads, exp = after, after_exp
+        state, loads, exp = committed, committed.loads, committed.exp
         last_matching = [(u, v) for u, v, _ in outcome.matching]
         if gap << min_exp < min_gap << exp:
             min_gap, min_exp = gap, exp
         if converged_at is None and within_tau:
             converged_at = rounds
-        phi_prev, total_prev = phi_after, total_after
 
     # A bad load between the extremes fails no shift; search the final vector.
     _check_integer_loads(loads, f"by round {rounds}")
@@ -405,8 +382,7 @@ def run_trial(
         and line_policy is not None
         and rounds > 0
     ):
-        before.loads, before.exp = loads, exp
-        ctx.round_index, ctx.last_matching = rounds + 1, last_matching
+        ctx.round_index, ctx.loads, ctx.last_matching = rounds + 1, state, last_matching
         next_graph(ctx)
         witness = prefix_growth(line_policy.order, loads, exp, initial_prefix)
         if witness is not None:
@@ -417,9 +393,8 @@ def run_trial(
             if len(failure_reports) < MAX_FAILURE_REPORTS:
                 failure_reports.append(report)
 
-    final_gap = max_gap(loads)
     if trace_writer is not None and last_emitted != rounds:
-        write_row(rounds, potential(loads), final_gap, exp, converged_at is not None)
+        write_row(rounds, state_potential(state), gap, exp, converged_at is not None)
 
     return TrialResult(
         seed=seed,
@@ -427,7 +402,7 @@ def run_trial(
         budget=budget,
         converged_at=converged_at,
         final_loads=to_dyadics(loads, exp) if continuous else list(loads),
-        final_gap=Dyadic(final_gap, exp) if continuous else final_gap,
+        final_gap=Dyadic(gap, exp) if continuous else gap,
         min_max_gap=Dyadic(min_gap, min_exp) if continuous else min_gap,
         total=total,
         invariant_failures=invariant_failures,

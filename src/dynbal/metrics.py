@@ -7,8 +7,10 @@ numerators over one shared exponent, and the checks compare amounts of
 different exponents by cross-shifting them: every verdict is exact, with
 zero tolerance.  `check_round` looks each enabled check up in one table of
 kernels, `_KERNELS`; a kernel returns its check's witness, or None.  A
-round that moved no load (the same tuple at the same exponent, see
-loads.py) passes conservation by identity.
+kernel reads a record's total and potential through `state_total` and
+`state_potential`, and integrality keeps its verdict on the record, so each
+is derived once per committed vector (see loads.py).  A round that moved no
+load (the same record before and after) passes conservation by identity.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .dyadic import Dyadic
-from .loads import MODE_INTEGRAL, LoadState, total_load
+from .loads import MODE_INTEGRAL, UNJUDGED, LoadState, total_load
 from .records import KIND_MATCHING, KIND_TWO_SIDED, RoundTrace  # noqa: F401 (re-exported)
 
 # External names for the invariant checks, as they appear in scenario
@@ -65,6 +67,26 @@ def max_gap(loads: Sequence) -> object:
     return max(loads) - min(loads)
 
 
+def state_total(state: LoadState) -> object:
+    """`total_load` of a record's loads, kept on the record (see LoadState)."""
+    total = state.total
+    if total is None:
+        total = total_load(state.loads)
+        if type(state.loads) is tuple:
+            state.total = total
+    return total
+
+
+def state_potential(state: LoadState) -> object:
+    """`potential` of a record's loads, kept on the record (see LoadState)."""
+    phi = state.phi
+    if phi is None:
+        phi = potential(state.loads)
+        if type(state.loads) is tuple:
+            state.phi = phi
+    return phi
+
+
 def twice_shifted_load(matching: Iterable[tuple[int, int, object]]) -> object:
     """d_r, one bit finer than the matching's gaps: their plain sum.
 
@@ -106,18 +128,6 @@ class InvariantReport:
         return [name for name, good in self.checks.items() if not good]
 
 
-@dataclass(slots=True)
-class CheckMemo:
-    """What `check_round` carries from one round of a trial to the next: the
-    tuple integrality last judged, at its exponent, and the witness it gave
-    (None when the check held).  Only tuples are remembered, since a list
-    could change under the memo between rounds."""
-
-    loads: Optional[tuple] = None
-    exp: int = 0
-    integrality: Optional[dict] = None
-
-
 def check_round(
     before: LoadState,
     after: LoadState,
@@ -125,23 +135,15 @@ def check_round(
     *,
     algorithm_kind: str,
     enabled: Sequence[str],
-    phi_before=None,
-    phi_after=None,
     line_order: Optional[Sequence[int]] = None,
     initial_prefix: Optional[Sequence] = None,
-    total_before=None,
-    total_after=None,
-    memo: Optional[CheckMemo] = None,
 ) -> InvariantReport:
     """Evaluate the enabled invariants for one committed round.
 
-    `phi_before`/`phi_after` and `total_before`/`total_after` may be passed
-    in when the caller already computed them (at the exponents of `before`
-    and `after`); otherwise they are derived here on demand, `phi_before`
-    once for every kernel that reads it.  The matching's gaps are at
-    `before.exp` and `trace.d_r` one bit finer; `initial_prefix` is at
-    exponent 0.  `memo` is one trial's `CheckMemo`, passed to every round
-    of that trial; the reports are the same with it or without it.
+    `before` and `after` are the records committed before and after the
+    round, the same record when it moved no load; what the kernels derive
+    from them is kept on them.  The matching's gaps are at `before.exp` and
+    `trace.d_r` one bit finer; `initial_prefix` is at exponent 0.
     """
     report = InvariantReport(trace.round_index)
     checks, witnesses = report.checks, report.witnesses
@@ -149,10 +151,7 @@ def check_round(
         kernel = _KERNELS.get(name)
         if kernel is None:
             raise ValueError(f"unknown invariant check {name!r}")
-        if phi_before is None and name in _READS_PHI_BEFORE:
-            phi_before = potential(before.loads)
-        witness = kernel(before, after, trace, algorithm_kind, phi_before, phi_after,
-                         line_order, initial_prefix, total_before, total_after, memo)
+        witness = kernel(before, after, trace, algorithm_kind, line_order, initial_prefix)
         checks[name] = witness is None
         if witness is not None:
             witnesses[name] = witness
@@ -164,27 +163,20 @@ def check_round(
 # witness, or None when the check holds.
 
 
-def _conservation(
-    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix,
-    total_before, total_after, *_
-):
-    if after.loads is before.loads and after.exp == before.exp:
+def _conservation(before, after, *_):
+    if after is before:
         return None
-    if total_before is None:
-        total_before = total_load(before.loads)
-    if total_after is None:
-        total_after = total_load(after.loads)
+    total_before, total_after = state_total(before), state_total(after)
     if total_before << after.exp == total_after << before.exp:
         return None
     return {"before": _text(total_before, before.exp), "after": _text(total_after, after.exp)}
 
 
-def _potential_drop(before, after, trace, kind, phi_before, phi_after, *_):
+def _potential_drop(before, after, trace, *_):
     # phi_before - d_r / 2, two bits finer than the loads before.
     exp, after_exp = before.exp, after.exp
-    bound = (phi_before << 2) - trace.d_r
-    if phi_after is None:
-        phi_after = potential(after.loads)
+    bound = (state_potential(before) << 2) - trace.d_r
+    phi_after = state_potential(after)
     if phi_after << (exp + 2) <= bound << after_exp:
         return None
     return {"phi_after": _text(phi_after, after_exp), "allowed": _text(bound, exp + 2)}
@@ -258,15 +250,13 @@ def _matching_budget(before, after, trace, kind, *_):
     return None
 
 
-def _integrality(
-    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix,
-    total_before, total_after, memo,
-):
+def _integrality(before, after, *_):
     if after.mode != MODE_INTEGRAL:
         return None
+    witness = after.integrality
+    if witness is not UNJUDGED:
+        return witness
     loads, exp = after.loads, after.exp
-    if memo is not None and loads is memo.loads and exp == memo.exp:
-        return memo.integrality
     witness = None
     if exp:
         witness = {"exp": exp}
@@ -275,22 +265,21 @@ def _integrality(
             if not isinstance(w, int) or w < 0:
                 witness = {"node": i, "load": repr(w)}
                 break
-    if memo is not None and type(loads) is tuple:
-        memo.loads, memo.exp, memo.integrality = loads, exp, witness
+    if type(loads) is tuple:
+        after.integrality = witness
     return witness
 
 
-def _prefix_monotone(
-    before, after, trace, kind, phi_before, phi_after, line_order, initial_prefix, *_
-):
+def _prefix_monotone(before, after, trace, kind, line_order, initial_prefix):
     if line_order is None or initial_prefix is None:
         raise ValueError("prefixMonotone needs the line order and baseline prefixes")
     return prefix_growth(line_order, before.loads, before.exp, initial_prefix)
 
 
-def _split_potential(before, after, trace, kind, phi_before, *_):
+def _split_potential(before, *_):
     # Both halves of each node, one bit finer than the loads: the split
     # potential must be twice the whole one.
+    phi_before = state_potential(before)
     split = potential([w for w in before.loads for _ in (0, 1)])
     if split == phi_before * 4:
         return None
@@ -307,7 +296,6 @@ _KERNELS = {
     CHECK_PREFIX_MONOTONE: _prefix_monotone,
     CHECK_SPLIT_POTENTIAL: _split_potential,
 }
-_READS_PHI_BEFORE = frozenset((CHECK_POTENTIAL_DROP, CHECK_SPLIT_POTENTIAL))
 
 
 def _text(num, exp: int) -> str:

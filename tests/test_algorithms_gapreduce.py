@@ -235,6 +235,14 @@ def test_budget_rejects_zero_smoothing():
         gapless_round_budget(4, 16, DEFAULT_C1, Fraction(0))
 
 
+@pytest.mark.parametrize("budget", [gap_reduce_round_budget, gapless_round_budget])
+@pytest.mark.parametrize("c1", [0, -1])
+def test_budget_rejects_nonpositive_hitting_constant(budget, c1):
+    # Zero would divide by zero, and a negative constant would plan no rounds.
+    with pytest.raises(ValueError, match="hitting constant"):
+        budget(16, 1024, c1, Fraction(1))
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         GaplessGapReduce(psi=-1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynbal import engine
+from dynbal import engine, metrics
 from dynbal.adversaries import AdversaryPolicy
 from dynbal.algorithms.base import BalancingAlgorithm
 from dynbal.config import config_from_dict
@@ -511,24 +511,30 @@ def test_same_tuple_at_a_finer_exponent_is_a_new_vector(monkeypatch):
         assert report.witnesses["integrality"] == {"exp": 1}
 
 
+def count_calls(monkeypatch, calls, name, counted=lambda loads: True):
+    """Count the calls of `name` that `counted` accepts, wherever the engine
+    and the checks look it up."""
+    for module in (engine, metrics):
+        fn = getattr(module, name, None)
+        if fn is None:
+            continue
+
+        def wrapper(loads, fn=fn):
+            if counted(loads):
+                calls[name] += 1
+            return fn(loads)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
 def test_rounds_that_move_no_load_reuse_what_was_derived(monkeypatch):
     # On the sorting line over lineRamp every gap is one, so randMaxNeighbor's
     # pairs split into the loads they had: each round hands its tuple back,
     # and the trial sums its loads once and takes their spread at the start
-    # and the end only.
+    # only.
     calls = {"total_load": 0, "max_gap": 0}
-
-    def counted(name):
-        fn = getattr(engine, name)
-
-        def wrapper(loads):
-            calls[name] += 1
-            return fn(loads)
-
-        monkeypatch.setattr(engine, name, wrapper)
-
-    counted("total_load")
-    counted("max_gap")
+    count_calls(monkeypatch, calls, "total_load")
+    count_calls(monkeypatch, calls, "max_gap")
     cfg = config_from_dict(
         scenario(
             n=8,
@@ -545,7 +551,34 @@ def test_rounds_that_move_no_load_reuse_what_was_derived(monkeypatch):
     assert result.rounds_played == 300
     assert result.invariant_failures == 0
     assert result.final_loads == list(range(1, 9))
-    assert calls == {"total_load": 1, "max_gap": 2}
+    assert calls == {"total_load": 1, "max_gap": 1}
+
+
+def test_rounds_that_move_load_derive_once_per_committed_vector(monkeypatch):
+    # Every round of the two-sided rule from a single source moves load, so
+    # each round commits a new vector.  The trace row and potentialDrop read
+    # the same potential of it, and the next round's checks read it again as
+    # their before-state; conservation reads its total twice.  splitPotential
+    # takes the potential of a list of halves, which is not a committed vector.
+    calls = {"total_load": 0, "potential": 0}
+    count_calls(monkeypatch, calls, "total_load")
+    count_calls(monkeypatch, calls, "potential", lambda loads: type(loads) is tuple)
+    cfg = config_from_dict(
+        scenario(
+            n=8,
+            initialLoads={"name": "singleSource", "total": 64},
+            adversary={"name": "static", "graph": "path"},
+            tau="1",
+            roundBudget=1000,
+            checks=["conservation", "potentialDrop", "splitPotential"],
+            traceLevel={"sampled": 1},
+        )
+    )
+    result = run_trial(cfg, trace_writer=TraceCsvWriter(io.StringIO(), cfg.checks))
+    assert result.converged
+    assert result.invariant_failures == 0
+    assert result.rounds_played == 43
+    assert calls == {"total_load": 44, "potential": 44}
 
 
 # ======================================================================

@@ -18,7 +18,6 @@ from dynbal.metrics import (
     CHECK_SPLIT_POTENTIAL,
     KIND_MATCHING,
     KIND_TWO_SIDED,
-    CheckMemo,
     InvariantReport,
     check_round,
     max_gap,
@@ -301,16 +300,16 @@ def reference_check_round(
     *,
     algorithm_kind,
     enabled,
-    phi_before=None,
-    phi_after=None,
     line_order=None,
     initial_prefix=None,
 ):
     """check_round as it was before the kernel table, an if/elif chain over
-    the check names: the oracle for the kernels."""
+    the check names that derives everything afresh: the oracle for the
+    kernels."""
     report = InvariantReport(trace.round_index)
     checks, witnesses = report.checks, report.witnesses
     exp, after_exp = before.exp, after.exp
+    phi_before = phi_after = None
 
     def text(num, e):
         return Dyadic(num, e).decimal_str()
@@ -442,9 +441,9 @@ def reference_matching_budget(matching, algorithm_kind):
 @st.composite
 def check_scenarios(draw):
     """One round's inputs to check_round, valid or not: conserving or
-    arbitrary after-loads (negative ones too), passed-in potentials that
-    are right, missing or wrong, baselines that the line's prefixes may
-    exceed, and check lists with unknown names or missing context."""
+    arbitrary after-loads (negative ones too), baselines that the line's
+    prefixes may exceed, and check lists with unknown names or missing
+    context."""
     n = draw(st.integers(1, 8))
     mode = draw(st.sampled_from(["integral", "continuous"]))
     # An integral round that ends off exponent 0 fails integrality.
@@ -472,14 +471,9 @@ def check_scenarios(draw):
     if draw(st.integers(0, 14)) == 7:
         enabled.insert(draw(st.integers(0, len(enabled))), "notACheck")
 
-    def maybe_wrong(value):
-        return draw(st.sampled_from([None, value, value + 1, value - 2]))
-
     kwargs = dict(
         algorithm_kind=draw(st.sampled_from([KIND_MATCHING, KIND_TWO_SIDED])),
         enabled=tuple(enabled) if draw(st.booleans()) else enabled,
-        phi_before=maybe_wrong(potential(loads)),
-        phi_after=maybe_wrong(potential(after)),
     )
     if draw(st.integers(0, 9)):
         baseline_loads = draw(st.lists(st.integers(0, 160), min_size=n, max_size=n))
@@ -504,13 +498,10 @@ def test_check_kernels_keep_the_name_by_name_verdicts(scenario):
     before, after, trace, kwargs = scenario
     expected = verdicts(reference_check_round, before, after, trace, **kwargs)
     assert verdicts(check_round, before, after, trace, **kwargs) == expected
-    # The engine's carried totals are the same sums, so the verdicts agree.
-    carried = dict(kwargs, total_before=sum(before.loads), total_after=sum(after.loads))
-    assert verdicts(check_round, before, after, trace, **carried) == expected
 
 
 # ----------------------------------------------------------------------
-# the per-trial check memo
+# committed records
 # ----------------------------------------------------------------------
 
 
@@ -551,54 +542,62 @@ def round_sequences(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(round_sequences())
-def test_check_memo_keeps_every_report(sequence):
-    # One memo over the checked rounds of a trial gives the reports that
-    # check_round gives without one, and that the name-by-name oracle gives.
+def test_committed_records_keep_every_report(sequence):
+    # Records committed as the engine commits them (the very record while
+    # the tuple and its exponent stay, a new one otherwise) and checked
+    # every `stride` rounds give the name-by-name oracle's reports, though
+    # each record keeps what the checks derived from it.
     mode, committed, stride, enabled = sequence
-    memo = CheckMemo()
+    records = [LoadState(mode, *committed[0])]
+    for loads, exp in committed[1:]:
+        last = records[-1]
+        kept = loads is last.loads and exp == last.exp
+        records.append(last if kept else LoadState(mode, loads, exp))
     graph = path_graph(len(committed[0][0]))
-    for r in range(stride, len(committed), stride):
-        before = LoadState(mode, *committed[r - 1])
-        after = LoadState(mode, *committed[r])
+    for r in range(stride, len(records), stride):
+        before, after = records[r - 1], records[r]
         trace = RoundTrace(r, graph, [], 0)
         kwargs = dict(algorithm_kind=KIND_MATCHING, enabled=enabled)
-        expected = verdicts(check_round, before, after, trace, **kwargs)
-        assert verdicts(check_round, before, after, trace, memo=memo, **kwargs) == expected
-        assert verdicts(reference_check_round, before, after, trace, **kwargs) == expected
+        expected = verdicts(reference_check_round, before, after, trace, **kwargs)
+        assert verdicts(check_round, before, after, trace, **kwargs) == expected
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, Dyadic(3, 1)], ids=["negative", "float", "dyadic"])
 def test_committed_bad_vector_fails_integrality_every_round(bad):
     # A vector that fails integrality and stays committed fails it again in
-    # every checked round, with the same witness, memo or not.
+    # every checked round, with the same witness, on a fresh record or on
+    # the one committed record that keeps its verdict.
     loads = (3, bad, 1)
-    memo = CheckMemo()
+    kept = LoadState("integral", loads)
     witnesses = []
     for r in range(1, 6):
-        state = LoadState("integral", loads)
-        for kwargs in ({}, {"memo": memo}):
+        for state in (LoadState("integral", loads), kept):
             report = check_round(
                 state,
                 state,
                 _trace([], path_graph(3)),
                 algorithm_kind=KIND_MATCHING,
                 enabled=[CHECK_INTEGRALITY],
-                **kwargs,
             )
             assert report.failed() == [CHECK_INTEGRALITY]
             witnesses.append(report.witnesses[CHECK_INTEGRALITY])
     assert witnesses == [{"node": 1, "load": repr(bad)}] * 10
 
 
-def test_check_memo_remembers_tuples_only():
-    memo = CheckMemo()
+def test_records_keep_verdicts_over_tuples_only():
+    # A record over a list is judged afresh each time: the list may change.
     loads = [1, 2]
     state = LoadState("integral", loads)
-    kwargs = dict(algorithm_kind=KIND_MATCHING, enabled=[CHECK_INTEGRALITY], memo=memo)
-    assert check_round(state, state, _trace([]), **kwargs).ok
-    assert memo.loads is None
-    loads[0] = -5  # a list may change in place
-    assert check_round(state, state, _trace([]), **kwargs).failed() == [CHECK_INTEGRALITY]
+    kwargs = dict(algorithm_kind=KIND_MATCHING, enabled=[CHECK_INTEGRALITY, CHECK_POTENTIAL_DROP])
+    assert check_round(state, state, _trace([], d_r=0), **kwargs).ok
+    assert state.phi is None
+    loads[0] = -5
+    assert check_round(state, state, _trace([], d_r=0), **kwargs).failed() == [CHECK_INTEGRALITY]
+    assert state.phi is None
+    # A record over a tuple keeps them.
+    state = LoadState("integral", (1, 2))
+    assert check_round(state, state, _trace([], d_r=0), **kwargs).ok
+    assert (state.phi, state.integrality) == (1, None)
 
 
 # ----------------------------------------------------------------------
