@@ -112,23 +112,23 @@ def sorting_line_postprocess(
     line, or an earlier swap moved one of its nodes) is left in place.
     Equal loads keep their positions.
     """
-    new_order = list(order)
-    _swap_pairs(new_order, sorted(range(len(order)), key=order.__getitem__), pairs, loads)
-    return new_order
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return list(_swap_pairs(order, position, pairs, loads) or order)
 
 
-def _swap_pairs(order: list[int], position: list[int], pairs, loads) -> bool:
-    """`sorting_line_postprocess` in place on `order` and its inverse
-    `position` (position[node] is node's index in order); True if any swapped.
-    No position moves before the first swap, so one unsorted scan for a pair
+def _swap_pairs(order, position: list[int], pairs, loads) -> Optional[tuple[int, ...]]:
+    """`sorting_line_postprocess` on `order` and its inverse `position`
+    (position[node] is node's index in order): the new order as a tuple,
+    with `position` updated in place, or None when no pair swaps.  No
+    position moves before the first swap, so one unsorted scan for a pair
     adjacent and out of order now tells whether any pair swaps at all."""
     for u, v in pairs:
         step = position[v] - position[u]
         if step == 1 and loads[u] > loads[v] or step == -1 and loads[v] > loads[u]:
             break
     else:
-        return False
-    swapped = False
+        return None
+    order = list(order)
     for u, v in sorted({(u, v) if u < v else (v, u) for u, v in pairs}):
         pu, pv = position[u], position[v]
         if pu > pv:
@@ -136,8 +136,7 @@ def _swap_pairs(order: list[int], position: list[int], pairs, loads) -> bool:
         if pv - pu == 1 and loads[u] > loads[v]:
             order[pu], order[pv] = v, u
             position[u], position[v] = pv, pu
-            swapped = True
-    return swapped
+    return tuple(order)
 
 
 class SortingLinePolicy(AdversaryPolicy):
@@ -145,8 +144,9 @@ class SortingLinePolicy(AdversaryPolicy):
     the two partners are re-ordered lightest first.
 
     Pairs that are not adjacent on the line are left where they are (see
-    `sorting_line_postprocess`).  `order` and its inverse `position` live
-    across rounds and are swapped in place; the line graph is rebuilt only
+    `sorting_line_postprocess`).  `order` is a tuple replaced only after a
+    swap, so its identity versions the line; its inverse `position` lives
+    across rounds and is swapped in place.  The line graph is rebuilt only
     after a swap, so a round that swaps nothing (found by one unsorted scan
     of its pairs, see `_swap_pairs`) presents the same graph object.
     """
@@ -155,14 +155,15 @@ class SortingLinePolicy(AdversaryPolicy):
 
     def bind(self, n: int, rng: Random) -> None:
         super().bind(n, rng)
-        self.order = list(range(n))
+        self.order = tuple(range(n))
         self.position = list(range(n))
         self._graph = line_of(self.order)
 
     def next_graph(self, ctx: AdversaryContext) -> Graph:
         pairs = ctx.last_matching
-        if pairs and _swap_pairs(self.order, self.position, pairs, ctx.loads.loads):
-            self._graph = line_of(self.order)
+        if pairs and (order := _swap_pairs(self.order, self.position, pairs, ctx.loads.loads)):
+            self.order = order
+            self._graph = line_of(order)
         return self._graph
 
 

@@ -130,11 +130,13 @@ class ProposalMemo(BalancingAlgorithm):
     the flipped pairs' endpoints again, on their flipped rows.  Subclasses
     give `_propose(u, row, loads)`, u's offer or None, and, unless every
     round names its `senders` (each then asked the first time it sends),
-    `_base_proposals(graph, loads)`, every offer on `graph`."""
+    `_base_proposals(graph, loads)`, every offer on `graph`.  By the same
+    rule `_busy` holds the tuple a subclass's idle test last found busy."""
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self._memo_base, self._memo_loads, self._memo, self._asked = None, None, {}, 0
+        self._busy = None
 
     def _offers(self, graph: Graph, loads: tuple, senders: Optional[int] = None) -> dict:
         """This round's offers for `accept_offers` with the same `senders`."""

@@ -20,6 +20,13 @@ round finds the proposers in one pass over the edges and asks only them.
 
 Both variants keep the shared proposal memo (see base.py) for one call, as
 thresholds and psi never move within it; a memo miss runs the passes above.
+For the same reason the idle test is decided once per committed tuple: the
+tuple last judged busy is remembered by identity (never a list), so a round
+that moved no load skips the scan of its extremes.
+
+Flooding stops computing at its fixed point: once every node's table holds
+the same (min, max), no graph can change them, so the remaining flooding
+rounds only count down (the sampler still draws their graphs).
 """
 
 from __future__ import annotations
@@ -106,6 +113,7 @@ class GapReduce(ProposalMemo):
         self._flood_left = n
         self._main_left = self._main_budget
         self.tables = [(w, w) for w in loads]
+        self._flooded = False
         self.low = self.high = self.psi = None
 
     def planned_rounds(self):
@@ -122,7 +130,9 @@ class GapReduce(ProposalMemo):
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         if self._flood_left > 0:
-            self.tables = flood_min_max_round(self.tables, graph)
+            if not self._flooded:
+                tables = self.tables = flood_min_max_round(self.tables, graph)
+                self._flooded = tables.count(tables[0]) == len(tables)
             self._flood_left -= 1
             if self._flood_left == 0:
                 first = self.tables[0]
@@ -153,10 +163,11 @@ class GapReduce(ProposalMemo):
         }
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        if self._flood_left > 0 or self._main_left == 0:
+        if self._flood_left > 0 or self._main_left == 0 or loads is self._busy:
             return 0
         # Both predicates are monotone in w, so the extremes decide.
         if self._is_light(min(loads)) and self._is_heavy(max(loads)):
+            self._busy = loads if type(loads) is tuple else None
             return 0
         # With one side empty and thresholds frozen, no future graph can
         # produce a transfer; the rest of the call is provably idle.
@@ -219,10 +230,11 @@ class GaplessGapReduce(ProposalMemo):
         return {u: self._propose(u, adj[u], loads) for u in proposers}
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        if self._left == 0 or not loads:
+        if self._left == 0 or not loads or loads is self._busy:
             return 0
         spread = max(loads) - min(loads)
         if 2 * spread >= self.psi and spread >= 2:
+            self._busy = loads if type(loads) is tuple else None
             return 0
         # Either no pair is psi/2 apart (nothing proposes) or every gap is
         # at most 1 (pairs may connect but floor/ceil moves nothing), and

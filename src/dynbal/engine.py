@@ -265,7 +265,7 @@ def run_trial(
     if CHECK_PREFIX_MONOTONE in enabled:
         if line_policy is None:
             raise EngineError("prefixMonotone needs the sortingLine adversary")
-        initial_prefix = prefix_sums(line_policy.order, loads)
+        initial_prefix = tuple(prefix_sums(line_policy.order, loads))
 
     trace_stride = cfg.trace_stride if trace_writer is not None else None
 

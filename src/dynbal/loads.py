@@ -35,10 +35,11 @@ UNJUDGED = object()
 @dataclass(slots=True)
 class LoadState:
     """One committed load vector, loads[i] / 2**exp, and what was derived
-    from it: `total`, `phi` (the potential) and `integrality` (the check's
-    witness).  They start unset and are kept only when `loads` is a tuple,
-    since a list could change under them; a record's loads and exponent are
-    never reassigned."""
+    from it: `total`, `phi` (the potential), `integrality` (the check's
+    witness) and `prefix`, prefixMonotone's (line order, baseline, witness),
+    valid while the order and baseline are those very tuples.  They start
+    unset and are kept only when `loads` is a tuple, since a list could
+    change under them; a record's loads and exponent are never reassigned."""
 
     mode: str
     loads: tuple
@@ -46,6 +47,7 @@ class LoadState:
     total: object = field(default=None, compare=False, repr=False)
     phi: object = field(default=None, compare=False, repr=False)
     integrality: object = field(default=UNJUDGED, compare=False, repr=False)
+    prefix: object = field(default=None, compare=False, repr=False)
 
 
 def total_load(loads) -> object:

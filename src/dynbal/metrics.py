@@ -9,7 +9,8 @@ zero tolerance.  `check_round` looks each enabled check up in one table of
 kernels, `_KERNELS`; a kernel returns its check's witness, or None.  A
 kernel reads a record's total and potential through `state_total` and
 `state_potential`, and integrality keeps its verdict on the record, so each
-is derived once per committed vector (see loads.py).  A round that moved no
+is derived once per committed vector (see loads.py); prefixMonotone keeps
+its verdict there too, once per vector and line order.  A round that moved no
 load (the same record before and after) passes conservation by identity.
 """
 
@@ -273,7 +274,13 @@ def _integrality(before, after, *_):
 def _prefix_monotone(before, after, trace, kind, line_order, initial_prefix):
     if line_order is None or initial_prefix is None:
         raise ValueError("prefixMonotone needs the line order and baseline prefixes")
-    return prefix_growth(line_order, before.loads, before.exp, initial_prefix)
+    kept = before.prefix
+    if kept is not None and kept[0] is line_order and kept[1] is initial_prefix:
+        return kept[2]
+    witness = prefix_growth(line_order, before.loads, before.exp, initial_prefix)
+    if type(before.loads) is type(line_order) is type(initial_prefix) is tuple:
+        before.prefix = line_order, initial_prefix, witness
+    return witness
 
 
 def _split_potential(before, *_):

@@ -18,6 +18,11 @@ accept decision is the one a full rebuild and walk would make.
 
 Fractional smoothing amounts are handled by randomised rounding: k rounds
 up with probability equal to its fractional part, down otherwise.
+
+Every draw goes straight to `getrandbits` through `_randbelow`, CPython's
+own rejection loop, and `_sample_range` replays `Random.sample(range(N), j)`
+branch for branch, so the draws and the generator's state after them are
+exactly those of `rng.randrange` and `rng.sample`, without their overhead.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, isqrt
+from math import ceil, comb, isqrt, log
 from random import Random
 
 from .graphs import (
@@ -47,7 +52,9 @@ DEFAULT_MAX_REJECTIONS = 10_000
 # 2.941 -> 2.571, cycle 2.717 -> 2.270.  At t = 1 the ball of a connected
 # base has at most n(n-1)/2 + 1 members and one of them holds the non-edge,
 # so c >= 2n^2 / (n^2 - n + 2) > 2; the cycle attains it.  2 keeps the
-# budgets conservative.
+# budgets conservative for single targets; for a set of n non-edges at t = 2
+# the exact constant can fall below it (1.931 on a random connected base at
+# n = 8), as the tests record.
 DEFAULT_C1 = Fraction(2)
 
 
@@ -95,7 +102,40 @@ def _round_up(floor: int, frac: Fraction, rng: Random) -> int:
     """floor + 1 with probability frac, floor otherwise."""
     if frac == 0:
         return floor
-    return floor + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
+    return floor + (_randbelow(rng.getrandbits, frac.denominator) < frac.numerator)
+
+
+def _randbelow(getrandbits, n: int) -> int:
+    """rng.randrange(n) for n > 0: the getrandbits rejection loop of
+    CPython's Random._randbelow_with_getrandbits, draw for draw."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def _sample_range(getrandbits, n: int, k: int) -> list[int]:
+    """rng.sample(range(n), k) for 0 <= k <= n, drawn as CPython's
+    Random.sample draws it: from a shrinking pool when an n-list is smaller
+    than a k-set (its set-size rule), else redrawing repeats."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _randbelow(getrandbits, n - i)
+            out.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return out
+    for _ in range(k):
+        j = _randbelow(getrandbits, n)
+        while j in out:
+            j = _randbelow(getrandbits, n)
+        out.append(j)
+    return out
 
 
 def _unrank_pair(n: int, total_pairs: int, i: int) -> tuple[int, int]:
@@ -129,14 +169,15 @@ def t_smooth(
     npairs = n * (n - 1) // 2
     t = min(t, npairs)
     cum, total = _layer_cumulative(npairs, t)
+    getrandbits = rng.getrandbits
     for _ in range(max_rejections):
-        ticket = rng.randrange(total)
+        ticket = _randbelow(getrandbits, total)
         flips = 0
         while ticket >= cum[flips]:
             flips += 1
         if flips == 0:
             return g
-        chosen = [_unrank_pair(n, npairs, i) for i in rng.sample(range(npairs), flips)]
+        chosen = [_unrank_pair(n, npairs, i) for i in _sample_range(getrandbits, npairs, flips)]
         adj, removes_edge = toggled_adjacency(g, chosen)
         if edge_set_connected(g, adj, removes_edge):
             return Graph.toggled(g, chosen, adj)

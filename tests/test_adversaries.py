@@ -158,7 +158,7 @@ def test_sorting_line_applies_swaps_from_matching():
     policy.next_graph(ctx_for([0, 8, 0]))
     # Pair (0, 1) balanced; node 0 now heavier, so next line is 1-0-2.
     g = policy.next_graph(ctx_for([5, 3, 0], round_index=2, last_matching=[(0, 1)]))
-    assert policy.order == [1, 0, 2]
+    assert policy.order == (1, 0, 2)
     assert g.edges == {(0, 1), (0, 2)}
 
 
@@ -167,7 +167,7 @@ def test_sorting_line_ignores_off_line_pairs():
     policy.bind(4, Random(0))
     policy.next_graph(ctx_for([0, 0, 0, 0]))
     g = policy.next_graph(ctx_for([9, 0, 0, 1], round_index=2, last_matching=[(0, 3)]))
-    assert policy.order == [0, 1, 2, 3]
+    assert policy.order == (0, 1, 2, 3)
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
 
 
@@ -218,7 +218,7 @@ def test_in_place_sorting_line_equals_rebuild(scenario):
         last_order, last_graph = order, graph
         order = rebuilt_postprocess(order, pairs, loads)
         graph = policy.next_graph(ctx_for(loads, round_index=index, last_matching=pairs))
-        assert policy.order == order
+        assert list(policy.order) == order
         assert [policy.order[i] for i in policy.position] == list(range(n))
         assert graph == line_of(order)
         # An unmoved order presents the very graph object of the last round.

@@ -14,6 +14,7 @@ from dynbal.algorithms import (
     gap_reduce_round_budget,
     gapless_round_budget,
 )
+from dynbal.algorithms import gapreduce
 from dynbal.algorithms.base import accept_offers, heaviest_neighbor, split_pairs
 from dynbal.graphs import Graph, all_pairs, line_of, path_graph, toggled_adjacency
 from dynbal.loads import total_load
@@ -57,6 +58,45 @@ def test_flooding_reaches_everyone_in_n_rounds(n, raw_loads, seed):
         tables = flood_min_max_round(tables, line_of(order))
     expected = (min(loads), max(loads))
     assert all(t == expected for t in tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_n=9, min_n=2), st.data())
+def test_flooding_stops_at_its_fixed_point(base, data):
+    # Each round's graph is the base, a smoothed base or a fresh line; the
+    # call must end in the state of flooding applied every round, having
+    # flooded only until every table agreed.
+    n = base.n
+    loads = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(
+        lambda ws: max(ws) - min(ws) >= 2
+    ))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    alg = started(GapReduce(), loads, n)
+    tables = [(w, w) for w in loads]
+    floods_needed = None
+    calls = []
+    flood = gapreduce.flood_min_max_round
+    gapreduce.flood_min_max_round = lambda *args: calls.append(1) or flood(*args)
+    try:
+        for r in range(n):
+            shape = data.draw(st.sampled_from(["base", "smooth", "line"]))
+            graph = base
+            if shape == "smooth":
+                graph = t_smooth(base, data.draw(st.integers(1, 3)), rng)
+            elif shape == "line":
+                order = list(range(n))
+                rng.shuffle(order)
+                graph = line_of(order)
+            alg.play_round(graph, tuple(loads))
+            tables = flood_min_max_round(tables, graph)
+            assert alg.tables == tables
+            if floods_needed is None and len(set(tables)) == 1:
+                floods_needed = r + 1
+    finally:
+        gapreduce.flood_min_max_round = flood
+    assert len(calls) == floods_needed
+    assert (alg.low, alg.high, alg.psi) == (*tables[0], tables[0][1] - tables[0][0])
+    assert alg._flood_left == 0
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +410,80 @@ def test_idle_skip_from_extremes_matches_any_scan(start_loads, data, budget_left
     expected = _any_scan_idle_skip(alg, loads, budget_left)
     assert alg.consume_idle_rounds(loads, budget_left) == expected
     assert alg._main_left == main_left - expected
+
+
+def _gapless_idle_skip(alg, loads, budget_left):
+    """`GaplessGapReduce.consume_idle_rounds` as a scan of every pair of
+    nodes for one at least psi/2 and 2 apart (reference)."""
+    if alg._left == 0 or not loads:
+        return 0
+    if any(2 * abs(a - b) >= alg.psi and abs(a - b) >= 2 for a in loads for b in loads):
+        return 0
+    return min(alg._left, budget_left)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=2, max_size=7),
+    st.sampled_from([None, 2, 5, 9, 20]),
+    st.data(),
+)
+def test_idle_verdicts_over_a_call_match_the_scans(start_loads, psi, data):
+    # The same tuple again, a list changed in place, or a new tuple: every
+    # verdict equals the reference scan, and only a tuple is remembered.
+    n = len(start_loads)
+    alg = started(GapReduce() if psi is None else GaplessGapReduce(psi), start_loads, n)
+    reference = _any_scan_idle_skip if psi is None else _gapless_idle_skip
+    if isinstance(alg, GapReduce) and not alg.is_done(start_loads):
+        for _ in range(n):
+            alg.play_round(path_graph(n), start_loads)
+    lo, hi = min(start_loads), max(start_loads)
+    loads = tuple(start_loads)
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(["keep", "mutate", "fresh"]))
+        if step == "mutate":
+            if type(loads) is tuple:
+                loads = list(loads)
+            loads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(lo, hi))
+        elif step == "fresh":
+            loads = tuple(data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+        budget_left = data.draw(st.integers(1, 5000))
+        expected = reference(alg, loads, budget_left)
+        assert alg.consume_idle_rounds(loads, budget_left) == expected
+        assert alg._busy is None or type(alg._busy) is tuple
+        if expected:
+            return
+
+
+def test_idle_verdict_is_judged_afresh_after_start_and_for_lists():
+    g = path_graph(2)
+    busy = (0, 8)
+
+    def flooded(alg, loads):
+        alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=2)
+        for _ in range(2):
+            alg.play_round(g, loads)
+        return alg
+
+    first = flooded(GapReduce(), busy)
+    assert first.consume_idle_rounds(busy, 100) == 0 and first._busy is busy
+    # A list judged busy is not remembered, so once it changes in place to
+    # balanced loads the call sees it is idle.
+    loads = list(busy)
+    alg = flooded(GapReduce(), busy)
+    assert alg.consume_idle_rounds(loads, 100) == 0 and alg._busy is None
+    loads[:] = [4, 4]
+    main_left = alg._main_left
+    assert alg.consume_idle_rounds(loads, 10**6) == main_left > 0
+    # A new call with another psi judges the very tuple again.
+    assert started(GaplessGapReduce(psi=9), busy, 2).consume_idle_rounds(busy, 50) == 0
+    call = started(GaplessGapReduce(psi=20), busy, 2)
+    assert call._busy is None and call.consume_idle_rounds(busy, 50) == call._budget > 0
+    # So does the same call started again: under its new thresholds (light
+    # below 12.5, heavy above 17.5) the tuple it judged busy is idle.
+    flooded(first, (10, 20))
+    main_left = first._main_left
+    assert first.consume_idle_rounds(busy, 10**6) == main_left > 0
 
 
 # ----------------------------------------------------------------------

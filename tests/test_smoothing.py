@@ -10,12 +10,15 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbal.adversaries import random_connected_graph
 from dynbal.graphs import (
     Graph,
     all_pairs,
     complete_graph,
+    cycle_graph,
     is_connected,
     path_graph,
+    star_graph,
 )
 from dynbal.smoothing import (
     DEFAULT_C1,
@@ -28,7 +31,7 @@ from dynbal.smoothing import (
     measure_hitting_rate,
     t_smooth,
 )
-from dynbal.smoothing import _round_up, _unrank_pair
+from dynbal.smoothing import _randbelow, _round_up, _sample_range, _unrank_pair
 from oracles import hamming_distance
 
 
@@ -226,10 +229,10 @@ def _rebuild_sampler(g, t, rng, max_rejections=DEFAULT_MAX_REJECTIONS):
 
 
 @st.composite
-def smoothing_bases(draw):
-    """Any graph on 1..9 nodes; about half get a spanning path, so both
-    connected and disconnected bases come up often."""
-    n = draw(st.integers(1, 9))
+def smoothing_bases(draw, min_n: int = 1, max_n: int = 9):
+    """Any graph on min_n..max_n nodes; about half get a spanning path, so
+    both connected and disconnected bases come up often."""
+    n = draw(st.integers(min_n, max_n))
     pairs = all_pairs(n)
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = {pair for pair, kept in zip(pairs, keep) if kept}
@@ -247,13 +250,18 @@ def _draw(sampler, g, t, rng, max_rejections):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    smoothing_bases(),
-    st.integers(0, 4),
+    st.one_of(
+        st.tuples(smoothing_bases(), st.integers(0, 4)),
+        # 21 < N <= 85 pairs: more than five flips sample from a pool (the
+        # enlarged set size), five or fewer by redrawing repeats.
+        st.tuples(smoothing_bases(8, 13), st.integers(5, 8)),
+    ),
     st.integers(0, 10**9),
     st.sampled_from([1, 2, 3, DEFAULT_MAX_REJECTIONS]),
     st.booleans(),
 )
-def test_delta_sampler_matches_rebuild_sampler(base, t, seed, max_rejections, prechecked):
+def test_delta_sampler_matches_rebuild_sampler(base_and_t, seed, max_rejections, prechecked):
+    base, t = base_and_t
     if prechecked:
         is_connected(base)  # the engine validates the base before smoothing
     rng, reference = Random(seed), Random(seed)
@@ -267,6 +275,36 @@ def test_delta_sampler_matches_rebuild_sampler(base, t, seed, max_rejections, pr
     fresh = Graph(out.n, out.edges)
     assert out.adj == fresh.adj
     assert is_connected(out) == _walk_connected(fresh)
+
+
+# Around both set-size boundaries of Random.sample (21, and 85 for six to
+# 21 picks), and one large population.
+SAMPLE_POPULATIONS = [*range(1, 31), *range(80, 91), 8128]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_direct_draws_match_the_stdlib(seed):
+    for population in SAMPLE_POPULATIONS:
+        rng, reference = Random(seed), Random(seed)
+        assert _randbelow(rng.getrandbits, population) == reference.randrange(population)
+        assert rng.getstate() == reference.getstate()
+        for k in range(min(population, 9) + 1):
+            drawn = _sample_range(rng.getrandbits, population, k)
+            assert drawn == reference.sample(range(population), k)
+            assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("k", ["1/2", "5/4", "7/3", "13/8", "255/256", "3/1000", "9"])
+def test_rounding_draws_match_the_stdlib(k):
+    params = SmoothingParams(k=Fraction(k))
+    frac = params.k_frac
+    rng, reference = Random(41), Random(41)
+    for _ in range(500):
+        expected = params.k_floor
+        if frac:
+            expected += reference.randrange(frac.denominator) < frac.numerator
+        assert _round_up(params.k_floor, frac, rng) == expected
+    assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 59])
@@ -292,6 +330,61 @@ def test_sampler_keeps_no_table_of_pairs():
 # ----------------------------------------------------------------------
 # hitting-rate calibration
 # ----------------------------------------------------------------------
+
+
+def exact_hitting_constants(base, t):
+    """The exact constant c = P(hit) * n^2 / (t |S|) of the uniform t-ball
+    around `base`, per target size: the worst single non-edge (size 1), and
+    the first n/2 and n non-edges in lexicographic order, the spread
+    `calibrate_hitting_constant` takes (on a path, its very targets)."""
+    n = base.n
+    ball = enumerate_ball(base, t)
+    non_edges = [pair for pair in all_pairs(n) if pair not in base.edges]
+    held = Counter(pair for g in ball for pair in g.edges)
+    out = {1: Fraction(min(held[pair] for pair in non_edges), len(ball)) * n * n / t}
+    for size in (n // 2, min(n, len(non_edges))):
+        targets = set(non_edges[:size])
+        hits = sum(1 for g in ball if targets & g.edges)
+        out[size] = Fraction(hits, len(ball)) * n * n / (t * size)
+    return out
+
+
+HITTING_BASES = {
+    "path": path_graph,
+    "star": star_graph,
+    "cycle": cycle_graph,
+    "randomConnected-1": lambda n: random_connected_graph(n, Fraction(1, 10), Random(1)),
+    "randomConnected-2": lambda n: random_connected_graph(n, Fraction(1, 10), Random(2)),
+}
+# Where the exact constant for n non-edges falls below DEFAULT_C1 at t = 2:
+# the hit rate of a set of n pairs grows slower than linearly in its size.
+BELOW_DEFAULT_C1 = {
+    ("randomConnected-1", 8, 2),
+    ("randomConnected-2", 8, 2),
+    ("randomConnected-1", 9, 2),
+    ("randomConnected-2", 9, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, n, t",
+    [
+        pytest.param(
+            shape, n, t,
+            marks=pytest.mark.xfail(
+                (shape, n, t) in BELOW_DEFAULT_C1,
+                reason="the n-target constant is below DEFAULT_C1",
+                strict=True,
+            ),
+        )
+        for shape in HITTING_BASES
+        for n in range(4, 10)
+        for t in (1, 2)
+    ],
+)
+def test_default_hitting_constant_holds_exactly(shape, n, t):
+    constants = exact_hitting_constants(HITTING_BASES[shape](n), t)
+    assert all(DEFAULT_C1 <= c for c in constants.values()), constants
 
 
 def test_hitting_rate_beats_configured_constant():
