@@ -131,12 +131,15 @@ class ProposalMemo(BalancingAlgorithm):
     give `_propose(u, row, loads)`, u's offer or None, and, unless every
     round names its `senders` (each then asked the first time it sends),
     `_base_proposals(graph, loads)`, every offer on `graph`.  By the same
-    rule `_busy` holds the tuple a subclass's idle test last found busy."""
+    rule `_busy` holds the tuple a subclass's idle test last found busy.
+    `_replay` holds the round records a subclass keeps while the key holds;
+    `start` and every change of key empty it."""
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self._memo_base, self._memo_loads, self._memo, self._asked = None, None, {}, 0
         self._busy = None
+        self._replay: dict = {}
 
     def _offers(self, graph: Graph, loads: tuple, senders: Optional[int] = None) -> dict:
         """This round's offers for `accept_offers` with the same `senders`."""
@@ -146,6 +149,7 @@ class ProposalMemo(BalancingAlgorithm):
             self._memo_loads = loads if type(loads) is tuple else None
             self._memo = {} if senders is not None else self._base_proposals(base, loads)
             self._asked = 0
+            self._replay.clear()
         memo = self._memo
         if senders is not None and (unasked := senders & ~self._asked):
             self._asked |= unasked

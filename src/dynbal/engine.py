@@ -12,7 +12,10 @@ algorithm coasts inside the same loop: its loads are frozen, so the rest
 of its budget is accounted in one step without being simulated.
 
 A trial binds its components' round methods once and refills one
-`AdversaryContext` each round; no callee may keep it past its call.
+`AdversaryContext` each round; no callee may keep it past its call.  Its
+`last_matching` is the `pairs` list of the last round's record, derived
+once per record with its `d_r` (see records.py), so an algorithm that hands
+a record back again costs the round neither; no callee may mutate it.
 
 The committed loads are one `LoadState` record over an immutable tuple (see
 loads.py).  A round whose algorithm hands back the very tuple it was given,
@@ -279,8 +282,11 @@ def run_trial(
     converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
 
     def write_row(index, phi, row_gap, row_exp, converged, d_r=0, connections=0, report=None):
+        # An int renders as the Dyadic over exponent 0 would.
+        if row_exp:
+            phi, row_gap = Dyadic(phi, row_exp), Dyadic(row_gap, row_exp)
         trace_writer.round_row(
-            round_index=index, phi=Dyadic(phi, row_exp), max_gap=Dyadic(row_gap, row_exp),
+            round_index=index, phi=phi, max_gap=row_gap,
             d_r=d_r, connections=connections, converged=converged, report=report,
         )
 
@@ -333,7 +339,11 @@ def run_trial(
                     after, after_exp = renormalise(after, after_exp)
                 committed = LoadState(cfg.mode, tuple(after), after_exp)
                 gap = max_gap(committed.loads)
-            d_r = twice_shifted_load(outcome.matching)
+            d_r = outcome.d_r
+            if d_r is None:
+                # Derived once per record: a record handed back again keeps both.
+                d_r = outcome.d_r = twice_shifted_load(outcome.matching)
+                outcome.pairs = [(u, v) for u, v, _ in outcome.matching]
 
             report = None
             if enabled and rounds % cfg.check_stride == 0:
@@ -365,7 +375,7 @@ def run_trial(
             _check_integer_loads(after, f"round {rounds}")
             raise
         state, loads, exp = committed, committed.loads, committed.exp
-        last_matching = [(u, v) for u, v, _ in outcome.matching]
+        last_matching = outcome.pairs
         if gap << min_exp < min_gap << exp:
             min_gap, min_exp = gap, exp
         if converged_at is None and within_tau:

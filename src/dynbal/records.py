@@ -6,6 +6,7 @@ Amounts are numerators over the trial's shared load exponent (see loads.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .graphs import Graph
 
@@ -24,11 +25,21 @@ class RoundOutcome:
     answerer half of v) and both directions may appear.  `new_loads` are
     `shift` bits finer than the loads the round was given: a new tuple, or
     the given tuple itself when the round moved no load.
+
+    A record is never mutated after `play_round` returns, and nothing
+    downstream mutates its lists: an algorithm may hand the very record
+    back in a later round (see randomized.py).  The engine derives two
+    fields on it the first time it meets it, and they are left out of
+    equality and repr: `d_r`, the matching's gaps summed (see
+    `metrics.twice_shifted_load`), and `pairs`, the exchanged `(u, v)`
+    pairs, which the adversary reads as the next round's `last_matching`.
     """
 
     new_loads: tuple
     matching: list[tuple[int, int, object]] = field(default_factory=list)
     shift: int = 0
+    d_r: object = field(default=None, compare=False, repr=False)
+    pairs: Optional[list[tuple[int, int]]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)

@@ -1,14 +1,19 @@
 """Randomized max-gap baseline: role flips, exact transfers, matching budget,
-and the per-trial proposal memo."""
+the per-trial proposal memo and the rounds it hands back again."""
 
+import io
 from random import Random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
+from dynbal import engine
 from dynbal.adversaries import AdversaryContext, SortingLinePolicy
-from dynbal.algorithms import RandMaxNeighbor, randomized
+from dynbal.algorithms import RandMaxNeighbor, make_algorithm, randomized
+from dynbal.config import config_from_dict
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, all_pairs, path_graph, toggled_adjacency
+from dynbal.io import TraceCsvWriter
 from dynbal.loads import LoadState, line_ramp, to_dyadics, to_scaled, total_load
 from dynbal.metrics import CHECK_MATCHING_BUDGET, KIND_MATCHING, check_round
 from dynbal.records import RoundTrace
@@ -154,9 +159,14 @@ def test_rounds_are_seed_deterministic():
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
-@given(connected_graphs(max_n=10), st.sampled_from(["integral", "continuous"]), st.data())
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_n=10, min_n=2), st.sampled_from(["integral", "continuous"]), st.data())
 def test_memo_rounds_match_the_reference(graph, mode, data):
+    # Up to 40 rounds from n = 2, up to eight in a row on the same graph and
+    # loads, so a coin often repeats while the memo's key holds: such a
+    # round on an unflipped graph hands back the very record its coin got
+    # before, if that round moved no load.  Any other round, the first
+    # after `start` or a change of key included, is computed afresh.
     n = graph.n
     seed = data.draw(st.integers(0, 2**32))
     rng, reference_rng = Random(seed), Random(seed)
@@ -165,7 +175,8 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
     alg = RandMaxNeighbor()
     alg.start(loads, mode, rng, k=0, tau=0, n=n)
     base, smooth_rng = graph, Random(seed + 1)
-    for _ in range(data.draw(st.integers(1, 10))):
+    key, kept, earlier = None, {}, []
+    for _ in range(data.draw(st.integers(1, 5))):
         shape = data.draw(st.sampled_from(["keep", "base", "twin", "other", "smooth", "remove"]))
         if shape == "base":
             graph = base
@@ -183,16 +194,36 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
             )
             graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
 
-        expected = rand_max_neighbor_round(reference_rng, mode, graph, list(loads))
-        outcome = alg.play_round(graph, loads)
-        assert list(outcome.new_loads) == list(expected.new_loads)
-        assert outcome.matching == expected.matching
-        assert outcome.shift == expected.shift
-        assert rng.getstate() == reference_rng.getstate()
-        if mode == "integral" and list(outcome.new_loads) == list(loads):
-            assert outcome.new_loads is loads
+        # The memo's key: the base graph and the tuple, both by identity.
+        round_key = (graph if graph.base is None else graph.base, loads)
+        if key is None or round_key[0] is not key[0] or round_key[1] is not key[1]:
+            key, kept = round_key, {}
+        replayable = graph.base is None and type(loads) is tuple
+        for _ in range(data.draw(st.integers(1, 8))):
+            probe = Random()
+            probe.setstate(reference_rng.getstate())
+            coin = probe.getrandbits(n)
+            expected = rand_max_neighbor_round(reference_rng, mode, graph, list(loads))
+            outcome = alg.play_round(graph, loads)
+            assert list(outcome.new_loads) == list(expected.new_loads)
+            assert outcome.matching == expected.matching
+            assert outcome.shift == expected.shift
+            assert rng.getstate() == reference_rng.getstate()
+            if mode == "integral" and list(outcome.new_loads) == list(loads):
+                assert outcome.new_loads is loads
+            if type(loads) is not tuple:
+                assert not alg._replay  # never filled from a list
+            if replayable and coin in kept:
+                assert outcome is kept[coin]
+            else:
+                assert all(outcome is not old for old in earlier)
+                earlier.append(outcome)
+                if replayable and outcome.new_loads is loads:
+                    kept[coin] = outcome
 
-        step = data.draw(st.sampled_from(["advance", "keep", "mutate", "copy", "fresh"]))
+        step = data.draw(
+            st.sampled_from(["advance", "keep", "mutate", "copy", "fresh", "restart"])
+        )
         if step == "advance":
             loads = outcome.new_loads
         elif step == "mutate":
@@ -205,12 +236,17 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
             loads = tuple(list(loads))  # equal loads, a new identity
         elif step == "fresh":
             loads = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+        elif step == "restart":
+            alg.start(loads, mode, rng, k=0, tau=0, n=n)
+            key = None
 
 
 def test_frozen_sorting_line_asks_each_node_once(monkeypatch):
     # The sorting line at n=8 on ramp loads: every pair it matches is within
     # one unit and already in order, so no load moves and the line never
-    # changes.  While graph and tuple stay, each node is asked at most once.
+    # changes.  While graph and tuple stay, each node is asked at most once,
+    # and a round whose coin came up before gets that round's very record.
+    # After the tuple or the graph changes identity, no record comes back.
     n = 8
     asked = []
     ask = randomized.heaviest_gap_neighbor
@@ -220,18 +256,111 @@ def test_frozen_sorting_line_asks_each_node_once(monkeypatch):
     policy = SortingLinePolicy()
     policy.bind(n, Random(0))
     loads = tuple(line_ramp(n))
+    rng = Random(0)
     alg = RandMaxNeighbor()
-    alg.start(loads, "integral", Random(0), k=0, tau=0, n=n)
+    alg.start(loads, "integral", rng, k=0, tau=0, n=n)
     ctx = AdversaryContext(round_index=0, loads=LoadState("integral", loads))
     first_graph = policy.next_graph(ctx)
-    pairs = 0
+
+    def coin():
+        probe = Random()
+        probe.setstate(rng.getstate())
+        return probe.getrandbits(n)
+
+    pairs, by_coin, replays = 0, {}, 0
     for r in range(1, 51):
         ctx.round_index = r
         graph = policy.next_graph(ctx)
         assert graph is first_graph
+        drawn = coin()
         outcome = alg.play_round(graph, loads)
         assert outcome.new_loads is loads
+        if drawn in by_coin:
+            assert outcome is by_coin[drawn]
+            replays += 1
+        by_coin[drawn] = outcome
         ctx.last_matching = [(u, v) for u, v, _ in outcome.matching]
         pairs += len(outcome.matching)
-    assert pairs > 0
+    assert pairs > 0 and replays > 0
     assert len(asked) <= n
+
+    earlier = list(by_coin.values())
+    copy = tuple(list(loads))  # equal loads, a new identity
+    for graph, loads in ((first_graph, copy), (Graph(n, first_graph.edges), copy)):
+        by_coin = {}
+        for _ in range(40):
+            drawn = coin()
+            outcome = alg.play_round(graph, loads)
+            assert all(outcome is not old for old in earlier)
+            assert by_coin.setdefault(drawn, outcome) is outcome
+        earlier += by_coin.values()
+
+
+def test_replay_table_stays_bounded_on_a_stuck_line():
+    # Criterion 3's construction at n = 16: no unit ever moves and the line
+    # never changes, so every one of the 65,536 coins could be kept.  The
+    # table stops at its bound, and every round, replayed or not, equals a
+    # round that asks every sender afresh.
+    n = 16
+    policy = SortingLinePolicy()
+    policy.bind(n, Random(0))
+    loads = tuple(line_ramp(n))
+    rng, reference_rng = Random(3), Random(3)
+    alg = RandMaxNeighbor()
+    alg.start(loads, "integral", rng, k=0, tau=0, n=n)
+    ctx = AdversaryContext(round_index=0, loads=LoadState("integral", loads))
+    returned, replays = set(), 0
+    for r in range(1, 4001):
+        ctx.round_index = r
+        graph = policy.next_graph(ctx)
+        expected = rand_max_neighbor_round(reference_rng, "integral", graph, loads)
+        outcome = alg.play_round(graph, loads)
+        assert outcome == expected
+        assert outcome.new_loads is loads
+        assert len(alg._replay) <= randomized.REPLAY_LIMIT
+        replays += id(outcome) in returned
+        returned.add(id(outcome))
+        ctx.last_matching = [(u, v) for u, v, _ in outcome.matching]
+    assert len(alg._replay) == randomized.REPLAY_LIMIT
+    assert replays > 0
+
+
+def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
+    # A full n = 8 sorting-line trial with every check and a full trace: the
+    # adversary reads each kept record's `pairs` on many rounds, and the
+    # checks and the trace read its matching.  None of them may change it.
+    made = []
+
+    def capture(name, **params):
+        made.append(make_algorithm(name, **params))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "make_algorithm", capture)
+    cfg = config_from_dict(
+        {
+            "n": 8,
+            "initialLoads": "lineRamp",
+            "mode": "integral",
+            "tau": "1",
+            "k": "0",
+            "adversary": "sortingLine",
+            "algorithm": "randMaxNeighbor",
+            "roundBudget": 3000,
+            "checks": ["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+            "traceLevel": "full",
+            "seed": 4,
+        }
+    )
+    stream = io.StringIO()
+    result = engine.run_trial(cfg, trace_writer=TraceCsvWriter(stream, cfg.checks))
+    assert result.invariant_failures == 0 and result.rounds_played == 3000
+    (alg,) = made
+    graph, loads = alg._memo_base, alg._memo_loads
+    assert len(alg._replay) == 2**8
+    for coin, record in alg._replay.items():
+        fixed_coin = SimpleNamespace(getrandbits=lambda bits, coin=coin: coin)
+        expected = rand_max_neighbor_round(fixed_coin, "integral", graph, loads)
+        assert record == expected
+        assert record.new_loads is loads
+        assert record.pairs == [(u, v) for u, v, _ in expected.matching]
+        assert record.d_r == sum(gap for _, _, gap in expected.matching)
