@@ -25,9 +25,9 @@ rounding raises instead of changing a digit.  Two bounded caches serve the
 trace's access pattern: powers of five for the last 8 exponents (a
 trace's exponent moves by a few bits per round, so 5**exp is usually one
 small multiply away from a cached power), and the text of the last 8
-amounts rendered (a row's d_r often equals the max_gap of the same row or
-the row before).  Small integers, the common case, skip both and use
-`str`.
+amounts rendered, keyed in canonical form (a row's d_r often equals the
+max_gap of the same row or the row before).  Small integers, the common
+case, skip both and use `str`.
 """
 
 from __future__ import annotations
@@ -210,7 +210,16 @@ class Dyadic:
 
 
 def decimal_text(num: int, exp: int = 0) -> str:
-    """Exact decimal text of num / 2**exp, of any length."""
+    """Exact decimal text of num / 2**exp, of any length.
+
+    The amount is first put in canonical form, as `Dyadic` holds it, so an
+    amount given over a finer exponent shares the text cache's entry."""
+    if exp and not num & 1:
+        shift = (num & -num).bit_length() - 1 if num else exp
+        if shift > exp:
+            shift = exp
+        num >>= shift
+        exp -= shift
     if exp == 0 and -_STR_SAFE < num < _STR_SAFE:
         return str(num)
     return _render(num, exp)

@@ -23,6 +23,11 @@ unshifted, moved no load: the trial keeps the very record, and with it the
 gap and whatever the trace and the checks derived from it.  Any other round
 commits a new record.  Each round is checked against the record it started
 from, so a round that creates or destroys load fails conservation alone.
+A checked round that moved no load keeps its verdicts on its round
+record (see records.py).  A round that hands the record back on the same
+committed record, graph object and line order reuses them in a report of
+its own index instead of calling `check_round`, and still counts its
+failures.
 A committed load that is not an integer numerator stops the trial with an
 `EngineError` naming the node and the round: the round it was committed in
 when a shift fails on it, else the last round, when the final vector is
@@ -281,13 +286,13 @@ def run_trial(
     # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
     converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
 
-    def write_row(index, phi, row_gap, row_exp, converged, d_r=0, connections=0, report=None):
-        # An int renders as the Dyadic over exponent 0 would.
-        if row_exp:
-            phi, row_gap = Dyadic(phi, row_exp), Dyadic(row_gap, row_exp)
+    def write_row(
+        index, phi, row_gap, row_exp, converged, d_r=0, d_r_exp=0, connections=0, report=None
+    ):
+        # Numerators with their exponents; the writer renders them.
         trace_writer.round_row(
-            round_index=index, phi=phi, max_gap=row_gap,
-            d_r=d_r, connections=connections, converged=converged, report=report,
+            round_index=index, phi=phi, max_gap=row_gap, exp=row_exp, d_r=d_r,
+            d_r_exp=d_r_exp, connections=connections, converged=converged, report=report,
         )
 
     if trace_writer is not None:
@@ -347,16 +352,26 @@ def run_trial(
 
             report = None
             if enabled and rounds % cfg.check_stride == 0:
-                report = check_round(
-                    state,
-                    committed,
-                    RoundTrace(rounds, graph, outcome.matching, d_r),
-                    algorithm_kind=algorithm.kind,
-                    enabled=enabled,
-                    line_order=line_policy.order if line_policy is not None else None,
-                    initial_prefix=initial_prefix,
-                )
-                if not report.ok:
+                order = line_policy.order if line_policy is not None else None
+                kept = outcome.verdicts
+                if kept is not None and kept[0] is state and kept[1] is graph and kept[2] is order:
+                    # A record handed back on the very inputs it was judged on.
+                    report = InvariantReport(rounds, kept[3], kept[4])
+                    ok = kept[5]
+                else:
+                    report = check_round(
+                        state,
+                        committed,
+                        RoundTrace(rounds, graph, outcome.matching, d_r),
+                        algorithm_kind=algorithm.kind,
+                        enabled=enabled,
+                        line_order=order,
+                        initial_prefix=initial_prefix,
+                    )
+                    ok = report.ok
+                    if committed is state:
+                        outcome.verdicts = state, graph, order, report.checks, report.witnesses, ok
+                if not ok:
                     invariant_failures += len(report.failed())
                     if len(failure_reports) < MAX_FAILURE_REPORTS:
                         failure_reports.append(report)
@@ -365,7 +380,7 @@ def run_trial(
             if trace_stride is not None and rounds % trace_stride == 0:
                 write_row(
                     rounds, state_potential(committed), gap, after_exp, within_tau,
-                    Dyadic(d_r, exp + 1), len(outcome.matching), report,
+                    d_r, exp + 1, len(outcome.matching), report,
                 )
                 last_emitted = rounds
         except TypeError:

@@ -39,15 +39,21 @@ SUMMARY_COLUMNS = (
 )
 
 
-def render_amount(value) -> str:
-    """Exact decimal text for an int or dyadic amount."""
+def render_amount(value, exp: int = 0) -> str:
+    """Exact decimal text for a dyadic amount, or for an int numerator over
+    2**exp."""
     if isinstance(value, Dyadic):
         return value.decimal_str()
-    return decimal_text(value)
+    return decimal_text(value, exp)
 
 
 class TraceCsvWriter:
-    """Writes one row per retained round of a single trial."""
+    """Writes one row per retained round of a single trial.
+
+    A row's amounts are dyadic values, or int numerators: `phi` and
+    `max_gap` over 2**exp, `d_r` over 2**d_r_exp.  The engine passes
+    numerators, so no row builds a Dyadic.
+    """
 
     def __init__(self, stream, checks: Sequence[str] = (), close_stream: bool = False):
         self.checks = tuple(checks)
@@ -65,12 +71,14 @@ class TraceCsvWriter:
         connections: int,
         converged: bool,
         report=None,
+        exp: int = 0,
+        d_r_exp: int = 0,
     ) -> None:
         row = [
             str(round_index),
-            render_amount(phi),
-            render_amount(max_gap),
-            render_amount(d_r),
+            render_amount(phi, exp),
+            render_amount(max_gap, exp),
+            render_amount(d_r, d_r_exp),
             str(connections),
             "true" if converged else "false",
         ]

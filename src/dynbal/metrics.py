@@ -12,6 +12,10 @@ kernel reads a record's total and potential through `state_total` and
 is derived once per committed vector (see loads.py); prefixMonotone keeps
 its verdict there too, once per vector and line order.  A round that moved no
 load (the same record before and after) passes conservation by identity.
+A round that hands back a record already judged on the same committed
+record, graph object and line order is not checked again (see engine.py):
+its report shares the first one's `checks` and `witnesses` dicts, so no
+reader may mutate a report's dicts.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .dyadic import Dyadic
+from .dyadic import decimal_text as _text  # witnesses render num / 2**exp
 from .loads import MODE_INTEGRAL, UNJUDGED, LoadState, total_load
 from .records import KIND_MATCHING, KIND_TWO_SIDED, RoundTrace  # noqa: F401 (re-exported)
 
@@ -303,11 +307,6 @@ _KERNELS = {
     CHECK_PREFIX_MONOTONE: _prefix_monotone,
     CHECK_SPLIT_POTENTIAL: _split_potential,
 }
-
-
-def _text(num, exp: int) -> str:
-    """Exact decimal text of num / 2**exp, for witnesses."""
-    return Dyadic(num, exp).decimal_str()
 
 
 def prefix_growth(order, loads, exp: int, baseline) -> Optional[dict]:

@@ -1,6 +1,10 @@
 """Round-level record types shared by the algorithms, metrics and engine.
 
 Amounts are numerators over the trial's shared load exponent (see loads.py).
+The engine derives three fields once, on a round record: `d_r`, the
+exchanged pairs and, for a checked round that moved no load, its verdicts.
+A round that hands the record back reuses them, so the reports of replayed
+rounds share read-only `checks` and `witnesses` dicts.
 """
 
 from __future__ import annotations
@@ -28,11 +32,14 @@ class RoundOutcome:
 
     A record is never mutated after `play_round` returns, and nothing
     downstream mutates its lists: an algorithm may hand the very record
-    back in a later round (see randomized.py).  The engine derives two
-    fields on it the first time it meets it, and they are left out of
-    equality and repr: `d_r`, the matching's gaps summed (see
+    back in a later round (see randomized.py).  The engine derives three
+    fields on it, left out of equality and repr: the first time it meets
+    it, `d_r`, the matching's gaps summed (see
     `metrics.twice_shifted_load`), and `pairs`, the exchanged `(u, v)`
-    pairs, which the adversary reads as the next round's `last_matching`.
+    pairs, which the adversary reads as the next round's `last_matching`;
+    on a checked round that moved no load, `verdicts`, the tuple
+    `(state, graph, line_order, checks, witnesses, ok)`: the report's
+    verdicts and the very objects they were taken on.
     """
 
     new_loads: tuple
@@ -40,6 +47,7 @@ class RoundOutcome:
     shift: int = 0
     d_r: object = field(default=None, compare=False, repr=False)
     pairs: Optional[list[tuple[int, int]]] = field(default=None, compare=False, repr=False)
+    verdicts: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)

@@ -15,14 +15,32 @@
 * A random connected graph drawn one `rng.randrange` call at a time:
   `adversaries.random_connected_graph` batches and caches its draws and
   must give the same edges and leave the generator in the same state.
+* `check_round` as an if/elif chain over the check names that derives
+  every verdict afresh: the check kernels, and the verdicts a round
+  record keeps, must give the same report.
 """
 
 from __future__ import annotations
 
 from dynbal.algorithms.base import heaviest_gap_neighbor
-from dynbal.dyadic import integral_half_sum
+from dynbal.dyadic import Dyadic, integral_half_sum
 from dynbal.graphs import Graph, is_connected
 from dynbal.loads import MODE_INTEGRAL
+from dynbal.metrics import (
+    CHECK_CONSERVATION,
+    CHECK_COVERING_EDGE,
+    CHECK_INTEGRALITY,
+    CHECK_MATCHING_BUDGET,
+    CHECK_POTENTIAL_DROP,
+    CHECK_PREFIX_MONOTONE,
+    CHECK_SHIFT_LOWER_BOUND,
+    CHECK_SPLIT_POTENTIAL,
+    KIND_TWO_SIDED,
+    InvariantReport,
+    max_gap,
+    potential,
+    prefix_sums,
+)
 from dynbal.records import RoundOutcome
 
 DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
@@ -181,3 +199,148 @@ def randrange_connected_graph(n: int, extra_edge_prob, rng) -> Graph:
     graph = Graph(n, edges)
     assert is_connected(graph)
     return graph
+
+
+def reference_check_round(
+    before,
+    after,
+    trace,
+    *,
+    algorithm_kind,
+    enabled,
+    line_order=None,
+    initial_prefix=None,
+):
+    """check_round as it was before the kernel table, an if/elif chain over
+    the check names that derives everything afresh: the oracle for the
+    kernels."""
+    report = InvariantReport(trace.round_index)
+    checks, witnesses = report.checks, report.witnesses
+    exp, after_exp = before.exp, after.exp
+    phi_before = phi_after = None
+
+    def text(num, e):
+        return Dyadic(num, e).decimal_str()
+
+    def need_phi_before():
+        nonlocal phi_before
+        if phi_before is None:
+            phi_before = potential(before.loads)
+        return phi_before
+
+    def need_phi_after():
+        nonlocal phi_after
+        if phi_after is None:
+            phi_after = potential(after.loads)
+        return phi_after
+
+    for name in enabled:
+        if name == CHECK_CONSERVATION:
+            total_before = sum(before.loads)
+            total_after = sum(after.loads)
+            good = total_before << after_exp == total_after << exp
+            if not good:
+                witnesses[name] = {
+                    "before": text(total_before, exp),
+                    "after": text(total_after, after_exp),
+                }
+        elif name == CHECK_POTENTIAL_DROP:
+            bound = (need_phi_before() << 2) - trace.d_r
+            good = need_phi_after() << (exp + 2) <= bound << after_exp
+            if not good:
+                witnesses[name] = {
+                    "phi_after": text(phi_after, after_exp),
+                    "allowed": text(bound, exp + 2),
+                }
+        elif name == CHECK_COVERING_EDGE:
+            good, witness = reference_covering_edge(before, trace)
+            if not good:
+                witnesses[name] = witness
+        elif name == CHECK_SHIFT_LOWER_BOUND:
+            gap = max_gap(before.loads)
+            good = trace.d_r * 30 >= gap * 2
+            if not good:
+                witnesses[name] = {"d_r": text(trace.d_r, exp + 1), "max_gap": text(gap, exp)}
+        elif name == CHECK_MATCHING_BUDGET:
+            good, witness = reference_matching_budget(trace.matching, algorithm_kind)
+            if not good:
+                witnesses[name] = witness
+        elif name == CHECK_INTEGRALITY:
+            good = after.mode != "integral" or after_exp == 0
+            if not good:
+                witnesses[name] = {"exp": after_exp}
+            elif after.mode == "integral":
+                for i, w in enumerate(after.loads):
+                    if not isinstance(w, int) or w < 0:
+                        good = False
+                        witnesses[name] = {"node": i, "load": repr(w)}
+                        break
+        elif name == CHECK_PREFIX_MONOTONE:
+            if line_order is None or initial_prefix is None:
+                raise ValueError("prefixMonotone needs the line order and baseline prefixes")
+            good = True
+            if exp:
+                good = False
+                witnesses[name] = {"exp": exp}
+            else:
+                now_sums = prefix_sums(line_order, before.loads)
+                for i, (now, base) in enumerate(zip(now_sums, initial_prefix)):
+                    if now > base:
+                        good = False
+                        witnesses[name] = {
+                            "prefix": i,
+                            "now": text(now, 0),
+                            "baseline": text(base, 0),
+                        }
+                        break
+        elif name == CHECK_SPLIT_POTENTIAL:
+            halves = [w for w in before.loads for _ in (0, 1)]
+            split = potential(halves)
+            good = split == need_phi_before() * 4
+            if not good:
+                witnesses[name] = {
+                    "split": text(split, exp + 1),
+                    "twice_whole": text(phi_before * 2, exp),
+                }
+        else:
+            raise ValueError(f"unknown invariant check {name!r}")
+        checks[name] = good
+    return report
+
+
+def reference_covering_edge(before, trace):
+    loads = before.loads
+    graph = trace.graph
+    reach = [0] * graph.n
+    for a, b, pair_gap in trace.matching:
+        reach[a] = max(reach[a], pair_gap)
+        reach[b] = max(reach[b], pair_gap)
+    for _ in range(3):
+        spread = list(reach)
+        for u, v in graph.edges:
+            spread[u] = max(spread[u], reach[v])
+            spread[v] = max(spread[v], reach[u])
+        reach = spread
+    for u, v in graph.edges:
+        gap = abs(loads[u] - loads[v])
+        if gap > 0 and reach[u] < gap and reach[v] < gap:
+            return False, {"edge": (u, v), "gap": Dyadic(gap, before.exp).decimal_str()}
+    return True, None
+
+
+def reference_matching_budget(matching, algorithm_kind):
+    if algorithm_kind == KIND_TWO_SIDED:
+        as_sender, as_answerer = {}, {}
+        for u, v, _ in matching:
+            as_sender[u] = as_sender.get(u, 0) + 1
+            as_answerer[v] = as_answerer.get(v, 0) + 1
+            if as_sender[u] > 1 or as_answerer[v] > 1:
+                return False, {"node": u if as_sender[u] > 1 else v}
+        return True, None
+    seen = set()
+    for u, v, _ in matching:
+        if u in seen or v in seen:
+            return False, {"node": u if u in seen else v}
+        seen.add(u)
+        seen.add(v)
+    return True, None

@@ -15,10 +15,10 @@ from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, all_pairs, path_graph, toggled_adjacency
 from dynbal.io import TraceCsvWriter
 from dynbal.loads import LoadState, line_ramp, to_dyadics, to_scaled, total_load
-from dynbal.metrics import CHECK_MATCHING_BUDGET, KIND_MATCHING, check_round
+from dynbal.metrics import CHECK_MATCHING_BUDGET, KIND_MATCHING, check_round, prefix_sums
 from dynbal.records import RoundTrace
 from dynbal.smoothing import t_smooth
-from oracles import rand_max_neighbor_round
+from oracles import rand_max_neighbor_round, reference_check_round
 from strategies import connected_graphs
 
 
@@ -328,7 +328,8 @@ def test_replay_table_stays_bounded_on_a_stuck_line():
 def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
     # A full n = 8 sorting-line trial with every check and a full trace: the
     # adversary reads each kept record's `pairs` on many rounds, and the
-    # checks and the trace read its matching.  None of them may change it.
+    # checks and the trace read its matching.  None of them may change it,
+    # and the verdicts kept on it must be the ones a fresh check gives.
     made = []
 
     def capture(name, **params):
@@ -364,3 +365,18 @@ def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
         assert record.new_loads is loads
         assert record.pairs == [(u, v) for u, v, _ in expected.matching]
         assert record.d_r == sum(gap for _, _, gap in expected.matching)
+        # Its verdicts, derived once, are those of a check made afresh on
+        # the inputs they were taken on.
+        state, judged_on, order, checks, witnesses, ok = record.verdicts
+        assert state.loads is loads and judged_on is graph and order == tuple(range(8))
+        reference = reference_check_round(
+            state,
+            state,
+            RoundTrace(0, graph, expected.matching, record.d_r),
+            algorithm_kind=KIND_MATCHING,
+            enabled=cfg.checks,
+            line_order=order,
+            initial_prefix=prefix_sums(range(8), line_ramp(8)),
+        )
+        assert checks == reference.checks and witnesses == reference.witnesses
+        assert ok is reference.ok is True

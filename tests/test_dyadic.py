@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbal import dyadic
 from dynbal.dyadic import Dyadic, as_dyadic, decimal_text, integral_half_sum
 from dynbal.io import render_amount
 
@@ -231,6 +232,17 @@ def test_decimal_render_matches_int_formula(pairs):
         assert d.decimal_str() == text
         assert decimal_text(num, exp) == text
         assert Dyadic.from_decimal(text) == d
+
+
+def test_decimal_text_keys_its_text_cache_in_canonical_form():
+    # The trace writer hands d_r over one bit finer than the loads, so a
+    # d_r equal to a max_gap must reach the cache as the same key.
+    dyadic._render.cache_clear()
+    assert decimal_text(3, 1) == "1.5"
+    assert decimal_text(12, 3) == decimal_text(3 << 40, 41) == "1.5"
+    info = dyadic._render.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert decimal_text(-8, 2) == "-2" and decimal_text(0, 5) == "0"
 
 
 def test_as_dyadic_rejects_floats():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from dynbal import engine, metrics
-from dynbal.adversaries import AdversaryPolicy
+from dynbal.adversaries import AdversaryPolicy, SortingLinePolicy, make_adversary
+from dynbal.algorithms import make_algorithm
 from dynbal.algorithms.base import BalancingAlgorithm
 from dynbal.config import config_from_dict
 from dynbal.dyadic import Dyadic
@@ -22,8 +23,9 @@ from dynbal.engine import (
 )
 from dynbal.graphs import Graph, is_connected, path_graph
 from dynbal.io import TraceCsvWriter
-from dynbal.loads import total_load
-from dynbal.records import RoundOutcome
+from dynbal.loads import LoadState, total_load
+from dynbal.metrics import KIND_MATCHING, check_round
+from dynbal.records import RoundOutcome, RoundTrace
 
 
 def scenario(**overrides) -> dict:
@@ -579,6 +581,191 @@ def test_rounds_that_move_load_derive_once_per_committed_vector(monkeypatch):
     assert result.invariant_failures == 0
     assert result.rounds_played == 43
     assert calls == {"total_load": 44, "potential": 44}
+
+
+# ======================================================================
+# round records handed back
+# ======================================================================
+
+
+class HandsBackOneBadMatching(BalancingAlgorithm):
+    """Moves no load and hands back one record every round, whose matching
+    uses node 1 twice."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.record = RoundOutcome(new_loads=loads, matching=[(0, 1, 1), (1, 2, 1)])
+
+    def play_round(self, graph, loads):
+        return self.record
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_failing_record_handed_back_fails_every_checked_round(monkeypatch, stride):
+    monkeypatch.setattr(engine, "make_algorithm", lambda name, **params: HandsBackOneBadMatching())
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="0",
+            adversary={"name": "static", "graph": "path"},
+            algorithm="randMaxNeighbor",
+            roundBudget=9,
+            checks=["conservation", "integrality", "matchingBudget"],
+            checkStride=stride,
+            traceLevel="full",
+        )
+    )
+    result, rows = trace_rows(cfg)
+    checked = list(range(stride, 10, stride))
+    assert result.invariant_failures == len(checked)
+    assert [report.round_index for report in result.failure_reports] == checked
+
+    matching = [(0, 1, 1), (1, 2, 1)]
+    state = LoadState("integral", (1, 2, 3, 4))
+    expected = check_round(
+        state,
+        state,
+        RoundTrace(1, path_graph(4), matching, metrics.twice_shifted_load(matching)),
+        algorithm_kind=KIND_MATCHING,
+        enabled=cfg.checks,
+    )
+    assert expected.witnesses == {"matchingBudget": {"node": 1}}
+    for report in result.failure_reports:
+        assert report.checks == expected.checks
+        assert report.witnesses == expected.witnesses
+
+    budget_column = 6 + list(cfg.checks).index("matchingBudget")
+    assert [int(row[0]) for row in rows] == list(range(10))
+    for row in rows:
+        assert row[budget_column] == ("1" if int(row[0]) in checked else "")
+
+
+def count_checks(monkeypatch) -> list:
+    """The round index of every check_round call the engine makes."""
+    checked = []
+    check = engine.check_round
+
+    def counting(before, after, trace, **kwargs):
+        checked.append(trace.round_index)
+        return check(before, after, trace, **kwargs)
+
+    monkeypatch.setattr(engine, "check_round", counting)
+    return checked
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_record_handed_back_is_checked_once_per_key(monkeypatch, stride):
+    # On the stuck n = 8 line the committed record, the graph object and the
+    # order tuple never change, so a replayed record's verdicts are derived
+    # the first time a checked round meets it and reused after that.
+    checked = count_checks(monkeypatch)
+    seen, keys, kept = [], set(), []
+    made = {}
+
+    def algorithm(name, **params):
+        alg = make_algorithm(name, **params)
+        play = alg.play_round
+
+        def play_round(graph, loads):
+            outcome = play(graph, loads)
+            seen.append(outcome)
+            if len(seen) % stride == 0:
+                kept.append((outcome, graph, loads, made["adversary"].order))
+                keys.add(tuple(map(id, kept[-1])))
+            return outcome
+
+        alg.play_round = play_round
+        return alg
+
+    def adversary(name, **params):
+        made["adversary"] = make_adversary(name, **params)
+        return made["adversary"]
+
+    monkeypatch.setattr(engine, "make_algorithm", algorithm)
+    monkeypatch.setattr(engine, "make_adversary", adversary)
+    cfg = config_from_dict(
+        scenario(
+            n=8,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="1",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=600,
+            checks=["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+            checkStride=stride,
+        )
+    )
+    result = run_trial(cfg)
+    assert result.rounds_played == 600 and result.invariant_failures == 0
+    assert len({id(graph) for _, graph, _, _ in kept}) == 1
+    assert len({id(loads) for _, _, loads, _ in kept}) == 1
+    assert len({id(order) for _, _, _, order in kept}) == 1
+    assert len(checked) == len(keys) == len({id(outcome) for outcome, *_ in kept})
+    assert len(set(map(id, seen))) < len(seen) // 2  # most rounds are replays
+
+
+class ReplacesItsGraphAndOrder(SortingLinePolicy):
+    """The line of its order, presented as a new but equal graph object from
+    round 3 and over a new but equal order tuple from round 5."""
+
+    def next_graph(self, ctx):
+        if ctx.round_index == 3:
+            self._graph = Graph(self.n, self._graph.edges)
+        elif ctx.round_index == 5:
+            self.order = tuple(list(self.order))
+        return self._graph
+
+
+class HandsBackOneRecordAroundAMove(BalancingAlgorithm):
+    """Hands back one record over the initial loads every round, except
+    that round 7 moves a unit from node 0 to the last node; round 8 then
+    moves it back by committing the initial tuple in a new record."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.rounds = 0
+        self.record = RoundOutcome(new_loads=loads, matching=[(0, 1, 1)])
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        if self.rounds == 7:
+            return RoundOutcome(new_loads=(loads[0] - 1,) + loads[1:-1] + (loads[-1] + 1,))
+        return self.record
+
+
+def test_a_record_handed_back_on_new_inputs_is_judged_afresh(monkeypatch):
+    checked = count_checks(monkeypatch)
+    monkeypatch.setattr(engine, "make_adversary", lambda name, **params: ReplacesItsGraphAndOrder())
+    monkeypatch.setattr(
+        engine, "make_algorithm", lambda name, **params: HandsBackOneRecordAroundAMove()
+    )
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="0",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=10,
+            checks=["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+        )
+    )
+    result = run_trial(cfg)
+    assert result.invariant_failures == 0
+    assert result.final_loads == [1, 2, 3, 4]
+    # A new graph (3), a new order (5), a round that moves load (7, 8) and
+    # the first round back on the new committed record (9).
+    assert checked == [1, 3, 5, 7, 8, 9]
 
 
 # ======================================================================

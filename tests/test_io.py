@@ -1,6 +1,7 @@
 """Trace CSV output: the same bytes as `csv.writer`, amounts of any length."""
 
 import csv
+import io
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -126,3 +127,21 @@ def test_trace_row_bytes(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == (
         b"round,phi,max_gap,d_r,connections,converged\r\n0,1.5,0,0,0,true\r\n"
     )
+
+
+big = st.integers(-(1 << 400), 1 << 400)
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi=big, gap=big, exp=st.integers(0, 300), d_r=big, d_r_exp=st.integers(0, 300))
+def test_trace_row_numerators_render_as_their_dyadic_values(phi, gap, exp, d_r, d_r_exp):
+    # The engine hands the writer numerators with their exponents.
+    texts = []
+    for row in (
+        {"phi": phi, "max_gap": gap, "exp": exp, "d_r": d_r, "d_r_exp": d_r_exp},
+        {"phi": Dyadic(phi, exp), "max_gap": Dyadic(gap, exp), "d_r": Dyadic(d_r, d_r_exp)},
+    ):
+        stream = io.StringIO()
+        TraceCsvWriter(stream).round_row(round_index=1, connections=2, converged=False, **row)
+        texts.append(stream.getvalue())
+    assert texts[0] == texts[1]
