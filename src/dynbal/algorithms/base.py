@@ -92,11 +92,11 @@ _TARGET = itemgetter(1)
 def accept_offers(offers: dict, senders: Optional[int] = None) -> list[tuple[int, int, object]]:
     """The matching `(u, v, key)` in ascending target order: each target v
     takes the highest key, the lowest proposer u on ties.  `offers` maps
-    proposers to their `(target, key)`, in any order; with the bit mask
-    `senders`, only its nodes' offers count and none of them accepts."""
+    proposers to their `(target, key)`, in any order; an offer to a node of
+    the bit mask `senders` dies."""
     accepted: dict[int, tuple[int, int, object]] = {}
     for u, (v, key) in offers.items():
-        if senders is not None and (not senders >> u & 1 or senders >> v & 1):
+        if senders is not None and senders >> v & 1:
             continue
         held = accepted.get(v)
         if held is None or key > held[2] or key == held[2] and u < held[0]:
@@ -120,53 +120,3 @@ def split_pairs(loads, matching, shift: int = 0):
         low, high = integral_half_sum(w_u, w_v)
         new_loads[u], new_loads[v] = (low, high) if w_u <= w_v else (high, low)
     return tuple(new_loads)
-
-
-class ProposalMemo(BalancingAlgorithm):
-    """Remembers offers, each of which reads only its node's adjacency row
-    and the loads.  The key is the base graph a smoothed graph was flipped
-    from and the loads' committed tuple, both by identity (a list is never
-    remembered: it could change in place); while it holds, a round asks only
-    the flipped pairs' endpoints again, on their flipped rows.  Subclasses
-    give `_propose(u, row, loads)`, u's offer or None, and, unless every
-    round names its `senders` (each then asked the first time it sends),
-    `_base_proposals(graph, loads)`, every offer on `graph`.  By the same
-    rule `_busy` holds the tuple a subclass's idle test last found busy.
-    `_replay` holds the round records a subclass keeps while the key holds;
-    `start` and every change of key empty it."""
-
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        self._memo_base, self._memo_loads, self._memo, self._asked = None, None, {}, 0
-        self._busy = None
-        self._replay: dict = {}
-
-    def _offers(self, graph: Graph, loads: tuple, senders: Optional[int] = None) -> dict:
-        """This round's offers for `accept_offers` with the same `senders`."""
-        base = graph if graph.base is None else graph.base
-        if base is not self._memo_base or loads is not self._memo_loads:
-            self._memo_base = base
-            self._memo_loads = loads if type(loads) is tuple else None
-            self._memo = {} if senders is not None else self._base_proposals(base, loads)
-            self._asked = 0
-            self._replay.clear()
-        memo = self._memo
-        if senders is not None and (unasked := senders & ~self._asked):
-            self._asked |= unasked
-            rows = base.adj
-            while unasked:
-                bit = unasked & -unasked
-                unasked ^= bit
-                u = bit.bit_length() - 1
-                if (offer := self._propose(u, rows[u], loads)) is not None:
-                    memo[u] = offer
-        if not graph.flips:
-            return memo
-        merged = dict(memo)
-        adj = graph.adj
-        for u in {u for pair in graph.flips for u in pair}:
-            if (offer := self._propose(u, adj[u], loads)) is None:
-                merged.pop(u, None)
-            else:
-                merged[u] = offer
-        return merged

@@ -18,11 +18,10 @@ also accept, which keeps the variant matching-based.  A node proposes
 exactly when some edge puts it at least psi/2 below the other end, so a
 round finds the proposers in one pass over the edges and asks only them.
 
-Both variants keep the shared proposal memo (see base.py) for one call, as
-thresholds and psi never move within it; a memo miss runs the passes above.
-For the same reason the idle test is decided once per committed tuple: the
-tuple last judged busy is remembered by identity (never a list), so a round
-that moved no load skips the scan of its extremes.
+Both variants keep one `ProposalMemo` for one call, as thresholds and psi
+never move within it; a memo miss runs the passes above.  For the same
+reason the idle test is decided once per committed tuple (`_busy`), so a
+round that moved no load skips the scan of its extremes.
 
 Flooding stops computing at its fixed point: once every node's table holds
 the same (min, max), no graph can change them, so the remaining flooding
@@ -38,7 +37,7 @@ from random import Random
 from ..graphs import Graph
 from ..records import RoundOutcome
 from ..smoothing import DEFAULT_C1
-from .base import KIND_MATCHING, ProposalMemo, accept_offers, heaviest_neighbor, split_pairs
+from .base import KIND_MATCHING, BalancingAlgorithm, accept_offers, heaviest_neighbor, split_pairs
 
 
 def hitting_constant(c1) -> Fraction:
@@ -90,6 +89,41 @@ def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tup
                 hi = nhi
         out.append((lo, hi))
     return out
+
+
+class ProposalMemo(BalancingAlgorithm):
+    """Remembers offers, each of which reads only its node's adjacency row
+    and the loads.  The key is the base graph a smoothed graph was flipped
+    from and the loads' committed tuple, both by identity (a list is never
+    remembered: it could change in place); while it holds, a round asks only
+    the flipped pairs' endpoints again, on their flipped rows.  Subclasses
+    give `_propose(u, row, loads)`, u's offer or None, and
+    `_base_proposals(graph, loads)`, every offer on `graph`.  By the same
+    rule `_busy` holds the tuple a subclass's idle test last found busy."""
+
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self._memo_base, self._memo_loads, self._memo = None, None, {}
+        self._busy = None
+
+    def _offers(self, graph: Graph, loads: tuple) -> dict:
+        """This round's offers for `accept_offers`."""
+        base = graph if graph.base is None else graph.base
+        if base is not self._memo_base or loads is not self._memo_loads:
+            self._memo_base = base
+            self._memo_loads = loads if type(loads) is tuple else None
+            self._memo = self._base_proposals(base, loads)
+        memo = self._memo
+        if not graph.flips:
+            return memo
+        merged = dict(memo)
+        adj = graph.adj
+        for u in {u for pair in graph.flips for u in pair}:
+            if (offer := self._propose(u, adj[u], loads)) is None:
+                merged.pop(u, None)
+            else:
+                merged[u] = offer
+        return merged
 
 
 class GapReduce(ProposalMemo):

@@ -9,51 +9,65 @@ lighter node the floor.  Continuous rounds run the same integral kernel on
 loads one bit finer (doubled numerators), where the floor never bites: the
 pair averages exactly and the round raises the loads' exponent by one.
 
-A sender is asked for its proposal the first time its coin says so while
-the key of the shared proposal memo holds (see base.py).
-
-A round is a function of its coin, its graph and its loads.  So while the
-memo's key holds on a graph with no flips, a round that moved no load is
-kept by its coin, and a later round that draws the same coin gets that
-very record back (the coin is still drawn every round).  Nothing is kept
-from a list or a flipped graph; the table empties with the memo's key
-and holds at most `REPLAY_LIMIT` records, every coin at n <= 10.
+A round asks each sender for its proposal in one walk of the coin.  While
+the base graph (the one a smoothed graph was flipped from) and the
+committed tuple stay the same objects, a round on the unflipped base that
+moved no load is kept by its coin, and a later such round that draws the
+same coin (still drawn every round) gets that very record back.  Nothing
+is kept from a list; the table empties when either object changes and
+holds at most `REPLAY_LIMIT` records, every coin at n <= 10.
 """
 
 from __future__ import annotations
 
+from random import Random
+
 from ..graphs import Graph
 from ..loads import MODE_INTEGRAL
-from ..records import RoundOutcome
-from .base import KIND_MATCHING, ProposalMemo, accept_offers, heaviest_gap_neighbor, split_pairs
+from ..records import KIND_MATCHING, RoundOutcome
+from .base import BalancingAlgorithm, accept_offers, heaviest_gap_neighbor, split_pairs
 
 REPLAY_LIMIT = 1024
 
 
-class RandMaxNeighbor(ProposalMemo):
+class RandMaxNeighbor(BalancingAlgorithm):
     name = "randMaxNeighbor"
     kind = KIND_MATCHING
     modes = ("integral", "continuous")
 
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self._replay_base, self._replay_loads, self._replay = None, None, {}
+
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         coin = self.rng.getrandbits(graph.n)
-        if graph is self._memo_base and loads is self._memo_loads:
-            outcome = self._replay.get(coin)
-            if outcome is not None:
+        # The key is a base graph, so a graph that is the key has no flips.
+        replayable = graph is self._replay_base and loads is self._replay_loads
+        if replayable:
+            if (outcome := self._replay.get(coin)) is not None:
                 return outcome
-        matching = accept_offers(self._offers(graph, loads, coin), coin)
+        else:
+            base = graph if graph.base is None else graph.base
+            if base is not self._replay_base or loads is not self._replay_loads:
+                self._replay_base = base
+                self._replay_loads = loads if type(loads) is tuple else None
+                self._replay.clear()
+                replayable = graph is base and loads is self._replay_loads
+
+        offers = {}
+        rows = graph.adj
+        senders = coin
+        while senders:
+            bit = senders & -senders
+            senders ^= bit
+            u = bit.bit_length() - 1
+            if rows[u]:
+                offers[u] = heaviest_gap_neighbor(u, rows[u], loads)
+        matching = accept_offers(offers, coin)
         shift = 0 if self.mode == MODE_INTEGRAL else 1
         new_loads = split_pairs(loads, matching, shift)
         outcome = RoundOutcome(new_loads=new_loads, matching=matching, shift=shift)
         # Only an unshifted split hands back `loads` itself.
-        if (
-            new_loads is loads
-            and graph is self._memo_base
-            and loads is self._memo_loads
-            and len(self._replay) < REPLAY_LIMIT
-        ):
+        if new_loads is loads and replayable and len(self._replay) < REPLAY_LIMIT:
             self._replay[coin] = outcome
         return outcome
-
-    def _propose(self, u: int, row, loads: tuple):
-        return heaviest_gap_neighbor(u, row, loads) if row else None

@@ -70,7 +70,6 @@ from .metrics import (
     prefix_growth,
     prefix_sums,
     state_potential,
-    state_total,
     twice_shifted_load,
 )
 from .records import RoundTrace
@@ -248,7 +247,7 @@ def run_trial(
     loads, exp = to_scaled(initial) if continuous else (initial, 0)
     state = LoadState(cfg.mode, tuple(loads), exp)
     loads = state.loads
-    total = state_total(state)
+    total = total_load(loads)
     if continuous:
         total = Dyadic(total, exp)
 

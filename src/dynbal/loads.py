@@ -3,13 +3,11 @@
 A trial commits its loads as one `LoadState` record: an immutable tuple of
 Python ints plus one exponent shared by the whole vector, so node i carries
 loads[i] / 2**exp.  A round that moves no load hands back the very tuple it
-was given and the trial keeps the very record; only a round that moves load
-commits a new one.  A record's total, potential and integrality verdict are
-derived (by metrics.py) the first time something reads them and kept on the
-record, so each is derived once per committed vector.  The balancing
-rules only ever take repeated half-sums of integer loads, so a round that
-halves raises the exponent by a bit or two and every load stays an integer
-numerator.  Integral mode is simply exp == 0.  Amounts at different
+was given and the trial keeps the very record, with what metrics.py
+derived from it; only a round that moves load commits a new one.  The
+balancing rules only ever take repeated half-sums of integer loads, so a
+round that halves raises the exponent by a bit or two and every load stays
+an integer numerator.  Integral mode is simply exp == 0.  Amounts at different
 exponents compare by cross-shifting: a / 2**ea < b / 2**eb exactly when
 a << eb < b << ea.  Dyadic values appear only at the boundary: `to_scaled`
 takes parsed or generated loads in, `to_dyadics` renders numerators out.
@@ -35,19 +33,16 @@ UNJUDGED = object()
 @dataclass(slots=True)
 class LoadState:
     """One committed load vector, loads[i] / 2**exp, and what was derived
-    from it: `total`, `phi` (the potential), `integrality` (the check's
-    witness) and `prefix`, prefixMonotone's (line order, baseline, witness),
-    valid while the order and baseline are those very tuples.  They start
-    unset and are kept only when `loads` is a tuple, since a list could
-    change under them; a record's loads and exponent are never reassigned."""
+    from it: `phi` (the potential) and `integrality` (the check's witness).
+    Both start unset and are kept only when `loads` is a tuple, since a list
+    could change under them; a record's loads and exponent are never
+    reassigned."""
 
     mode: str
     loads: tuple
     exp: int = 0
-    total: object = field(default=None, compare=False, repr=False)
     phi: object = field(default=None, compare=False, repr=False)
     integrality: object = field(default=UNJUDGED, compare=False, repr=False)
-    prefix: object = field(default=None, compare=False, repr=False)
 
 
 def total_load(loads) -> object:

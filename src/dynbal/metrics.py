@@ -7,15 +7,13 @@ numerators over one shared exponent, and the checks compare amounts of
 different exponents by cross-shifting them: every verdict is exact, with
 zero tolerance.  `check_round` looks each enabled check up in one table of
 kernels, `_KERNELS`; a kernel returns its check's witness, or None.  A
-kernel reads a record's total and potential through `state_total` and
-`state_potential`, and integrality keeps its verdict on the record, so each
-is derived once per committed vector (see loads.py); prefixMonotone keeps
-its verdict there too, once per vector and line order.  A round that moved no
-load (the same record before and after) passes conservation by identity.
-A round that hands back a record already judged on the same committed
-record, graph object and line order is not checked again (see engine.py):
-its report shares the first one's `checks` and `witnesses` dicts, so no
-reader may mutate a report's dicts.
+record's potential (read through `state_potential`) and integrality verdict
+are kept on the record, so each is derived once per committed vector (see
+loads.py).  A round that moved no load (the same record before and after)
+passes conservation by identity.  A round that hands back a record already
+judged on the same committed record, graph object and line order is not
+checked again (see engine.py): its report shares the first one's `checks`
+and `witnesses` dicts, so no reader may mutate a report's dicts.
 """
 
 from __future__ import annotations
@@ -70,16 +68,6 @@ def max_gap(loads: Sequence) -> object:
     if len(loads) <= 1:
         return 0
     return max(loads) - min(loads)
-
-
-def state_total(state: LoadState) -> object:
-    """`total_load` of a record's loads, kept on the record (see LoadState)."""
-    total = state.total
-    if total is None:
-        total = total_load(state.loads)
-        if type(state.loads) is tuple:
-            state.total = total
-    return total
 
 
 def state_potential(state: LoadState) -> object:
@@ -171,7 +159,7 @@ def check_round(
 def _conservation(before, after, *_):
     if after is before:
         return None
-    total_before, total_after = state_total(before), state_total(after)
+    total_before, total_after = total_load(before.loads), total_load(after.loads)
     if total_before << after.exp == total_after << before.exp:
         return None
     return {"before": _text(total_before, before.exp), "after": _text(total_after, after.exp)}
@@ -278,13 +266,7 @@ def _integrality(before, after, *_):
 def _prefix_monotone(before, after, trace, kind, line_order, initial_prefix):
     if line_order is None or initial_prefix is None:
         raise ValueError("prefixMonotone needs the line order and baseline prefixes")
-    kept = before.prefix
-    if kept is not None and kept[0] is line_order and kept[1] is initial_prefix:
-        return kept[2]
-    witness = prefix_growth(line_order, before.loads, before.exp, initial_prefix)
-    if type(before.loads) is type(line_order) is type(initial_prefix) is tuple:
-        before.prefix = line_order, initial_prefix, witness
-    return witness
+    return prefix_growth(line_order, before.loads, before.exp, initial_prefix)
 
 
 def _split_potential(before, *_):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from dynbal.algorithms import (
     GapReduce,
     GaplessGapReduce,
-    RandMaxNeighbor,
     flood_min_max_round,
     gap_reduce_round_budget,
     gapless_round_budget,
@@ -210,6 +209,13 @@ def test_rounds_that_move_nothing_hand_back_their_tuple():
     unit_gap = (4, 5)
     matching = accept_offers({0: (1, 1)})
     assert matching == [(0, 1, 1)] and split_pairs(unit_gap, matching) is unit_gap
+    # With a senders mask, an offer to a sender dies (0 -> 1); among the
+    # rest each target takes the highest key (6 -> 2 over 5 -> 2), then the
+    # lowest proposer (1 -> 4 over 3 -> 4).
+    offers = {3: (4, 2), 0: (1, 9), 1: (4, 2), 5: (2, 1), 6: (2, 3)}
+    senders = 0b1101011  # nodes 0, 1, 3, 5 and 6
+    assert accept_offers(offers, senders) == [(6, 2, 3), (1, 4, 2)]
+    assert accept_offers(offers) == [(0, 1, 9), (6, 2, 3), (1, 4, 2)]
     alg = started(GaplessGapReduce(psi=2), unit_gap, 2)
     outcome = alg.play_round(g, unit_gap)
     assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
@@ -562,11 +568,10 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
             loads = tuple(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
 
 
-@pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9), RandMaxNeighbor])
+@pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])
 def test_waiting_rounds_ask_only_the_flipped_endpoints(make):
     # While base and tuple stay, a round asks the flipped pairs' endpoints
-    # on their flipped rows and any other node on its base row at most once
-    # (randMaxNeighbor asks a sender the first time its coin says so).
+    # on their flipped rows and any other node on its base row at most once.
     n = 64
     base = path_graph(n)
     loads = (0,) * 8 + (5,) * (n - 16) + (40,) * 8

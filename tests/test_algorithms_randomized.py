@@ -1,5 +1,5 @@
-"""Randomized max-gap baseline: role flips, exact transfers, matching budget,
-the per-trial proposal memo and the rounds it hands back again."""
+"""Randomized max-gap baseline: role flips, exact transfers, matching budget
+and the round records it hands back again."""
 
 import io
 from random import Random
@@ -241,12 +241,12 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
             key = None
 
 
-def test_frozen_sorting_line_asks_each_node_once(monkeypatch):
+def test_frozen_sorting_line_replays_each_coin(monkeypatch):
     # The sorting line at n=8 on ramp loads: every pair it matches is within
     # one unit and already in order, so no load moves and the line never
-    # changes.  While graph and tuple stay, each node is asked at most once,
-    # and a round whose coin came up before gets that round's very record.
-    # After the tuple or the graph changes identity, no record comes back.
+    # changes.  While graph and tuple stay, a round whose coin came up before
+    # gets that round's very record and asks no node.  After the tuple or
+    # the graph changes identity, no record comes back.
     n = 8
     asked = []
     ask = randomized.heaviest_gap_neighbor
@@ -273,16 +273,16 @@ def test_frozen_sorting_line_asks_each_node_once(monkeypatch):
         graph = policy.next_graph(ctx)
         assert graph is first_graph
         drawn = coin()
+        asked.clear()
         outcome = alg.play_round(graph, loads)
         assert outcome.new_loads is loads
         if drawn in by_coin:
-            assert outcome is by_coin[drawn]
+            assert outcome is by_coin[drawn] and not asked
             replays += 1
         by_coin[drawn] = outcome
         ctx.last_matching = [(u, v) for u, v, _ in outcome.matching]
         pairs += len(outcome.matching)
     assert pairs > 0 and replays > 0
-    assert len(asked) <= n
 
     earlier = list(by_coin.values())
     copy = tuple(list(loads))  # equal loads, a new identity
@@ -294,6 +294,23 @@ def test_frozen_sorting_line_asks_each_node_once(monkeypatch):
             assert all(outcome is not old for old in earlier)
             assert by_coin.setdefault(drawn, outcome) is outcome
         earlier += by_coin.values()
+
+
+def test_a_round_on_a_flipped_graph_is_never_replayed():
+    # Equal loads move nowhere on any graph.  The first round, on a flipped
+    # graph, sets the table's key to its base; with the same coin, node 2
+    # proposes to 0 there and to 1 on the base, so the base round must not
+    # get the flipped round's record back, but the next base round gets its.
+    base = path_graph(4)
+    flipped = Graph.toggled(base, [(0, 2)], toggled_adjacency(base, [(0, 2)])[0])
+    loads = (5, 5, 5, 5)
+    coin = SimpleNamespace(getrandbits=lambda bits: 0b0100)  # node 2 sends
+    alg = RandMaxNeighbor()
+    alg.start(loads, "integral", coin, k=0, tau=0, n=4)
+    assert alg.play_round(flipped, loads).matching == [(2, 0, 0)]
+    outcome = alg.play_round(base, loads)
+    assert outcome.matching == [(2, 1, 0)] and outcome.new_loads is loads
+    assert alg.play_round(base, loads) is outcome
 
 
 def test_replay_table_stays_bounded_on_a_stuck_line():
@@ -356,7 +373,7 @@ def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
     result = engine.run_trial(cfg, trace_writer=TraceCsvWriter(stream, cfg.checks))
     assert result.invariant_failures == 0 and result.rounds_played == 3000
     (alg,) = made
-    graph, loads = alg._memo_base, alg._memo_loads
+    graph, loads = alg._replay_base, alg._replay_loads
     assert len(alg._replay) == 2**8
     for coin, record in alg._replay.items():
         fixed_coin = SimpleNamespace(getrandbits=lambda bits, coin=coin: coin)

@@ -560,8 +560,10 @@ def test_rounds_that_move_load_derive_once_per_committed_vector(monkeypatch):
     # Every round of the two-sided rule from a single source moves load, so
     # each round commits a new vector.  The trace row and potentialDrop read
     # the same potential of it, and the next round's checks read it again as
-    # their before-state; conservation reads its total twice.  splitPotential
-    # takes the potential of a list of halves, which is not a committed vector.
+    # their before-state.  splitPotential takes the potential of a list of
+    # halves, which is not a committed vector.  Totals are not kept: the
+    # trial sums its initial loads once and conservation sums both records
+    # of each of the 43 rounds.
     calls = {"total_load": 0, "potential": 0}
     count_calls(monkeypatch, calls, "total_load")
     count_calls(monkeypatch, calls, "potential", lambda loads: type(loads) is tuple)
@@ -580,7 +582,7 @@ def test_rounds_that_move_load_derive_once_per_committed_vector(monkeypatch):
     assert result.converged
     assert result.invariant_failures == 0
     assert result.rounds_played == 43
-    assert calls == {"total_load": 44, "potential": 44}
+    assert calls == {"total_load": 1 + 2 * 43, "potential": 44}
 
 
 # ======================================================================

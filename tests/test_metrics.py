@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynbal import metrics
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, nodes_within, path_graph
 from dynbal.loads import LoadState, to_scaled
@@ -453,52 +452,6 @@ def test_records_keep_verdicts_over_tuples_only():
     state = LoadState("integral", (1, 2))
     assert check_round(state, state, _trace([], d_r=0), **kwargs).ok
     assert (state.phi, state.integrality) == (1, None)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6), st.data())
-def test_records_keep_the_prefix_verdict_per_line_order(n, data):
-    # Rounds as the sorting line gives them: the record and the order tuple
-    # each stay (the very object) or change, the order possibly to an equal
-    # copy, and sometimes as lists.  Every verdict is prefix_growth's on the
-    # round's order, and a record rescans only for an order it has not seen.
-    node_loads = st.lists(st.integers(0, 9), min_size=n, max_size=n)
-    baseline = tuple(prefix_sums(range(n), data.draw(node_loads)))
-    state = LoadState("integral", tuple(data.draw(node_loads)), data.draw(st.sampled_from([0, 0, 1])))
-    order = tuple(range(n))
-    scans = []
-    growth = metrics.prefix_growth
-    metrics.prefix_growth = lambda *args: scans.append(args) or growth(*args)
-    try:
-        for r in range(data.draw(st.integers(1, 12))):
-            step = data.draw(st.sampled_from(["keep", "swap", "copy", "load", "list"]))
-            if step == "swap":
-                order = tuple(data.draw(st.permutations(range(n))))
-            elif step == "copy":
-                order = tuple(list(order))
-            elif step == "load":
-                state = LoadState("integral", tuple(data.draw(node_loads)), state.exp)
-            elif step == "list":
-                order = list(order)
-            kept = state.prefix
-            scans.clear()
-            report = check_round(
-                state, state, _trace([]),
-                algorithm_kind=KIND_MATCHING,
-                enabled=[CHECK_PREFIX_MONOTONE],
-                line_order=order,
-                initial_prefix=baseline,
-            )
-            expected = growth(order, state.loads, state.exp, baseline)
-            assert report.witnesses.get(CHECK_PREFIX_MONOTONE) == expected
-            assert report.checks[CHECK_PREFIX_MONOTONE] == (expected is None)
-            rescanned = kept is None or kept[0] is not order
-            assert len(scans) == rescanned
-            if type(order) is tuple:
-                assert state.prefix[0] is order
-            order = tuple(order)
-    finally:
-        metrics.prefix_growth = growth
 
 
 # ----------------------------------------------------------------------
