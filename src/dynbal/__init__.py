@@ -14,7 +14,7 @@ Typical entry points:
 """
 
 from .config import ConfigError, ScenarioConfig, config_from_dict, parse_config
-from .dyadic import Dyadic, as_dyadic, integral_half_sum
+from .dyadic import Dyadic, integral_half_sum
 from .engine import (
     EngineError,
     ExperimentResult,
@@ -46,7 +46,6 @@ __all__ = [
     "ScenarioConfig",
     "SmoothingParams",
     "TrialResult",
-    "as_dyadic",
     "check_round",
     "config_from_dict",
     "derive_stream",

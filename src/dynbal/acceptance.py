@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import config_from_dict
-from .dyadic import Dyadic
+from .dyadic import decimal_text
 from .engine import derive_stream, run_experiment, run_trial
 from .graphs import cycle_graph, path_graph, star_graph
-from .loads import total_load
+from .loads import to_scaled, total_load
 from .smoothing import sampler_total_variation
 
 DETERMINISTIC_CHECKS = [
@@ -91,7 +91,8 @@ def deterministic_runs(scale: str):
     ]
     results = []
     for n, total in SCALES[scale]["det_sizes"]:
-        tau = Dyadic.from_fraction(Fraction(total, n)).decimal_str()
+        (share,), exp = to_scaled([Fraction(total, n)])
+        tau = decimal_text(share, exp)
         for adversary in adversaries:
             cfg = config_from_dict(
                 {
@@ -297,7 +298,7 @@ def criterion_7(scale: str) -> CriterionOutcome:
     for i in range(trials):
         result = run_trial(cfg, seed=cfg.seed + i)
         failures += result.invariant_failures
-        if result.converged and result.final_gap <= Dyadic(1, 2):
+        if result.converged and result.final_gap <= Fraction(1, 4):
             successes += 1
         if total_load(result.final_loads) == result.total:
             conserved += 1

@@ -10,6 +10,9 @@ final call lands within tau.
 The continuous-to-integral reduction lives here too: loads split into
 multiples of tau/2 plus frozen remainders, the integral part balances to
 spread one, and recombination then keeps the total spread within tau.
+
+Amounts (tau, loads, units) arrive as ints and dyadic `Fraction`s; `Dyadic`
+is output-only and no schedule here names it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from math import ceil, log
 from random import Random
 
-from ..dyadic import Dyadic, as_dyadic
 from ..graphs import Graph
 from ..loads import to_scaled
 from ..records import RoundOutcome
@@ -35,7 +37,7 @@ from .gapreduce import (
 
 def smoothed_calls_budget(total: int, tau) -> int:
     """How many gap-reduction calls to schedule: ceil(4 ln(T / tau))."""
-    ratio = Fraction(total) / Fraction(as_dyadic(tau).as_fraction())
+    ratio = Fraction(total) / Fraction(tau)
     if ratio <= 1:
         return 0
     return max(0, ceil(4 * log(float(ratio))))
@@ -117,8 +119,7 @@ class GaplessBalance(_CallChain):
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        tau_int = as_dyadic(tau).to_int() if not isinstance(tau, int) else tau
-        self.schedule = gapless_schedule(self.total, tau_int)
+        self.schedule = gapless_schedule(self.total, int(tau))
         self._per_call = gapless_round_budget(n, self.total, self.c1, self.k)
 
     def planned_rounds(self):
@@ -137,8 +138,9 @@ class GaplessBalance(_CallChain):
 # ----------------------------------------------------------------------
 
 
-def decompose_by_unit(loads, unit: Dyadic) -> tuple[list[int], list[int], int, int]:
-    """Write each Dyadic load as q * unit + r with integer q and 0 <= r < unit.
+def decompose_by_unit(loads, unit: Fraction) -> tuple[list[int], list[int], int, int]:
+    """Write each load (an int or a dyadic Fraction) as q * unit + r with
+    integer q and 0 <= r < unit, for a dyadic unit.
 
     Returns (quotients, remainders, exp, step): the remainders and the unit
     are numerators over the shared exponent exp, the unit's being step.
@@ -146,8 +148,9 @@ def decompose_by_unit(loads, unit: Dyadic) -> tuple[list[int], list[int], int, i
     if not unit > 0:
         raise ValueError("the base unit must be positive")
     nums, exp = to_scaled(loads)
-    common = max(exp, unit.exp)
-    step = unit.num << (common - unit.exp)
+    (step,), unit_exp = to_scaled([unit])
+    common = max(exp, unit_exp)
+    step <<= common - unit_exp
     quotients = []
     remainders = []
     for w in nums:

@@ -10,8 +10,8 @@ Exit codes:
 * 3 - statistical failure: the smoothing sampler exhausted its rejection
       budget, or `smoothing-test` exceeded its tolerance.
 
-`experiment` honours the DYNBAL_THREADS environment variable (overridden by
---threads): with more than one thread, trials run in separate processes.
+`experiment --threads N` with N > 1 runs trials in separate processes;
+without it they run serially.
 """
 
 from __future__ import annotations

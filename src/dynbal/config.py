@@ -2,7 +2,10 @@
 
 Configs are plain JSON objects.  Numeric *amounts* (tau, k, probabilities,
 dyadic loads) travel as exact decimal strings so nothing is ever rounded on
-the way in; counts (n, trials, seeds, budgets) are ordinary JSON integers.
+the way in, and one parser, `_decimal_fraction`, turns each into a
+`Fraction` (tau and explicit loads must be dyadic: their denominator is a
+power of two).  Counts (n, trials, seeds, budgets) are ordinary JSON
+integers.  No config field holds a `Dyadic`: that type is output-only.
 Unknown keys are rejected rather than ignored: a typo should fail loudly.
 A `ScenarioConfig` holds what the engine hands its components (their
 constructor arguments, the trace's row stride); it is never serialised back.
@@ -10,6 +13,7 @@ constructor arguments, the trace's row stride); it is never serialised back.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -17,7 +21,6 @@ from typing import Optional
 
 from .algorithms import ALGORITHM_NAMES, ALGORITHMS, CONTINUOUS_VIA_INTEGRAL, KIND_MATCHING
 from .adversaries import ADVERSARIES, StaticPolicy
-from .dyadic import DECIMAL_RE, Dyadic
 from .loads import MODE_CONTINUOUS, MODE_INTEGRAL, MODES
 from .metrics import (
     ALL_CHECKS,
@@ -27,6 +30,8 @@ from .metrics import (
 from .smoothing import DEFAULT_MAX_REJECTIONS
 
 GENERATOR_NAMES = ("lineRamp", "singleSource", "uniformRandom")
+
+DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
 
 _TOP_LEVEL_KEYS = {
     "n",
@@ -55,12 +60,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decimal_fraction(value, what: str) -> Fraction:
+def _decimal_fraction(value, what: str, dyadic: bool = False) -> Fraction:
+    """The exact value of an int or a decimal string such as "-1.25".
+
+    With `dyadic`, a value whose denominator is not a power of two (such as
+    "0.1") is refused.  libmpdec parses the text exactly and has no digit
+    limit, unlike int(str)."""
     if _is_int(value):
         return Fraction(value)
-    if isinstance(value, str) and DECIMAL_RE.match(value.strip()):
-        return Fraction(*Decimal(value.strip()).as_integer_ratio())
-    raise ConfigError(f"{what} must be an exact decimal string, got {value!r}")
+    if not (isinstance(value, str) and DECIMAL_RE.match(value.strip())):
+        raise ConfigError(f"{what} must be an exact decimal string, got {value!r}")
+    text = value.strip()
+    num, den = Decimal(text).as_integer_ratio()
+    if dyadic and den & (den - 1):
+        raise ConfigError(f"{what}: {text} has no finite binary expansion")
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -68,7 +82,7 @@ class ScenarioConfig:
     n: int
     mode: str
     initial_loads: tuple  # ("explicit", loads) | (generator_name, params)
-    tau: Dyadic
+    tau: Fraction
     k: Fraction
     adversary: tuple  # (name, constructor keyword arguments)
     algorithm: tuple  # (name, constructor keyword arguments)
@@ -179,16 +193,11 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 # ----------------------------------------------------------------------
 
 
-def _parse_tau(value, mode: str) -> Dyadic:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError("tau must be an exact decimal string")
-    try:
-        tau = Dyadic.from_decimal(value)
-    except ValueError as exc:
-        raise ConfigError(f"tau: {exc}") from None
+def _parse_tau(value, mode: str) -> Fraction:
+    tau = _decimal_fraction(value, "tau", dyadic=True)
     if tau < 0:
         raise ConfigError("tau must be non-negative")
-    if mode == MODE_INTEGRAL and not tau.is_integer:
+    if mode == MODE_INTEGRAL and tau.denominator != 1:
         raise ConfigError("integral mode requires integer tau")
     return tau
 
@@ -206,20 +215,14 @@ def _parse_initial_loads(value, n: int, mode: str) -> tuple:
             raise ConfigError(f"initialLoads lists {len(value)} loads for n={n} nodes")
         loads = []
         for i, entry in enumerate(value):
-            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                raise ConfigError(f"load {i} must be an integer or decimal string")
-            try:
-                w = Dyadic.from_decimal(entry)
-            except ValueError as exc:
-                raise ConfigError(f"load {i}: {exc}") from None
+            w = _decimal_fraction(entry, f"load {i}", dyadic=True)
             if w < 0:
                 raise ConfigError(f"load {i} is negative")
             if mode == MODE_INTEGRAL:
-                if not w.is_integer:
+                if w.denominator != 1:
                     raise ConfigError("integral mode requires integer loads")
-                loads.append(w.to_int())
-            else:
-                loads.append(w)
+                w = w.numerator
+            loads.append(w)
         return ("explicit", tuple(loads))
     else:
         raise ConfigError("initialLoads must be a list, a generator name, or an object")

@@ -7,10 +7,10 @@ the invariant checks can demand equality and zero-tolerance inequalities
 instead of floating-point slack.
 
 Inside a trial the loads are integer numerators over one exponent shared
-by the whole vector (see `dynbal.loads`), so Dyadic is the boundary type:
-it parses exact decimal input (configs, initial-load generators, tau),
-compares and hashes exactly, adds (to sum a result's reported loads) and
-renders output (trace rows, invariant witnesses, trial result amounts).
+by the whole vector (see `dynbal.loads`), and amounts come in as ints and
+`Fraction`s (see `dynbal.config`), so Dyadic is output-only: it carries a
+trial's result amounts, compares and hashes exactly against ints and
+`Fraction`s, adds (to sum a result's reported loads) and renders.
 
 Rendering.  num / 2**exp equals num * 5**exp / 10**exp, so its decimal
 text is the digits of num * 5**exp with a point exp places from the right.
@@ -33,12 +33,8 @@ case, skip both and use `str`.
 from __future__ import annotations
 
 import decimal
-import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
 
 _CTX = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -65,8 +61,6 @@ _pow5 = [(exp, decimal.Decimal(5**exp)) for exp in range(_POW5_SLOTS)]
 # where str's quadratic cost is still smaller than libmpdec's conversion.
 _STR_SAFE = 1 << 2048
 
-DyadicLike = Union["Dyadic", int]
-
 
 class Dyadic:
     """A rational num / 2**exp held in canonical form (num odd, or exp == 0).
@@ -91,48 +85,11 @@ class Dyadic:
         self.exp = exp
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "Dyadic":
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} has no finite binary expansion")
-        return cls(value.numerator, den.bit_length() - 1)
-
-    @classmethod
-    def from_decimal(cls, text: Union[str, int]) -> "Dyadic":
-        """Parse an exact decimal literal such as "3", "0.375" or "-1.5".
-
-        Raises ValueError for literals that are not dyadic (e.g. "0.1").
-        """
-        if isinstance(text, int):
-            return cls(text)
-        stripped = text.strip()
-        if not DECIMAL_RE.match(stripped):
-            raise ValueError(f"not a decimal literal: {text!r}")
-        # libmpdec parses exactly and has no digit limit, unlike int(str).
-        num, den = decimal.Decimal(stripped).as_integer_ratio()
-        if den & (den - 1):
-            raise ValueError(f"{stripped} has no finite binary expansion")
-        return cls(num, den.bit_length() - 1)
-
-    # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
-    def to_int(self) -> int:
-        if self.exp:
-            raise ValueError(f"{self} is not an integer")
-        return self.num
 
     def decimal_str(self) -> str:
         """Render the exact finite decimal expansion (no rounding)."""
@@ -141,9 +98,6 @@ class Dyadic:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-
-    def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.exp + 1)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -252,14 +206,6 @@ def _render(num: int, exp: int) -> str:
     head, tail = digits[:-exp], digits[-exp:].rstrip("0")
     sign = "-" if num < 0 else ""
     return f"{sign}{head}.{tail}" if tail else f"{sign}{head}"
-
-
-def as_dyadic(value: DyadicLike) -> Dyadic:
-    if isinstance(value, Dyadic):
-        return value
-    if isinstance(value, int):
-        return Dyadic(value)
-    raise TypeError(f"cannot treat {value!r} as a dyadic rational")
 
 
 def integral_half_sum(a: int, b: int) -> tuple[int, int]:

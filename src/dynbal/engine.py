@@ -37,7 +37,6 @@ searched once.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, log, sqrt
@@ -48,7 +47,7 @@ from .adversaries import AdversaryContext, SortingLinePolicy, make_adversary
 from .algorithms import CONTINUOUS_VIA_INTEGRAL, make_algorithm
 from .algorithms.drivers import decompose_by_unit, recombine_by_unit
 from .config import ScenarioConfig
-from .dyadic import Dyadic, as_dyadic
+from .dyadic import Dyadic
 from .graphs import is_connected
 from .loads import (
     MODE_CONTINUOUS,
@@ -77,8 +76,6 @@ from .smoothing import RejectionBudgetExceeded, SmoothingParams, k_smooth
 
 # How many failing per-round reports a trial keeps for inspection.
 MAX_FAILURE_REPORTS = 25
-
-THREADS_ENV_VAR = "DYNBAL_THREADS"
 
 
 class EngineError(RuntimeError):
@@ -114,20 +111,18 @@ def build_initial_loads(cfg: ScenarioConfig, rng: Random) -> list:
         )
     else:  # pragma: no cover - config validation rules this out
         raise EngineError(f"unknown load generator {kind!r}")
-    if cfg.mode == MODE_CONTINUOUS:
-        loads = [as_dyadic(w) for w in loads]
     return loads
 
 
 def deterministic_round_budget(n: int, total, tau) -> int:
-    """Default budget ceil(60 * min(n^2 ln(n T / tau), n T / tau)).
+    """Default budget ceil(60 * min(n^2 ln(n T / tau), n T / tau)), for an
+    int or Fraction total and tau.
 
     The additive arm is evaluated in exact rational arithmetic; the
     logarithmic arm in floats, which is safe because its ceil is never
     within one of the true value for the magnitudes involved.
     """
-    total_fr = as_dyadic(total).as_fraction()
-    tau_fr = as_dyadic(tau).as_fraction()
+    total_fr, tau_fr = Fraction(total), Fraction(tau)
     if total_fr <= 0:
         return 0
     if tau_fr <= 0:
@@ -248,8 +243,6 @@ def run_trial(
     state = LoadState(cfg.mode, tuple(loads), exp)
     loads = state.loads
     total = total_load(loads)
-    if continuous:
-        total = Dyadic(total, exp)
 
     adversary = make_adversary(cfg.adversary[0], **cfg.adversary[1])
     adversary.bind(n, rng_adversary)
@@ -260,7 +253,9 @@ def run_trial(
     if budget is None:
         budget = algorithm.planned_rounds()
     if budget is None:
-        budget = default_round_budget(cfg, total)
+        budget = default_round_budget(cfg, Fraction(total, 1 << exp))
+    if continuous:
+        total = Dyadic(total, exp)
 
     smoothing = (
         SmoothingParams(k=cfg.k, max_rejections=cfg.max_rejections) if cfg.k > 0 else None
@@ -279,7 +274,7 @@ def run_trial(
     failure_reports: list[InvariantReport] = []
     invariant_failures = 0
 
-    tau_num, tau_exp = cfg.tau.num, cfg.tau.exp
+    (tau_num,), tau_exp = to_scaled([cfg.tau])  # refuses a tau that is not dyadic
     gap = max_gap(loads)
     min_gap, min_exp = gap, exp
     # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
@@ -447,14 +442,14 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
     stay numerators over the decomposition's exponent until the result."""
     rng_loads = derive_stream(seed, "loads")
     loads = build_initial_loads(cfg, rng_loads)
-    quotients, remainders, exp, step = decompose_by_unit(loads, cfg.tau.half())
+    quotients, remainders, exp, step = decompose_by_unit(loads, cfg.tau / 2)
     total = step * sum(quotients) + sum(remainders)
 
     sub_cfg = replace(
         cfg,
         mode=MODE_INTEGRAL,
         initial_loads=("explicit", tuple(quotients)),
-        tau=Dyadic(1),
+        tau=Fraction(1),
         algorithm=("smoothedBalance", cfg.algorithm[1]),
         trials=1,
     )
@@ -466,7 +461,7 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
 
     gap = max_gap(final)
     # Cross-shifted as in run_trial: gap / 2**exp <= tau.
-    converged = gap << cfg.tau.exp <= cfg.tau.num << exp
+    converged = gap * cfg.tau.denominator <= cfg.tau.numerator << exp
     converged_at = sub.converged_at
     if converged and converged_at is None:
         converged_at = sub.rounds_played
@@ -493,16 +488,6 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
 # ----------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise EngineError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _experiment_worker(job) -> TrialResult:
     cfg, seed = job
     return run_trial(cfg, seed=seed)
@@ -516,16 +501,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run `cfg.trials` independent trials on consecutive seeds.
 
-    With DYNBAL_THREADS > 1 trials run in separate processes; per-trial
-    trace writers force the serial path since file handles do not cross
-    process boundaries.
+    With threads > 1 (None means 1) trials run in separate processes;
+    per-trial trace writers force the serial path since file handles do
+    not cross process boundaries.
     """
     if seeds is None:
         seeds = [cfg.seed + i for i in range(cfg.trials)]
-    if threads is None:
-        threads = thread_count()
 
-    if threads > 1 and len(seeds) > 1 and trace_writer_factory is None:
+    if threads is not None and threads > 1 and len(seeds) > 1 and trace_writer_factory is None:
         # Imported here: it loads multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 

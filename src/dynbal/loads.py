@@ -9,13 +9,15 @@ balancing rules only ever take repeated half-sums of integer loads, so a
 round that halves raises the exponent by a bit or two and every load stays
 an integer numerator.  Integral mode is simply exp == 0.  Amounts at different
 exponents compare by cross-shifting: a / 2**ea < b / 2**eb exactly when
-a << eb < b << ea.  Dyadic values appear only at the boundary: `to_scaled`
-takes parsed or generated loads in, `to_dyadics` renders numerators out.
+a << eb < b << ea.  Loads come in as ints and dyadic `Fraction`s, which
+`to_scaled` turns into numerators; `Dyadic` is output-only, and
+`to_dyadics` renders numerators out as a trial's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from random import Random
 
 from .dyadic import Dyadic
@@ -51,9 +53,17 @@ def total_load(loads) -> object:
 
 
 def to_scaled(values) -> tuple[list[int], int]:
-    """Dyadic values as numerators over their largest exponent."""
-    exp = max((w.exp for w in values), default=0)
-    return [w.num << (exp - w.exp) for w in values], exp
+    """Ints and dyadic Fractions as numerators over their largest exponent.
+
+    Raises ValueError for a value whose denominator is not a power of two."""
+    exps = []
+    for w in values:
+        den = w.denominator
+        if den & (den - 1):
+            raise ValueError(f"{w} has no finite binary expansion")
+        exps.append(den.bit_length() - 1)
+    exp = max(exps, default=0)
+    return [w.numerator << (exp - e) for w, e in zip(values, exps)], exp
 
 
 def to_dyadics(nums, exp: int) -> list[Dyadic]:
@@ -98,11 +108,11 @@ def uniform_random(n: int, max_value: int, rng: Random, granularity_bits: int = 
     """Independent uniform loads on [0, max_value].
 
     With granularity_bits == 0 the draws are integers; otherwise they are
-    dyadics on a 2**-granularity_bits grid, for continuous-mode scenarios.
+    Fractions on a 2**-granularity_bits grid, for continuous-mode scenarios.
     """
     if max_value < 0:
         raise ValueError("max_value must be non-negative")
     if granularity_bits == 0:
         return [rng.randint(0, max_value) for _ in range(n)]
     scale = max_value << granularity_bits
-    return [Dyadic(rng.randint(0, scale), granularity_bits) for _ in range(n)]
+    return [Fraction(rng.randint(0, scale), 1 << granularity_bits) for _ in range(n)]

@@ -34,9 +34,9 @@ def play_scaled(nums, graph):
 
 
 def play(loads, graph):
-    """One round on int or Dyadic loads, with the outcome rendered back to
+    """One round on int or Fraction loads, with the outcome rendered back to
     Dyadic values: gaps in the loads' scale, loads `shift` bits finer."""
-    nums, exp = to_scaled([Dyadic(w) if isinstance(w, int) else w for w in loads])
+    nums, exp = to_scaled(loads)
     outcome = play_scaled(nums, graph)
     outcome.new_loads = to_dyadics(outcome.new_loads, exp + outcome.shift)
     outcome.matching = [(u, v, Dyadic(gap, exp)) for u, v, gap in outcome.matching]
@@ -66,7 +66,7 @@ def test_two_node_trace():
     assert outcome.matching == [(1, 0, 4), (0, 1, 4)]
     assert outcome.new_loads == [2, 2]
     # d_r is one bit finer than the gaps it sums.
-    assert twice_shifted_load(outcome.matching).half() == 4
+    assert twice_shifted_load(outcome.matching).as_fraction() / 2 == 4
 
 
 def test_zero_gap_nodes_stay_silent():
@@ -83,10 +83,10 @@ def test_three_node_trace_with_shared_center():
     outcome = play([0, 0, 8], graph)
     assert outcome.matching == [(2, 0, 8), (0, 2, 8)]
     assert outcome.new_loads == [4, 0, 4]
-    d_r = twice_shifted_load(outcome.matching).half()
+    d_r = twice_shifted_load(outcome.matching).as_fraction() / 2
     assert d_r == 8
     after = [w.as_fraction() for w in outcome.new_loads]
-    assert potential(after) <= potential([0, 0, 8]) - d_r.as_fraction() / 2
+    assert potential(after) <= potential([0, 0, 8]) - d_r / 2
 
 
 def test_interactive_round_exposes_halves():
@@ -116,7 +116,7 @@ def round_scenarios(draw):
         if a != b:
             edges.add((min(a, b), max(a, b)))
     loads = draw(st.lists(st.integers(0, 32), min_size=n, max_size=n))
-    return Graph(n, edges), [Dyadic(w) for w in loads]
+    return Graph(n, edges), loads
 
 
 ALL_DET_CHECKS = [

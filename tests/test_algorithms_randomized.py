@@ -2,6 +2,7 @@
 and the round records it hands back again."""
 
 import io
+from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
 
@@ -24,8 +25,8 @@ from strategies import connected_graphs
 
 def play(loads, graph, mode, seed):
     """One round; integral loads go in as a tuple, as the engine commits
-    them, continuous Dyadic loads as numerators, and their new loads come
-    back rendered as Dyadic values."""
+    them, continuous int or Fraction loads as numerators, and their new
+    loads come back rendered as Dyadic values."""
     alg = RandMaxNeighbor()
     alg.start(list(loads), mode, Random(seed), k=0, tau=0, n=graph.n)
     if mode == "integral":
@@ -39,7 +40,7 @@ def play(loads, graph, mode, seed):
 def test_two_nodes_continuous_either_meet_or_miss():
     # Depending on the coin flips the pair either balances to 5.5 exactly
     # or (on a role mismatch) stays put; both must occur across seeds.
-    loads = [Dyadic(3), Dyadic(8)]
+    loads = [Fraction(3), Fraction(8)]
     outcomes = set()
     for seed in range(40):
         result = tuple(play(loads, path_graph(2), "continuous", seed).new_loads)
@@ -138,11 +139,11 @@ def test_integral_rounds_conserve_and_respect_matching(scenario):
 @given(matching_scenarios())
 def test_continuous_rounds_conserve_exactly(scenario):
     graph, loads, seed = scenario
-    dy = [Dyadic(w) for w in loads]
-    outcome = play(dy, graph, "continuous", seed)
-    assert total_load(outcome.new_loads) == total_load(dy)
-    assert min(outcome.new_loads) >= min(dy)
-    assert max(outcome.new_loads) <= max(dy)
+    amounts = [Fraction(w) for w in loads]
+    outcome = play(amounts, graph, "continuous", seed)
+    assert total_load(outcome.new_loads) == total_load(amounts)
+    assert min(outcome.new_loads) >= min(amounts)
+    assert max(outcome.new_loads) <= max(amounts)
 
 
 def test_rounds_are_seed_deterministic():

@@ -183,11 +183,13 @@ def test_experiment_seed_overrides_the_config(tmp_path, capsys):
     assert [row[0] for row in summary[1:]] == ["7", "8"]
 
 
-def test_experiment_respects_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DYNBAL_THREADS", "2")
+def test_experiment_runs_trials_on_two_threads(tmp_path, capsys):
     path = write_config(tmp_path, trials=4, seed=90)
+    assert main(["experiment", str(path), "--threads", "2"]) == 0
+    parallel = capsys.readouterr().out
+    assert "successes: 4" in parallel
     assert main(["experiment", str(path)]) == 0
-    assert "successes: 4" in capsys.readouterr().out
+    assert capsys.readouterr().out == parallel
 
 
 def test_smoothing_test_reports_tv(capsys):

@@ -1,13 +1,19 @@
 """Scenario parsing: strict validation and exact numeric fields."""
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from dynbal import acceptance
 from dynbal.config import ConfigError, config_from_dict, parse_config
-from dynbal.dyadic import Dyadic
+from dynbal.dyadic import Dyadic, decimal_text
+from dynbal.engine import build_initial_loads, derive_stream
+from dynbal.loads import to_scaled
+from test_golden import golden_configs
 
 
 def minimal(**overrides) -> dict:
@@ -28,7 +34,7 @@ def test_minimal_config_defaults():
     cfg = config_from_dict(minimal())
     assert cfg.n == 4
     assert cfg.initial_loads == ("lineRamp", {})
-    assert cfg.tau == Dyadic(1, 1)
+    assert cfg.tau == Fraction(1, 2) and type(cfg.tau) is Fraction
     assert cfg.k == 0
     assert cfg.adversary == ("static", {})
     assert cfg.algorithm == ("deterministic", {})
@@ -73,19 +79,74 @@ def test_tau_must_be_dyadic():
         config_from_dict(minimal(tau="-1"))
 
 
+def test_non_dyadic_decimal_is_an_amount_but_not_a_tau_or_load():
+    # One parser reads every amount; only tau and loads must be dyadic.
+    cfg = config_from_dict(
+        minimal(k="0.1", adversary={"name": "randomConnected", "extraEdgeProb": "0.1"})
+    )
+    assert cfg.k == Fraction(1, 10)
+    assert cfg.adversary[1]["extra_edge_prob"] == Fraction(1, 10)
+    with pytest.raises(ConfigError, match=r"^tau: 0\.1 has no finite binary expansion$"):
+        config_from_dict(minimal(tau="0.1"))
+    with pytest.raises(ConfigError, match=r"^load 1: 0\.1 has no finite binary expansion$"):
+        config_from_dict(minimal(initialLoads=[1, "0.1", 2, 3]))
+
+
+def _field_values(cfg):
+    """Every value a config holds, with tuples, lists and dicts unpacked."""
+    stack = [getattr(cfg, field.name) for field in dataclasses.fields(cfg)]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        else:
+            yield value
+
+
+def _acceptance_configs() -> list:
+    """The configs the battery's criteria build, at the fast scale."""
+    built = []
+
+    def spy(raw):
+        built.append(config_from_dict(raw))
+        return built[-1]
+
+    with mock.patch.object(acceptance, "config_from_dict", spy):
+        acceptance.deterministic_runs("fast")
+        for criterion in (3, 4, 5, 7):
+            getattr(acceptance, f"criterion_{criterion}")("fast")
+    return built
+
+
+def test_shipped_configs_hold_no_dyadic():
+    # Dyadic is output-only: tau and every load come in as ints and
+    # Fractions, and the shared exponent represents each load exactly.
+    configs = [config_from_dict(raw) for raw in golden_configs()] + _acceptance_configs()
+    assert len(configs) > len(golden_configs())
+    for cfg in configs:
+        assert not [v for v in _field_values(cfg) if isinstance(v, Dyadic)], cfg
+        assert type(cfg.tau) is Fraction
+        loads = build_initial_loads(cfg, derive_stream(cfg.seed, "loads"))
+        assert all(type(w) in (int, Fraction) for w in loads)
+        nums, exp = to_scaled(loads)
+        assert [Fraction(num, 2**exp) for num in nums] == loads
+
+
 def test_decimals_past_int_digit_limit_parse_exactly():
     # Longer than the 4300 digits int(str) accepts by default: a tau copied
     # out of a long trace reads back exactly, and so do k and c1.
-    tau = Dyadic(1, 5000)
+    tau = Fraction(1, 2**5000)
     k = Fraction(3, 2**6001) + 1
 
     def text(value):
-        return Dyadic.from_fraction(value).decimal_str()
+        return decimal_text(value.numerator, value.denominator.bit_length() - 1)
 
-    assert len(tau.decimal_str()) > 5000
+    assert len(text(tau)) > 5000
     cfg = config_from_dict(
         minimal(
-            tau=tau.decimal_str(),
+            tau=text(tau),
             k=text(k),
             algorithm={"name": "continuousViaIntegral", "c1": text(1 + k)},
         )
@@ -112,7 +173,8 @@ def test_explicit_loads_parse_exactly():
     cfg = config_from_dict(minimal(initialLoads=[0, "0.25", "3.5", 8]))
     kind, loads = cfg.initial_loads
     assert kind == "explicit"
-    assert loads == (Dyadic(0), Dyadic(1, 2), Dyadic(7, 1), Dyadic(8))
+    assert loads == (0, Fraction(1, 4), Fraction(7, 2), 8)
+    assert all(type(w) is Fraction for w in loads)
 
 
 def test_explicit_loads_validation():
@@ -348,7 +410,7 @@ def test_every_field_parses_to_its_argument():
     assert cfg.n == 8
     assert cfg.initial_loads == ("uniformRandom", {"maxValue": 8, "granularityBits": 3})
     assert cfg.mode == "continuous"
-    assert cfg.tau == Dyadic(1, 2)
+    assert cfg.tau == Fraction(1, 4)
     assert cfg.k == Fraction(3, 2)
     assert cfg.adversary == ("randomConnected", {"extra_edge_prob": Fraction(1, 10)})
     assert cfg.algorithm == ("continuousViaIntegral", {"c1": Fraction(2)})
@@ -366,7 +428,7 @@ def test_every_field_parses_to_its_argument():
 
 def test_explicit_loads_mix_integers_and_decimals():
     cfg = config_from_dict(minimal(initialLoads=["0.5", 2, "3.25", 0]))
-    assert cfg.initial_loads == ("explicit", (Dyadic(1, 1), Dyadic(2), Dyadic(13, 2), Dyadic(0)))
+    assert cfg.initial_loads == ("explicit", (Fraction(1, 2), 2, Fraction(13, 4), 0))
     integral = config_from_dict(
         minimal(initialLoads=["1", 2, "3.0", 0], mode="integral", tau="1",
                 adversary="sortingLine", algorithm="randMaxNeighbor")

@@ -15,8 +15,16 @@ from dynbal.algorithms import (
     recombine_by_unit,
     smoothed_calls_budget,
 )
-from dynbal.dyadic import Dyadic
 from dynbal.loads import to_dyadics, total_load
+
+
+def dyadic_fractions(max_num, max_exp, min_num=0):
+    """Fractions num / 2**exp, the amounts configs hand the drivers."""
+    return st.builds(
+        lambda num, exp: Fraction(num, 1 << exp),
+        st.integers(min_num, max_num),
+        st.integers(0, max_exp),
+    )
 
 
 def test_smoothed_calls_budget_values():
@@ -24,7 +32,8 @@ def test_smoothed_calls_budget_values():
     assert smoothed_calls_budget(2, 1) == 3
     assert smoothed_calls_budget(8, 8) == 0
     assert smoothed_calls_budget(0, 1) == 0
-    assert smoothed_calls_budget(512, Dyadic(2)) == 23
+    assert smoothed_calls_budget(512, Fraction(2)) == 23
+    assert smoothed_calls_budget(512, Fraction(1, 2)) == 28
 
 
 @pytest.mark.parametrize("c1", [0, -1, Fraction(-1, 2)])
@@ -124,27 +133,33 @@ def test_finished_call_chains_stay_finished():
 
 
 def test_decompose_examples():
-    unit = Dyadic(1, 3)  # 1/8
-    q, r, exp, step = decompose_by_unit([Dyadic(3, 3), Dyadic(5, 4), Dyadic(0)], unit)
+    unit = Fraction(1, 8)
+    loads = [Fraction(3, 8), Fraction(5, 16), 0]
+    q, r, exp, step = decompose_by_unit(loads, unit)
     assert q == [3, 2, 0]
-    assert to_dyadics(r, exp) == [Dyadic(0), Dyadic(1, 4), Dyadic(0)]
-    assert Dyadic(step, exp) == unit
+    assert to_dyadics(r, exp) == [0, Fraction(1, 16), 0]
+    assert Fraction(step, 1 << exp) == unit
     rebuilt = recombine_by_unit(q, r, step)
-    assert to_dyadics(rebuilt, exp) == [Dyadic(3, 3), Dyadic(5, 4), Dyadic(0)]
+    assert to_dyadics(rebuilt, exp) == loads
 
 
 def test_decompose_rejects_zero_unit():
     with pytest.raises(ValueError):
-        decompose_by_unit([Dyadic(1)], Dyadic(0))
+        decompose_by_unit([1], Fraction(0))
+
+
+def test_decompose_rejects_non_dyadic_amounts():
+    # A unit or load with no finite binary expansion has no numerator.
+    with pytest.raises(ValueError, match="no finite binary expansion"):
+        decompose_by_unit([1], Fraction(1, 3))
+    with pytest.raises(ValueError, match="no finite binary expansion"):
+        decompose_by_unit([Fraction(1, 10)], Fraction(1, 4))
 
 
 @settings(max_examples=200)
-@given(
-    st.lists(st.builds(Dyadic, st.integers(0, 4096), st.integers(0, 8)), min_size=1, max_size=8),
-    st.integers(0, 5),
-)
+@given(st.lists(dyadic_fractions(4096, 8), min_size=1, max_size=8), st.integers(0, 5))
 def test_decompose_recombine_roundtrip(loads, unit_exp):
-    unit = Dyadic(1, unit_exp)
+    unit = Fraction(1, 1 << unit_exp)
     q, r, exp, step = decompose_by_unit(loads, unit)
     assert all(isinstance(x, int) and x >= 0 for x in q)
     assert all(0 <= rem < step for rem in r)
@@ -153,31 +168,29 @@ def test_decompose_recombine_roundtrip(loads, unit_exp):
 
 @settings(max_examples=200)
 @given(
-    st.lists(st.builds(Dyadic, st.integers(0, 10**6), st.integers(0, 12)), min_size=1, max_size=10),
-    st.builds(Dyadic, st.integers(1, 4096), st.integers(0, 12)),
+    st.lists(dyadic_fractions(10**6, 12), min_size=1, max_size=10),
+    dyadic_fractions(4096, 12, min_num=1),
 )
 def test_numerator_decompose_matches_fraction_reference(loads, tau):
-    # The unit continuousViaIntegral uses, tau / 2, checked in Fractions.
-    q, r, exp, step = decompose_by_unit(loads, tau.half())
-    unit = tau.as_fraction() / 2
+    # The unit continuousViaIntegral uses, tau / 2.
+    unit = tau / 2
+    q, r, exp, step = decompose_by_unit(loads, unit)
     scale = Fraction(1, 1 << exp)
     assert step * scale == unit
     for w, q_i, r_i in zip(loads, q, r):
-        assert w.as_fraction() == q_i * unit + r_i * scale
+        assert w == q_i * unit + r_i * scale
         assert 0 <= r_i * scale < unit
     # Recombination gives back the original numerators over exp.
-    assert recombine_by_unit(q, r, step) == [w.as_fraction() / scale for w in loads]
+    assert recombine_by_unit(q, r, step) == [w / scale for w in loads]
 
 
-@given(
-    st.lists(st.builds(Dyadic, st.integers(0, 1024), st.integers(0, 6)), min_size=1, max_size=8),
-)
+@given(st.lists(dyadic_fractions(1024, 6), min_size=1, max_size=8))
 def test_recombined_totals_survive_integral_rebalancing(loads):
     # Whatever the integral run does to the quotients, conservation of the
     # integer total plus frozen remainders conserves the real total.
-    unit = Dyadic(1, 2)
+    unit = Fraction(1, 4)
     q, r, exp, step = decompose_by_unit(loads, unit)
     shuffled = list(reversed(q))  # stand-in for any total-preserving run
     rebuilt = recombine_by_unit(shuffled, r, step)
-    moved = Dyadic(step * (sum(shuffled) - sum(q)), exp)
-    assert Dyadic(total_load(rebuilt), exp) == total_load(loads) + moved
+    moved = Fraction(step * (sum(shuffled) - sum(q)), 1 << exp)
+    assert Fraction(total_load(rebuilt), 1 << exp) == total_load(loads) + moved

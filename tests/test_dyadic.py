@@ -1,4 +1,6 @@
-"""Exactness tests for the dyadic number type, checked against Fraction."""
+"""Exactness tests for the dyadic number type, checked against Fraction,
+and for the one decimal parser that reads amounts in (`config`'s): the
+text `decimal_text` renders parses back to the same `Fraction`."""
 
 import sys
 from fractions import Fraction
@@ -7,8 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbal import dyadic
-from dynbal.dyadic import Dyadic, as_dyadic, decimal_text, integral_half_sum
+from dynbal.config import ConfigError, _decimal_fraction
+from dynbal.dyadic import Dyadic, decimal_text, integral_half_sum
 from dynbal.io import render_amount
+
+
+def parse(text, what="tau"):
+    """Parse as config reads tau and explicit loads: dyadic values only."""
+    return _decimal_fraction(text, what, dyadic=True)
 
 
 def dyadics(max_num=10**6, max_exp=16):
@@ -74,8 +82,7 @@ def test_integral_half_sum_conserves_and_orders(a, b):
 # arithmetic vs the Fraction oracle
 # ----------------------------------------------------------------------
 # Dyadic keeps only the arithmetic its readers use: addition (summing
-# reported loads) and halving (tau / 2).  Trials subtract and multiply on
-# integer numerators.
+# reported loads).  Trials subtract and multiply on integer numerators.
 
 
 @given(dyadics(), dyadics())
@@ -83,7 +90,6 @@ def test_add_sub_mul_match_fraction(a, b):
     fa, fb = a.as_fraction(), b.as_fraction()
     assert (a + b).as_fraction() == fa + fb
     assert sum([a, b]).as_fraction() == fa + fb
-    assert a.half().as_fraction() == fa / 2
 
 
 @given(dyadics(), st.integers(-1000, 1000))
@@ -118,7 +124,7 @@ def test_comparison_against_fraction():
 
 @given(dyadics())
 def test_hash_consistent_with_int_equality(d):
-    if d.is_integer:
+    if d.exp == 0:
         assert hash(d) == hash(d.num)
     assert hash(d) == hash(Dyadic(d.num, d.exp))
 
@@ -129,22 +135,26 @@ def test_hash_consistent_with_int_equality(d):
 
 
 def test_decimal_parse_examples():
-    assert Dyadic.from_decimal("0.375") == Dyadic(3, 3)
-    assert Dyadic.from_decimal("5.5") == Dyadic(11, 1)
-    assert Dyadic.from_decimal("-1.25") == Dyadic(-5, 2)
-    assert Dyadic.from_decimal("7") == 7
-    assert Dyadic.from_decimal(7) == 7
+    assert parse("0.375") == Fraction(3, 8)
+    assert parse("5.5") == Fraction(11, 2)
+    assert parse("-1.25") == Fraction(-5, 4)
+    assert parse(" 2.50 ") == Fraction(5, 2)
+    assert parse("7") == 7
+    assert parse(7) == 7
+    assert all(type(parse(text)) is Fraction for text in ("0.375", "7", 7))
 
 
 def test_decimal_parse_rejects_non_dyadic():
-    with pytest.raises(ValueError):
-        Dyadic.from_decimal("0.1")
+    with pytest.raises(ConfigError, match=r"^load 2: 0\.1 has no finite binary expansion$"):
+        parse("0.1", "load 2")
+    # Without the dyadic rule the same text is an exact tenth.
+    assert _decimal_fraction("0.1", "k") == Fraction(1, 10)
 
 
 def test_decimal_parse_rejects_garbage():
-    for bad in ("abc", "1/2", "1e3", "", "1.2.3"):
-        with pytest.raises(ValueError):
-            Dyadic.from_decimal(bad)
+    for bad in ("abc", "1/2", "1e3", "", "1.2.3", "0x10", "1.", ".5", True, None, [1]):
+        with pytest.raises(ConfigError, match="tau must be an exact decimal string"):
+            parse(bad)
 
 
 def test_decimal_render_examples():
@@ -157,7 +167,7 @@ def test_decimal_render_examples():
 
 @given(dyadics())
 def test_decimal_roundtrip(d):
-    assert Dyadic.from_decimal(d.decimal_str()) == d
+    assert parse(d.decimal_str()) == Fraction(d.num, 2**d.exp)
 
 
 def reference_decimal(num: int, exp: int) -> str:
@@ -197,6 +207,8 @@ def test_decimal_render_past_int_digit_limit(num, exp):
     assert render_amount(Dyadic(num, exp)) == expected
     if exp == 0:
         assert render_amount(num) == expected
+    # The text parses back exactly, past the limit int(str) would enforce.
+    assert parse(expected) == Fraction(num, 2**exp)
 
 
 @st.composite
@@ -231,7 +243,7 @@ def test_decimal_render_matches_int_formula(pairs):
         d = Dyadic(num, exp)
         assert d.decimal_str() == text
         assert decimal_text(num, exp) == text
-        assert Dyadic.from_decimal(text) == d
+        assert parse(text) == Fraction(num, 2**exp)
 
 
 def test_decimal_text_keys_its_text_cache_in_canonical_form():
@@ -245,6 +257,8 @@ def test_decimal_text_keys_its_text_cache_in_canonical_form():
     assert decimal_text(-8, 2) == "-2" and decimal_text(0, 5) == "0"
 
 
-def test_as_dyadic_rejects_floats():
-    with pytest.raises(TypeError):
-        as_dyadic(0.5)
+def test_decimal_parse_rejects_floats():
+    # A JSON 0.5 is already rounded to binary; amounts must be strings.
+    for what in ("tau", "k"):
+        with pytest.raises(ConfigError, match=f"{what} must be an exact decimal string, got 0.5"):
+            _decimal_fraction(0.5, what, dyadic=what == "tau")

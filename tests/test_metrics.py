@@ -1,5 +1,7 @@
 """Metric definitions against brute-force oracles, plus check_round behaviour."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,15 +47,11 @@ def test_potential_examples():
     assert potential([7]) == 0
 
 
-def fractions(loads):
-    return [w.as_fraction() for w in loads]
-
-
 def test_potential_on_dyadics():
     # Numerators over a shared exponent, as trials hold them.
-    loads = [Dyadic(1, 1), Dyadic(3, 2), Dyadic(2)]
+    loads = [Fraction(1, 2), Fraction(3, 4), 2]
     nums, exp = to_scaled(loads)
-    assert Dyadic(potential(nums), exp) == brute_potential(fractions(loads))
+    assert Dyadic(potential(nums), exp) == brute_potential(loads)
 
 
 @given(st.lists(st.integers(0, 1000), max_size=12))
@@ -63,13 +61,13 @@ def test_potential_matches_brute_force(loads):
 
 @given(
     st.lists(
-        st.builds(Dyadic, st.integers(0, 4096), st.integers(0, 8)),
+        st.builds(lambda num, exp: Fraction(num, 2**exp), st.integers(0, 4096), st.integers(0, 8)),
         max_size=10,
     )
 )
 def test_potential_matches_brute_force_dyadic(loads):
     nums, exp = to_scaled(loads)
-    assert Dyadic(potential(nums), exp) == brute_potential(fractions(loads))
+    assert Dyadic(potential(nums), exp) == brute_potential(loads)
 
 
 @given(st.lists(st.integers(0, 100), min_size=2, max_size=12))
@@ -86,7 +84,7 @@ def test_potential_bounds(loads):
 def test_max_gap_examples():
     assert max_gap(list(range(1, 9))) == 7
     assert max_gap([4]) == 0
-    nums, exp = to_scaled([Dyadic(1, 1), Dyadic(7, 2)])
+    nums, exp = to_scaled([Fraction(1, 2), Fraction(7, 4)])
     assert Dyadic(max_gap(nums), exp) == Dyadic(5, 2)
 
 

@@ -7,6 +7,7 @@ written as reduced Dyadic values), and the total must be exactly the
 initial one.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -64,7 +65,7 @@ def test_shared_exponent_is_canonical_and_total_is_conserved(raw):
     with mock.patch.object(engine, "check_round", spy):
         result = engine.run_trial(config_from_dict(raw))
 
-    initial_total = sum(Dyadic.from_decimal(w) for w in raw["initialLoads"])
+    initial_total = sum(Fraction(w) for w in raw["initialLoads"])
     assert result.total == initial_total
     assert len(committed) == result.rounds_played
     for nums, exp in committed:
