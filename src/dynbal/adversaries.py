@@ -149,6 +149,13 @@ class SortingLinePolicy(AdversaryPolicy):
     across rounds and is swapped in place.  The line graph is rebuilt only
     after a swap, so a round that swaps nothing (found by one unsorted scan
     of its pairs, see `_swap_pairs`) presents the same graph object.
+
+    A line whose loads ascend along it (ties allowed) has no adjacent pair
+    out of order, so no pair list swaps on it.  The policy keeps that
+    verdict for one (committed tuple, order tuple) pair, by identity: it
+    is decided the second time the pair is met, so rounds that move load
+    never pay for it, and while the pair stands an ascending line is
+    presented again without a scan of the pairs.
     """
 
     name = "sortingLine"
@@ -158,10 +165,22 @@ class SortingLinePolicy(AdversaryPolicy):
         self.order = tuple(range(n))
         self.position = list(range(n))
         self._graph = line_of(self.order)
+        # The pair last met and its verdict: None until it is met again.
+        self._met_loads = self._met_order = self._ascending = None
 
     def next_graph(self, ctx: AdversaryContext) -> Graph:
         pairs = ctx.last_matching
-        if pairs and (order := _swap_pairs(self.order, self.position, pairs, ctx.loads.loads)):
+        if not pairs:
+            return self._graph
+        loads, order = ctx.loads.loads, self.order
+        if loads is self._met_loads and order is self._met_order:
+            if self._ascending is None:
+                self._ascending = all(loads[u] <= loads[v] for u, v in zip(order, order[1:]))
+            if self._ascending:
+                return self._graph
+        elif type(loads) is tuple:  # a list could change under the verdict
+            self._met_loads, self._met_order, self._ascending = loads, order, None
+        if order := _swap_pairs(order, self.position, pairs, loads):
             self.order = order
             self._graph = line_of(order)
         return self._graph

@@ -24,10 +24,11 @@ gap and whatever the trace and the checks derived from it.  Any other round
 commits a new record.  Each round is checked against the record it started
 from, so a round that creates or destroys load fails conservation alone.
 A checked round that moved no load keeps its verdicts on its round
-record (see records.py).  A round that hands the record back on the same
-committed record, graph object and line order reuses them in a report of
-its own index instead of calling `check_round`, and still counts its
-failures.
+record (see records.py); records judged alike share one verdict dict.  A
+round that hands the record back on the same committed record, graph
+object and line order (by identity) reuses them instead of calling
+`check_round`, still counts its failures, and builds a report of its own
+index only when it failed or writes a trace row.
 A committed load that is not an integer numerator stops the trial with an
 `EngineError` naming the node and the round: the round it was committed in
 when a shift fails on it, else the last round, when the final vector is
@@ -272,6 +273,7 @@ def run_trial(
     trace_stride = cfg.trace_stride if trace_writer is not None else None
 
     failure_reports: list[InvariantReport] = []
+    shared_checks: Optional[dict] = None
     invariant_failures = 0
 
     (tau_num,), tau_exp = to_scaled([cfg.tau])  # refuses a tau that is not dyadic
@@ -280,16 +282,16 @@ def run_trial(
     # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
     converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
 
-    def write_row(
-        index, phi, row_gap, row_exp, converged, d_r=0, d_r_exp=0, connections=0, report=None
-    ):
-        # Numerators with their exponents; the writer renders them.
-        trace_writer.round_row(
-            round_index=index, phi=phi, max_gap=row_gap, exp=row_exp, d_r=d_r,
-            d_r_exp=d_r_exp, connections=connections, converged=converged, report=report,
-        )
-
     if trace_writer is not None:
+        # Numerators with their exponents; the writer renders them.
+        round_row = trace_writer.round_row
+
+        def write_row(index, phi, row_gap, row_exp, converged):
+            round_row(
+                round_index=index, phi=phi, max_gap=row_gap, exp=row_exp, d_r=0,
+                connections=0, converged=converged,
+            )
+
         write_row(0, state_potential(state), gap, exp, converged_at is not None)
 
     rounds = 0
@@ -344,14 +346,16 @@ def run_trial(
                 d_r = outcome.d_r = twice_shifted_load(outcome.matching)
                 outcome.pairs = [(u, v) for u, v, _ in outcome.matching]
 
-            report = None
+            report = reused = None
             if enabled and rounds % cfg.check_stride == 0:
                 order = line_policy.order if line_policy is not None else None
                 kept = outcome.verdicts
                 if kept is not None and kept[0] is state and kept[1] is graph and kept[2] is order:
-                    # A record handed back on the very inputs it was judged on.
-                    report = InvariantReport(rounds, kept[3], kept[4])
-                    ok = kept[5]
+                    # A record handed back on the very inputs it was judged
+                    # on: its report is built only if the round is read.
+                    reused, ok = kept, kept[5]
+                    if not ok:
+                        report = InvariantReport(rounds, kept[3], kept[4])
                 else:
                     report = check_round(
                         state,
@@ -364,6 +368,12 @@ def run_trial(
                     )
                     ok = report.ok
                     if committed is state:
+                        # Records judged alike share one verdict dict, so
+                        # their trace rows can share text (see io.py).
+                        if report.checks == shared_checks:
+                            report.checks = shared_checks
+                        else:
+                            shared_checks = report.checks
                         outcome.verdicts = state, graph, order, report.checks, report.witnesses, ok
                 if not ok:
                     invariant_failures += len(report.failed())
@@ -372,9 +382,12 @@ def run_trial(
 
             within_tau = gap << tau_exp <= tau_num << after_exp
             if trace_stride is not None and rounds % trace_stride == 0:
-                write_row(
-                    rounds, state_potential(committed), gap, after_exp, within_tau,
-                    d_r, exp + 1, len(outcome.matching), report,
+                if report is None and reused is not None:
+                    report = InvariantReport(rounds, reused[3], reused[4])
+                round_row(
+                    round_index=rounds, phi=state_potential(committed), max_gap=gap,
+                    exp=after_exp, d_r=d_r, d_r_exp=exp + 1,
+                    connections=len(outcome.matching), converged=within_tau, report=report,
                 )
                 last_emitted = rounds
         except TypeError:

@@ -26,6 +26,11 @@ from .dyadic import Dyadic, decimal_text
 
 TRACE_COLUMNS = ("round", "phi", "max_gap", "d_r", "connections", "converged")
 
+# How many recent rows' text a trace writer keeps for reuse, and the
+# longest text it keeps (a longer row's amounts are not held either).
+ROW_TEXTS = 16
+ROW_TEXT_CHARS = 256
+
 SUMMARY_COLUMNS = (
     "seed",
     "converged",
@@ -53,12 +58,23 @@ class TraceCsvWriter:
     A row's amounts are dyadic values, or int numerators: `phi` and
     `max_gap` over 2**exp, `d_r` over 2**d_r_exp.  The engine passes
     numerators, so no row builds a Dyadic.
+
+    A row whose amounts, exponents, `connections`, `converged` and
+    `report.checks` are the very objects of a kept row reuses its text
+    after the round index.  Objects match by identity, never by value, so
+    equal values that render differently (`Dyadic(2)` and the numerator 2
+    at exp=1) never share text; the table holds the objects it keys, so
+    their ids stay theirs.  So a `checks` dict must not change once a row
+    has read it.  The table keeps up to `ROW_TEXTS` rows of at most
+    `ROW_TEXT_CHARS` characters each, then empties.
     """
 
     def __init__(self, stream, checks: Sequence[str] = (), close_stream: bool = False):
         self.checks = tuple(checks)
         self._stream = stream
         self._close_stream = close_stream
+        # ids of a row's objects -> (the objects, the text after the index)
+        self._texts: dict[tuple, tuple[tuple, str]] = {}
         csv.writer(stream).writerow(TRACE_COLUMNS + self.checks)
 
     def round_row(
@@ -74,20 +90,36 @@ class TraceCsvWriter:
         exp: int = 0,
         d_r_exp: int = 0,
     ) -> None:
-        row = [
-            str(round_index),
-            render_amount(phi, exp),
-            render_amount(max_gap, exp),
-            render_amount(d_r, d_r_exp),
-            str(connections),
-            "true" if converged else "false",
-        ]
-        for name in self.checks:
-            if report is None or name not in report.checks:
-                row.append("")
-            else:
-                row.append("0" if report.checks[name] else "1")
-        self._stream.write(",".join(row) + "\r\n")
+        checks = None if report is None else report.checks
+        # Spelled out: tuple(map(id, ...)) grows its result as it goes,
+        # which left a traced trial's peak RSS a quarter MiB higher.
+        ids = (
+            id(phi), id(max_gap), id(d_r), id(connections), id(converged), id(checks),
+            id(exp), id(d_r_exp),
+        )
+        kept = self._texts.get(ids)
+        if kept is not None:
+            tail = kept[1]
+        else:
+            row = [
+                render_amount(phi, exp),
+                render_amount(max_gap, exp),
+                render_amount(d_r, d_r_exp),
+                str(connections),
+                "true" if converged else "false",
+            ]
+            for name in self.checks:
+                if checks is None or name not in checks:
+                    row.append("")
+                else:
+                    row.append("0" if checks[name] else "1")
+            tail = ",".join(row)
+            if len(tail) <= ROW_TEXT_CHARS:
+                if len(self._texts) >= ROW_TEXTS:
+                    self._texts.clear()
+                objects = (phi, max_gap, d_r, connections, converged, checks, exp, d_r_exp)
+                self._texts[ids] = objects, tail
+        self._stream.write(f"{round_index},{tail}\r\n")
 
     def close(self) -> None:
         if self._close_stream:

@@ -39,7 +39,8 @@ class RoundOutcome:
     pairs, which the adversary reads as the next round's `last_matching`;
     on a checked round that moved no load, `verdicts`, the tuple
     `(state, graph, line_order, checks, witnesses, ok)`: the report's
-    verdicts and the very objects they were taken on.
+    verdicts and the very objects they were taken on, which a round that
+    reuses them must present again, by identity (see engine.py).
     """
 
     new_loads: tuple

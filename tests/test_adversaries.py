@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbal import adversaries
 from dynbal.adversaries import (
     AdversaryContext,
     RandomConnectedPolicy,
@@ -190,19 +191,35 @@ def rebuilt_postprocess(order, pairs, loads):
 
 @st.composite
 def line_rounds(draw):
-    """Rounds of (loads, pairs) at n <= 10.  Pairs may sit off the line,
-    overlap, repeat, and come in both orientations, as two-sided rounds
-    give; loads come from a small range so ties are common."""
+    """Rounds of (kind, loads, pairs) at n <= 10.  Pairs may sit off the
+    line, overlap, repeat, and come in both orientations, as two-sided
+    rounds give; loads come from a small range so ties are common.  A
+    "repeat" round presents the previous round's very loads tuple again,
+    and a "sorted" round's loads ascend along the line it is played on."""
     n = draw(st.integers(2, 10))
     node = st.integers(0, n - 1)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
     rounds = []
-    for _ in range(draw(st.integers(1, 12))):
+    for index in range(draw(st.integers(1, 12))):
         pairs = draw(st.lists(pair, max_size=n))
         if pairs:
             pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n))]
-        rounds.append((draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), pairs))
+        kinds = ["new", "sorted"] + (["repeat"] if index else [])
+        kind = draw(st.sampled_from(kinds))
+        rounds.append((kind, draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), pairs))
     return n, rounds
+
+
+def round_loads(kind, values, order, last_loads) -> tuple:
+    """The loads tuple a `line_rounds` round presents on the line `order`."""
+    if kind == "repeat":
+        return last_loads
+    if kind == "sorted":
+        loads = [0] * len(order)
+        for node, value in zip(order, sorted(values)):
+            loads[node] = value
+        return tuple(loads)
+    return tuple(values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,10 +231,13 @@ def test_in_place_sorting_line_equals_rebuild(scenario):
     order = list(range(n))
     graph = policy.next_graph(ctx_for([0] * n))
     assert graph == line_of(order)
-    for index, (loads, pairs) in enumerate(rounds, 2):
+    loads = None
+    for index, (kind, values, pairs) in enumerate(rounds, 2):
         last_order, last_graph = order, graph
+        loads = round_loads(kind, values, order, loads)
         order = rebuilt_postprocess(order, pairs, loads)
-        graph = policy.next_graph(ctx_for(loads, round_index=index, last_matching=pairs))
+        ctx = AdversaryContext(index, LoadState("integral", loads), pairs)
+        graph = policy.next_graph(ctx)
         assert list(policy.order) == order
         assert [policy.order[i] for i in policy.position] == list(range(n))
         assert graph == line_of(order)
@@ -226,6 +246,64 @@ def test_in_place_sorting_line_equals_rebuild(scenario):
         assert sorting_line_postprocess(order, pairs, loads) == rebuilt_postprocess(
             order, pairs, loads
         )
+
+
+def count_swap_scans(monkeypatch) -> list:
+    """One entry per `_swap_pairs` call the sorting line makes."""
+    calls = []
+    scan = adversaries._swap_pairs
+
+    def counting(order, position, pairs, loads):
+        calls.append(order)
+        return scan(order, position, pairs, loads)
+
+    monkeypatch.setattr(adversaries, "_swap_pairs", counting)
+    return calls
+
+
+def test_an_ascending_line_stops_scanning_its_pairs(monkeypatch):
+    # The n = 8 lineRamp is the fixed point of criterion 3: every round
+    # hands back the committed tuple and no pair swaps.
+    calls = count_swap_scans(monkeypatch)
+    policy = SortingLinePolicy()
+    policy.bind(8, Random(0))
+    pairs = [(0, 1), (3, 2), (5, 6)]
+
+    def present(loads, rounds=4):
+        before = len(calls)
+        for index in range(rounds):
+            ctx = AdversaryContext(index, LoadState("integral", loads), pairs)
+            assert policy.next_graph(ctx) is graph
+        return len(calls) - before
+
+    graph = policy.next_graph(AdversaryContext(0, LoadState("integral", ())))
+    ramp = tuple(range(1, 9))
+    # Scanned the first time the (tuple, order) pair is met; the second
+    # meeting decides that the line ascends, and no later round scans.
+    assert present(ramp) == 1
+    assert present(ramp) == 0
+    # An equal but new tuple, then an equal but new order tuple under that
+    # tuple, are new pairs: each is scanned once again.
+    again = tuple(list(ramp))
+    assert present(again) == 1
+    policy.order = tuple(list(policy.order))
+    assert present(again) == 1
+    assert policy.order == tuple(range(8))
+
+
+def test_a_line_that_does_not_ascend_is_scanned_every_round(monkeypatch):
+    # Descending loads, but no pair sits on adjacent line positions, so
+    # the order stays and every round must still scan its pairs.
+    calls = count_swap_scans(monkeypatch)
+    policy = SortingLinePolicy()
+    policy.bind(4, Random(0))
+    graph = policy.next_graph(AdversaryContext(0, LoadState("integral", ())))
+    loads = (4, 3, 2, 1)
+    for index in range(1, 5):
+        ctx = AdversaryContext(index, LoadState("integral", loads), [(0, 2), (1, 3)])
+        assert policy.next_graph(ctx) is graph
+    assert len(calls) == 4
+    assert policy.order == (0, 1, 2, 3)
 
 
 # ----------------------------------------------------------------------

@@ -660,6 +660,45 @@ def test_a_failing_record_handed_back_fails_every_checked_round(monkeypatch, str
         assert row[budget_column] == ("1" if int(row[0]) in checked else "")
 
 
+class PairsNodeZeroTwice(HandsBackOneBadMatching):
+    """Hands back one record every round, whose matching uses node 0 twice."""
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.record = RoundOutcome(new_loads=loads, matching=[(0, 1, 1), (0, 2, 2)])
+
+
+def test_failing_replays_count_alike_with_and_without_a_trace(monkeypatch):
+    # The record is judged once; every later round replays its verdicts,
+    # and builds a report of its own only because it failed.
+    checked = count_checks(monkeypatch)
+    monkeypatch.setattr(engine, "make_algorithm", lambda name, **params: PairsNodeZeroTwice())
+    raw = scenario(
+        n=4,
+        initialLoads="lineRamp",
+        mode="integral",
+        tau="0",
+        adversary={"name": "static", "graph": "path"},
+        algorithm="randMaxNeighbor",
+        roundBudget=40,
+        checks=["conservation", "integrality", "matchingBudget"],
+    )
+    untraced = run_trial(config_from_dict(raw))
+    cfg = config_from_dict({**raw, "traceLevel": "full"})
+    traced, rows = trace_rows(cfg)
+    assert checked == [1, 1]
+    for result in (untraced, traced):
+        assert result.invariant_failures == 40
+        reports = result.failure_reports
+        assert [report.round_index for report in reports] == list(range(1, 26))
+        assert len({id(report) for report in reports}) == 25
+        for report in reports:
+            assert report.failed() == ["matchingBudget"]
+            assert report.witnesses == {"matchingBudget": {"node": 0}}
+    budget_column = 6 + list(cfg.checks).index("matchingBudget")
+    assert [row[budget_column] for row in rows] == [""] + ["1"] * 40
+
+
 def count_checks(monkeypatch) -> list:
     """The round index of every check_round call the engine makes."""
     checked = []

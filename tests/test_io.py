@@ -11,11 +11,12 @@ from dynbal.io import TRACE_COLUMNS, TraceCsvWriter, open_trace_writer
 from dynbal.metrics import ALL_CHECKS, InvariantReport
 
 
-def reference_amount(value) -> str:
-    """Exact decimal text by the int formula, independent of `dynbal.dyadic`."""
-    if isinstance(value, int):
-        return str(value)
-    num, exp = value.num, value.exp
+def reference_amount(value, exp: int = 0) -> str:
+    """Exact decimal text by the int formula, independent of `dynbal.dyadic`:
+    a Dyadic's own value, or an int numerator over 2**exp."""
+    num = value
+    if not isinstance(value, int):
+        num, exp = value.num, value.exp
     if exp == 0:
         return str(num)
     digits = str(abs(num) * 5**exp).rjust(exp + 1, "0")
@@ -30,11 +31,12 @@ def write_reference(path, checks, rows) -> None:
         writer.writerow(TRACE_COLUMNS + tuple(checks))
         for row in rows:
             report = row["report"]
+            exp = row.get("exp", 0)
             fields = [
                 row["round_index"],
-                reference_amount(row["phi"]),
-                reference_amount(row["max_gap"]),
-                reference_amount(row["d_r"]),
+                reference_amount(row["phi"], exp),
+                reference_amount(row["max_gap"], exp),
+                reference_amount(row["d_r"], row.get("d_r_exp", 0)),
                 row["connections"],
                 "true" if row["converged"] else "false",
             ]
@@ -80,20 +82,81 @@ rows = st.fixed_dictionaries(
         "connections": st.integers(0, 500),
         "converged": st.booleans(),
         "report": reports(),
+        "exp": st.integers(0, 4),
+        "d_r_exp": st.integers(0, 4),
     }
 )
 
 
+def twin(row: dict) -> dict:
+    """A row of equal values that render differently wherever the exponent
+    is not 0: each int amount becomes the Dyadic of the same value, each
+    Dyadic of an integer value its numerator (so Dyadic(2) and the
+    numerator 2 at exp=1 swap), and no report an empty one."""
+    row = dict(row)
+    for name in ("phi", "max_gap", "d_r"):
+        value = row[name]
+        if isinstance(value, int):
+            row[name] = Dyadic(value)
+        elif value.exp == 0:
+            row[name] = value.num
+        assert row[name] == value
+    report = row["report"]
+    row["report"] = InvariantReport(0) if report is None else None if not report.checks else report
+    return row
+
+
+@st.composite
+def traces(draw):
+    """Rows of which some repeat an earlier row's very objects (the
+    previous row's most often) under a new round index, and some are its
+    equal-valued twins."""
+    trace = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["new", "previous", "earlier", "twin"])) if trace else "new"
+        if kind == "new":
+            row = draw(rows)
+        else:
+            row = trace[-1] if kind == "previous" else draw(st.sampled_from(trace))
+            row = twin(row) if kind == "twin" else dict(row)
+            row["round_index"] = draw(st.integers(0, 10**9))
+        trace.append(row)
+    return trace
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    checks=st.lists(st.sampled_from(ALL_CHECKS), unique=True),
-    trace=st.lists(rows, max_size=12),
-)
+@given(checks=st.lists(st.sampled_from(ALL_CHECKS), unique=True), trace=traces())
 def test_trace_writer_matches_csv_writer_bytes(tmp_path_factory, checks, trace):
     folder = tmp_path_factory.mktemp("trace")
     write_traced(folder / "traced.csv", checks, trace)
     write_reference(folder / "reference.csv", checks, trace)
     assert (folder / "traced.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def test_equal_rows_that_render_differently_share_no_text():
+    passed = InvariantReport(3, {ALL_CHECKS[0]: True})
+    base = {"phi": 2, "max_gap": 0, "d_r": 1, "connections": 1, "converged": False}
+    trace = [
+        {**base, "round_index": 1, "exp": 1, "report": None},
+        {**base, "round_index": 2, "exp": 1, "report": InvariantReport(2)},
+        {**base, "round_index": 3, "exp": 1, "report": passed},
+        {**base, "round_index": 4, "exp": 1, "report": passed, "phi": Dyadic(2)},
+        {**base, "round_index": 5, "exp": 1, "report": passed},
+        {**base, "round_index": 6, "exp": 1, "report": passed, "phi": Dyadic(2)},
+    ]
+    stream = io.StringIO()
+    writer = TraceCsvWriter(stream, ALL_CHECKS[:1])
+    for row in trace:
+        writer.round_row(**row)
+    assert stream.getvalue().split("\r\n")[1:] == [
+        "1,1,0,1,1,false,",
+        "2,1,0,1,1,false,",
+        "3,1,0,1,1,false,0",
+        "4,2,0,1,1,false,0",
+        "5,1,0,1,1,false,0",
+        "6,2,0,1,1,false,0",
+        "",
+    ]
 
 
 def test_trace_row_with_amounts_past_int_digit_limit(tmp_path):
