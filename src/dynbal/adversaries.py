@@ -36,7 +36,6 @@ class AdversaryContext:
     `last_matching` the pairs that actually exchanged load in it.
     """
 
-    round_index: int
     loads: LoadState
     last_matching: Sequence[tuple[int, int]] = ()
 
@@ -178,7 +177,7 @@ class SortingLinePolicy(AdversaryPolicy):
                 self._ascending = all(loads[u] <= loads[v] for u, v in zip(order, order[1:]))
             if self._ascending:
                 return self._graph
-        elif type(loads) is tuple:  # a list could change under the verdict
+        else:
             self._met_loads, self._met_order, self._ascending = loads, order, None
         if order := _swap_pairs(order, self.position, pairs, loads):
             self.order = order

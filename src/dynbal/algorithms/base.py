@@ -4,7 +4,8 @@ An algorithm is started once per trial with the initial loads and its own
 random stream, then asked to play one round at a time against whatever
 graph the engine presents.  It never sees the adversary's or the sampler's
 randomness, and it observes loads only as they stood when the round began.
-The loads it is given are the trial's committed tuple (see loads.py).
+The loads it is given are the trial's committed tuple (see loads.py), so
+an algorithm may key what it derives from them by the tuple's identity.
 
 Every algorithm here plays one kind of round: each node offers its load to
 at most one neighbor, each target accepts one offer, and each accepted pair
@@ -43,15 +44,12 @@ class BalancingAlgorithm:
         """
         raise NotImplementedError
 
-    def is_done(self, loads: tuple) -> bool:
-        """True when the algorithm has no further rounds to play."""
-        return False
-
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         """Skip rounds that provably cannot move any load.
 
-        Returns how many rounds were fast-forwarded.  Only safe when the
-        algorithm can show that no future graph could trigger a transfer
+        Returns how many rounds were fast-forwarded: all of `budget_left`
+        once the algorithm has no further rounds to play.  Only safe when
+        the algorithm can show that no future graph could trigger a transfer
         before its current phase ends; skipped rounds draw no randomness,
         which is sound because the skipped draws are independent of
         everything that follows.

@@ -55,7 +55,8 @@ def gapless_schedule(total: int, tau: int) -> list[int]:
 
 
 class _CallChain(BalancingAlgorithm):
-    """Common machinery: run a sequence of sub-algorithm calls."""
+    """Common machinery: run a sequence of gap-reduction calls.  The idle
+    call starts the next one once the current call `is_done`."""
 
     kind = KIND_MATCHING
     modes = ("integral",)
@@ -76,22 +77,19 @@ class _CallChain(BalancingAlgorithm):
         (and None again when asked later: the loads are frozen by then)."""
         raise NotImplementedError
 
-    def is_done(self, loads: tuple) -> bool:
-        # Start calls until one is live or the chain is over.
+    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
+        # Start calls until one is live; once the chain is over, coast.
         while self.current is None or self.current.is_done(loads):
             call = self._next_call(loads)
             if call is None:
-                return True
+                return budget_left
             call.start(loads, self.mode, self.rng, k=self.k, tau=self.tau, n=self.n)
             self.calls_started += 1
             self.current = call
-        return False
+        return self.current.consume_idle_rounds(loads, budget_left)
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         return self.current.play_round(graph, loads)
-
-    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        return self.current.consume_idle_rounds(loads, budget_left)
 
 
 class SmoothedBalance(_CallChain):

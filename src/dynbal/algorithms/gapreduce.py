@@ -21,7 +21,8 @@ round finds the proposers in one pass over the edges and asks only them.
 Both variants keep one `ProposalMemo` for one call, as thresholds and psi
 never move within it; a memo miss runs the passes above.  For the same
 reason the idle test is decided once per committed tuple (`_busy`), so a
-round that moved no load skips the scan of its extremes.
+round that moved no load skips the scan of its extremes.  A finished call
+skips every round it is offered; drivers.py reads its `is_done`.
 
 Flooding stops computing at its fixed point: once every node's table holds
 the same (min, max), no graph can change them, so the remaining flooding
@@ -94,10 +95,9 @@ def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tup
 class ProposalMemo(BalancingAlgorithm):
     """Remembers offers, each of which reads only its node's adjacency row
     and the loads.  The key is the base graph a smoothed graph was flipped
-    from and the loads' committed tuple, both by identity (a list is never
-    remembered: it could change in place); while it holds, a round asks only
-    the flipped pairs' endpoints again, on their flipped rows.  Subclasses
-    give `_propose(u, row, loads)`, u's offer or None, and
+    from and the loads' committed tuple, both by identity; while it holds, a
+    round asks only the flipped pairs' endpoints again, on their flipped
+    rows.  Subclasses give `_propose(u, row, loads)`, u's offer or None, and
     `_base_proposals(graph, loads)`, every offer on `graph`.  By the same
     rule `_busy` holds the tuple a subclass's idle test last found busy."""
 
@@ -110,8 +110,7 @@ class ProposalMemo(BalancingAlgorithm):
         """This round's offers for `accept_offers`."""
         base = graph if graph.base is None else graph.base
         if base is not self._memo_base or loads is not self._memo_loads:
-            self._memo_base = base
-            self._memo_loads = loads if type(loads) is tuple else None
+            self._memo_base, self._memo_loads = base, loads
             self._memo = self._base_proposals(base, loads)
         memo = self._memo
         if not graph.flips:
@@ -197,11 +196,13 @@ class GapReduce(ProposalMemo):
         }
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        if self._flood_left > 0 or self._main_left == 0 or loads is self._busy:
+        if self._flood_left == self._main_left == 0:  # finished
+            return budget_left
+        if self._flood_left > 0 or loads is self._busy:
             return 0
         # Both predicates are monotone in w, so the extremes decide.
         if self._is_light(min(loads)) and self._is_heavy(max(loads)):
-            self._busy = loads if type(loads) is tuple else None
+            self._busy = loads
             return 0
         # With one side empty and thresholds frozen, no future graph can
         # produce a transfer; the rest of the call is provably idle.
@@ -264,11 +265,13 @@ class GaplessGapReduce(ProposalMemo):
         return {u: self._propose(u, adj[u], loads) for u in proposers}
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        if self._left == 0 or not loads or loads is self._busy:
+        if self._left == 0:  # finished
+            return budget_left
+        if not loads or loads is self._busy:
             return 0
         spread = max(loads) - min(loads)
         if 2 * spread >= self.psi and spread >= 2:
-            self._busy = loads if type(loads) is tuple else None
+            self._busy = loads
             return 0
         # Either no pair is psi/2 apart (nothing proposes) or every gap is
         # at most 1 (pairs may connect but floor/ceil moves nothing), and

@@ -13,9 +13,9 @@ A round asks each sender for its proposal in one walk of the coin.  While
 the base graph (the one a smoothed graph was flipped from) and the
 committed tuple stay the same objects, a round on the unflipped base that
 moved no load is kept by its coin, and a later such round that draws the
-same coin (still drawn every round) gets that very record back.  Nothing
-is kept from a list; the table empties when either object changes and
-holds at most `REPLAY_LIMIT` records, every coin at n <= 10.
+same coin (still drawn every round) gets that very record back.  The
+table empties when either object changes and holds at most
+`REPLAY_LIMIT` records, every coin at n <= 10.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ class RandMaxNeighbor(BalancingAlgorithm):
         else:
             base = graph if graph.base is None else graph.base
             if base is not self._replay_base or loads is not self._replay_loads:
-                self._replay_base = base
-                self._replay_loads = loads if type(loads) is tuple else None
+                self._replay_base, self._replay_loads = base, loads
                 self._replay.clear()
-                replayable = graph is base and loads is self._replay_loads
+                replayable = graph is base
 
         offers = {}
         rows = graph.adj

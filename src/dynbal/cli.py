@@ -20,10 +20,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, _decimal_fraction, parse_config
 from .engine import EngineError, derive_stream, run_experiment, run_trial
 from .graphs import cycle_graph, path_graph, star_graph
 from .io import open_trace_writer, render_amount, write_experiment_summary
@@ -257,10 +256,7 @@ def _cmd_smoothing_test(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        k = Fraction(args.k)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"k must be a decimal, got {args.k!r}") from None
+    k = _decimal_fraction(args.k, "k")  # as a config's k is parsed
     if k <= 0:
         raise ConfigError("calibration needs k > 0")
     if args.n < 4 or args.samples < 1:

@@ -259,6 +259,8 @@ def _parse_adversary(value, n: int) -> tuple:
     if name == "static":
         if not set(params) <= {"graph", "edges"}:
             raise ConfigError("static adversary takes 'graph' or 'edges'")
+        if len(params) > 1:
+            raise ConfigError("static adversary takes 'graph' or 'edges', not both")
         if not isinstance(params.get("graph", ""), str):
             raise ConfigError(f"static graph must be a shape name, got {params['graph']!r}")
         edges = params.get("edges")

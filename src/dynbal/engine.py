@@ -7,9 +7,10 @@ no component's consumption of randomness can perturb another's.
 
 Idle fast-forward (skipping rounds an algorithm proves load-neutral)
 applies at every trace level, so no observation knob changes an outcome;
-a trace shows a skipped span as a jump in its round column.  A finished
-algorithm coasts inside the same loop: its loads are frozen, so the rest
-of its budget is accounted in one step without being simulated.
+a trace shows a skipped span as a jump in its round column.  Each loop
+asks the algorithm one idle call, `consume_idle_rounds`; a finished
+algorithm's loads are frozen, so that call accounts the rest of its budget
+in one step without simulating it.
 
 A trial binds its components' round methods once and refills one
 `AdversaryContext` each round; no callee may keep it past its call.  Its
@@ -18,17 +19,18 @@ once per record with its `d_r` (see records.py), so an algorithm that hands
 a record back again costs the round neither; no callee may mutate it.
 
 The committed loads are one `LoadState` record over an immutable tuple (see
-loads.py).  A round whose algorithm hands back the very tuple it was given,
-unshifted, moved no load: the trial keeps the very record, and with it the
-gap and whatever the trace and the checks derived from it.  Any other round
-commits a new record.  Each round is checked against the record it started
-from, so a round that creates or destroys load fails conservation alone.
-A checked round that moved no load keeps its verdicts on its round
-record (see records.py); records judged alike share one verdict dict.  A
-round that hands the record back on the same committed record, graph
-object and line order (by identity) reuses them instead of calling
-`check_round`, still counts its failures, and builds a report of its own
-index only when it failed or writes a trace row.
+loads.py), the only loads object a component is handed.  A round whose
+algorithm hands back the very tuple it was given, unshifted, moved no
+load: the trial keeps the very record, and with it the gap and whatever
+the trace and the checks derived from it.  Any other round commits a new
+record.  Each round is checked against the record it started from, so a
+round that creates or destroys load fails conservation alone.  A checked
+round that moved no load keeps its verdicts on its round record (see
+records.py); records judged alike share one verdict dict.  A round that
+hands the record back on the same committed record, graph object and line
+order (by identity) reuses them instead of calling `check_round`, still
+counts its failures, and builds a report of its own index only when it
+failed.  A trace row reads the round's verdict dict.
 A committed load that is not an integer numerator stops the trial with an
 `EngineError` naming the node and the round: the round it was committed in
 when a shift fails on it, else the last round, when the final vector is
@@ -241,7 +243,7 @@ def run_trial(
     continuous = cfg.mode == MODE_CONTINUOUS
     initial = build_initial_loads(cfg, rng_loads)
     loads, exp = to_scaled(initial) if continuous else (initial, 0)
-    state = LoadState(cfg.mode, tuple(loads), exp)
+    state = LoadState(cfg.mode, loads, exp)
     loads = state.loads
     total = total_load(loads)
 
@@ -299,20 +301,19 @@ def run_trial(
     last_matching: list = []
     aborted: Optional[str] = None
 
-    ctx = AdversaryContext(round_index=0, loads=state)
+    ctx = AdversaryContext(state)
     next_graph, play_round = adversary.next_graph, algorithm.play_round
-    is_done, consume_idle_rounds = algorithm.is_done, algorithm.consume_idle_rounds
+    consume_idle_rounds = algorithm.consume_idle_rounds
 
     while rounds < budget and (converged_at is None or not cfg.stop_on_converge):
-        # A finished algorithm coasts through the rest of its budget.
-        left = budget - rounds
-        skipped = left if is_done(loads) else consume_idle_rounds(loads, left)
+        # A finished algorithm coasts through the rest of its budget here.
+        skipped = consume_idle_rounds(loads, budget - rounds)
         if skipped:
             rounds += skipped
             continue
         rounds += 1
 
-        ctx.round_index, ctx.loads, ctx.last_matching = rounds, state, last_matching
+        ctx.loads, ctx.last_matching = state, last_matching
         base_graph = next_graph(ctx)
         if base_graph.n != n:
             raise EngineError("adversary changed the node count")
@@ -338,7 +339,7 @@ def run_trial(
             else:
                 if outcome.shift:
                     after, after_exp = renormalise(after, after_exp)
-                committed = LoadState(cfg.mode, tuple(after), after_exp)
+                committed = LoadState(cfg.mode, after, after_exp)
                 gap = max_gap(committed.loads)
             d_r = outcome.d_r
             if d_r is None:
@@ -346,16 +347,13 @@ def run_trial(
                 d_r = outcome.d_r = twice_shifted_load(outcome.matching)
                 outcome.pairs = [(u, v) for u, v, _ in outcome.matching]
 
-            report = reused = None
+            checks = None
             if enabled and rounds % cfg.check_stride == 0:
                 order = line_policy.order if line_policy is not None else None
                 kept = outcome.verdicts
                 if kept is not None and kept[0] is state and kept[1] is graph and kept[2] is order:
-                    # A record handed back on the very inputs it was judged
-                    # on: its report is built only if the round is read.
-                    reused, ok = kept, kept[5]
-                    if not ok:
-                        report = InvariantReport(rounds, kept[3], kept[4])
+                    # A record handed back on the very inputs it was judged on.
+                    _, _, _, checks, witnesses, ok = kept
                 else:
                     report = check_round(
                         state,
@@ -366,28 +364,28 @@ def run_trial(
                         line_order=order,
                         initial_prefix=initial_prefix,
                     )
-                    ok = report.ok
+                    checks, witnesses, ok = report.checks, report.witnesses, report.ok
                     if committed is state:
                         # Records judged alike share one verdict dict, so
                         # their trace rows can share text (see io.py).
-                        if report.checks == shared_checks:
-                            report.checks = shared_checks
+                        if checks == shared_checks:
+                            checks = shared_checks
                         else:
-                            shared_checks = report.checks
-                        outcome.verdicts = state, graph, order, report.checks, report.witnesses, ok
+                            shared_checks = checks
+                        outcome.verdicts = state, graph, order, checks, witnesses, ok
                 if not ok:
+                    # Only a failing round gets a report, of its own index.
+                    report = InvariantReport(rounds, checks, witnesses)
                     invariant_failures += len(report.failed())
                     if len(failure_reports) < MAX_FAILURE_REPORTS:
                         failure_reports.append(report)
 
             within_tau = gap << tau_exp <= tau_num << after_exp
             if trace_stride is not None and rounds % trace_stride == 0:
-                if report is None and reused is not None:
-                    report = InvariantReport(rounds, reused[3], reused[4])
                 round_row(
                     round_index=rounds, phi=state_potential(committed), max_gap=gap,
                     exp=after_exp, d_r=d_r, d_r_exp=exp + 1,
-                    connections=len(outcome.matching), converged=within_tau, report=report,
+                    connections=len(outcome.matching), converged=within_tau, checks=checks,
                 )
                 last_emitted = rounds
         except TypeError:
@@ -414,7 +412,7 @@ def run_trial(
         and line_policy is not None
         and rounds > 0
     ):
-        ctx.round_index, ctx.loads, ctx.last_matching = rounds + 1, state, last_matching
+        ctx.loads, ctx.last_matching = state, last_matching
         next_graph(ctx)
         witness = prefix_growth(line_policy.order, loads, exp, initial_prefix)
         if witness is not None:

@@ -20,7 +20,7 @@ contain a comma.
 from __future__ import annotations
 
 import csv
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .dyadic import Dyadic, decimal_text
 
@@ -57,11 +57,12 @@ class TraceCsvWriter:
 
     A row's amounts are dyadic values, or int numerators: `phi` and
     `max_gap` over 2**exp, `d_r` over 2**d_r_exp.  The engine passes
-    numerators, so no row builds a Dyadic.
+    numerators, so no row builds a Dyadic.  `checks` is the round's verdict
+    dict (check name -> passed), None when no check ran.
 
-    A row whose amounts, exponents, `connections`, `converged` and
-    `report.checks` are the very objects of a kept row reuses its text
-    after the round index.  Objects match by identity, never by value, so
+    A row whose amounts, exponents, `connections`, `converged` and `checks`
+    are the very objects of a kept row reuses its text after the round
+    index.  Objects match by identity, never by value, so
     equal values that render differently (`Dyadic(2)` and the numerator 2
     at exp=1) never share text; the table holds the objects it keys, so
     their ids stay theirs.  So a `checks` dict must not change once a row
@@ -86,11 +87,10 @@ class TraceCsvWriter:
         d_r,
         connections: int,
         converged: bool,
-        report=None,
+        checks: Optional[dict] = None,
         exp: int = 0,
         d_r_exp: int = 0,
     ) -> None:
-        checks = None if report is None else report.checks
         # Spelled out: tuple(map(id, ...)) grows its result as it goes,
         # which left a traced trial's peak RSS a quarter MiB higher.
         ids = (

@@ -12,8 +12,9 @@ are kept on the record, so each is derived once per committed vector (see
 loads.py).  A round that moved no load (the same record before and after)
 passes conservation by identity.  A round that hands back a record already
 judged on the same committed record, graph object and line order is not
-checked again (see engine.py): its report shares the first one's `checks`
-and `witnesses` dicts, so no reader may mutate a report's dicts.
+checked again (see engine.py): its trace row reads the first verdict dict,
+and a report of a failing one shares the first one's `checks` and
+`witnesses` dicts, so no reader may mutate a report's dicts.
 """
 
 from __future__ import annotations
@@ -74,9 +75,7 @@ def state_potential(state: LoadState) -> object:
     """`potential` of a record's loads, kept on the record (see LoadState)."""
     phi = state.phi
     if phi is None:
-        phi = potential(state.loads)
-        if type(state.loads) is tuple:
-            state.phi = phi
+        phi = state.phi = potential(state.loads)
     return phi
 
 
@@ -249,17 +248,15 @@ def _integrality(before, after, *_):
     witness = after.integrality
     if witness is not UNJUDGED:
         return witness
-    loads, exp = after.loads, after.exp
     witness = None
-    if exp:
-        witness = {"exp": exp}
+    if after.exp:
+        witness = {"exp": after.exp}
     else:
-        for i, w in enumerate(loads):
+        for i, w in enumerate(after.loads):
             if not isinstance(w, int) or w < 0:
                 witness = {"node": i, "load": repr(w)}
                 break
-    if type(loads) is tuple:
-        after.integrality = witness
+    after.integrality = witness
     return witness
 
 

@@ -3,8 +3,9 @@
 Amounts are numerators over the trial's shared load exponent (see loads.py).
 The engine derives three fields once, on a round record: `d_r`, the
 exchanged pairs and, for a checked round that moved no load, its verdicts.
-A round that hands the record back reuses them, so the reports of replayed
-rounds share read-only `checks` and `witnesses` dicts.
+A round that hands the record back reuses them, so the trace rows and the
+failure reports of replayed rounds share read-only `checks` and
+`witnesses` dicts.
 """
 
 from __future__ import annotations

@@ -22,12 +22,8 @@ from dynbal.loads import LoadState
 from oracles import randrange_connected_graph
 
 
-def ctx_for(loads, round_index=1, last_matching=()):
-    return AdversaryContext(
-        round_index=round_index,
-        loads=LoadState("integral", list(loads)),
-        last_matching=last_matching,
-    )
+def ctx_for(loads, last_matching=()):
+    return AdversaryContext(loads=LoadState("integral", loads), last_matching=last_matching)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +154,7 @@ def test_sorting_line_applies_swaps_from_matching():
     policy.bind(3, Random(0))
     policy.next_graph(ctx_for([0, 8, 0]))
     # Pair (0, 1) balanced; node 0 now heavier, so next line is 1-0-2.
-    g = policy.next_graph(ctx_for([5, 3, 0], round_index=2, last_matching=[(0, 1)]))
+    g = policy.next_graph(ctx_for([5, 3, 0], last_matching=[(0, 1)]))
     assert policy.order == (1, 0, 2)
     assert g.edges == {(0, 1), (0, 2)}
 
@@ -167,7 +163,7 @@ def test_sorting_line_ignores_off_line_pairs():
     policy = SortingLinePolicy()
     policy.bind(4, Random(0))
     policy.next_graph(ctx_for([0, 0, 0, 0]))
-    g = policy.next_graph(ctx_for([9, 0, 0, 1], round_index=2, last_matching=[(0, 3)]))
+    g = policy.next_graph(ctx_for([9, 0, 0, 1], last_matching=[(0, 3)]))
     assert policy.order == (0, 1, 2, 3)
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
 
@@ -232,11 +228,11 @@ def test_in_place_sorting_line_equals_rebuild(scenario):
     graph = policy.next_graph(ctx_for([0] * n))
     assert graph == line_of(order)
     loads = None
-    for index, (kind, values, pairs) in enumerate(rounds, 2):
+    for kind, values, pairs in rounds:
         last_order, last_graph = order, graph
         loads = round_loads(kind, values, order, loads)
         order = rebuilt_postprocess(order, pairs, loads)
-        ctx = AdversaryContext(index, LoadState("integral", loads), pairs)
+        ctx = AdversaryContext(LoadState("integral", loads), pairs)
         graph = policy.next_graph(ctx)
         assert list(policy.order) == order
         assert [policy.order[i] for i in policy.position] == list(range(n))
@@ -271,12 +267,12 @@ def test_an_ascending_line_stops_scanning_its_pairs(monkeypatch):
 
     def present(loads, rounds=4):
         before = len(calls)
-        for index in range(rounds):
-            ctx = AdversaryContext(index, LoadState("integral", loads), pairs)
+        for _ in range(rounds):
+            ctx = AdversaryContext(LoadState("integral", loads), pairs)
             assert policy.next_graph(ctx) is graph
         return len(calls) - before
 
-    graph = policy.next_graph(AdversaryContext(0, LoadState("integral", ())))
+    graph = policy.next_graph(AdversaryContext(LoadState("integral", ())))
     ramp = tuple(range(1, 9))
     # Scanned the first time the (tuple, order) pair is met; the second
     # meeting decides that the line ascends, and no later round scans.
@@ -297,10 +293,10 @@ def test_a_line_that_does_not_ascend_is_scanned_every_round(monkeypatch):
     calls = count_swap_scans(monkeypatch)
     policy = SortingLinePolicy()
     policy.bind(4, Random(0))
-    graph = policy.next_graph(AdversaryContext(0, LoadState("integral", ())))
+    graph = policy.next_graph(AdversaryContext(LoadState("integral", ())))
     loads = (4, 3, 2, 1)
-    for index in range(1, 5):
-        ctx = AdversaryContext(index, LoadState("integral", loads), [(0, 2), (1, 3)])
+    for _ in range(4):
+        ctx = AdversaryContext(LoadState("integral", loads), [(0, 2), (1, 3)])
         assert policy.next_graph(ctx) is graph
     assert len(calls) == 4
     assert policy.order == (0, 1, 2, 3)

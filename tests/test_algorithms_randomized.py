@@ -199,7 +199,7 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
         round_key = (graph if graph.base is None else graph.base, loads)
         if key is None or round_key[0] is not key[0] or round_key[1] is not key[1]:
             key, kept = round_key, {}
-        replayable = graph.base is None and type(loads) is tuple
+        replayable = graph.base is None
         for _ in range(data.draw(st.integers(1, 8))):
             probe = Random()
             probe.setstate(reference_rng.getstate())
@@ -212,8 +212,6 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
             assert rng.getstate() == reference_rng.getstate()
             if mode == "integral" and list(outcome.new_loads) == list(loads):
                 assert outcome.new_loads is loads
-            if type(loads) is not tuple:
-                assert not alg._replay  # never filled from a list
             if replayable and coin in kept:
                 assert outcome is kept[coin]
             else:
@@ -222,17 +220,9 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
                 if replayable and outcome.new_loads is loads:
                     kept[coin] = outcome
 
-        step = data.draw(
-            st.sampled_from(["advance", "keep", "mutate", "copy", "fresh", "restart"])
-        )
+        step = data.draw(st.sampled_from(["advance", "keep", "copy", "fresh", "restart"]))
         if step == "advance":
             loads = outcome.new_loads
-        elif step == "mutate":
-            # A list may change in place between rounds: the memo must not
-            # trust one it was given before.
-            if type(loads) is tuple:
-                loads = list(loads)
-            loads[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, 6))
         elif step == "copy":
             loads = tuple(list(loads))  # equal loads, a new identity
         elif step == "fresh":
@@ -260,7 +250,7 @@ def test_frozen_sorting_line_replays_each_coin(monkeypatch):
     rng = Random(0)
     alg = RandMaxNeighbor()
     alg.start(loads, "integral", rng, k=0, tau=0, n=n)
-    ctx = AdversaryContext(round_index=0, loads=LoadState("integral", loads))
+    ctx = AdversaryContext(LoadState("integral", loads))
     first_graph = policy.next_graph(ctx)
 
     def coin():
@@ -269,8 +259,7 @@ def test_frozen_sorting_line_replays_each_coin(monkeypatch):
         return probe.getrandbits(n)
 
     pairs, by_coin, replays = 0, {}, 0
-    for r in range(1, 51):
-        ctx.round_index = r
+    for _ in range(50):
         graph = policy.next_graph(ctx)
         assert graph is first_graph
         drawn = coin()
@@ -326,10 +315,9 @@ def test_replay_table_stays_bounded_on_a_stuck_line():
     rng, reference_rng = Random(3), Random(3)
     alg = RandMaxNeighbor()
     alg.start(loads, "integral", rng, k=0, tau=0, n=n)
-    ctx = AdversaryContext(round_index=0, loads=LoadState("integral", loads))
+    ctx = AdversaryContext(LoadState("integral", loads))
     returned, replays = set(), 0
-    for r in range(1, 4001):
-        ctx.round_index = r
+    for _ in range(4000):
         graph = policy.next_graph(ctx)
         expected = rand_max_neighbor_round(reference_rng, "integral", graph, loads)
         outcome = alg.play_round(graph, loads)

@@ -205,6 +205,9 @@ def test_smoothing_test_reports_tv(capsys):
     [
         ["calibrate-c1", "3", "1", "10"],  # too few nodes for the targets
         ["calibrate-c1", "8", "1", "0"],  # no samples to take a rate over
+        # k is parsed as a config's k is: a fraction or an exponent is refused.
+        ["calibrate-c1", "8", "1/3", "10"],
+        ["calibrate-c1", "8", "1e400", "10"],
         ["smoothing-test", "40", "6", "1"],  # a ball far above the guard
     ],
 )

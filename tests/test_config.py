@@ -259,6 +259,13 @@ def test_static_edges_accepted():
     assert single.adversary == ("static", {"edges": []})
 
 
+def test_static_graph_and_edges_are_refused_together():
+    # Neither key may silently win over the other.
+    both = {"name": "static", "graph": "star", "edges": [[0, 1], [1, 2], [2, 3]]}
+    with pytest.raises(ConfigError, match="'graph' or 'edges', not both"):
+        config_from_dict(minimal(adversary=both))
+
+
 def test_numbers_reject_booleans():
     with pytest.raises(ConfigError, match="k must be an exact decimal string"):
         config_from_dict(minimal(k=True))

@@ -71,9 +71,9 @@ def test_gapless_schedule_terminates_below_target(total, tau):
 
 def test_smoothed_balance_skips_when_already_converged():
     alg = SmoothedBalance()
-    loads = [4, 4, 5, 4]
+    loads = (4, 4, 5, 4)
     alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
-    assert alg.is_done(loads)
+    assert alg.consume_idle_rounds(loads, 7) == 7
     assert alg.calls_started == 0
 
 
@@ -88,41 +88,42 @@ def test_gapless_balance_runs_the_whole_schedule():
     # tau-converged input: every call is spawned but each fast-forwards
     # without moving anything.
     alg = GaplessBalance()
-    loads = [3, 3, 3, 4]
+    loads = (3, 3, 3, 4)
     alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
     expected_schedule = gapless_schedule(13, 1)
-    budget = alg.planned_rounds()
-    consumed = 0
-    while not alg.is_done(loads):
-        skipped = alg.consume_idle_rounds(loads, budget)
+    left = alg.planned_rounds()
+    calls = []
+    while left:
+        skipped = alg.consume_idle_rounds(loads, left)
         assert skipped > 0, "converged input must only fast-forward"
-        consumed += skipped
+        calls.append(skipped)
+        left -= skipped
     assert alg.calls_started == len(expected_schedule)
-    assert consumed == budget
+    # Each call coasts through its own budget, none through a later one's.
+    assert calls == [alg._per_call] * len(expected_schedule)
 
 
 def assert_stays_finished(alg, loads):
     started, last_call = alg.calls_started, alg.current
-    for _ in range(2):
-        assert alg.is_done(loads)
+    for budget in (1, 9):
+        assert alg.consume_idle_rounds(loads, budget) == budget
         assert alg.calls_started == started
         assert alg.current is last_call
 
 
 def test_finished_call_chains_stay_finished():
     smoothed = SmoothedBalance()
-    loads = [4, 4, 5, 4]
+    loads = (4, 4, 5, 4)
     smoothed.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
-    assert smoothed.is_done(loads)
     assert_stays_finished(smoothed, loads)
     assert smoothed.current is None
 
     gapless = GaplessBalance()
-    loads = [3, 3, 3, 4]
+    loads = (3, 3, 3, 4)
     gapless.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
-    budget = gapless.planned_rounds()
-    while not gapless.is_done(loads):
-        gapless.consume_idle_rounds(loads, budget)
+    left = gapless.planned_rounds()
+    while left:
+        left -= gapless.consume_idle_rounds(loads, left)
     assert gapless.calls_started == len(gapless.schedule)
     assert_stays_finished(gapless, loads)
 

@@ -164,6 +164,62 @@ def test_finished_algorithm_coasts_to_the_full_budget():
     assert total_load(result.final_loads) == 65
 
 
+def spy_idle_calls(monkeypatch) -> dict:
+    """Make the trial's algorithm count its rounds and record what each
+    idle call returned; asking it `is_done` fails the test."""
+    seen = {"plays": 0, "idle": []}
+
+    def algorithm(name, **params):
+        alg = make_algorithm(name, **params)
+        play, idle = alg.play_round, alg.consume_idle_rounds
+
+        def play_round(graph, loads):
+            seen["plays"] += 1
+            return play(graph, loads)
+
+        def consume_idle_rounds(loads, budget_left):
+            seen["idle"].append(idle(loads, budget_left))
+            return seen["idle"][-1]
+
+        def is_done(loads):
+            raise AssertionError("the engine asked is_done")
+
+        alg.play_round, alg.consume_idle_rounds, alg.is_done = play_round, consume_idle_rounds, is_done
+        return alg
+
+    monkeypatch.setattr(engine, "make_algorithm", algorithm)
+    return seen
+
+
+@pytest.mark.parametrize("algorithm", ["gapReduce", "smoothedBalance"])
+def test_each_loop_makes_one_idle_call(monkeypatch, algorithm):
+    # The gap-reduction call finishes long before round 500 and coasts to
+    # it; the chain of calls converges.  Either way the engine asks one idle
+    # call per loop: each loop either skips what that call returned or
+    # plays one round.
+    seen = spy_idle_calls(monkeypatch)
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads=[0, 0, 0, 65],
+            mode="integral",
+            tau="1",
+            k="1",
+            adversary="resortDescending",
+            algorithm=algorithm,
+            roundBudget=500,
+            seed=11,
+        )
+    )
+    result = run_trial(cfg)
+    idle, plays = seen["idle"], seen["plays"]
+    assert plays > 0 and any(idle)
+    assert len(idle) == plays + sum(1 for skipped in idle if skipped)
+    assert sum(idle) + plays == result.rounds_played
+    if algorithm == "gapReduce":
+        assert result.rounds_played == 500 and idle[-1] > 0
+
+
 def trace_rows(cfg, seed=None):
     """Run a trial with a CSV writer; return the result and the data rows."""
     buf = io.StringIO()
@@ -304,8 +360,9 @@ class DisconnectsOnRoundThree(AdversaryPolicy):
         self.rounds = []
 
     def next_graph(self, ctx):
-        self.rounds.append(ctx.round_index)
-        if ctx.round_index < 3:
+        # Called once per round, from round 1.
+        self.rounds.append(len(self.rounds) + 1)
+        if self.rounds[-1] < 3:
             return self.path
         return Graph(4, [(0, 1), (2, 3)]) if self.fresh else self.split
 
@@ -712,6 +769,43 @@ def count_checks(monkeypatch) -> list:
     return checked
 
 
+def test_a_passing_traced_trial_builds_no_report_of_its_own(monkeypatch):
+    # Criterion 3's stuck n = 8 line with a full trace: a replayed row reads
+    # its record's kept verdict dict, and a passing round needs no report,
+    # so the only reports built are the ones check_round returns.
+    checked = count_checks(monkeypatch)
+    built = []
+    real = metrics.InvariantReport
+
+    def counted(where):
+        def build(*args, **kwargs):
+            built.append(where)
+            return real(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(engine, "InvariantReport", counted("engine"))
+    monkeypatch.setattr(metrics, "InvariantReport", counted("check_round"))
+    cfg = config_from_dict(
+        scenario(
+            n=8,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="1",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=2000,
+            traceLevel="full",
+            checks=["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+        )
+    )
+    result, rows = trace_rows(cfg)
+    assert result.rounds_played == 2000 and result.invariant_failures == 0
+    assert 0 < len(checked) < 2000 // 2
+    assert built == ["check_round"] * len(checked)
+    assert len(rows) == 2001 and all(row[6:] == ["0"] * 4 for row in rows[1:])
+
+
 @pytest.mark.parametrize("stride", [1, 3])
 def test_a_record_handed_back_is_checked_once_per_key(monkeypatch, stride):
     # On the stuck n = 8 line the committed record, the graph object and the
@@ -768,10 +862,15 @@ class ReplacesItsGraphAndOrder(SortingLinePolicy):
     """The line of its order, presented as a new but equal graph object from
     round 3 and over a new but equal order tuple from round 5."""
 
+    def bind(self, n, rng):
+        super().bind(n, rng)
+        self.round = 0  # called once per round, from round 1
+
     def next_graph(self, ctx):
-        if ctx.round_index == 3:
+        self.round += 1
+        if self.round == 3:
             self._graph = Graph(self.n, self._graph.edges)
-        elif ctx.round_index == 5:
+        elif self.round == 5:
             self.order = tuple(list(self.order))
         return self._graph
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbal.dyadic import Dyadic
 from dynbal.io import TRACE_COLUMNS, TraceCsvWriter, open_trace_writer
-from dynbal.metrics import ALL_CHECKS, InvariantReport
+from dynbal.metrics import ALL_CHECKS
 
 
 def reference_amount(value, exp: int = 0) -> str:
@@ -30,7 +30,7 @@ def write_reference(path, checks, rows) -> None:
         writer = csv.writer(stream)
         writer.writerow(TRACE_COLUMNS + tuple(checks))
         for row in rows:
-            report = row["report"]
+            verdicts = row["checks"]
             exp = row.get("exp", 0)
             fields = [
                 row["round_index"],
@@ -41,10 +41,10 @@ def write_reference(path, checks, rows) -> None:
                 "true" if row["converged"] else "false",
             ]
             for name in checks:
-                if report is None or name not in report.checks:
+                if verdicts is None or name not in verdicts:
                     fields.append("")
                 else:
-                    fields.append("0" if report.checks[name] else "1")
+                    fields.append("0" if verdicts[name] else "1")
             writer.writerow(fields)
 
 
@@ -63,14 +63,8 @@ amounts = st.one_of(
 )
 
 
-@st.composite
-def reports(draw):
-    if draw(st.booleans()):
-        return None
-    ran = draw(st.lists(st.sampled_from(ALL_CHECKS), unique=True))
-    return InvariantReport(
-        draw(st.integers(0, 10**6)), {name: draw(st.booleans()) for name in ran}
-    )
+# A round's verdict dict, or None for a round whose checks did not run.
+verdict_dicts = st.none() | st.dictionaries(st.sampled_from(ALL_CHECKS), st.booleans())
 
 
 rows = st.fixed_dictionaries(
@@ -81,7 +75,7 @@ rows = st.fixed_dictionaries(
         "d_r": amounts,
         "connections": st.integers(0, 500),
         "converged": st.booleans(),
-        "report": reports(),
+        "checks": verdict_dicts,
         "exp": st.integers(0, 4),
         "d_r_exp": st.integers(0, 4),
     }
@@ -92,7 +86,7 @@ def twin(row: dict) -> dict:
     """A row of equal values that render differently wherever the exponent
     is not 0: each int amount becomes the Dyadic of the same value, each
     Dyadic of an integer value its numerator (so Dyadic(2) and the
-    numerator 2 at exp=1 swap), and no report an empty one."""
+    numerator 2 at exp=1 swap), and no verdict dict an empty one."""
     row = dict(row)
     for name in ("phi", "max_gap", "d_r"):
         value = row[name]
@@ -101,8 +95,8 @@ def twin(row: dict) -> dict:
         elif value.exp == 0:
             row[name] = value.num
         assert row[name] == value
-    report = row["report"]
-    row["report"] = InvariantReport(0) if report is None else None if not report.checks else report
+    verdicts = row["checks"]
+    row["checks"] = {} if verdicts is None else None if not verdicts else verdicts
     return row
 
 
@@ -134,15 +128,15 @@ def test_trace_writer_matches_csv_writer_bytes(tmp_path_factory, checks, trace):
 
 
 def test_equal_rows_that_render_differently_share_no_text():
-    passed = InvariantReport(3, {ALL_CHECKS[0]: True})
+    passed = {ALL_CHECKS[0]: True}
     base = {"phi": 2, "max_gap": 0, "d_r": 1, "connections": 1, "converged": False}
     trace = [
-        {**base, "round_index": 1, "exp": 1, "report": None},
-        {**base, "round_index": 2, "exp": 1, "report": InvariantReport(2)},
-        {**base, "round_index": 3, "exp": 1, "report": passed},
-        {**base, "round_index": 4, "exp": 1, "report": passed, "phi": Dyadic(2)},
-        {**base, "round_index": 5, "exp": 1, "report": passed},
-        {**base, "round_index": 6, "exp": 1, "report": passed, "phi": Dyadic(2)},
+        {**base, "round_index": 1, "exp": 1, "checks": None},
+        {**base, "round_index": 2, "exp": 1, "checks": {}},
+        {**base, "round_index": 3, "exp": 1, "checks": passed},
+        {**base, "round_index": 4, "exp": 1, "checks": passed, "phi": Dyadic(2)},
+        {**base, "round_index": 5, "exp": 1, "checks": passed},
+        {**base, "round_index": 6, "exp": 1, "checks": passed, "phi": Dyadic(2)},
     ]
     stream = io.StringIO()
     writer = TraceCsvWriter(stream, ALL_CHECKS[:1])
@@ -167,7 +161,7 @@ def test_trace_row_with_amounts_past_int_digit_limit(tmp_path):
         "d_r": 1 << 20000,
         "connections": 3,
         "converged": False,
-        "report": InvariantReport(5699, {ALL_CHECKS[0]: True}),
+        "checks": {ALL_CHECKS[0]: True},
     }
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

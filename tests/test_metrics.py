@@ -437,19 +437,20 @@ def test_committed_bad_vector_fails_integrality_every_round(bad):
 
 
 def test_records_keep_verdicts_over_tuples_only():
-    # A record over a list is judged afresh each time: the list may change.
+    # A record built from a list holds a tuple copy of it, so changing the
+    # list changes none of the verdicts the record keeps.
     loads = [1, 2]
     state = LoadState("integral", loads)
+    assert type(state.loads) is tuple and state.loads == (1, 2)
     kwargs = dict(algorithm_kind=KIND_MATCHING, enabled=[CHECK_INTEGRALITY, CHECK_POTENTIAL_DROP])
     assert check_round(state, state, _trace([], d_r=0), **kwargs).ok
-    assert state.phi is None
+    assert (state.phi, state.integrality) == (1, None)
     loads[0] = -5
-    assert check_round(state, state, _trace([], d_r=0), **kwargs).failed() == [CHECK_INTEGRALITY]
-    assert state.phi is None
-    # A record over a tuple keeps them.
-    state = LoadState("integral", (1, 2))
     assert check_round(state, state, _trace([], d_r=0), **kwargs).ok
     assert (state.phi, state.integrality) == (1, None)
+    # A record over a tuple holds that very tuple.
+    ramp = (1, 2)
+    assert LoadState("integral", ramp).loads is ramp
 
 
 # ----------------------------------------------------------------------
