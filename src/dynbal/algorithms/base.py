@@ -10,6 +10,11 @@ an algorithm may key what it derives from them by the tuple's identity.
 Every algorithm here plays one kind of round: each node offers its load to
 at most one neighbor, each target accepts one offer, and each accepted pair
 splits its load.  An offer is a `(target, key)` pair keyed by the gap.
+`accept_offers` states the acceptance rule (highest key, lowest proposer on
+ties) and `heaviest_gap_neighbor` the max-gap proposal (lowest neighbor on
+ties).  The deterministic round, where every node proposes, reads each
+edge once instead and keeps both rules by walking in ascending id (see
+deterministic.py).
 """
 
 from __future__ import annotations

@@ -17,17 +17,31 @@ finer again, so a round raises the loads' exponent by two.
 `play_round` computes both stages in one pass (tests/oracles.py spells
 them out as its oracle).  The internal stage leaves both halves at w(v)/2,
 so every round starts from halves at w; two bits finer each node holds 4w,
-and an accepted proposal u -> v meets at w_u + w_v: u gains moved =
-w_v - w_u, v loses it, and the pair's gap is |moved|.  Doubling the loads
+and an accepted proposal u -> v meets at w_u + w_v: the pair's gap
+|w_v - w_u| moves from the heavier to the lighter.  Doubling the loads
 changes no argmax and no tie, so proposals are chosen on the loads
 directly.
+
+The pass reads each edge once.  The rows of `graph.adj` are sorted, so
+walking the rows in ascending order, and in each row only the upper
+neighbours v > u, hands every node its candidates in ascending id: its
+lower neighbours from the earlier rows, then its upper ones from its own
+row.  A candidate displaces the held one only on a strictly wider gap, so
+the lowest id keeps a tie, as in `heaviest_gap_neighbor`.  A node's
+proposal is settled when its own row ends, so proposals reach acceptance in
+ascending proposer id, and each target keeps one slot that only a strictly
+wider gap takes over: the lowest proposer keeps a tie, as in
+`accept_offers`.  The matching is read off the slots in ascending target
+order, the order `accept_offers` sorts into, so loads and matching are
+those of the two-stage oracle, which still asks `heaviest_gap_neighbor`
+once per node.
 """
 
 from __future__ import annotations
 
 from ..graphs import Graph
 from ..records import RoundOutcome
-from .base import KIND_TWO_SIDED, BalancingAlgorithm, accept_offers, heaviest_gap_neighbor
+from .base import KIND_TWO_SIDED, BalancingAlgorithm
 
 
 class TwoSidedDeterministic(BalancingAlgorithm):
@@ -36,15 +50,35 @@ class TwoSidedDeterministic(BalancingAlgorithm):
     modes = ("continuous",)
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
-        offers = {
-            u: offer
-            for u, row in enumerate(graph.adj)
-            if (offer := heaviest_gap_neighbor(u, row, loads))[1] > 0
-        }
-        matching = accept_offers(offers)
+        n = len(loads)
+        # Each node's widest gap so far and the neighbour across it; each
+        # target's accepted gap and pair.  A gap of 0 holds nothing.
+        best = [0] * n
+        best_at = [0] * n
+        taken = [0] * n
+        accepted = [None] * n
+        # zip reads best[u] and best_at[u] as row u starts, when every lower
+        # neighbour has already offered its gap.
+        for u, row, w_u, gap_u, target in zip(range(n), graph.adj, loads, best, best_at):
+            for v in row:
+                if v > u:
+                    gap = abs(w_u - loads[v])
+                    if gap > gap_u:
+                        gap_u = gap
+                        target = v
+                    if gap > best[v]:
+                        best[v] = gap
+                        best_at[v] = u
+            if gap_u and gap_u > taken[target]:
+                taken[target] = gap_u
+                accepted[target] = u, target, gap_u
+        matching = list(filter(None, accepted))
         new_loads = [w << 2 for w in loads]
-        for u, v, _ in matching:
-            moved = loads[v] - loads[u]
-            new_loads[u] += moved
-            new_loads[v] -= moved
+        for u, v, gap in matching:
+            if loads[u] < loads[v]:
+                new_loads[u] += gap
+                new_loads[v] -= gap
+            else:
+                new_loads[u] -= gap
+                new_loads[v] += gap
         return RoundOutcome(new_loads=tuple(new_loads), matching=matching, shift=2)

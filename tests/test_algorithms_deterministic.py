@@ -1,13 +1,16 @@
 """Two-sided deterministic rounds against hand-worked traces and the
 per-round inequalities they must satisfy."""
 
+from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbal.algorithms import TwoSidedDeterministic
 from dynbal.dyadic import Dyadic
-from dynbal.graphs import Graph, path_graph, star_graph
+from dynbal.graphs import Graph, all_pairs, is_connected, path_graph, star_graph
 from dynbal.loads import LoadState, to_dyadics, to_scaled
 from dynbal.metrics import (
     CHECK_CONSERVATION,
@@ -23,6 +26,7 @@ from dynbal.metrics import (
     twice_shifted_load,
 )
 from dynbal.records import RoundTrace
+from dynbal.smoothing import SmoothingParams, k_smooth
 from oracles import interactive_round, internal_round, split_evenly
 
 
@@ -198,10 +202,7 @@ def stage_scenarios(draw):
     return graph, draw(st.lists(value, min_size=n, max_size=n))
 
 
-@settings(max_examples=300, deadline=None)
-@given(stage_scenarios())
-def test_play_round_equals_the_two_stages(scenario):
-    graph, nums = scenario
+def assert_equals_the_two_stages(graph, nums):
     _, staged = interactive_round(split_evenly(nums), graph)
     outcome = play_scaled(nums, graph)
     # The stages end one bit finer than the halves, two bits finer than
@@ -210,3 +211,42 @@ def test_play_round_equals_the_two_stages(scenario):
     assert outcome.new_loads == tuple(staged.new_loads)
     assert all(gap % 2 == 0 for _, _, gap in staged.matching)
     assert outcome.matching == [(u, v, gap >> 1) for u, v, gap in staged.matching]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_scenarios())
+def test_play_round_equals_the_two_stages(scenario):
+    assert_equals_the_two_stages(*scenario)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_play_round_equals_the_two_stages_on_every_small_tie(n):
+    # Every connected labelled graph on n nodes under every load vector in
+    # {0, 1, 2}^n: ties between candidates and between proposers everywhere.
+    pairs = all_pairs(n)
+    graphs = [
+        graph
+        for size in range(n - 1, len(pairs) + 1)
+        for edges in combinations(pairs, size)
+        if is_connected(graph := Graph(n, edges))
+    ]
+    assert len(graphs) == {1: 1, 2: 1, 3: 4, 4: 38}[n]
+    for graph in graphs:
+        for nums in product(range(3), repeat=n):
+            assert_equals_the_two_stages(graph, list(nums))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_toggled_rows_play_like_a_fresh_graph(k):
+    # The smoothing sampler patches the base rows with insort; the round
+    # reads those rows in order, so it must play as on the same edges
+    # sorted afresh.
+    rng, draw = Random(k), Random(100 + k)
+    base = path_graph(8)
+    toggled = 0
+    for _ in range(200):
+        graph = k_smooth(base, SmoothingParams(k=Fraction(k)), rng)
+        toggled += graph.base is base
+        nums = [draw.choice([0, 1, 3, 3, 8]) for _ in range(8)]
+        assert play_scaled(nums, graph) == play_scaled(nums, Graph(8, graph.edges))
+    assert toggled > 100
