@@ -19,9 +19,8 @@ from fractions import Fraction
 from .config import config_from_dict
 from .dyadic import decimal_text
 from .engine import derive_stream, run_experiment, run_trial
-from .graphs import cycle_graph, path_graph, star_graph
 from .loads import to_scaled, total_load
-from .smoothing import sampler_total_variation
+from .smoothing import UNIFORMITY_BASES, sampler_total_variation
 
 DETERMINISTIC_CHECKS = [
     "conservation",
@@ -255,7 +254,7 @@ def criterion_6(scale: str) -> CriterionOutcome:
     samples = SCALES[scale]["uniformity_samples"]
     worst = 0.0
     combos = 0
-    for name, build in (("path", path_graph), ("star", star_graph), ("cycle", cycle_graph)):
+    for name, build in UNIFORMITY_BASES.items():
         for t in (1, 2):
             rng = derive_stream(6000, f"uniformity:{name}:{t}")
             tv, _ = sampler_total_variation(build(4), t, samples, rng)

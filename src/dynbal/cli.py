@@ -24,9 +24,9 @@ from pathlib import Path
 
 from .config import ConfigError, _decimal_fraction, parse_config
 from .engine import EngineError, derive_stream, run_experiment, run_trial
-from .graphs import cycle_graph, path_graph, star_graph
+from .graphs import path_graph
 from .io import open_trace_writer, render_amount, write_experiment_summary
-from .smoothing import calibrate_hitting_constant, sampler_total_variation
+from .smoothing import UNIFORMITY_BASES, exact_hitting_constants, sampler_total_variation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,12 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal_p = sub.add_parser(
         "calibrate-c1",
-        help="measure the hitting-rate constant behind the gap-reduction budgets",
+        help="compute the hitting-rate constant behind the gap-reduction budgets exactly",
     )
-    cal_p.add_argument("n", type=int)
+    cal_p.add_argument("n", type=int, help="path length (keep small: the ball is enumerated)")
     cal_p.add_argument("k", help="smoothing amount (decimal)")
-    cal_p.add_argument("samples", type=int)
-    cal_p.add_argument("--seed", type=int, default=0)
     cal_p.set_defaults(handler=_cmd_calibrate)
 
     return parser
@@ -234,16 +232,13 @@ def _cmd_verify(args) -> int:
 # sampler diagnostics
 # ----------------------------------------------------------------------
 
-_TEST_SHAPES = (("path", path_graph), ("star", star_graph), ("cycle", cycle_graph))
-
-
 def _cmd_smoothing_test(args) -> int:
     if args.n < 3:
         raise ConfigError("smoothing-test needs n >= 3")
     if args.k < 1 or args.samples < 1:
         raise ConfigError("smoothing-test needs k >= 1 and samples >= 1")
     worst = 0.0
-    for name, build in _TEST_SHAPES:
+    for name, build in UNIFORMITY_BASES.items():
         rng = derive_stream(args.seed, f"smoothing-test:{name}")
         try:
             tv, ball_size = sampler_total_variation(build(args.n), args.k, args.samples, rng)
@@ -257,16 +252,16 @@ def _cmd_smoothing_test(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     k = _decimal_fraction(args.k, "k")  # as a config's k is parsed
-    if k <= 0:
-        raise ConfigError("calibration needs k > 0")
-    if args.n < 4 or args.samples < 1:
-        raise ConfigError("calibration needs n >= 4 and samples >= 1")
-    rng = derive_stream(args.seed, "calibrate-c1")
-    constants = calibrate_hitting_constant(args.n, k, args.samples, rng)
+    if args.n < 4:
+        raise ConfigError("calibration needs n >= 4")
+    try:
+        constants = exact_hitting_constants(path_graph(args.n), k)
+    except ValueError as exc:  # k <= 0, or a ball too large to enumerate
+        raise ConfigError(str(exc)) from None
     for size, value in sorted(constants.items()):
-        print(f"targets={size}: c={float(value):.3f}")
+        print(f"targets={size}: c={value} ({float(value):.3f})")
     suggested = min(constants.values())
-    print(f"suggested_c1: {float(suggested):.3f} (configure at or below this)")
+    print(f"suggested_c1: {suggested} ({float(suggested):.3f}; configure at or below this)")
     return EXIT_OK
 
 

@@ -71,6 +71,7 @@ from .metrics import (
     max_gap,
     prefix_growth,
     prefix_sums,
+    state_gap,
     state_potential,
     twice_shifted_load,
 )
@@ -279,7 +280,7 @@ def run_trial(
     invariant_failures = 0
 
     (tau_num,), tau_exp = to_scaled([cfg.tau])  # refuses a tau that is not dyadic
-    gap = max_gap(loads)
+    gap = state_gap(state)
     min_gap, min_exp = gap, exp
     # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
     converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
@@ -340,7 +341,7 @@ def run_trial(
                 if outcome.shift:
                     after, after_exp = renormalise(after, after_exp)
                 committed = LoadState(cfg.mode, after, after_exp)
-                gap = max_gap(committed.loads)
+                gap = state_gap(committed)
             d_r = outcome.d_r
             if d_r is None:
                 # Derived once per record: a record handed back again keeps both.

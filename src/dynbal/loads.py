@@ -35,15 +35,16 @@ UNJUDGED = object()
 @dataclass(slots=True)
 class LoadState:
     """One committed load vector, loads[i] / 2**exp, and what was derived
-    from it: `phi` (the potential) and `integrality` (the check's witness),
-    both unset until first read.  `loads` is made a tuple of what it is
-    given (the very tuple, if it is one), so what is derived from it stays
-    true; a record's loads and exponent are never reassigned."""
+    from it: `phi` (the potential), `gap` (the max gap) and `integrality`
+    (the check's witness), each unset until first derived.  `loads` is made
+    a tuple of what it is given (the very tuple, if it is one), so what is
+    derived from it stays true; its loads and exponent are never reassigned."""
 
     mode: str
     loads: tuple
     exp: int = 0
     phi: object = field(default=None, compare=False, repr=False)
+    gap: object = field(default=None, compare=False, repr=False)
     integrality: object = field(default=UNJUDGED, compare=False, repr=False)
 
     def __post_init__(self):

@@ -7,14 +7,15 @@ numerators over one shared exponent, and the checks compare amounts of
 different exponents by cross-shifting them: every verdict is exact, with
 zero tolerance.  `check_round` looks each enabled check up in one table of
 kernels, `_KERNELS`; a kernel returns its check's witness, or None.  A
-record's potential (read through `state_potential`) and integrality verdict
-are kept on the record, so each is derived once per committed vector (see
-loads.py).  A round that moved no load (the same record before and after)
-passes conservation by identity.  A round that hands back a record already
-judged on the same committed record, graph object and line order is not
-checked again (see engine.py): its trace row reads the first verdict dict,
-and a report of a failing one shares the first one's `checks` and
-`witnesses` dicts, so no reader may mutate a report's dicts.
+record's potential, max gap (read through `state_potential`, `state_gap`)
+and integrality verdict are kept on the record, so each is derived once per
+committed vector (see loads.py).  A round that moved no load (the same
+record before and after) passes conservation by identity.  A round that
+hands back a record already judged on the same committed record, graph
+object and line order is not checked again (see engine.py): its trace row
+reads the first verdict dict, and a report of a failing one shares the
+first one's `checks` and `witnesses` dicts, so no reader may mutate a
+report's dicts.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def state_potential(state: LoadState) -> object:
     if phi is None:
         phi = state.phi = potential(state.loads)
     return phi
+
+
+def state_gap(state: LoadState) -> object:
+    """`max_gap` of a record's loads, kept on the record like its potential."""
+    if state.gap is None:
+        state.gap = max_gap(state.loads)
+    return state.gap
 
 
 def twice_shifted_load(matching: Iterable[tuple[int, int, object]]) -> object:
@@ -214,7 +222,7 @@ def _covering_edge(before, after, trace, *_):
 
 def _shift_lower_bound(before, after, trace, *_):
     # 30 d_r >= max gap, with d_r one bit finer than the gap.
-    gap = max_gap(before.loads)
+    gap = state_gap(before)
     if trace.d_r * 30 >= gap * 2:
         return None
     return {"d_r": _text(trace.d_r, before.exp + 1), "max_gap": _text(gap, before.exp)}

@@ -27,34 +27,31 @@ exactly those of `rng.randrange` and `rng.sample`, without their overhead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil, comb, isqrt, log
 from random import Random
 
 from .graphs import (
+    NAMED_GRAPHS,
     Graph,
     all_pairs,
     edge_set_connected,
     is_connected,
-    path_graph,
     toggled_adjacency,
 )
 
 DEFAULT_MAX_REJECTIONS = 10_000
 
+# Largest ball, counted in candidate flip sets, that is ever enumerated.
+BALL_GUARD = 10**6
+
 # Hitting constant c: a smoothed graph contains a given non-edge with
-# probability at least c * k / n^2.  Exact values from `enumerate_ball`
-# (k = t, worst single non-edge, n = 5 -> 10): at t = 1 path and star
-# 3.571 -> 2.703, cycle 2.273 -> 2.174; at t = 2 path 2.632 -> 2.309, star
-# 2.941 -> 2.571, cycle 2.717 -> 2.270.  At t = 1 the ball of a connected
-# base has at most n(n-1)/2 + 1 members and one of them holds the non-edge,
-# so c >= 2n^2 / (n^2 - n + 2) > 2; the cycle attains it.  2 keeps the
-# budgets conservative for single targets; for a set of n non-edges at t = 2
-# the exact constant can fall below it (1.931 on a random connected base at
-# n = 8), as the tests record.
+# probability at least c * k / n^2 (see `exact_hitting_constants`).  What the
+# default assumes is stated at `gapreduce.gap_reduce_round_budget`.
 DEFAULT_C1 = Fraction(2)
 
 
@@ -192,24 +189,32 @@ def k_smooth(g: Graph, params: SmoothingParams, rng: Random) -> Graph:
     return t_smooth(g, t, rng, params.max_rejections)
 
 
-def enumerate_ball(g: Graph, t: int, limit: int = 10**6) -> list[Graph]:
-    """Every connected graph within edit distance t of g (test oracle).
-
-    Guarded: refuses when the unrestricted ball would exceed `limit`
-    candidates.
-    """
-    pairs = all_pairs(g.n)
-    t = min(t, len(pairs))
-    _, candidates = _layer_cumulative(len(pairs), t)
+def _connected_flips(g: Graph, t: int, limit: int):
+    """Every flip set of at most t pairs that leaves g connected, in order of
+    size, then lexicographically; refused over `limit` candidates.  Adding
+    edges keeps a connected g connected, so only removals are walked."""
+    npairs = g.n * (g.n - 1) // 2
+    t = min(t, npairs)
+    _, candidates = _layer_cumulative(npairs, t)
     if candidates > limit:
         raise ValueError(f"ball has {candidates} candidates, above the {limit} guard")
-    found = []
-    for flips in range(t + 1):
-        for subset in combinations(pairs, flips):
-            candidate = Graph(g.n, g.edges.symmetric_difference(subset))
-            if is_connected(candidate):
-                found.append(candidate)
-    return found
+    edges, pairs, adding_keeps = g.edges, all_pairs(g.n), is_connected(g)
+    return (
+        subset
+        for subset in chain.from_iterable(combinations(pairs, j) for j in range(t + 1))
+        if (adding_keeps and edges.isdisjoint(subset))
+        or is_connected(Graph(g.n, edges.symmetric_difference(subset)))
+    )
+
+
+def enumerate_ball(g: Graph, t: int, limit: int = BALL_GUARD) -> list[Graph]:
+    """Every connected graph within edit distance t of g (test oracle); a
+    ball over `limit` candidates, connected or not, is refused."""
+    return [Graph(g.n, g.edges.symmetric_difference(s)) for s in _connected_flips(g, t, limit)]
+
+
+# The bases `smoothing-test` and acceptance criterion 6 check the sampler on.
+UNIFORMITY_BASES = {name: NAMED_GRAPHS[name] for name in ("path", "star", "cycle")}
 
 
 def sampler_total_variation(g: Graph, t: int, samples: int, rng: Random) -> tuple[float, int]:
@@ -225,49 +230,33 @@ def sampler_total_variation(g: Graph, t: int, samples: int, rng: Random) -> tupl
 
 
 # ----------------------------------------------------------------------
-# hitting-rate calibration
+# hitting constant
 # ----------------------------------------------------------------------
 
 
-def measure_hitting_rate(
-    base: Graph,
-    target_pairs: list[tuple[int, int]],
-    params: SmoothingParams,
-    samples: int,
-    rng: Random,
-) -> Fraction:
-    """Fraction of smoothed outputs containing at least one target pair."""
-    targets = {(u, v) if u < v else (v, u) for u, v in target_pairs}
-    hits = 0
-    for _ in range(samples):
-        out = k_smooth(base, params, rng)
-        if targets & out.edges:
-            hits += 1
-    return Fraction(hits, samples)
-
-
-def calibrate_hitting_constant(
-    n: int,
-    k: Fraction,
-    samples: int,
-    rng: Random,
-) -> dict[int, Fraction]:
-    """Estimate c with hit-rate >= c * k * |S| / n^2 on a path graph.
-
-    Targets are non-adjacent pairs (never edges of the base path), taken in
-    a fixed spread; the map's values are the implied constants per target
-    size.  The configuration default should sit at or below the minimum.
-    """
-    if n < 4:
-        raise ValueError("calibration needs at least 4 nodes")
-    base = path_graph(n)
-    non_edges = [(i, j) for i in range(n) for j in range(i + 2, n)]
-    params = SmoothingParams(k=k)
-    sizes = sorted({1, max(1, n // 2), min(n, len(non_edges))})
-    out: dict[int, Fraction] = {}
-    for size in sizes:
-        targets = non_edges[:size]
-        rate = measure_hitting_rate(base, targets, params, samples, rng)
-        out[size] = rate * n * n / (k * size)
-    return out
-
+def exact_hitting_constants(base: Graph, k: Fraction) -> dict[int, Fraction]:
+    """The exact hitting constant c = P(hit) * n^2 / (k |S|) of `k_smooth`
+    around a connected `base`, per target size |S|: the worst single
+    non-edge (size 1), and the first n/2 and first n non-edges in
+    lexicographic order.  The floor(k)- and ceil(k)-balls (each within
+    `BALL_GUARD`; the 0-ball never hits) are mixed as `k_smooth` rounds k."""
+    k = Fraction(k)
+    if k <= 0:
+        raise ValueError("the hitting constant needs k > 0")
+    floor, frac = _split(k)
+    rounded = ((floor + 1, frac), (floor, 1 - frac))
+    balls = [(_connected_flips(base, t, BALL_GUARD), w) for t, w in rounded if t and w]
+    n = base.n
+    non_edges = [pair for pair in all_pairs(n) if pair not in base.edges]
+    targets = {size: frozenset(non_edges[:size]) for size in (n // 2, min(n, len(non_edges)))}
+    rate = Counter()  # hit probability per flipped pair and per target size
+    for ball, weight in balls:
+        held = Counter()  # a member holds a non-edge exactly when it flips it
+        for members, flips in enumerate(ball, 1):
+            held.update(flips)
+            held.update(size for size, target in targets.items() if not target.isdisjoint(flips))
+        for key, count in held.items():
+            rate[key] += weight * count / members
+    scale = n * n / k
+    worst = min(rate[pair] for pair in non_edges)
+    return {1: worst * scale} | {size: rate[size] * scale / size for size in targets}

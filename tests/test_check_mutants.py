@@ -1,9 +1,12 @@
-"""Every criterion-2 check kernel against two-sided rounds broken on purpose.
+"""Every check kernel against rounds broken on purpose.
 
 Each mutant is the deterministic round with one fault put in, played on a
 small scenario where the fault shows.  `check_round`, with the six checks
 criterion 2 runs, must fail exactly the kernels the mutant is aimed at,
-while the true round on the same scenario passes all six.
+while the true round on the same scenario passes all six.  The integral
+checks get line mutants: the `randMaxNeighbor` round on the n = 8
+`lineRamp` under the sorting line's first order, judged by the four
+checks criterion 3 runs, which the true round passes.
 
 A round that plays no pair fails two kernels at once, and no round fails
 `shiftLowerBound` alone: on a shortest path from a lightest to a heaviest
@@ -21,18 +24,23 @@ from random import Random
 
 import pytest
 
-from dynbal.algorithms import TwoSidedDeterministic
+from dynbal.algorithms import RandMaxNeighbor, TwoSidedDeterministic
 from dynbal.graphs import Graph, path_graph
-from dynbal.loads import MODE_CONTINUOUS, LoadState
+from dynbal.loads import MODE_CONTINUOUS, MODE_INTEGRAL, LoadState, line_ramp
 from dynbal.metrics import (
+    ALL_CHECKS,
     CHECK_CONSERVATION,
     CHECK_COVERING_EDGE,
+    CHECK_INTEGRALITY,
     CHECK_MATCHING_BUDGET,
     CHECK_POTENTIAL_DROP,
+    CHECK_PREFIX_MONOTONE,
     CHECK_SHIFT_LOWER_BOUND,
     CHECK_SPLIT_POTENTIAL,
+    KIND_MATCHING,
     KIND_TWO_SIDED,
     check_round,
+    prefix_sums,
     twice_shifted_load,
 )
 from dynbal.records import RoundOutcome, RoundTrace
@@ -140,9 +148,68 @@ def test_mutant_fails_its_kernels(name):
     assert report.failed() == kernels, report.witnesses
 
 
+CRITERION_3 = [CHECK_PREFIX_MONOTONE, CHECK_CONSERVATION, CHECK_INTEGRALITY, CHECK_MATCHING_BUDGET]
+LINE = tuple(range(8))  # the sorting line's first order
+RAMP = tuple(line_ramp(8))
+
+
+def true_line_round(loads):
+    alg = RandMaxNeighbor()
+    alg.start(loads, MODE_INTEGRAL, Random(0), k=0, tau=1, n=len(loads))
+    return alg.play_round(path_graph(len(loads)), loads)
+
+
+# Each line mutant plays from RAMP and returns the round it breaks: the
+# loads it started from and its outcome.
+
+
+def hands_back_shifted_loads(loads):
+    outcome = true_line_round(loads)
+    return loads, RoundOutcome(tuple(w << 1 for w in outcome.new_loads), outcome.matching, 1)
+
+
+def moves_a_unit_forward(loads):
+    # The check judges the loads a round starts from, so the broken round
+    # is the one after the move.  No pair is reported, so the line stays.
+    moved = list(loads)
+    moved[LINE[-1]] -= 1
+    moved[LINE[0]] += 1
+    return tuple(moved), true_line_round(tuple(moved))
+
+
+LINE_MUTANTS = {
+    "hands-back-shifted-loads": (hands_back_shifted_loads, [CHECK_INTEGRALITY]),
+    "moves-a-unit-forward": (moves_a_unit_forward, [CHECK_PREFIX_MONOTONE]),
+}
+
+
+def judge_on_line(loads, outcome):
+    return check_round(
+        LoadState(MODE_INTEGRAL, loads),
+        LoadState(MODE_INTEGRAL, outcome.new_loads, outcome.shift),
+        RoundTrace(1, path_graph(len(loads)), outcome.matching, twice_shifted_load(outcome.matching)),
+        algorithm_kind=KIND_MATCHING,
+        enabled=CRITERION_3,
+        line_order=LINE,
+        initial_prefix=tuple(prefix_sums(LINE, RAMP)),
+    )
+
+
+@pytest.mark.parametrize("name", LINE_MUTANTS)
+def test_line_mutant_fails_its_kernels(name):
+    mutant, kernels = LINE_MUTANTS[name]
+    assert judge_on_line(RAMP, true_line_round(RAMP)).ok
+    report = judge_on_line(*mutant(RAMP))
+    assert report.failed() == kernels, report.witnesses
+
+
 def test_every_kernel_but_split_potential_has_a_mutant():
-    killed = {kernel for *_, kernels in MUTANTS.values() for kernel in kernels}
-    assert set(CRITERION_2) - killed == {CHECK_SPLIT_POTENTIAL}
+    killed = {
+        kernel
+        for *_, kernels in [*MUTANTS.values(), *LINE_MUTANTS.values()]
+        for kernel in kernels
+    }
+    assert set(ALL_CHECKS) - killed == {CHECK_SPLIT_POTENTIAL}
 
 
 @pytest.mark.xfail(

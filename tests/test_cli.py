@@ -203,12 +203,12 @@ def test_smoothing_test_reports_tv(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["calibrate-c1", "3", "1", "10"],  # too few nodes for the targets
-        ["calibrate-c1", "8", "1", "0"],  # no samples to take a rate over
+        ["calibrate-c1", "3", "1"],  # too few nodes for the targets
         # k is parsed as a config's k is: a fraction or an exponent is refused.
-        ["calibrate-c1", "8", "1/3", "10"],
-        ["calibrate-c1", "8", "1e400", "10"],
+        ["calibrate-c1", "8", "1/3"],
+        ["calibrate-c1", "8", "1e400"],
         ["smoothing-test", "40", "6", "1"],  # a ball far above the guard
+        ["calibrate-c1", "40", "6"],
     ],
 )
 def test_diagnostic_argument_errors_exit_one(argv, capsys):
@@ -219,10 +219,19 @@ def test_diagnostic_argument_errors_exit_one(argv, capsys):
 
 
 def test_calibrate_c1_reports_constants(capsys):
-    assert main(["calibrate-c1", "8", "1", "500", "--seed", "2"]) == 0
+    assert main(["calibrate-c1", "8", "1"]) == 0
     out = capsys.readouterr().out
-    assert "targets=1:" in out
-    assert "suggested_c1:" in out
+    assert "targets=1: c=32/11 (2.909)" in out
+    assert "suggested_c1: 32/11 (2.909;" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["calibrate-c1", "8", "1", "500"], ["calibrate-c1", "8", "1", "--seed", "2"]]
+)
+def test_calibrate_c1_takes_no_samples(argv, capsys):
+    # The constants are exact: there is no sample count or seed to set.
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_fast_prints_battery(tmp_path, capsys):

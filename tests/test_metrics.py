@@ -16,6 +16,7 @@ from dynbal.metrics import (
     CHECK_MATCHING_BUDGET,
     CHECK_POTENTIAL_DROP,
     CHECK_PREFIX_MONOTONE,
+    CHECK_SHIFT_LOWER_BOUND,
     CHECK_SPLIT_POTENTIAL,
     KIND_MATCHING,
     KIND_TWO_SIDED,
@@ -451,6 +452,18 @@ def test_records_keep_verdicts_over_tuples_only():
     # A record over a tuple holds that very tuple.
     ramp = (1, 2)
     assert LoadState("integral", ramp).loads is ramp
+
+
+def test_shift_bound_reads_the_kept_gap():
+    # A record built outside the engine has no gap yet: the check derives
+    # it and keeps it.  A record the engine committed carries its gap.
+    kwargs = dict(algorithm_kind=KIND_TWO_SIDED, enabled=[CHECK_SHIFT_LOWER_BOUND])
+    state = LoadState("integral", (0, 8))
+    report = check_round(state, state, _trace([], d_r=0), **kwargs)
+    assert report.witnesses[CHECK_SHIFT_LOWER_BOUND] == {"d_r": "0", "max_gap": "8"}
+    assert state.gap == 8
+    kept = LoadState("integral", (0, 8), gap=0)
+    assert check_round(kept, kept, _trace([], d_r=0), **kwargs).ok
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,11 @@ from dynbal.smoothing import (
     DEFAULT_C1,
     DEFAULT_MAX_REJECTIONS,
     RejectionBudgetExceeded,
+    UNIFORMITY_BASES,
     SmoothingParams,
-    calibrate_hitting_constant,
     enumerate_ball,
+    exact_hitting_constants,
     k_smooth,
-    measure_hitting_rate,
     t_smooth,
 )
 from dynbal.smoothing import _randbelow, _round_up, _sample_range, _unrank_pair
@@ -332,27 +332,8 @@ def test_sampler_keeps_no_table_of_pairs():
 # ----------------------------------------------------------------------
 
 
-def exact_hitting_constants(base, t):
-    """The exact constant c = P(hit) * n^2 / (t |S|) of the uniform t-ball
-    around `base`, per target size: the worst single non-edge (size 1), and
-    the first n/2 and n non-edges in lexicographic order, the spread
-    `calibrate_hitting_constant` takes (on a path, its very targets)."""
-    n = base.n
-    ball = enumerate_ball(base, t)
-    non_edges = [pair for pair in all_pairs(n) if pair not in base.edges]
-    held = Counter(pair for g in ball for pair in g.edges)
-    out = {1: Fraction(min(held[pair] for pair in non_edges), len(ball)) * n * n / t}
-    for size in (n // 2, min(n, len(non_edges))):
-        targets = set(non_edges[:size])
-        hits = sum(1 for g in ball if targets & g.edges)
-        out[size] = Fraction(hits, len(ball)) * n * n / (t * size)
-    return out
-
-
 HITTING_BASES = {
-    "path": path_graph,
-    "star": star_graph,
-    "cycle": cycle_graph,
+    **UNIFORMITY_BASES,
     "randomConnected-1": lambda n: random_connected_graph(n, Fraction(1, 10), Random(1)),
     "randomConnected-2": lambda n: random_connected_graph(n, Fraction(1, 10), Random(2)),
 }
@@ -390,30 +371,77 @@ def test_default_hitting_constant_holds_exactly(shape, n, t):
 def test_hitting_rate_beats_configured_constant():
     # n=8 path, k=1: the ball has 22 members, 21 chord-additions plus the
     # base, so a single chord target is hit 1/22 > 2/64 of the time.
-    rate = measure_hitting_rate(
-        path_graph(8),
-        [(0, 2)],
-        SmoothingParams(k=Fraction(1)),
-        samples=20_000,
-        rng=Random(23),
-    )
-    assert rate >= DEFAULT_C1 * 1 * 1 / Fraction(64)
+    assert exact_hitting_constants(path_graph(8), Fraction(1))[1] >= DEFAULT_C1
 
 
 def test_hitting_rate_scales_with_target_size():
-    params = SmoothingParams(k=Fraction(1))
-    targets = [(0, 2), (0, 3), (1, 3), (2, 4)]
-    rate = measure_hitting_rate(path_graph(8), targets, params, 20_000, Random(29))
-    assert rate >= DEFAULT_C1 * 1 * len(targets) / Fraction(64)
+    # The first four chords are hit 4/22 >= 2 * 4/64 of the time.
+    assert exact_hitting_constants(path_graph(8), Fraction(1))[4] >= DEFAULT_C1
 
 
 def test_calibration_reports_constants_above_default():
-    measured = calibrate_hitting_constant(16, Fraction(1), samples=4000, rng=Random(31))
-    assert measured
-    assert all(c > 0 for c in measured.values())
-    # Sampling noise allowed for, every estimate should clear the shipped
-    # default comfortably.
-    assert min(measured.values()) > Fraction(6, 5)
+    # The value the README quotes for `dynbal calibrate-c1 16 1`.
+    constants = exact_hitting_constants(path_graph(16), Fraction(1))
+    assert constants == dict.fromkeys((1, 8, 16), Fraction(128, 53))
+    assert min(constants.values()) > Fraction(6, 5)
+
+
+@pytest.mark.parametrize("shape", HITTING_BASES)
+def test_hitting_constants_count_the_enumerated_ball(shape):
+    # At t = 2, against a plain count over `enumerate_ball`: the share of
+    # members holding a target, scaled by n^2 / (t |S|).
+    base, t = HITTING_BASES[shape](7), 2
+    ball = enumerate_ball(base, t)
+    non_edges = [pair for pair in all_pairs(7) if pair not in base.edges]
+    held = Counter(pair for g in ball for pair in g.edges)
+    expected = {1: Fraction(min(held[pair] for pair in non_edges), len(ball)) * 49 / t}
+    for size in (3, 7):
+        hits = sum(1 for g in ball if set(non_edges[:size]) & g.edges)
+        expected[size] = Fraction(hits, len(ball)) * 49 / (t * size)
+    assert exact_hitting_constants(base, Fraction(t)) == expected
+
+
+def hit_rates(base, k):
+    """The hit probabilities behind `exact_hitting_constants`, per size."""
+    n = base.n
+    return {size: c * k * size / (n * n) for size, c in exact_hitting_constants(base, k).items()}
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_hitting_constants_match_closed_forms(n):
+    pairs = n * (n - 1) // 2
+    # At t = 1 every member but the base flips one pair, and removing an
+    # edge disconnects a path or a star but not a cycle.
+    for build, expected in (
+        (path_graph, Fraction(n * n, pairs - n + 2)),
+        (star_graph, Fraction(n * n, pairs - n + 2)),
+        (cycle_graph, Fraction(2 * n * n, n * n - n + 2)),
+    ):
+        assert set(exact_hitting_constants(build(n), Fraction(1)).values()) == {expected}
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("shape, build", UNIFORMITY_BASES.items())
+def test_fractional_amounts_mix_the_neighbouring_balls(shape, build, n):
+    base = build(n)
+    # The 0-ball is the base itself and never hits a non-edge.
+    assert exact_hitting_constants(base, Fraction(1, 2)) == exact_hitting_constants(
+        base, Fraction(1)
+    )
+    # k = 3/2 draws the 1-ball and the 2-ball half the time each.  Every
+    # non-edge is hit equally often at t = 1, so the worst single non-edge
+    # of the mix is the mix of the worst ones.
+    one, two = hit_rates(base, Fraction(1)), hit_rates(base, Fraction(2))
+    assert hit_rates(base, Fraction(3, 2)) == {size: (one[size] + two[size]) / 2 for size in one}
+
+
+def test_hitting_constants_refuse_a_ball_over_the_guard():
+    with pytest.raises(ValueError, match="guard"):
+        exact_hitting_constants(path_graph(40), Fraction(6))
+    # k = 7/2 on the 16-path: the 3-ball (288,101 candidates) is within the
+    # guard, the 4-ball (over 8.2 million) is not, and it is checked too.
+    with pytest.raises(ValueError, match="guard"):
+        exact_hitting_constants(path_graph(16), Fraction(7, 2))
 
 
 def test_params_validation():
