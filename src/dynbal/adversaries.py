@@ -6,12 +6,13 @@ policies cover the scenarios the test-bed ships: fixed topologies, loads
 re-sorted onto a line, the sorting-line adversary that keeps every balanced
 pair in ascending order, and uniformly random connected graphs.
 
-A random connected graph draws its extra-edge coins as rng.randrange(den)
-would, but in batches.  CPython's getrandbits(k) for k <= 32 returns the
-top k bits of one 32-bit generator word, and getrandbits(32*m) returns m
-words with the first drawn as the least significant; so for den < 256 one
-call holds the next m single draws, each in its word's top byte.  The
-mask keeps canonical pairs in lexicographic order, assembled unchecked.
+A random connected graph draws its Pruefer sequence and its extra-edge
+coins as rng.randrange would, but in batches.  CPython's getrandbits(k) for
+k <= 32 returns the top k bits of one 32-bit generator word, and
+getrandbits(32*m) returns m words with the first drawn as the least
+significant; so for a bound below 256 one call holds the next m single
+draws, each in its word's top byte.  The graph stays the pair mask it is
+drawn as, connected without a walk because a tree spans every node.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
-from itertools import combinations, compress
 from random import Random
 from typing import Optional, Sequence
 
-from .graphs import NAMED_GRAPHS, Graph, graph_from_sorted_pairs, is_connected, line_of
+from .graphs import NAMED_GRAPHS, Graph, is_connected, line_of
 from .loads import LoadState
 
 
@@ -206,84 +205,69 @@ def random_connected_graph(n: int, extra_edge_prob: Fraction, rng: Random) -> Gr
     # One coin per non-tree pair in lexicographic order, each drawn as
     # rng.randrange(den) < num would draw it; then a 1 at every tree pair.
     count = n * (n - 1) // 2 - len(tree)
-    mask = _extra_edge_coins(count, prob, rng) if prob else bytearray(count)
+    mask = _draws_below(rng, prob.denominator, count, prob.numerator) if prob else bytearray(count)
     for i in sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree):
         mask.insert(i, 1)
-    return graph_from_sorted_pairs(n, list(compress(_pairs(n), mask)))
+    return Graph.from_mask(n, mask, connected=True)
 
 
-@lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Every canonical pair of n nodes, in lexicographic order."""
-    return tuple(combinations(range(n), 2))
-
-
-def _extra_edge_coins(count: int, prob: Fraction, rng: Random) -> bytearray:
-    """`count` coins, each 1 with probability `prob`: the draws of
-    rng.randrange(den) < num, through the same getrandbits rejection loop
-    as CPython's Random._randbelow_with_getrandbits."""
-    num, den = prob.numerator, prob.denominator
-    bits = den.bit_length()
+def _draws_below(rng: Random, bound: int, count: int, num: Optional[int] = None):
+    """`count` draws of rng.randrange(bound), or with `num` the coins
+    rng.randrange(bound) < num as a bytearray, through the same getrandbits
+    rejection loop as CPython's Random._randbelow_with_getrandbits."""
     getrandbits = rng.getrandbits
-    coins = bytearray()
-    if bits > 8:
-        # Per-draw loop; no extraEdgeProb the repository uses has a
-        # denominator above 255, so this path is kept simple, not fast.
+    if bound >= 256:
+        # Per-draw loop (Pruefer draws from n = 256, coin denominators
+        # from 256): kept simple, not fast.
+        bits = bound.bit_length()
+        draws = []
         for _ in range(count):
             r = getrandbits(bits)
-            while r >= den:
+            while r >= bound:
                 r = getrandbits(bits)
-            coins.append(r < num)
-    else:
-        # Top bytes of the words (see the module docstring), rejected ones
-        # dropped.  A word gives at most one coin, so asking for exactly the
-        # missing number never draws past what the per-draw loop would.
-        table, rejected = _coin_table(num, den)
-        while len(coins) < count:
-            want = count - len(coins)
-            words = getrandbits(32 * want).to_bytes(4 * want, "little")[3::4]
-            coins += words.translate(table, rejected)
-    return coins
+            draws.append(r)
+        return draws if num is None else bytearray(r < num for r in draws)
+    # Top bytes of the words (see the module docstring), rejected ones
+    # dropped.  A word gives at most one draw, so asking for exactly the
+    # missing number never draws past what the per-draw loop would.
+    table, rejected = _top_byte_table(bound, num)
+    draws = bytearray()
+    while len(draws) < count:
+        want = count - len(draws)
+        words = getrandbits(32 * want).to_bytes(4 * want, "little")[3::4]
+        draws += words.translate(table, rejected)
+    return draws
 
 
 @lru_cache(maxsize=None)
-def _coin_table(num: int, den: int) -> tuple[bytes, bytes]:
-    """Top-byte translation table to coins, and the top bytes rejected."""
-    shift = 8 - den.bit_length()
-    table = bytes(int(b >> shift < num) for b in range(256))
-    rejected = bytes(b for b in range(256) if b >> shift >= den)
-    return table, rejected
+def _top_byte_table(bound: int, num: Optional[int]) -> tuple[bytes, bytes]:
+    """Translation of a word's top byte to its draw below `bound` (to the
+    coin draw < num when `num` is given), and the top bytes rejected."""
+    shift = 8 - bound.bit_length()
+    table = bytes(b >> shift if num is None else b >> shift < num for b in range(256))
+    return table, bytes(range(bound << shift, 256))
 
 
 def _random_tree_edges(n: int, rng: Random) -> list[tuple[int, int]]:
-    """Uniform random labelled tree (decoded from a random Pruefer sequence)."""
+    """Uniform random labelled tree, decoded from a random Pruefer sequence
+    in linear time: the smallest leaf is the one behind the scan pointer
+    that the last step freed, else the next leaf ahead of the pointer."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
-    # rng.randrange(n) per entry, through the same getrandbits rejection
-    # loop as CPython's Random._randbelow_with_getrandbits.
-    getrandbits, bits = rng.getrandbits, n.bit_length()
-    seq = []
-    for _ in range(n - 2):
-        v = getrandbits(bits)
-        while v >= n:
-            v = getrandbits(bits)
-        seq.append(v)
+    seq = _draws_below(rng, n, n - 2)
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapify(leaves)
+    leaf = scan = degree.index(1)
     edges = []
     for v in seq:
-        leaf = heappop(leaves)
         edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[v] -= 1
-        if degree[v] == 1:
-            heappush(leaves, v)
-    u, w = heappop(leaves), heappop(leaves)
-    edges.append((u, w) if u < w else (w, u))
+        if degree[v] == 1 and v < scan:
+            leaf = v
+        else:
+            leaf = scan = degree.index(1, scan + 1)
+    edges.append((leaf, n - 1))
     return edges
 
 

@@ -318,6 +318,7 @@ def run_trial(
         base_graph = next_graph(ctx)
         if base_graph.n != n:
             raise EngineError("adversary changed the node count")
+        # Every round; a random connected graph answers from its tree's flag.
         if not is_connected(base_graph):
             raise EngineError("adversary produced a disconnected graph")
 

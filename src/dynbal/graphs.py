@@ -6,13 +6,17 @@ table and a lazily computed connectivity flag.  Graphs are immutable, so
 `is_connected` walks a given graph at most once; an adversary that hands
 back the same object round after round is validated once.
 
+A random graph stays the pair mask it is drawn as (`Graph.from_mask`):
+`has_edge` reads the mask, and the edge set and rows are built from it when
+first read, so a round that never reads its graph never builds it.
+
 The smoothing sampler builds its graphs as deltas of the adversary's graph:
 `toggled_adjacency` patches the base adjacency for the flipped pairs only,
 `edge_set_connected` decides the patched graph's connectivity, and
 `Graph.toggled` assembles the accepted graph from those parts without
 re-canonicalising or re-sorting anything.  A toggled graph keeps its `base`
-and its `flips`, the canonical flipped pairs, and builds its edge set only
-when `edges` is first read; the drivers' rounds read adjacency rows only.
+and its `flips`, the canonical flipped pairs, and builds its edge set (and
+its rows, if the sampler did not patch them) only when first read.
 Adding edges never disconnects a graph, so a patch that only adds edges to
 a connected base is connected without a walk; the walk runs only when a
 flip removes an edge or the base itself is disconnected.  Connectivity and
@@ -23,15 +27,17 @@ on.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from typing import Iterable, Sequence
 
 
 class Graph:
     """An immutable simple graph; edges are stored as (min, max) pairs.
-    A graph from `Graph.toggled` is `base` with the pairs `flips` flipped."""
+    A graph from `Graph.toggled` is `base` with the pairs `flips` flipped;
+    one from `Graph.from_mask` keeps its pair mask."""
 
-    __slots__ = ("n", "_edges", "_adj", "_connected", "base", "flips")
+    __slots__ = ("n", "_edges", "_adj", "_connected", "base", "flips", "_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -45,32 +51,53 @@ class Graph:
             canon.add((u, v) if u < v else (v, u))
         self._set(n, frozenset(canon), None, None)
 
-    def _set(self, n, edges, adj, connected, base=None, flips=()) -> Graph:
+    def _set(self, n, edges, adj, connected, base=None, flips=(), mask=None) -> Graph:
         """Fill every slot from parts the caller vouches for: canonical
-        `edges` (None to derive them from `base` and `flips`), the sorted
-        adjacency or None, and the connectivity flag or None."""
+        `edges` (None to derive them from `mask` or `base` and `flips`),
+        the sorted adjacency or None, and the connectivity flag or None."""
         self.n, self._edges, self._adj, self._connected = n, edges, adj, connected
-        self.base, self.flips = base, flips
+        self.base, self.flips, self._mask = base, flips, mask
         return self
 
     @classmethod
     def toggled(cls, base: Graph, pairs, adj) -> Graph:
-        """`base` with the distinct canonical `pairs` flipped, assembled from
-        parts the caller already holds: `adj` is the flipped graph's sorted
-        adjacency (see `toggled_adjacency`), which the caller has found
-        connected, so the result records that without another walk."""
+        """`base` with the distinct canonical `pairs` flipped, which the
+        caller has found connected, so the result records that without
+        another walk.  `adj` is the flipped graph's sorted adjacency (see
+        `toggled_adjacency`), or None to patch it when first read."""
         return cls.__new__(cls)._set(base.n, None, adj, True, base, tuple(pairs))
+
+    @classmethod
+    def from_mask(cls, n: int, mask: bytes, connected=None) -> Graph:
+        """The graph on n nodes with an edge at each canonical pair, in
+        lexicographic order, where `mask` holds a 1 (else 0); `connected`
+        is its connectivity flag when the caller knows it."""
+        return cls.__new__(cls)._set(n, None, None, connected, mask=mask)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether the canonical pair (u, v), u < v, is an edge."""
+        if self._mask is None:
+            return (u, v) in self.edges
+        return self._mask[u * (2 * self.n - u - 1) // 2 + v - u - 1] == 1
 
     @property
     def edges(self) -> frozenset:
         if self._edges is None:
-            self._edges = self.base.edges.symmetric_difference(self.flips)
+            if self._mask is None:
+                self._edges = self.base.edges.symmetric_difference(self.flips)
+            else:
+                self._edges = frozenset(compress(_pairs(self.n), self._mask))
         return self._edges
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
-            self._adj = _sorted_rows(self.n, sorted(self.edges))
+            if self.base is not None:
+                self._adj = toggled_adjacency(self.base, self.flips)[0]
+            elif self._mask is not None:
+                self._adj = _sorted_rows(self.n, compress(_pairs(self.n), self._mask))
+            else:
+                self._adj = _sorted_rows(self.n, sorted(self.edges))
         return self._adj
 
     def __eq__(self, other):
@@ -98,11 +125,10 @@ def toggled_adjacency(base: Graph, pairs) -> tuple[tuple[tuple[int, ...], ...], 
     row is shared with `base.adj`.
     """
     base_adj = base.adj
-    edges = base.edges
     rows: dict[int, list[int]] = {}
     removes = False
     for u, v in pairs:
-        present = (u, v) in edges
+        present = v in base_adj[u]
         removes = removes or present
         for a, b in ((u, v), (v, u)):
             row = rows.get(a)
@@ -123,8 +149,9 @@ def edge_set_connected(base: Graph, adj, removes_edge: bool) -> bool:
     graph's adjacency and whether a flip removed an edge of `base`.
 
     Adding edges cannot disconnect a graph, so when no flip removed an edge
-    a connected base answers without a walk.  The sampler calls this once
-    per proposal that flips a pair; the benchmark counts proposals by it.
+    a connected base answers without a walk, and `adj` may then be None.
+    The sampler calls this once per proposal that flips a pair; the
+    benchmark counts proposals by it.
     """
     return (not removes_edge and is_connected(base)) or _reaches_all(adj)
 
@@ -175,6 +202,12 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every canonical pair of n nodes, in lexicographic order."""
+    return tuple(combinations(range(n), 2))
+
+
 def _sorted_rows(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     """Adjacency rows of distinct canonical pairs in lexicographic order; a
     row gets its lower neighbours first, each list in order, so it is sorted."""
@@ -183,12 +216,6 @@ def _sorted_rows(n: int, pairs) -> tuple[tuple[int, ...], ...]:
         rows[u].append(v)
         rows[v].append(u)
     return tuple(map(tuple, rows))
-
-
-def graph_from_sorted_pairs(n: int, pairs: list) -> Graph:
-    """`Graph(n, pairs)` for a list of distinct canonical pairs in
-    lexicographic order, built without checking or sorting them again."""
-    return Graph.__new__(Graph)._set(n, frozenset(pairs), _sorted_rows(n, pairs), None)
 
 
 def path_graph(n: int) -> Graph:

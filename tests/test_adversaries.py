@@ -17,7 +17,7 @@ from dynbal.adversaries import (
     random_connected_graph,
     sorting_line_postprocess,
 )
-from dynbal.graphs import is_connected, line_of, star_graph
+from dynbal.graphs import Graph, is_connected, line_of, star_graph
 from dynbal.loads import LoadState
 from oracles import randrange_connected_graph
 
@@ -312,15 +312,18 @@ def test_a_line_that_does_not_ascend_is_scanned_every_round(monkeypatch):
 def test_random_connected_is_always_connected(n, seed):
     g = random_connected_graph(n, Fraction(1, 10), Random(seed))
     assert g.n == n
-    assert is_connected(g)
+    # Walked through the checked constructor: `is_connected(g)` would read
+    # the flag the construction sets.
+    assert is_connected(Graph(n, g.edges))
     assert len(g.edges) >= n - 1
 
 
 def test_random_tree_has_exactly_n_minus_one_edges():
-    for seed in range(20):
-        g = random_connected_graph(9, Fraction(0), Random(seed))
-        assert len(g.edges) == 8
-        assert is_connected(g)
+    for n, seeds in ((9, 20), (64, 5), (130, 5)):
+        for seed in range(seeds):
+            g = random_connected_graph(n, Fraction(0), Random(seed))
+            assert len(g.edges) == n - 1
+            assert is_connected(Graph(n, g.edges))
 
 
 def test_random_connected_is_seed_deterministic():
@@ -351,6 +354,18 @@ def test_random_connected_is_seed_deterministic():
 )
 def test_random_connected_draws_match_randrange(n, prob):
     for seed in range(10):
+        rng, reference = Random(seed), Random(seed)
+        graph = random_connected_graph(n, prob, rng)
+        assert graph.edges == randrange_connected_graph(n, prob, reference).edges
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", [128, 255, 256, 257])
+@pytest.mark.parametrize("prob", [Fraction(0), Fraction(1, 10)])
+def test_random_connected_draws_match_randrange_at_the_byte_bound(n, prob):
+    """The Pruefer draws below n come in batches up to n = 255 and one at a
+    time from n = 256."""
+    for seed in range(3):
         rng, reference = Random(seed), Random(seed)
         graph = random_connected_graph(n, prob, rng)
         assert graph.edges == randrange_connected_graph(n, prob, reference).edges

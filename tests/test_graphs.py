@@ -12,7 +12,6 @@ from dynbal.graphs import (
     complete_graph,
     cycle_graph,
     edge_set_connected,
-    graph_from_sorted_pairs,
     is_connected,
     line_of,
     nodes_within,
@@ -90,6 +89,8 @@ def test_toggled_edges_are_built_on_first_read(n, data):
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 @pytest.mark.parametrize("mask", ["empty", "sparse", "complete"])
 def test_graph_from_sorted_pairs_equals_checked_constructor(n, mask):
+    """A graph kept as the mask of its sorted pairs builds what the checked
+    constructor builds, and its membership test reads the mask."""
     npairs = n * (n - 1) // 2
     rng = Random(n)
     bits = {
@@ -98,11 +99,29 @@ def test_graph_from_sorted_pairs_equals_checked_constructor(n, mask):
         "complete": [1] * npairs,
     }[mask]
     pairs = list(compress(combinations(range(n), 2), bits))
-    g = graph_from_sorted_pairs(n, pairs)
+    g = Graph.from_mask(n, bytes(bits))
     checked = Graph(n, pairs)
+    assert (g._edges, g._adj, g._connected) == (None, None, None)
+    assert [g.has_edge(u, v) for u, v in all_pairs(n)] == [bool(b) for b in bits]
+    assert (g._edges, g._adj) == (None, None)
     assert g.edges == checked.edges and g.adj == checked.adj
+    assert g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
     assert (g.base, g.flips) == (None, ())
     assert is_connected(g) == is_connected(checked)
+    for u, v in all_pairs(n):
+        assert checked.has_edge(u, v) == ((u, v) in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_lazily_toggled_rows_equal_toggled_adjacency(n, data):
+    pairs = all_pairs(n)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    base = Graph.from_mask(n, bytes(bits))
+    flips = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = Graph.toggled(base, flips, None)
+    assert g._adj is None
+    assert g.adj == toggled_adjacency(base, flips)[0] == Graph(n, base.edges ^ set(flips)).adj
 
 
 def test_connectivity_is_cached_per_graph():

@@ -259,10 +259,16 @@ def _draw(sampler, g, t, rng, max_rejections):
     st.integers(0, 10**9),
     st.sampled_from([1, 2, 3, DEFAULT_MAX_REJECTIONS]),
     st.booleans(),
+    st.booleans(),
 )
-def test_delta_sampler_matches_rebuild_sampler(base_and_t, seed, max_rejections, prechecked):
+def test_delta_sampler_matches_rebuild_sampler(base_and_t, seed, max_rejections, prechecked, masked):
     base, t = base_and_t
-    if prechecked:
+    if masked:
+        # The base kept as its pair mask with its rows unbuilt; prechecked,
+        # it knows its connectivity as a random connected graph does.
+        known = is_connected(Graph(base.n, base.edges)) if prechecked else None
+        base = Graph.from_mask(base.n, bytes(p in base.edges for p in all_pairs(base.n)), known)
+    elif prechecked:
         is_connected(base)  # the engine validates the base before smoothing
     rng, reference = Random(seed), Random(seed)
     out = _draw(t_smooth, base, t, rng, max_rejections)
@@ -275,6 +281,28 @@ def test_delta_sampler_matches_rebuild_sampler(base_and_t, seed, max_rejections,
     fresh = Graph(out.n, out.edges)
     assert out.adj == fresh.adj
     assert is_connected(out) == _walk_connected(fresh)
+
+
+def test_an_adding_flip_leaves_a_mask_backed_base_unbuilt():
+    """t_smooth builds a random connected graph's rows only for the walk of
+    a proposal that removes one of its edges: a proposal that only adds
+    edges is accepted with the base's rows and its own still unbuilt."""
+    pairs = all_pairs(16)
+    unbuilt = 0
+    for seed in range(40):
+        base = random_connected_graph(16, Fraction(0), Random(seed))  # a tree
+        out = t_smooth(base, 1, Random(seed))
+        # Replay the proposals: flipping a tree edge disconnects, so it is
+        # walked and rejected; the first other flip (or none) is accepted.
+        replay, removed = Random(seed), False
+        while replay.randrange(len(pairs) + 1):
+            if pairs[replay.sample(range(len(pairs)), 1)[0]] not in base.edges:
+                break
+            removed = True
+        assert (base._adj is not None) == (out._adj is not None) == removed
+        unbuilt += not removed
+        assert out.adj == Graph(16, out.edges).adj
+    assert unbuilt > 20
 
 
 # Around both set-size boundaries of Random.sample (21, and 85 for six to
