@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from .graphs import NAMED_GRAPHS, Graph, is_connected, line_of
 from .loads import LoadState
+from .smoothing import _randbelow
 
 
 @dataclass(slots=True)
@@ -219,13 +220,7 @@ def _draws_below(rng: Random, bound: int, count: int, num: Optional[int] = None)
     if bound >= 256:
         # Per-draw loop (Pruefer draws from n = 256, coin denominators
         # from 256): kept simple, not fast.
-        bits = bound.bit_length()
-        draws = []
-        for _ in range(count):
-            r = getrandbits(bits)
-            while r >= bound:
-                r = getrandbits(bits)
-            draws.append(r)
+        draws = [_randbelow(getrandbits, bound) for _ in range(count)]
         return draws if num is None else bytearray(r < num for r in draws)
     # Top bytes of the words (see the module docstring), rejected ones
     # dropped.  A word gives at most one draw, so asking for exactly the

@@ -15,7 +15,6 @@ from .drivers import (
 from .gapreduce import (
     GapReduce,
     GaplessGapReduce,
-    flood_min_max_round,
     gap_reduce_round_budget,
     gapless_round_budget,
 )

@@ -1,10 +1,21 @@
-"""One gap-reduction call: flood the extremes, then pair light with heavy.
+"""One gap-reduction call: learn the extremes, then pair light with heavy.
 
 The call opens with n flooding rounds in which every node forwards the
-smallest and largest load it has heard of; on a graph that is connected
-every round this reaches everyone.  With the frozen extremes m and M and
-the spread psi = M - m, a node is light when w < m + psi/4 and heavy when
-w > M - psi/4.  For the main rounds each light node proposes to its
+smallest and largest load it has heard of.  Lemma: if every round's graph
+is connected, each round adds at least one node to the set that knows an
+extreme, so after n - 1 rounds every table holds the (min, max) of the
+loads the call started on; flooding moves no load, so those are its loads
+throughout.  The premise is the engine's per-round `is_connected` check,
+which refuses a disconnected adversary graph with `EngineError`, and the
+smoothing sampler draws only connected graphs.  So `start` reads the
+extremes m and M off its loads, and a flooding round only counts down and
+never reads its graph (`tests/oracles.py` simulates the tables to check the
+lemma).  The n rounds are still played because each one draws its graph:
+the adversary and the smoothing sampler advance their random streams as the
+paper's call does, so every later draw stays the same.
+
+With the spread psi = M - m, a node is light when w < m + psi/4 and heavy
+when w > M - psi/4.  For the main rounds each light node proposes to its
 heaviest neighbor provided that neighbor is heavy; each heavy node accepts
 its lightest proposer, the one with the widest gap; the pair splits its
 total with the floor going to the light node.  Thresholds never move within
@@ -23,10 +34,6 @@ never move within it; a memo miss runs the passes above.  For the same
 reason the idle test is decided once per committed tuple (`_busy`), so a
 round that moved no load skips the scan of its extremes.  A finished call
 skips every round it is offered; drivers.py reads its `is_done`.
-
-Flooding stops computing at its fixed point: once every node's table holds
-the same (min, max), no graph can change them, so the remaining flooding
-rounds only count down (the sampler still draws their graphs).
 """
 
 from __future__ import annotations
@@ -81,22 +88,6 @@ def gapless_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> int:
     return max(0, ceil(rounds))
 
 
-def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tuple[int, int]]:
-    """Each node absorbs the (min, max) knowledge of itself and its neighbors."""
-    adj = graph.adj
-    out = []
-    for u in range(graph.n):
-        lo, hi = tables[u]
-        for v in adj[u]:
-            nlo, nhi = tables[v]
-            if nlo < lo:
-                lo = nlo
-            if nhi > hi:
-                hi = nhi
-        out.append((lo, hi))
-    return out
-
-
 class ProposalMemo(BalancingAlgorithm):
     """Remembers offers, each of which reads only its node's adjacency row
     and the loads.  The key is the base graph a smoothed graph was flipped
@@ -143,16 +134,16 @@ class GapReduce(ProposalMemo):
         self.k = Fraction(k)
         total = sum(loads)
         self._main_budget = gap_reduce_round_budget(n, total, self.c1, self.k)
+        # Where flooding ends (see the module docstring).
+        self.low, self.high = min(loads), max(loads)
+        self.psi = self.high - self.low
         # A spread below 2 cannot be narrowed by integral averaging: the
         # whole call is a no-op and is skipped outright.
-        if not loads or max(loads) - min(loads) < 2:
+        if self.psi < 2:
             self._flood_left = self._main_left = 0
             return
         self._flood_left = n
         self._main_left = self._main_budget
-        self.tables = [(w, w) for w in loads]
-        self._flooded = False
-        self.low = self.high = self.psi = None
 
     def planned_rounds(self):
         return self.n + self._main_budget
@@ -168,16 +159,7 @@ class GapReduce(ProposalMemo):
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         if self._flood_left > 0:
-            if not self._flooded:
-                tables = self.tables = flood_min_max_round(self.tables, graph)
-                self._flooded = tables.count(tables[0]) == len(tables)
             self._flood_left -= 1
-            if self._flood_left == 0:
-                first = self.tables[0]
-                if any(t != first for t in self.tables):
-                    raise AssertionError("flooding did not converge on a connected graph")
-                self.low, self.high = first
-                self.psi = self.high - self.low
             return RoundOutcome(new_loads=loads)
 
         matching = accept_offers(self._offers(graph, loads))

@@ -319,6 +319,8 @@ def run_trial(
         if base_graph.n != n:
             raise EngineError("adversary changed the node count")
         # Every round; a random connected graph answers from its tree's flag.
+        # Also the premise of the flooding lemma that gap reduction reads its
+        # thresholds by (algorithms/gapreduce.py).
         if not is_connected(base_graph):
             raise EngineError("adversary produced a disconnected graph")
 

@@ -10,6 +10,10 @@
 * A gap-reduction round's acceptance as each target choosing its lightest
   proposer: the calls accept the widest gap through the shared kernel and
   must give the same loads and matching.
+* One flooding round of a gap-reduction call, each node taking the
+  (min, max) of its own and its neighbors' tables: the call reads its
+  thresholds off the loads it starts on, and on connected graphs n - 1 of
+  these rounds must agree with them.
 * The edit distance between two graphs on the same nodes, which bounds
   what the smoothing sampler may change.
 * A random connected graph drawn one `rng.randrange` call at a time:
@@ -161,6 +165,22 @@ def accept_lightest(loads, proposals: dict[int, int], senders_accept: bool = Tru
         new_loads[u], new_loads[v] = low, high
         moved = moved or low != loads[u]
     return RoundOutcome(new_loads=tuple(new_loads) if moved else loads, matching=matching)
+
+
+def flood_min_max_round(tables: list[tuple[int, int]], graph: Graph) -> list[tuple[int, int]]:
+    """Each node absorbs the (min, max) knowledge of itself and its neighbors."""
+    adj = graph.adj
+    out = []
+    for u in range(graph.n):
+        lo, hi = tables[u]
+        for v in adj[u]:
+            nlo, nhi = tables[v]
+            if nlo < lo:
+                lo = nlo
+            if nhi > hi:
+                hi = nhi
+        out.append((lo, hi))
+    return out
 
 
 def hamming_distance(g1: Graph, g2: Graph) -> int:

@@ -6,19 +6,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbal.adversaries import random_connected_graph
 from dynbal.algorithms import (
     GapReduce,
     GaplessGapReduce,
-    flood_min_max_round,
     gap_reduce_round_budget,
     gapless_round_budget,
 )
-from dynbal.algorithms import gapreduce
 from dynbal.algorithms.base import accept_offers, heaviest_neighbor, split_pairs
-from dynbal.graphs import Graph, all_pairs, line_of, path_graph, toggled_adjacency
+from dynbal.graphs import Graph, all_pairs, is_connected, line_of, path_graph, toggled_adjacency
 from dynbal.loads import total_load
 from dynbal.smoothing import DEFAULT_C1, t_smooth
-from oracles import accept_lightest
+from oracles import accept_lightest, flood_min_max_round
 from strategies import connected_graphs
 
 
@@ -41,61 +40,82 @@ def test_flooding_line_example():
     assert after_two == [(2, 9), (2, 9), (2, 9)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 7),
-    st.lists(st.integers(0, 99), min_size=2, max_size=7),
-    st.integers(0, 10**6),
-)
-def test_flooding_reaches_everyone_in_n_rounds(n, raw_loads, seed):
-    loads = (raw_loads * n)[:n]
-    rng = Random(seed)
-    tables = [(w, w) for w in loads]
-    for _ in range(n):
-        order = list(range(n))
-        rng.shuffle(order)
-        tables = flood_min_max_round(tables, line_of(order))
-    expected = (min(loads), max(loads))
-    assert all(t == expected for t in tables)
+def _round_graphs(base, data, rng):
+    """Connected graphs on base's nodes, each the base, a smoothed base, a
+    random connected graph or a line in a random order: what a call's
+    rounds may be handed."""
+    n = base.n
+    while True:
+        shape = data.draw(st.sampled_from(["base", "smooth", "random", "line"]))
+        if shape == "base":
+            yield base
+        elif shape == "smooth":
+            yield t_smooth(base, data.draw(st.integers(1, 3)), rng)
+        elif shape == "random":
+            yield random_connected_graph(n, Fraction(data.draw(st.integers(0, 4)), 4), rng)
+        else:
+            order = list(range(n))
+            rng.shuffle(order)
+            yield line_of(order)
 
 
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs(max_n=9, min_n=2), st.data())
-def test_flooding_stops_at_its_fixed_point(base, data):
-    # Each round's graph is the base, a smoothed base or a fresh line; the
-    # call must end in the state of flooding applied every round, having
-    # flooded only until every table agreed.
+def test_flooding_reaches_everyone_in_n_rounds(base, data):
+    # The lemma the call's thresholds rest on: on graphs connected every
+    # round, n - 1 flooding rounds leave every table at (min, max).
     n = base.n
-    loads = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(
+    loads = data.draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
+    graphs = _round_graphs(base, data, Random(data.draw(st.integers(0, 2**32))))
+    tables = [(w, w) for w in loads]
+    for _ in range(n - 1):
+        graph = next(graphs)
+        assert is_connected(graph)
+        tables = flood_min_max_round(tables, graph)
+    assert set(tables) == {(min(loads), max(loads))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_n=9, min_n=2), st.data())
+def test_thresholds_equal_the_flooded_tables(base, data):
+    # After a call's n flooding rounds on any such sequence, its thresholds
+    # are the table every node agrees on.
+    n = base.n
+    loads = tuple(data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(
         lambda ws: max(ws) - min(ws) >= 2
-    ))
-    rng = Random(data.draw(st.integers(0, 2**32)))
+    )))
+    graphs = _round_graphs(base, data, Random(data.draw(st.integers(0, 2**32))))
     alg = started(GapReduce(), loads, n)
     tables = [(w, w) for w in loads]
-    floods_needed = None
-    calls = []
-    flood = gapreduce.flood_min_max_round
-    gapreduce.flood_min_max_round = lambda *args: calls.append(1) or flood(*args)
-    try:
-        for r in range(n):
-            shape = data.draw(st.sampled_from(["base", "smooth", "line"]))
-            graph = base
-            if shape == "smooth":
-                graph = t_smooth(base, data.draw(st.integers(1, 3)), rng)
-            elif shape == "line":
-                order = list(range(n))
-                rng.shuffle(order)
-                graph = line_of(order)
-            alg.play_round(graph, tuple(loads))
-            tables = flood_min_max_round(tables, graph)
-            assert alg.tables == tables
-            if floods_needed is None and len(set(tables)) == 1:
-                floods_needed = r + 1
-    finally:
-        gapreduce.flood_min_max_round = flood
-    assert len(calls) == floods_needed
-    assert (alg.low, alg.high, alg.psi) == (*tables[0], tables[0][1] - tables[0][0])
+    for _ in range(n):
+        graph = next(graphs)
+        assert alg.play_round(graph, loads).new_loads is loads
+        tables = flood_min_max_round(tables, graph)
     assert alg._flood_left == 0
+    [(low, high)] = set(tables)
+    assert (alg.low, alg.high, alg.psi) == (low, high, high - low)
+
+
+class _UnreadableGraph:
+    """A graph whose rows and edge set may not be read."""
+
+    @property
+    def adj(self):
+        raise AssertionError("a flooding round read its graph's rows")
+
+    @property
+    def edges(self):
+        raise AssertionError("a flooding round read its graph's edges")
+
+
+def test_flooding_rounds_never_read_their_graph():
+    loads = (3, 0, 9, 4)
+    alg = started(GapReduce(), loads, 4)
+    for _ in range(4):
+        assert alg.play_round(_UnreadableGraph(), loads).new_loads is loads
+    assert (alg._flood_left, alg.low, alg.high, alg.psi) == (0, 0, 9, 9)
+    # The main rounds read their graph.
+    assert alg.play_round(path_graph(4), loads).matching == [(1, 2, 9)]
 
 
 # ----------------------------------------------------------------------
