@@ -9,10 +9,11 @@ throughout.  The premise is the engine's per-round `is_connected` check,
 which refuses a disconnected adversary graph with `EngineError`, and the
 smoothing sampler draws only connected graphs.  So `start` reads the
 extremes m and M off its loads, and a flooding round only counts down and
-never reads its graph (`tests/oracles.py` simulates the tables to check the
-lemma).  The n rounds are still played because each one draws its graph:
-the adversary and the smoothing sampler advance their random streams as the
-paper's call does, so every later draw stays the same.
+hands back the call's one flooding record without reading its graph
+(`tests/oracles.py` simulates the tables to check the lemma).  The n rounds
+are still played because each one draws its graph: the adversary and the
+smoothing sampler advance their random streams as the paper's call does,
+so every later draw stays the same.
 
 With the spread psi = M - m, a node is light when w < m + psi/4 and heavy
 when w > M - psi/4.  For the main rounds each light node proposes to its
@@ -32,8 +33,13 @@ round finds the proposers in one pass over the edges and asks only them.
 Both variants keep one `ProposalMemo` for one call, as thresholds and psi
 never move within it; a memo miss runs the passes above.  For the same
 reason the idle test is decided once per committed tuple (`_busy`), so a
-round that moved no load skips the scan of its extremes.  A finished call
-skips every round it is offered; drivers.py reads its `is_done`.
+round that moved no load skips the scan of its extremes.  Almost every
+smoothed round waits for a flip that joins a light node to a heavy one: a
+round whose flips change no offer plays the memo's offers, and the record
+of such a round that moved no load is kept and handed back while the
+memo's key holds, as `randMaxNeighbor` replays its coins (see
+randomized.py).  A finished call skips every round it is offered;
+drivers.py reads its `is_done`.
 """
 
 from __future__ import annotations
@@ -93,32 +99,50 @@ class ProposalMemo(BalancingAlgorithm):
     and the loads.  The key is the base graph a smoothed graph was flipped
     from and the loads' committed tuple, both by identity; while it holds, a
     round asks only the flipped pairs' endpoints again, on their flipped
-    rows.  Subclasses give `_propose(u, row, loads)`, u's offer or None, and
-    `_base_proposals(graph, loads)`, every offer on `graph`.  By the same
+    rows, and plays the memo dict itself when none of their offers differs.
+    A round that played the memo's offers and moved no load is kept, and
+    handed back to every later round that plays them; a new key drops it.
+    Subclasses give `_propose(u, row, loads)`, u's offer or None,
+    `_base_proposals(graph, loads)`, every offer on `graph`, and
+    `_outcome(offers, loads)`, the round those offers play.  By the same
     rule `_busy` holds the tuple a subclass's idle test last found busy."""
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
         self._memo_base, self._memo_loads, self._memo = None, None, {}
-        self._busy = None
+        self._kept = self._busy = None
 
     def _offers(self, graph: Graph, loads: tuple) -> dict:
-        """This round's offers for `accept_offers`."""
+        """This round's offers for `accept_offers`: the memo itself when no
+        flip changes an offer."""
         base = graph if graph.base is None else graph.base
         if base is not self._memo_base or loads is not self._memo_loads:
             self._memo_base, self._memo_loads = base, loads
             self._memo = self._base_proposals(base, loads)
-        memo = self._memo
-        if not graph.flips:
-            return memo
-        merged = dict(memo)
-        adj = graph.adj
+            self._kept = None
+        memo = merged = self._memo
         for u in {u for pair in graph.flips for u in pair}:
-            if (offer := self._propose(u, adj[u], loads)) is None:
-                merged.pop(u, None)
-            else:
-                merged[u] = offer
+            offer = self._propose(u, graph.row(u), loads)
+            if offer != memo.get(u):
+                if merged is memo:
+                    merged = dict(memo)
+                if offer is None:
+                    del merged[u]
+                else:
+                    merged[u] = offer
         return merged
+
+    def _round(self, graph: Graph, loads: tuple) -> RoundOutcome:
+        """This round's record: the kept one while it stands."""
+        offers = self._offers(graph, loads)
+        if offers is not self._memo:
+            return self._outcome(offers, loads)
+        if self._kept is None:
+            outcome = self._outcome(offers, loads)
+            if outcome.new_loads is not loads:
+                return outcome
+            self._kept = outcome
+        return self._kept
 
 
 class GapReduce(ProposalMemo):
@@ -134,6 +158,7 @@ class GapReduce(ProposalMemo):
         self.k = Fraction(k)
         total = sum(loads)
         self._main_budget = gap_reduce_round_budget(n, total, self.c1, self.k)
+        self._flood_record = None
         # Where flooding ends (see the module docstring).
         self.low, self.high = min(loads), max(loads)
         self.psi = self.high - self.low
@@ -160,10 +185,15 @@ class GapReduce(ProposalMemo):
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         if self._flood_left > 0:
             self._flood_left -= 1
-            return RoundOutcome(new_loads=loads)
-
-        matching = accept_offers(self._offers(graph, loads))
+            # Flooding moves no load: one record serves the call's tuple.
+            if self._flood_record is None or self._flood_record.new_loads is not loads:
+                self._flood_record = RoundOutcome(new_loads=loads)
+            return self._flood_record
         self._main_left -= 1
+        return self._round(graph, loads)
+
+    def _outcome(self, offers: dict, loads: tuple) -> RoundOutcome:
+        matching = accept_offers(offers)
         return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
     def _propose(self, u: int, row, loads: tuple):
@@ -224,13 +254,15 @@ class GaplessGapReduce(ProposalMemo):
         return self._left == 0
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
-        offers = self._offers(graph, loads)
+        self._left -= 1
+        return self._round(graph, loads)
+
+    def _outcome(self, offers: dict, loads: tuple) -> RoundOutcome:
         # Every proposer's offer counts, and no proposer accepts.
         proposers = 0
         for u in offers:
             proposers |= 1 << u
         matching = accept_offers(offers, proposers)
-        self._left -= 1
         return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
     def _propose(self, u: int, row, loads: tuple):

@@ -27,8 +27,10 @@ record.  Each round is checked against the record it started from, so a
 round that creates or destroys load fails conservation alone.  A checked
 round that moved no load keeps its verdicts on its round record (see
 records.py); records judged alike share one verdict dict.  A round that
-hands the record back on the same committed record, graph object and line
-order (by identity) reuses them instead of calling `check_round`, still
+hands the record back on the same committed record and line order (by
+identity) reuses them instead of calling `check_round`; the graph object
+must match too only when an enabled check reads it (`GRAPH_CHECKS`), as
+smoothing draws a new graph almost every round.  Such a round still
 counts its failures, and builds a report of its own index only when it
 failed.  A trace row reads the round's verdict dict.
 A committed load that is not an integer numerator stops the trial with an
@@ -66,6 +68,7 @@ from .loads import (
 )
 from .metrics import (
     CHECK_PREFIX_MONOTONE,
+    GRAPH_CHECKS,
     InvariantReport,
     check_round,
     max_gap,
@@ -266,6 +269,8 @@ def run_trial(
     )
 
     enabled = cfg.checks
+    # Whether kept verdicts must have been taken on this round's graph too.
+    reads_graph = not GRAPH_CHECKS.isdisjoint(enabled)
     line_policy = adversary if isinstance(adversary, SortingLinePolicy) else None
     initial_prefix = None
     if CHECK_PREFIX_MONOTONE in enabled:
@@ -355,7 +360,12 @@ def run_trial(
             if enabled and rounds % cfg.check_stride == 0:
                 order = line_policy.order if line_policy is not None else None
                 kept = outcome.verdicts
-                if kept is not None and kept[0] is state and kept[1] is graph and kept[2] is order:
+                if (
+                    kept is not None
+                    and kept[0] is state
+                    and (kept[1] is graph or not reads_graph)
+                    and kept[2] is order
+                ):
                     # A record handed back on the very inputs it was judged on.
                     _, _, _, checks, witnesses, ok = kept
                 else:

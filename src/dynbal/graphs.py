@@ -16,17 +16,18 @@ The smoothing sampler builds its graphs as deltas of the adversary's graph:
 `Graph.toggled` assembles the accepted graph from those parts without
 re-canonicalising or re-sorting anything.  A toggled graph keeps its `base`
 and its `flips`, the canonical flipped pairs, and builds its edge set (and
-its rows, if the sampler did not patch them) only when first read.
-Adding edges never disconnects a graph, so a patch that only adds edges to
-a connected base is connected without a walk; the walk runs only when a
-flip removes an edge or the base itself is disconnected.  Connectivity and
-edge-edit distance are the two family checks the rest of the package relies
-on.
+its rows, unless the sampler's walk patched them) only when first read;
+`row(u)` patches u's row alone from the base's, so a reader of a few rows
+never builds the table.  Adding edges never disconnects a graph, so a patch
+that only adds edges to a connected base is connected without a walk; the
+walk runs only when a flip removes an edge (found by `has_edge`) or the
+base itself is disconnected.  Connectivity and edge-edit distance are the
+two family checks the rest of the package relies on.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from functools import lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Sequence
@@ -89,11 +90,27 @@ class Graph:
                 self._edges = frozenset(compress(_pairs(self.n), self._mask))
         return self._edges
 
+    def row(self, u: int) -> tuple[int, ...]:
+        """u's sorted adjacency row; an unbuilt toggled graph patches only
+        this row from its base's, leaving its own rows unbuilt."""
+        if self._adj is not None or self.base is None:
+            return self.adj[u]
+        row = self.base.adj[u]
+        for a, b in self.flips:
+            if u == a or u == b:
+                v = a + b - u
+                i = bisect_left(row, v)
+                if row[i : i + 1] == (v,):
+                    row = row[:i] + row[i + 1 :]
+                else:
+                    row = row[:i] + (v,) + row[i:]
+        return row
+
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
             if self.base is not None:
-                self._adj = toggled_adjacency(self.base, self.flips)[0]
+                self._adj = toggled_adjacency(self.base, self.flips)
             elif self._mask is not None:
                 self._adj = _sorted_rows(self.n, compress(_pairs(self.n), self._mask))
             else:
@@ -117,19 +134,17 @@ class Graph:
 # ----------------------------------------------------------------------
 
 
-def toggled_adjacency(base: Graph, pairs) -> tuple[tuple[tuple[int, ...], ...], bool]:
+def toggled_adjacency(base: Graph, pairs) -> tuple[tuple[int, ...], ...]:
     """Sorted adjacency of `base` with the distinct canonical `pairs`
-    flipped, and whether any flip removes an edge of `base`.
+    flipped.
 
     Only the rows of the flipped pairs' endpoints are rebuilt; every other
     row is shared with `base.adj`.
     """
     base_adj = base.adj
     rows: dict[int, list[int]] = {}
-    removes = False
     for u, v in pairs:
         present = v in base_adj[u]
-        removes = removes or present
         for a, b in ((u, v), (v, u)):
             row = rows.get(a)
             if row is None:
@@ -141,7 +156,7 @@ def toggled_adjacency(base: Graph, pairs) -> tuple[tuple[tuple[int, ...], ...], 
     adj = list(base_adj)
     for a, row in rows.items():
         adj[a] = tuple(row)
-    return tuple(adj), removes
+    return tuple(adj)
 
 
 def edge_set_connected(base: Graph, adj, removes_edge: bool) -> bool:

@@ -11,8 +11,9 @@ record's potential, max gap (read through `state_potential`, `state_gap`)
 and integrality verdict are kept on the record, so each is derived once per
 committed vector (see loads.py).  A round that moved no load (the same
 record before and after) passes conservation by identity.  A round that
-hands back a record already judged on the same committed record, graph
-object and line order is not checked again (see engine.py): its trace row
+hands back a record already judged on the same committed record and line
+order, and the same graph object when an enabled check is one of
+`GRAPH_CHECKS`, is not checked again (see engine.py): its trace row
 reads the first verdict dict, and a report of a failing one shares the
 first one's `checks` and `witnesses` dicts, so no reader may mutate a
 report's dicts.
@@ -57,6 +58,10 @@ TWO_SIDED_ONLY_CHECKS = (
     CHECK_SHIFT_LOWER_BOUND,
     CHECK_SPLIT_POTENTIAL,
 )
+
+# Checks whose kernels read the round's graph (`trace.graph`); every other
+# verdict is a function of the records, the matching and the line order.
+GRAPH_CHECKS = frozenset({CHECK_COVERING_EDGE})
 
 
 def potential(loads: Sequence) -> object:

@@ -5,7 +5,9 @@ The engine derives three fields once, on a round record: `d_r`, the
 exchanged pairs and, for a checked round that moved no load, its verdicts.
 A round that hands the record back reuses them, so the trace rows and the
 failure reports of replayed rounds share read-only `checks` and
-`witnesses` dicts.
+`witnesses` dicts.  Verdicts are keyed on the committed record and the
+line order, and on the graph only when an enabled check reads it
+(`metrics.GRAPH_CHECKS`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class RoundOutcome:
 
     A record is never mutated after `play_round` returns, and nothing
     downstream mutates its lists: an algorithm may hand the very record
-    back in a later round (see randomized.py).  The engine derives three
+    back in a later round (see randomized.py and gapreduce.py).  The engine derives three
     fields on it, left out of equality and repr: the first time it meets
     it, `d_r`, the matching's gaps summed (see
     `metrics.twice_shifted_load`), and `pairs`, the exchanged `(u, v)`
@@ -41,7 +43,8 @@ class RoundOutcome:
     on a checked round that moved no load, `verdicts`, the tuple
     `(state, graph, line_order, checks, witnesses, ok)`: the report's
     verdicts and the very objects they were taken on, which a round that
-    reuses them must present again, by identity (see engine.py).
+    reuses them must present again, by identity, the graph only when an
+    enabled check reads it (see engine.py).
     """
 
     new_loads: tuple

@@ -14,10 +14,10 @@ endpoints are rebuilt, and the accepted graph shares G's other rows and
 knows it is connected.  Adding edges cannot disconnect a graph, so a
 proposal that only adds edges to a connected G is accepted without a walk;
 that skips no proposal the walk would reject, so every draw and every
-accept decision is the one a full rebuild and walk would make.  While G's
-rows are unbuilt (a random graph kept as its mask), `has_edge` tells
-whether a flip removes an edge, and the rows are patched only for a walk or
-when the accepted graph's rows are first read.
+accept decision is the one a full rebuild and walk would make.  `has_edge`
+tells whether a flip removes an edge, and the rows are patched only for a
+walk; an accepted graph otherwise patches its rows when first read, one at
+a time through `Graph.row` or all at once through `Graph.adj`.
 
 Fractional smoothing amounts are handled by randomised rounding: k rounds
 up with probability equal to its fractional part, down otherwise.
@@ -178,12 +178,9 @@ def t_smooth(
         if flips == 0:
             return g
         chosen = [_unrank_pair(n, npairs, i) for i in _sample_range(getrandbits, npairs, flips)]
-        if g._adj is not None:
-            adj, removes_edge = toggled_adjacency(g, chosen)
-        else:
-            # Rows unbuilt: patch them only if the connectivity test walks.
-            removes_edge = any(g.has_edge(u, v) for u, v in chosen)
-            adj = toggled_adjacency(g, chosen)[0] if removes_edge or not g._connected else None
+        # Rows are patched only if the connectivity test walks.
+        removes_edge = any(g.has_edge(u, v) for u, v in chosen)
+        adj = toggled_adjacency(g, chosen) if removes_edge or not g._connected else None
         if edge_set_connected(g, adj, removes_edge):
             return Graph.toggled(g, chosen, adj)
     raise RejectionBudgetExceeded(g.n, t, max_rejections)

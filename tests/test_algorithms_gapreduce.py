@@ -569,7 +569,7 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
                 st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True)
                 .map(lambda ps: ps + [p for p in sorted(base.edges) if p not in ps][:1])
             )
-            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
+            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs))
         elif shape == "twin":
             graph = base = Graph(n, base.edges)  # equal edges, a new identity
 
@@ -590,6 +590,59 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
             loads = tuple(list(loads))  # equal loads, a new identity
         elif step == "fresh":
             loads = tuple(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+
+
+def _fresh_round(alg, graph, loads):
+    """The matching and new loads of a round on `graph` from every node's
+    offer on the checked rows, accepted as the variant accepts them."""
+    rows = Graph(graph.n, graph.edges).adj
+    offers = {}
+    for u in range(graph.n):
+        if (offer := alg._propose(u, rows[u], loads)) is not None:
+            offers[u] = offer
+    senders = None if isinstance(alg, GapReduce) else sum(1 << u for u in offers)
+    matching = accept_offers(offers, senders)
+    return offers, matching, split_pairs(loads, matching)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs(), st.data(), st.sampled_from([None, 2, 3, 4, 5, 8, 9]))
+def test_kept_records_match_fresh_rounds(base, data, psi):
+    # On random flip sequences every round equals one played afresh; the
+    # first round on a key that plays the base's offers and moves nothing
+    # is handed back to every later one, and never after the key changes.
+    n = base.n
+    loads = tuple(data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    alg = _in_main_rounds(GapReduce() if psi is None else GaplessGapReduce(psi), loads, base)
+    earlier, current, kept = [], [], None
+    for _ in range(data.draw(st.integers(1, 16))):
+        if alg.is_done(loads):
+            return
+        flips = []
+        if n > 1:
+            flips = data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True))
+        graph = Graph.toggled(base, flips, None) if flips else base
+        offers, matching, new_loads = _fresh_round(alg, graph, loads)
+        outcome = alg.play_round(graph, loads)
+        assert outcome.matching == matching and outcome.new_loads == new_loads
+        assert all(outcome is not record for record in earlier)
+        if new_loads == loads and offers == _fresh_round(alg, base, loads)[0]:
+            assert outcome.new_loads is loads
+            if kept is None:
+                kept = outcome
+            assert outcome is kept
+        current.append(outcome)
+
+        step = data.draw(st.sampled_from(["advance", "keep", "keep", "copy", "twin"]))
+        if step == "advance" and new_loads != loads:
+            loads = outcome.new_loads
+        elif step == "copy":
+            loads = tuple(list(loads))  # equal loads, a new identity
+        elif step == "twin":
+            base = Graph(n, base.edges)  # equal edges, a new identity
+        else:
+            continue
+        earlier, current, kept = earlier + current, [], None
 
 
 @pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])

@@ -193,7 +193,7 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
                 st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True)
                 .map(lambda ps: ps + [p for p in sorted(base.edges) if p not in ps][:1])
             )
-            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
+            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs))
 
         # The memo's key: the base graph and the tuple, both by identity.
         round_key = (graph if graph.base is None else graph.base, loads)
@@ -292,7 +292,7 @@ def test_a_round_on_a_flipped_graph_is_never_replayed():
     # proposes to 0 there and to 1 on the base, so the base round must not
     # get the flipped round's record back, but the next base round gets its.
     base = path_graph(4)
-    flipped = Graph.toggled(base, [(0, 2)], toggled_adjacency(base, [(0, 2)])[0])
+    flipped = Graph.toggled(base, [(0, 2)], toggled_adjacency(base, [(0, 2)]))
     loads = (5, 5, 5, 5)
     coin = SimpleNamespace(getrandbits=lambda bits: 0b0100)  # node 2 sends
     alg = RandMaxNeighbor()

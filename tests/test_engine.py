@@ -901,24 +901,47 @@ def test_a_record_handed_back_on_new_inputs_is_judged_afresh(monkeypatch):
     monkeypatch.setattr(
         engine, "make_algorithm", lambda name, **params: HandsBackOneRecordAroundAMove()
     )
-    cfg = config_from_dict(
-        scenario(
-            n=4,
-            initialLoads="lineRamp",
-            mode="integral",
-            tau="0",
-            adversary="sortingLine",
-            algorithm="randMaxNeighbor",
-            roundBudget=10,
-            checks=["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+    cases = [
+        # No check reads the graph: a new graph (3) reuses the kept
+        # verdicts; a new order (5), a round that moves load (7, 8) and the
+        # first round back on the new committed record (9) do not.
+        (
+            {
+                "algorithm": "randMaxNeighbor",
+                "mode": "integral",
+                "checks": ["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+            },
+            [1, 5, 7, 8, 9],
+            [],
+        ),
+        # coveringEdge reads it, so the new graph is judged afresh too; the
+        # two rounds that move load leave an edge uncovered.
+        (
+            {
+                "algorithm": "deterministic",
+                "mode": "continuous",
+                "checks": ["conservation", "coveringEdge"],
+            },
+            [1, 3, 5, 7, 8, 9],
+            [7, 8],
+        ),
+    ]
+    for params, judged, failed in cases:
+        checked.clear()
+        cfg = config_from_dict(
+            scenario(
+                n=4,
+                initialLoads="lineRamp",
+                tau="0",
+                adversary="sortingLine",
+                roundBudget=10,
+                **params,
+            )
         )
-    )
-    result = run_trial(cfg)
-    assert result.invariant_failures == 0
-    assert result.final_loads == [1, 2, 3, 4]
-    # A new graph (3), a new order (5), a round that moves load (7, 8) and
-    # the first round back on the new committed record (9).
-    assert checked == [1, 3, 5, 7, 8, 9]
+        result = run_trial(cfg)
+        assert [report.round_index for report in result.failure_reports] == failed
+        assert result.final_loads == [1, 2, 3, 4]
+        assert checked == judged
 
 
 # ======================================================================

@@ -1,11 +1,13 @@
 """Graph construction, connectivity and edit-distance checks."""
 
+from fractions import Fraction
 from itertools import combinations, compress
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbal.adversaries import random_connected_graph
 from dynbal.graphs import (
     Graph,
     all_pairs,
@@ -19,6 +21,7 @@ from dynbal.graphs import (
     star_graph,
     toggled_adjacency,
 )
+from dynbal.smoothing import SmoothingParams, k_smooth
 from oracles import hamming_distance
 
 
@@ -63,9 +66,10 @@ def test_edge_set_connected_matches_graph_check():
         (Graph(3, [(0, 1)]), [(0, 2)], True),
     ]
     for base, pairs, expected in cases:
-        adj, removes_edge = toggled_adjacency(base, pairs)
+        adj = toggled_adjacency(base, pairs)
         flipped = Graph(base.n, base.edges ^ set(pairs))
         assert adj == flipped.adj
+        removes_edge = any(base.has_edge(u, v) for u, v in pairs)
         assert removes_edge == bool(base.edges & set(pairs))
         assert edge_set_connected(base, adj, removes_edge) == is_connected(flipped) == expected
 
@@ -75,7 +79,7 @@ def test_edge_set_connected_matches_graph_check():
 def test_toggled_edges_are_built_on_first_read(n, data):
     base = Graph(n, data.draw(st.lists(st.sampled_from(all_pairs(n)))) if n > 1 else ())
     pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), unique=True)) if n > 1 else []
-    g = Graph.toggled(base, pairs, toggled_adjacency(base, pairs)[0])
+    g = Graph.toggled(base, pairs, toggled_adjacency(base, pairs))
     checked = Graph(n, base.edges ^ set(pairs))
     assert (base.base, base.flips) == (None, ())
     assert g.base is base and g.flips == tuple(pairs)
@@ -121,7 +125,35 @@ def test_lazily_toggled_rows_equal_toggled_adjacency(n, data):
     flips = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     g = Graph.toggled(base, flips, None)
     assert g._adj is None
-    assert g.adj == toggled_adjacency(base, flips)[0] == Graph(n, base.edges ^ set(flips)).adj
+    assert g.adj == toggled_adjacency(base, flips) == Graph(n, base.edges ^ set(flips)).adj
+
+
+@pytest.mark.parametrize("k", [Fraction(1), Fraction(5, 2)])
+@pytest.mark.parametrize("kind", ["path", "mask"])
+def test_a_patched_row_equals_the_checked_row(k, kind):
+    """`row` reads one row of a smoothed graph; an unbuilt one patches it
+    without building the table.  A draw whose walk built the rows is read
+    unbuilt too, so rows are patched for removals: above k = 1 on the line,
+    and on random bases with extra edges, some draws remove an edge."""
+    params, removals = SmoothingParams(k=k), 0
+    for seed in range(30):
+        rng = Random(seed)
+        n = rng.randrange(2, 13)
+        if kind == "path":
+            base = path_graph(n)
+            is_connected(base)
+        else:
+            base = random_connected_graph(n, Fraction(1, 3), rng)
+        for _ in range(10):
+            g = k_smooth(base, params, rng)
+            removals += any(base.has_edge(u, v) for u, v in g.flips)
+            rows = list(Graph(n, g.edges).adj)
+            assert [g.row(u) for u in range(n)] == rows
+            if g is not base:
+                lazy = Graph.toggled(base, g.flips, None)
+                assert [lazy.row(u) for u in range(n)] == rows
+                assert lazy._adj is None
+    assert removals > 10 or (kind, k) == ("path", 1)
 
 
 def test_connectivity_is_cached_per_graph():

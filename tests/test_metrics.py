@@ -18,6 +18,7 @@ from dynbal.metrics import (
     CHECK_PREFIX_MONOTONE,
     CHECK_SHIFT_LOWER_BOUND,
     CHECK_SPLIT_POTENTIAL,
+    GRAPH_CHECKS,
     KIND_MATCHING,
     KIND_TWO_SIDED,
     check_round,
@@ -351,6 +352,32 @@ def test_check_kernels_keep_the_name_by_name_verdicts(scenario):
     before, after, trace, kwargs = scenario
     expected = verdicts(reference_check_round, before, after, trace, **kwargs)
     assert verdicts(check_round, before, after, trace, **kwargs) == expected
+
+
+class _UnreadGraph:
+    """A round graph that no kernel outside GRAPH_CHECKS may read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a kernel read graph.{name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(check_scenarios(), st.booleans())
+def test_verdicts_outside_graph_checks_ignore_the_graph(scenario, unmoved):
+    # Why the engine may reuse such verdicts on a new graph object.
+    before, after, trace, kwargs = scenario
+    if unmoved:
+        after = before
+    kwargs["enabled"] = [name for name in kwargs["enabled"] if name not in GRAPH_CHECKS]
+    blind = RoundTrace(trace.round_index, _UnreadGraph(), trace.matching, trace.d_r)
+    fresh_before = LoadState(before.mode, before.loads, before.exp)
+    fresh_after = fresh_before if unmoved else LoadState(after.mode, after.loads, after.exp)
+    expected = verdicts(check_round, before, after, trace, **kwargs)
+    assert verdicts(check_round, fresh_before, fresh_after, blind, **kwargs) == expected
+    with pytest.raises(AssertionError, match="graph"):
+        check_round(
+            before, after, blind, algorithm_kind=KIND_TWO_SIDED, enabled=sorted(GRAPH_CHECKS)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -284,25 +284,34 @@ def test_delta_sampler_matches_rebuild_sampler(base_and_t, seed, max_rejections,
 
 
 def test_an_adding_flip_leaves_a_mask_backed_base_unbuilt():
-    """t_smooth builds a random connected graph's rows only for the walk of
-    a proposal that removes one of its edges: a proposal that only adds
-    edges is accepted with the base's rows and its own still unbuilt."""
+    """t_smooth patches rows only for the walk of a proposal that removes
+    an edge: an accepted proposal that only adds edges leaves its own rows
+    unbuilt, whether its base's rows are unbuilt (a random connected graph
+    kept as its mask) or built (a line), and a base's rows are built only by
+    such a walk."""
     pairs = all_pairs(16)
-    unbuilt = 0
+    accepted = 0
     for seed in range(40):
-        base = random_connected_graph(16, Fraction(0), Random(seed))  # a tree
-        out = t_smooth(base, 1, Random(seed))
-        # Replay the proposals: flipping a tree edge disconnects, so it is
-        # walked and rejected; the first other flip (or none) is accepted.
-        replay, removed = Random(seed), False
-        while replay.randrange(len(pairs) + 1):
-            if pairs[replay.sample(range(len(pairs)), 1)[0]] not in base.edges:
-                break
-            removed = True
-        assert (base._adj is not None) == (out._adj is not None) == removed
-        unbuilt += not removed
-        assert out.adj == Graph(16, out.edges).adj
-    assert unbuilt > 20
+        tree = random_connected_graph(16, Fraction(0), Random(seed))
+        line = path_graph(16)
+        assert is_connected(line) and line._adj is not None
+        for base in (tree, line):
+            built = base._adj is not None
+            out = t_smooth(base, 1, Random(seed))
+            # Replay the proposals: flipping an edge of a tree disconnects,
+            # so it is walked and rejected; the first other flip (or none)
+            # is accepted.
+            replay, removed = Random(seed), False
+            while replay.randrange(len(pairs) + 1):
+                if pairs[replay.sample(range(len(pairs)), 1)[0]] not in base.edges:
+                    break
+                removed = True
+            assert (base._adj is not None) == (built or removed)
+            if out is not base:
+                assert out._adj is None
+                accepted += 1
+            assert out.adj == Graph(16, out.edges).adj
+    assert accepted > 60
 
 
 # Around both set-size boundaries of Random.sample (21, and 85 for six to
