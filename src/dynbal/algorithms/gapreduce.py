@@ -26,18 +26,22 @@ transfer nothing and can be fast-forwarded.
 The gapless variant skips flooding entirely: it is handed a target spread
 psi and every node proposes to its heaviest neighbor whenever that
 neighbor is at least psi/2 ahead (inclusive).  Nodes that proposed do not
-also accept, which keeps the variant matching-based.  A node proposes
-exactly when some edge puts it at least psi/2 below the other end, so a
-round finds the proposers in one pass over the edges and asks only them.
+also accept, which keeps the variant matching-based.
 
-Both variants keep one `ProposalMemo` for one call, as thresholds and psi
-never move within it; a memo miss runs the passes above.  For the same
-reason the idle test is decided once per committed tuple (`_busy`), so a
-round that moved no load skips the scan of its extremes.  Almost every
-smoothed round waits for a flip that joins a light node to a heavy one: a
-round whose flips change no offer plays the memo's offers, and the record
-of such a round that moved no load is kept and handed back while the
-memo's key holds, as `randMaxNeighbor` replays its coins (see
+Each variant states its offer rule once, in `_propose(u, graph, loads)`,
+and tests the loads before it reads u's row: only a light node can offer
+in `gapReduce`, and in the gapless variant only a node at least psi/2
+below the tuple's maximum, since no neighbor is heavier than that.  The
+maximum is taken once per committed tuple, keyed by identity; it bounds
+every neighbor whatever the loads are, so the test needs no premise about
+where they came from.  Both variants keep one `ProposalMemo` for one call,
+as thresholds and psi never move within it; a memo miss asks every node.
+For the same reason the idle test is decided once per committed tuple
+(`_busy`), so a round that moved no load skips the scan of its extremes.
+Almost every smoothed round waits for a flip that joins a light node to a
+heavy one: a round whose flips change no offer plays the memo's offers,
+and the record of such a round that moved no load is kept and handed back
+while the memo's key holds, as `randMaxNeighbor` replays its coins (see
 randomized.py).  A finished call skips every round it is offered;
 drivers.py reads its `is_done`.
 """
@@ -97,15 +101,16 @@ def gapless_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> int:
 class ProposalMemo(BalancingAlgorithm):
     """Remembers offers, each of which reads only its node's adjacency row
     and the loads.  The key is the base graph a smoothed graph was flipped
-    from and the loads' committed tuple, both by identity; while it holds, a
-    round asks only the flipped pairs' endpoints again, on their flipped
-    rows, and plays the memo dict itself when none of their offers differs.
-    A round that played the memo's offers and moved no load is kept, and
-    handed back to every later round that plays them; a new key drops it.
-    Subclasses give `_propose(u, row, loads)`, u's offer or None,
-    `_base_proposals(graph, loads)`, every offer on `graph`, and
-    `_outcome(offers, loads)`, the round those offers play.  By the same
-    rule `_busy` holds the tuple a subclass's idle test last found busy."""
+    from and the loads' committed tuple, both by identity; a miss asks every
+    node on the base, and while the key holds, a round asks only the flipped
+    pairs' endpoints again, on the flipped graph, and plays the memo dict
+    itself when none of their offers differs.  A round that played the
+    memo's offers and moved no load is kept, and handed back to every later
+    round that plays them; a new key drops it.  Subclasses give two hooks:
+    `_propose(u, graph, loads)`, u's offer or None, which tests the loads
+    before it reads `graph.row(u)`, and `_outcome(offers, loads)`, the
+    round those offers play.  By the same rule `_busy` holds the tuple a
+    subclass's idle test last found busy."""
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
@@ -118,11 +123,14 @@ class ProposalMemo(BalancingAlgorithm):
         base = graph if graph.base is None else graph.base
         if base is not self._memo_base or loads is not self._memo_loads:
             self._memo_base, self._memo_loads = base, loads
-            self._memo = self._base_proposals(base, loads)
+            propose = self._propose
+            self._memo = {
+                u: offer for u in range(base.n) if (offer := propose(u, base, loads)) is not None
+            }
             self._kept = None
         memo = merged = self._memo
         for u in {u for pair in graph.flips for u in pair}:
-            offer = self._propose(u, graph.row(u), loads)
+            offer = self._propose(u, graph, loads)
             if offer != memo.get(u):
                 if merged is memo:
                     merged = dict(memo)
@@ -196,21 +204,12 @@ class GapReduce(ProposalMemo):
         matching = accept_offers(offers)
         return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
-    def _propose(self, u: int, row, loads: tuple):
-        if row and self._is_light(loads[u]):
+    def _propose(self, u: int, graph: Graph, loads: tuple):
+        if self._is_light(loads[u]) and (row := graph.row(u)):
             v = heaviest_neighbor(u, row, loads)
             if self._is_heavy(loads[v]):
                 return v, loads[v] - loads[u]
         return None
-
-    def _base_proposals(self, graph: Graph, loads: tuple) -> dict:
-        # Only light nodes can propose; _is_light with its threshold hoisted.
-        light_below = 4 * self.low + self.psi
-        return {
-            u: offer
-            for u, row in enumerate(graph.adj)
-            if 4 * loads[u] < light_below and (offer := self._propose(u, row, loads)) is not None
-        }
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         if self._flood_left == self._main_left == 0:  # finished
@@ -246,6 +245,7 @@ class GaplessGapReduce(ProposalMemo):
         self._budget = gapless_round_budget(n, total, self.c1, self.k)
         # psi < 2 asks for sub-unit averaging: vacuous on integers.
         self._left = 0 if self.psi < 2 else self._budget
+        self._max_of = self._max = None
 
     def planned_rounds(self):
         return self._budget
@@ -265,23 +265,14 @@ class GaplessGapReduce(ProposalMemo):
         matching = accept_offers(offers, proposers)
         return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
-    def _propose(self, u: int, row, loads: tuple):
-        if row:
+    def _propose(self, u: int, graph: Graph, loads: tuple):
+        if loads is not self._max_of:
+            self._max_of, self._max = loads, max(loads)
+        if 2 * (self._max - loads[u]) >= self.psi and (row := graph.row(u)):
             v = heaviest_neighbor(u, row, loads)
             if 2 * (loads[v] - loads[u]) >= self.psi:
                 return v, loads[v] - loads[u]
         return None
-
-    def _base_proposals(self, graph: Graph, loads: tuple) -> dict:
-        psi = self.psi
-        # psi >= 2, so an edge at least psi/2 wide has one lower end.
-        proposers = {
-            u if loads[u] < loads[v] else v
-            for u, v in graph.edges
-            if 2 * abs(loads[u] - loads[v]) >= psi
-        }
-        adj = graph.adj
-        return {u: self._propose(u, adj[u], loads) for u in proposers}
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         if self._left == 0:  # finished

@@ -11,23 +11,20 @@ A random graph stays the pair mask it is drawn as (`Graph.from_mask`):
 first read, so a round that never reads its graph never builds it.
 
 The smoothing sampler builds its graphs as deltas of the adversary's graph:
-`toggled_adjacency` patches the base adjacency for the flipped pairs only,
-`edge_set_connected` decides the patched graph's connectivity, and
-`Graph.toggled` assembles the accepted graph from those parts without
-re-canonicalising or re-sorting anything.  A toggled graph keeps its `base`
-and its `flips`, the canonical flipped pairs, and builds its edge set (and
-its rows, unless the sampler's walk patched them) only when first read;
-`row(u)` patches u's row alone from the base's, so a reader of a few rows
-never builds the table.  Adding edges never disconnects a graph, so a patch
-that only adds edges to a connected base is connected without a walk; the
-walk runs only when a flip removes an edge (found by `has_edge`) or the
-base itself is disconnected.  Connectivity and edge-edit distance are the
-two family checks the rest of the package relies on.
+`Graph.toggled` keeps the `base` and the `flips`, the canonical flipped
+pairs, and builds its edge set only when first read.  `row(u)` patches u's
+row alone from the base's, so a reader of a few rows never builds the
+table, and `adj` is the base's rows with each flipped endpoint's row taken
+from `row`.  A toggled graph decides its connectivity on its own rows, as
+any graph does; `edge_set_connected` skips that walk when no flip removes
+an edge (found by `has_edge`) of a connected base, since adding edges never
+disconnects a graph.  Connectivity and edge-edit distance are the two
+family checks the rest of the package relies on.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Sequence
@@ -50,30 +47,27 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             canon.add((u, v) if u < v else (v, u))
-        self._set(n, frozenset(canon), None, None)
+        self._set(n, frozenset(canon), None)
 
-    def _set(self, n, edges, adj, connected, base=None, flips=(), mask=None) -> Graph:
+    def _set(self, n, edges, connected, base=None, flips=(), mask=None) -> Graph:
         """Fill every slot from parts the caller vouches for: canonical
-        `edges` (None to derive them from `mask` or `base` and `flips`),
-        the sorted adjacency or None, and the connectivity flag or None."""
-        self.n, self._edges, self._adj, self._connected = n, edges, adj, connected
+        `edges` (None to derive them from `mask` or `base` and `flips`) and
+        the connectivity flag or None; the rows are built when first read."""
+        self.n, self._edges, self._adj, self._connected = n, edges, None, connected
         self.base, self.flips, self._mask = base, flips, mask
         return self
 
     @classmethod
-    def toggled(cls, base: Graph, pairs, adj) -> Graph:
-        """`base` with the distinct canonical `pairs` flipped, which the
-        caller has found connected, so the result records that without
-        another walk.  `adj` is the flipped graph's sorted adjacency (see
-        `toggled_adjacency`), or None to patch it when first read."""
-        return cls.__new__(cls)._set(base.n, None, adj, True, base, tuple(pairs))
+    def toggled(cls, base: Graph, pairs) -> Graph:
+        """`base` with the distinct canonical `pairs` flipped."""
+        return cls.__new__(cls)._set(base.n, None, None, base, tuple(pairs))
 
     @classmethod
     def from_mask(cls, n: int, mask: bytes, connected=None) -> Graph:
         """The graph on n nodes with an edge at each canonical pair, in
         lexicographic order, where `mask` holds a 1 (else 0); `connected`
         is its connectivity flag when the caller knows it."""
-        return cls.__new__(cls)._set(n, None, None, connected, mask=mask)
+        return cls.__new__(cls)._set(n, None, connected, mask=mask)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the canonical pair (u, v), u < v, is an edge."""
@@ -110,7 +104,10 @@ class Graph:
     def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
             if self.base is not None:
-                self._adj = toggled_adjacency(self.base, self.flips)
+                adj = list(self.base.adj)
+                for u in {u for pair in self.flips for u in pair}:
+                    adj[u] = self.row(u)
+                self._adj = tuple(adj)
             elif self._mask is not None:
                 self._adj = _sorted_rows(self.n, compress(_pairs(self.n), self._mask))
             else:
@@ -134,65 +131,38 @@ class Graph:
 # ----------------------------------------------------------------------
 
 
-def toggled_adjacency(base: Graph, pairs) -> tuple[tuple[int, ...], ...]:
-    """Sorted adjacency of `base` with the distinct canonical `pairs`
-    flipped.
-
-    Only the rows of the flipped pairs' endpoints are rebuilt; every other
-    row is shared with `base.adj`.
-    """
-    base_adj = base.adj
-    rows: dict[int, list[int]] = {}
-    for u, v in pairs:
-        present = v in base_adj[u]
-        for a, b in ((u, v), (v, u)):
-            row = rows.get(a)
-            if row is None:
-                row = rows[a] = list(base_adj[a])
-            if present:
-                row.remove(b)
-            else:
-                insort(row, b)
-    adj = list(base_adj)
-    for a, row in rows.items():
-        adj[a] = tuple(row)
-    return tuple(adj)
-
-
-def edge_set_connected(base: Graph, adj, removes_edge: bool) -> bool:
-    """Connectivity of `base` with some node pairs flipped, given the flipped
-    graph's adjacency and whether a flip removed an edge of `base`.
+def edge_set_connected(g: Graph, removes_edge: bool) -> bool:
+    """Connectivity of a toggled graph g, given whether a flip removed an
+    edge of its base.
 
     Adding edges cannot disconnect a graph, so when no flip removed an edge
-    a connected base answers without a walk, and `adj` may then be None.
-    The sampler calls this once per proposal that flips a pair; the
-    benchmark counts proposals by it.
+    of a connected base, g is marked connected without a walk; otherwise
+    `is_connected` walks g's own rows.  The sampler calls this once per
+    proposal that flips a pair; the benchmark counts proposals by it.
     """
-    return (not removes_edge and is_connected(base)) or _reaches_all(adj)
+    if not removes_edge and is_connected(g.base):
+        g._connected = True
+    return is_connected(g)
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether g is connected; walked once per graph, then read from g."""
+    """Whether a walk from node 0 along g's rows visits every node; walked
+    once per graph, then read from g."""
     if g._connected is None:
-        g._connected = g.n == 1 or _reaches_all(g.adj)
+        adj, n = g.adj, g.n
+        seen = bytearray(n)
+        seen[0] = 1
+        stack = [0]
+        count = 1
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    count += 1
+                    stack.append(v)
+        g._connected = count == n
     return g._connected
-
-
-def _reaches_all(adj) -> bool:
-    """Whether a walk from node 0 along the adjacency lists visits every node."""
-    n = len(adj)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
 
 
 def nodes_within(g: Graph, sources: Iterable[int], depth: int) -> set[int]:

@@ -9,15 +9,15 @@ reject disconnected proposals.  Because the flip-count weights match the
 ball's layer sizes exactly, accepted samples are exactly uniform.  The
 sampled pair indices are unranked, never looked up in a table of pairs.
 
-A proposal is a delta of G: only the adjacency rows of the flipped pairs'
-endpoints are rebuilt, and the accepted graph shares G's other rows and
-knows it is connected.  Adding edges cannot disconnect a graph, so a
-proposal that only adds edges to a connected G is accepted without a walk;
-that skips no proposal the walk would reject, so every draw and every
-accept decision is the one a full rebuild and walk would make.  `has_edge`
-tells whether a flip removes an edge, and the rows are patched only for a
-walk; an accepted graph otherwise patches its rows when first read, one at
-a time through `Graph.row` or all at once through `Graph.adj`.
+A proposal is a delta of G (`Graph.toggled`): it shares G's rows and
+patches only those of the flipped pairs' endpoints, when first read.
+`has_edge` tells whether a flip removes an edge, and `edge_set_connected`
+decides the proposal's connectivity.  Adding edges cannot disconnect a
+graph, so a proposal that only adds edges to a connected G is marked
+connected without a walk; that skips no proposal the walk would reject,
+so every draw and every accept decision is the one a full rebuild and
+walk would make.  Otherwise the proposal walks its own rows, and an
+accepted one keeps them.
 
 Fractional smoothing amounts are handled by randomised rounding: k rounds
 up with probability equal to its fractional part, down otherwise.
@@ -38,14 +38,7 @@ from itertools import chain, combinations
 from math import ceil, comb, isqrt, log
 from random import Random
 
-from .graphs import (
-    NAMED_GRAPHS,
-    Graph,
-    all_pairs,
-    edge_set_connected,
-    is_connected,
-    toggled_adjacency,
-)
+from .graphs import NAMED_GRAPHS, Graph, all_pairs, edge_set_connected, is_connected
 
 DEFAULT_MAX_REJECTIONS = 10_000
 
@@ -178,11 +171,9 @@ def t_smooth(
         if flips == 0:
             return g
         chosen = [_unrank_pair(n, npairs, i) for i in _sample_range(getrandbits, npairs, flips)]
-        # Rows are patched only if the connectivity test walks.
-        removes_edge = any(g.has_edge(u, v) for u, v in chosen)
-        adj = toggled_adjacency(g, chosen) if removes_edge or not g._connected else None
-        if edge_set_connected(g, adj, removes_edge):
-            return Graph.toggled(g, chosen, adj)
+        proposal = Graph.toggled(g, chosen)
+        if edge_set_connected(proposal, any(g.has_edge(u, v) for u, v in chosen)):
+            return proposal
     raise RejectionBudgetExceeded(g.n, t, max_rejections)
 
 
@@ -208,7 +199,7 @@ def _connected_flips(g: Graph, t: int, limit: int):
         subset
         for subset in chain.from_iterable(combinations(pairs, j) for j in range(t + 1))
         if (adding_keeps and edges.isdisjoint(subset))
-        or is_connected(Graph(g.n, edges.symmetric_difference(subset)))
+        or is_connected(Graph.toggled(g, subset))
     )
 
 

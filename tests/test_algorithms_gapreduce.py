@@ -14,7 +14,7 @@ from dynbal.algorithms import (
     gapless_round_budget,
 )
 from dynbal.algorithms.base import accept_offers, heaviest_neighbor, split_pairs
-from dynbal.graphs import Graph, all_pairs, is_connected, line_of, path_graph, toggled_adjacency
+from dynbal.graphs import Graph, all_pairs, is_connected, line_of, path_graph
 from dynbal.loads import total_load
 from dynbal.smoothing import DEFAULT_C1, t_smooth
 from oracles import accept_lightest, flood_min_max_round
@@ -569,7 +569,7 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
                 st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True)
                 .map(lambda ps: ps + [p for p in sorted(base.edges) if p not in ps][:1])
             )
-            graph = Graph.toggled(base, pairs, toggled_adjacency(base, pairs))
+            graph = Graph.toggled(base, pairs)
         elif shape == "twin":
             graph = base = Graph(n, base.edges)  # equal edges, a new identity
 
@@ -595,10 +595,10 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
 def _fresh_round(alg, graph, loads):
     """The matching and new loads of a round on `graph` from every node's
     offer on the checked rows, accepted as the variant accepts them."""
-    rows = Graph(graph.n, graph.edges).adj
+    checked = Graph(graph.n, graph.edges)
     offers = {}
     for u in range(graph.n):
-        if (offer := alg._propose(u, rows[u], loads)) is not None:
+        if (offer := alg._propose(u, checked, loads)) is not None:
             offers[u] = offer
     senders = None if isinstance(alg, GapReduce) else sum(1 << u for u in offers)
     matching = accept_offers(offers, senders)
@@ -621,7 +621,7 @@ def test_kept_records_match_fresh_rounds(base, data, psi):
         flips = []
         if n > 1:
             flips = data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=3, unique=True))
-        graph = Graph.toggled(base, flips, None) if flips else base
+        graph = Graph.toggled(base, flips) if flips else base
         offers, matching, new_loads = _fresh_round(alg, graph, loads)
         outcome = alg.play_round(graph, loads)
         assert outcome.matching == matching and outcome.new_loads == new_loads
@@ -648,27 +648,62 @@ def test_kept_records_match_fresh_rounds(base, data, psi):
 @pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])
 def test_waiting_rounds_ask_only_the_flipped_endpoints(make):
     # While base and tuple stay, a round asks the flipped pairs' endpoints
-    # on their flipped rows and any other node on its base row at most once.
+    # on the flipped graph and asks nothing on the base.
     n = 64
     base = path_graph(n)
     loads = (0,) * 8 + (5,) * (n - 16) + (40,) * 8
     alg = _in_main_rounds(make(), loads, base)
     rng = Random(3)
-    asked, scans, flips, on_base = [], [], 0, set()
+    asked, flips = [], 0
     for r in range(50):
         if r == 1:
             # Count from the second round on, once the memo holds the base.
-            propose, base_proposals = alg._propose, getattr(alg, "_base_proposals", None)
+            propose = alg._propose
             alg._propose = lambda *args: asked.append(args[:2]) or propose(*args)
-            alg._base_proposals = lambda *args: scans.append(args) or base_proposals(*args)
         graph = t_smooth(base, 1, rng)
         asked.clear()
         alg.play_round(graph, loads)
         if r >= 1:
-            assert not scans
-            again = [u for u, row in asked if row is base.adj[u]]
-            assert len(asked) - len(again) <= 2 * len(graph.flips)
-            assert len(set(again)) == len(again) and not on_base.intersection(again)
-            on_base.update(again)
+            endpoints = {u for pair in graph.flips for u in pair}
+            assert all(g is graph and u in endpoints for u, g in asked)
+            assert len(asked) == len(endpoints)
             flips += len(graph.flips)
     assert flips > 0
+
+
+class _GuardedRows(Graph):
+    """A graph whose `row` refuses the nodes in `blocked`."""
+
+    blocked = frozenset()
+
+    def row(self, u):
+        assert u not in self.blocked, f"row {u} read"
+        return super().row(u)
+
+
+@pytest.mark.parametrize("make", [GapReduce, lambda: GaplessGapReduce(psi=9)])
+def test_a_node_that_cannot_offer_never_reads_its_row(make):
+    # The load test comes first: a node that is not light (gapReduce) or is
+    # within psi/2 of the tuple's maximum (gapless) is refused its row, on
+    # the memo's base and as a flipped endpoint, and every round still
+    # equals one asked afresh on the checked rows.
+    n = 16
+    loads = (0,) * 4 + (5,) * 4 + (12,) * 2 + (38,) * 2 + (40,) * 4
+    alg = _in_main_rounds(make(), loads, path_graph(n))
+    if isinstance(alg, GapReduce):
+        blocked = {u for u in range(n) if not alg._is_light(loads[u])}
+    else:
+        blocked = {u for u in range(n) if 2 * (max(loads) - loads[u]) < alg.psi}
+    assert 0 < len(blocked) < n
+    base = _GuardedRows(n, path_graph(n).edges)
+    base.blocked = blocked
+    rng, touched = Random(5), 0
+    for _ in range(40):
+        flips = rng.sample(all_pairs(n), 3)
+        graph = _GuardedRows.toggled(base, flips)
+        graph.blocked = blocked
+        touched += any(u in blocked for pair in flips for u in pair)
+        _, matching, new_loads = _fresh_round(alg, Graph(n, graph.edges), loads)
+        outcome = alg.play_round(graph, loads)
+        assert outcome.matching == matching and outcome.new_loads == new_loads
+    assert touched > 10

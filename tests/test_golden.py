@@ -101,13 +101,18 @@ def _sha256(text: str) -> str:
 
 
 def outcome(raw: dict) -> dict:
+    return outcome_and_csv(raw)[0]
+
+
+def outcome_and_csv(raw: dict) -> tuple[dict, str]:
+    """The pinned outcome of a trial and the trace CSV it wrote."""
     cfg = config_from_dict(raw)
     stream = io.StringIO()
     writer = TraceCsvWriter(stream, cfg.checks)
     try:
         result = run_trial(cfg, trace_writer=writer)
     except Exception as exc:  # a crash is pinned like any other outcome
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return {"error": f"{type(exc).__name__}: {exc}"}, stream.getvalue()
     amounts = [result.total, result.final_gap, result.min_max_gap]
     return {
         "rounds_played": result.rounds_played,
@@ -119,7 +124,7 @@ def outcome(raw: dict) -> dict:
             ",".join(f"{type(a).__name__}:{render_amount(a)}" for a in amounts)
         ),
         "csv_sha256": _sha256(stream.getvalue()),
-    }
+    }, stream.getvalue()
 
 
 def _entries() -> list[dict]:

@@ -19,7 +19,6 @@ from dynbal.graphs import (
     nodes_within,
     path_graph,
     star_graph,
-    toggled_adjacency,
 )
 from dynbal.smoothing import SmoothingParams, k_smooth
 from oracles import hamming_distance
@@ -66,12 +65,20 @@ def test_edge_set_connected_matches_graph_check():
         (Graph(3, [(0, 1)]), [(0, 2)], True),
     ]
     for base, pairs, expected in cases:
-        adj = toggled_adjacency(base, pairs)
+        proposal = Graph.toggled(base, pairs)
         flipped = Graph(base.n, base.edges ^ set(pairs))
-        assert adj == flipped.adj
+        assert proposal.adj == flipped.adj
         removes_edge = any(base.has_edge(u, v) for u, v in pairs)
         assert removes_edge == bool(base.edges & set(pairs))
-        assert edge_set_connected(base, adj, removes_edge) == is_connected(flipped) == expected
+        assert edge_set_connected(proposal, removes_edge) == is_connected(flipped) == expected
+        assert is_connected(Graph.toggled(base, pairs)) == expected
+
+
+def test_a_toggled_graph_decides_its_own_connectivity():
+    # Removing the middle edge of a path splits it; a toggled graph claims
+    # nothing and walks its own rows.
+    assert not is_connected(Graph.toggled(path_graph(4), [(1, 2)]))
+    assert is_connected(Graph.toggled(path_graph(4), [(1, 2), (0, 3)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,7 +86,7 @@ def test_edge_set_connected_matches_graph_check():
 def test_toggled_edges_are_built_on_first_read(n, data):
     base = Graph(n, data.draw(st.lists(st.sampled_from(all_pairs(n)))) if n > 1 else ())
     pairs = data.draw(st.lists(st.sampled_from(all_pairs(n)), unique=True)) if n > 1 else []
-    g = Graph.toggled(base, pairs, toggled_adjacency(base, pairs))
+    g = Graph.toggled(base, pairs)
     checked = Graph(n, base.edges ^ set(pairs))
     assert (base.base, base.flips) == (None, ())
     assert g.base is base and g.flips == tuple(pairs)
@@ -123,9 +130,9 @@ def test_lazily_toggled_rows_equal_toggled_adjacency(n, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=len(pairs), max_size=len(pairs)))
     base = Graph.from_mask(n, bytes(bits))
     flips = data.draw(st.lists(st.sampled_from(pairs), unique=True))
-    g = Graph.toggled(base, flips, None)
+    g = Graph.toggled(base, flips)
     assert g._adj is None
-    assert g.adj == toggled_adjacency(base, flips) == Graph(n, base.edges ^ set(flips)).adj
+    assert g.adj == Graph(n, base.edges ^ set(flips)).adj
 
 
 @pytest.mark.parametrize("k", [Fraction(1), Fraction(5, 2)])
@@ -150,7 +157,7 @@ def test_a_patched_row_equals_the_checked_row(k, kind):
             rows = list(Graph(n, g.edges).adj)
             assert [g.row(u) for u in range(n)] == rows
             if g is not base:
-                lazy = Graph.toggled(base, g.flips, None)
+                lazy = Graph.toggled(base, g.flips)
                 assert [lazy.row(u) for u in range(n)] == rows
                 assert lazy._adj is None
     assert removals > 10 or (kind, k) == ("path", 1)
