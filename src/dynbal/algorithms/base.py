@@ -10,10 +10,11 @@ an algorithm may key what it derives from them by the tuple's identity.
 Every algorithm here plays one kind of round: each node offers its load to
 at most one neighbor, each target accepts one offer, and each accepted pair
 splits its load.  An offer is a `(target, key)` pair keyed by the gap.
-`accept_offers` states the acceptance rule (highest key, lowest proposer on
-ties) and `heaviest_gap_neighbor` the max-gap proposal (lowest neighbor on
-ties).  The deterministic round, where every node proposes, reads each
-edge once instead and keeps both rules by walking in ascending id (see
+`accept_offers` states the acceptance rule and `heaviest_gap_neighbor` the
+max-gap proposal (lowest neighbor on ties); the matching-based rounds end
+in `offer_round`, which accepts, splits and builds the record.  The
+deterministic round, where every node proposes and answers, reads each
+edge once instead and keeps both tie rules by walking in ascending id (see
 deterministic.py).
 """
 
@@ -92,19 +93,27 @@ def heaviest_neighbor(u: int, neighbors: Sequence[int], loads) -> Optional[int]:
 _TARGET = itemgetter(1)
 
 
-def accept_offers(offers: dict, senders: Optional[int] = None) -> list[tuple[int, int, object]]:
-    """The matching `(u, v, key)` in ascending target order: each target v
-    takes the highest key, the lowest proposer u on ties.  `offers` maps
-    proposers to their `(target, key)`, in any order; an offer to a node of
-    the bit mask `senders` dies."""
+def accept_offers(offers: dict) -> list[tuple[int, int, object]]:
+    """The matching `(u, v, key)` in ascending target order.  `offers` maps
+    proposers to their `(target, key)`, in any order; an offer to a node
+    that made an offer itself dies, and each other target v takes the
+    highest key, the lowest proposer u on ties."""
     accepted: dict[int, tuple[int, int, object]] = {}
     for u, (v, key) in offers.items():
-        if senders is not None and senders >> v & 1:
+        if v in offers:
             continue
         held = accepted.get(v)
         if held is None or key > held[2] or key == held[2] and u < held[0]:
             accepted[v] = u, v, key
     return sorted(accepted.values(), key=_TARGET)
+
+
+def offer_round(offers: dict, loads: tuple, shift: int = 0) -> RoundOutcome:
+    """The round these offers play: `accept_offers`' matching, split on
+    loads `shift` bits finer by `split_pairs`."""
+    matching = accept_offers(offers)
+    new_loads = split_pairs(loads, matching, shift)
+    return RoundOutcome(new_loads=new_loads, matching=matching, shift=shift)
 
 
 def split_pairs(loads, matching, shift: int = 0):

@@ -21,12 +21,16 @@ heaviest neighbor provided that neighbor is heavy; each heavy node accepts
 its lightest proposer, the one with the widest gap; the pair splits its
 total with the floor going to the light node.  Thresholds never move within
 a call, so once either side is exhausted the remaining rounds provably
-transfer nothing and can be fast-forwarded.
+transfer nothing and can be fast-forwarded.  A call counts its rounds down
+once, in `_left`, and floods while more than its main budget is left.
 
 The gapless variant skips flooding entirely: it is handed a target spread
 psi and every node proposes to its heaviest neighbor whenever that
 neighbor is at least psi/2 ahead (inclusive).  Nodes that proposed do not
-also accept, which keeps the variant matching-based.
+also accept, which keeps the variant matching-based: the rule of
+`offer_round` (see base.py), which both variants end a round in.  In
+`gapReduce` it drops nothing: a node both light and heavy would lie above
+M - psi/4 and below m + psi/4, which needs psi < psi/2.
 
 Each variant states its offer rule once, in `_propose(u, graph, loads)`,
 and tests the loads before it reads u's row: only a light node can offer
@@ -55,7 +59,7 @@ from random import Random
 from ..graphs import Graph
 from ..records import RoundOutcome
 from ..smoothing import DEFAULT_C1
-from .base import KIND_MATCHING, BalancingAlgorithm, accept_offers, heaviest_neighbor, split_pairs
+from .base import BalancingAlgorithm, heaviest_neighbor, offer_round
 
 
 def hitting_constant(c1) -> Fraction:
@@ -99,26 +103,61 @@ def gapless_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> int:
 
 
 class ProposalMemo(BalancingAlgorithm):
-    """Remembers offers, each of which reads only its node's adjacency row
-    and the loads.  The key is the base graph a smoothed graph was flipped
-    from and the loads' committed tuple, both by identity; a miss asks every
-    node on the base, and while the key holds, a round asks only the flipped
-    pairs' endpoints again, on the flipped graph, and plays the memo dict
-    itself when none of their offers differs.  A round that played the
-    memo's offers and moved no load is kept, and handed back to every later
-    round that plays them; a new key drops it.  Subclasses give two hooks:
+    """One gap-reduction call: its hitting constant `c1`, its budget and
+    countdown `_left`, its idle skeleton and a memo of offers.  A variant
+    sets its thresholds and `_plan`s its budget in `start`, and gives
     `_propose(u, graph, loads)`, u's offer or None, which tests the loads
-    before it reads `graph.row(u)`, and `_outcome(offers, loads)`, the
-    round those offers play.  By the same rule `_busy` holds the tuple a
-    subclass's idle test last found busy."""
+    before it reads `graph.row(u)`, and `_idle(loads)`, whether no future
+    graph can move a unit before the call ends.
+
+    An offer reads only its node's adjacency row and the loads.  The memo's
+    key is the base graph a smoothed graph was flipped from and the loads'
+    committed tuple, both by identity; a miss asks every node on the base,
+    and while the key holds, a round asks only the flipped pairs' endpoints
+    again, on the flipped graph, and plays the memo dict itself when none
+    of their offers differs.  A round that played the memo's offers and
+    moved no load is kept, and handed back to every later round that plays
+    them; a new key drops it.  By the same rule `_busy` holds the tuple the
+    idle test last found busy."""
+
+    modes = ("integral",)
+
+    def __init__(self, c1: Fraction = DEFAULT_C1):
+        self.c1 = hitting_constant(c1)
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.k = Fraction(k)
         self._memo_base, self._memo_loads, self._memo = None, None, {}
         self._kept = self._busy = None
 
+    def _plan(self, budget: int) -> None:
+        """Plan `budget` rounds.  A spread psi below 2 cannot be narrowed by
+        integral averaging: such a call is finished before its first round."""
+        self._budget = budget
+        self._left = budget if self.psi >= 2 else 0
+
+    def planned_rounds(self):
+        return self._budget
+
+    def is_done(self, loads: tuple) -> bool:
+        return self._left == 0
+
+    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
+        if self._left == 0:  # finished
+            return budget_left
+        if loads is self._busy:
+            return 0
+        if not self._idle(loads):
+            self._busy = loads
+            return 0
+        # Thresholds never move within a call, so the rest of it is idle.
+        skip = min(self._left, budget_left)
+        self._left -= skip
+        return skip
+
     def _offers(self, graph: Graph, loads: tuple) -> dict:
-        """This round's offers for `accept_offers`: the memo itself when no
+        """This round's offers for `offer_round`: the memo itself when no
         flip changes an offer."""
         base = graph if graph.base is None else graph.base
         if base is not self._memo_base or loads is not self._memo_loads:
@@ -144,9 +183,9 @@ class ProposalMemo(BalancingAlgorithm):
         """This round's record: the kept one while it stands."""
         offers = self._offers(graph, loads)
         if offers is not self._memo:
-            return self._outcome(offers, loads)
+            return offer_round(offers, loads)
         if self._kept is None:
-            outcome = self._outcome(offers, loads)
+            outcome = offer_round(offers, loads)
             if outcome.new_loads is not loads:
                 return outcome
             self._kept = outcome
@@ -155,34 +194,15 @@ class ProposalMemo(BalancingAlgorithm):
 
 class GapReduce(ProposalMemo):
     name = "gapReduce"
-    kind = KIND_MATCHING
-    modes = ("integral",)
-
-    def __init__(self, c1: Fraction = DEFAULT_C1):
-        self.c1 = hitting_constant(c1)
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        self.k = Fraction(k)
-        total = sum(loads)
-        self._main_budget = gap_reduce_round_budget(n, total, self.c1, self.k)
-        self._flood_record = None
         # Where flooding ends (see the module docstring).
         self.low, self.high = min(loads), max(loads)
         self.psi = self.high - self.low
-        # A spread below 2 cannot be narrowed by integral averaging: the
-        # whole call is a no-op and is skipped outright.
-        if self.psi < 2:
-            self._flood_left = self._main_left = 0
-            return
-        self._flood_left = n
-        self._main_left = self._main_budget
-
-    def planned_rounds(self):
-        return self.n + self._main_budget
-
-    def is_done(self, loads: tuple) -> bool:
-        return self._flood_left == 0 and self._main_left == 0
+        self._main_budget = gap_reduce_round_budget(n, sum(loads), self.c1, self.k)
+        self._plan(n + self._main_budget)
+        self._flood_record = None
 
     def _is_light(self, w: int) -> bool:
         return 4 * w < 4 * self.low + self.psi
@@ -191,18 +211,13 @@ class GapReduce(ProposalMemo):
         return 4 * w > 4 * self.high - self.psi
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
-        if self._flood_left > 0:
-            self._flood_left -= 1
+        self._left -= 1
+        if self._left >= self._main_budget:
             # Flooding moves no load: one record serves the call's tuple.
             if self._flood_record is None or self._flood_record.new_loads is not loads:
                 self._flood_record = RoundOutcome(new_loads=loads)
             return self._flood_record
-        self._main_left -= 1
         return self._round(graph, loads)
-
-    def _outcome(self, offers: dict, loads: tuple) -> RoundOutcome:
-        matching = accept_offers(offers)
-        return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
     def _propose(self, u: int, graph: Graph, loads: tuple):
         if self._is_light(loads[u]) and (row := graph.row(u)):
@@ -211,59 +226,32 @@ class GapReduce(ProposalMemo):
                 return v, loads[v] - loads[u]
         return None
 
-    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        if self._flood_left == self._main_left == 0:  # finished
-            return budget_left
-        if self._flood_left > 0 or loads is self._busy:
-            return 0
+    def _idle(self, loads: tuple) -> bool:
+        # A flooding round is handed the loads the call started on, whose
+        # extremes are light and heavy: busy.
+        if self._left > self._main_budget:
+            return False
         # Both predicates are monotone in w, so the extremes decide.
-        if self._is_light(min(loads)) and self._is_heavy(max(loads)):
-            self._busy = loads
-            return 0
-        # With one side empty and thresholds frozen, no future graph can
-        # produce a transfer; the rest of the call is provably idle.
-        skip = min(self._main_left, budget_left)
-        self._main_left -= skip
-        return skip
+        return not (self._is_light(min(loads)) and self._is_heavy(max(loads)))
 
 
 class GaplessGapReduce(ProposalMemo):
     name = "gaplessGapReduce"
-    kind = KIND_MATCHING
-    modes = ("integral",)
 
     def __init__(self, psi: int, c1: Fraction = DEFAULT_C1):
         if psi < 0:
             raise ValueError("target spread must be non-negative")
+        super().__init__(c1)
         self.psi = psi
-        self.c1 = hitting_constant(c1)
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
         super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        self.k = Fraction(k)
-        total = sum(loads)
-        self._budget = gapless_round_budget(n, total, self.c1, self.k)
-        # psi < 2 asks for sub-unit averaging: vacuous on integers.
-        self._left = 0 if self.psi < 2 else self._budget
+        self._plan(gapless_round_budget(n, sum(loads), self.c1, self.k))
         self._max_of = self._max = None
-
-    def planned_rounds(self):
-        return self._budget
-
-    def is_done(self, loads: tuple) -> bool:
-        return self._left == 0
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         self._left -= 1
         return self._round(graph, loads)
-
-    def _outcome(self, offers: dict, loads: tuple) -> RoundOutcome:
-        # Every proposer's offer counts, and no proposer accepts.
-        proposers = 0
-        for u in offers:
-            proposers |= 1 << u
-        matching = accept_offers(offers, proposers)
-        return RoundOutcome(new_loads=split_pairs(loads, matching), matching=matching)
 
     def _propose(self, u: int, graph: Graph, loads: tuple):
         if loads is not self._max_of:
@@ -274,18 +262,9 @@ class GaplessGapReduce(ProposalMemo):
                 return v, loads[v] - loads[u]
         return None
 
-    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        if self._left == 0:  # finished
-            return budget_left
-        if not loads or loads is self._busy:
-            return 0
-        spread = max(loads) - min(loads)
-        if 2 * spread >= self.psi and spread >= 2:
-            self._busy = loads
-            return 0
+    def _idle(self, loads: tuple) -> bool:
         # Either no pair is psi/2 apart (nothing proposes) or every gap is
         # at most 1 (pairs may connect but floor/ceil moves nothing), and
-        # loads are frozen either way: the rest of the call is idle.
-        skip = min(self._left, budget_left)
-        self._left -= skip
-        return skip
+        # loads are frozen either way.
+        spread = max(loads) - min(loads)
+        return 2 * spread < self.psi or spread < 2

@@ -4,10 +4,13 @@ Every node flips a fair coin to send or receive.  A sender proposes to the
 neighbor with the largest absolute load gap (lowest id on ties); a receiver
 with proposals accepts the largest-gap proposer (lowest id on ties).  A
 proposal to another sender dies, so each node exchanges with at most one
-partner: the algorithm is matching-based.  Integral transfers give the
-lighter node the floor.  Continuous rounds run the same integral kernel on
-loads one bit finer (doubled numerators), where the floor never bites: the
-pair averages exactly and the round raises the loads' exponent by one.
+partner: the algorithm is matching-based.  A sender offered to has the
+proposer as a neighbor, so it made an offer itself: the rule is
+`accept_offers`' own, and the round ends in `offer_round` (see base.py).
+Integral transfers give the lighter node the floor.  Continuous rounds run
+the same integral kernel on loads one bit finer (doubled numerators), where
+the floor never bites: the pair averages exactly and the round raises the
+loads' exponent by one.
 
 A round asks each sender for its proposal in one walk of the coin.  While
 the base graph (the one a smoothed graph was flipped from) and the
@@ -25,7 +28,7 @@ from random import Random
 from ..graphs import Graph
 from ..loads import MODE_INTEGRAL
 from ..records import KIND_MATCHING, RoundOutcome
-from .base import BalancingAlgorithm, accept_offers, heaviest_gap_neighbor, split_pairs
+from .base import BalancingAlgorithm, heaviest_gap_neighbor, offer_round
 
 REPLAY_LIMIT = 1024
 
@@ -62,11 +65,8 @@ class RandMaxNeighbor(BalancingAlgorithm):
             u = bit.bit_length() - 1
             if rows[u]:
                 offers[u] = heaviest_gap_neighbor(u, rows[u], loads)
-        matching = accept_offers(offers, coin)
-        shift = 0 if self.mode == MODE_INTEGRAL else 1
-        new_loads = split_pairs(loads, matching, shift)
-        outcome = RoundOutcome(new_loads=new_loads, matching=matching, shift=shift)
+        outcome = offer_round(offers, loads, 0 if self.mode == MODE_INTEGRAL else 1)
         # Only an unshifted split hands back `loads` itself.
-        if new_loads is loads and replayable and len(self._replay) < REPLAY_LIMIT:
+        if outcome.new_loads is loads and replayable and len(self._replay) < REPLAY_LIMIT:
             self._replay[coin] = outcome
         return outcome

@@ -91,7 +91,7 @@ def test_thresholds_equal_the_flooded_tables(base, data):
         graph = next(graphs)
         assert alg.play_round(graph, loads).new_loads is loads
         tables = flood_min_max_round(tables, graph)
-    assert alg._flood_left == 0
+    assert alg._left == alg._main_budget
     [(low, high)] = set(tables)
     assert (alg.low, alg.high, alg.psi) == (low, high, high - low)
 
@@ -113,7 +113,7 @@ def test_flooding_rounds_never_read_their_graph():
     alg = started(GapReduce(), loads, 4)
     for _ in range(4):
         assert alg.play_round(_UnreadableGraph(), loads).new_loads is loads
-    assert (alg._flood_left, alg.low, alg.high, alg.psi) == (0, 0, 9, 9)
+    assert (alg._left, alg.low, alg.high, alg.psi) == (alg._main_budget, 0, 9, 9)
     # The main rounds read their graph.
     assert alg.play_round(path_graph(4), loads).matching == [(1, 2, 9)]
 
@@ -205,7 +205,7 @@ def test_idle_fast_forward_consumes_remaining_budget():
         loads = alg.play_round(g, loads).new_loads
     loads = alg.play_round(g, loads).new_loads
     assert loads == (4, 4)
-    remaining = alg._main_left
+    remaining = alg._left
     assert remaining > 0
     assert alg.consume_idle_rounds(loads, 10**9) == remaining
     assert alg.is_done(loads)
@@ -229,13 +229,11 @@ def test_rounds_that_move_nothing_hand_back_their_tuple():
     unit_gap = (4, 5)
     matching = accept_offers({0: (1, 1)})
     assert matching == [(0, 1, 1)] and split_pairs(unit_gap, matching) is unit_gap
-    # With a senders mask, an offer to a sender dies (0 -> 1); among the
+    # The offer to a proposer dies (0 -> 1, as node 1 offers too); among the
     # rest each target takes the highest key (6 -> 2 over 5 -> 2), then the
     # lowest proposer (1 -> 4 over 3 -> 4).
     offers = {3: (4, 2), 0: (1, 9), 1: (4, 2), 5: (2, 1), 6: (2, 3)}
-    senders = 0b1101011  # nodes 0, 1, 3, 5 and 6
-    assert accept_offers(offers, senders) == [(6, 2, 3), (1, 4, 2)]
-    assert accept_offers(offers) == [(0, 1, 9), (6, 2, 3), (1, 4, 2)]
+    assert accept_offers(offers) == [(6, 2, 3), (1, 4, 2)]
     alg = started(GaplessGapReduce(psi=2), unit_gap, 2)
     outcome = alg.play_round(g, unit_gap)
     assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
@@ -428,13 +426,13 @@ def test_gapless_edge_proposals_match_per_node_scan(graph, data, psi):
 def _any_scan_idle_skip(alg, loads, budget_left):
     """`GapReduce.consume_idle_rounds` as a scan for some light node and
     some heavy node (reference); leaves the call untouched."""
-    if alg._flood_left > 0:
+    if alg._left > alg._main_budget:  # flooding
         return 0
-    if alg._main_left == 0:
+    if alg._left == 0:
         return budget_left
     if any(alg._is_light(w) for w in loads) and any(alg._is_heavy(w) for w in loads):
         return 0
-    return min(alg._main_left, budget_left)
+    return min(alg._left, budget_left)
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,10 +449,10 @@ def test_idle_skip_from_extremes_matches_any_scan(start_loads, data, budget_left
             alg.play_round(path_graph(n), start_loads)
     lo, hi = min(start_loads), max(start_loads)
     loads = tuple(data.draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
-    main_left = alg._main_left
+    left = alg._left
     expected = _any_scan_idle_skip(alg, loads, budget_left)
     assert alg.consume_idle_rounds(loads, budget_left) == expected
-    assert alg._main_left == max(0, main_left - expected)
+    assert alg._left == max(0, left - expected)
 
 
 def _gapless_idle_skip(alg, loads, budget_left):
@@ -462,8 +460,6 @@ def _gapless_idle_skip(alg, loads, budget_left):
     nodes for one at least psi/2 and 2 apart (reference)."""
     if alg._left == 0:
         return budget_left
-    if not loads:
-        return 0
     if any(2 * abs(a - b) >= alg.psi and abs(a - b) >= 2 for a in loads for b in loads):
         return 0
     return min(alg._left, budget_left)
@@ -518,8 +514,8 @@ def test_idle_verdict_is_judged_afresh_after_start():
     # So does the same call started again: under its new thresholds (light
     # below 12.5, heavy above 17.5) the tuple it judged busy is idle.
     flooded(first, (10, 20))
-    main_left = first._main_left
-    assert first.consume_idle_rounds(busy, 10**6) == main_left > 0
+    left = first._left
+    assert first.consume_idle_rounds(busy, 10**6) == left > 0
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +540,7 @@ def _in_main_rounds(alg, loads, graph):
     """Start the call and play its flooding rounds, if it has any."""
     alg = started(alg, loads, graph.n)
     if isinstance(alg, GapReduce):
-        while alg._flood_left > 0:
+        while alg._left > alg._main_budget:
             alg.play_round(graph, list(loads))
     return alg
 
@@ -594,14 +590,14 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
 
 def _fresh_round(alg, graph, loads):
     """The matching and new loads of a round on `graph` from every node's
-    offer on the checked rows, accepted as the variant accepts them."""
+    offer on the checked rows, accepted by `accept_offers`: an offer to a
+    proposer dies."""
     checked = Graph(graph.n, graph.edges)
     offers = {}
     for u in range(graph.n):
         if (offer := alg._propose(u, checked, loads)) is not None:
             offers[u] = offer
-    senders = None if isinstance(alg, GapReduce) else sum(1 << u for u in offers)
-    matching = accept_offers(offers, senders)
+    matching = accept_offers(offers)
     return offers, matching, split_pairs(loads, matching)
 
 

@@ -426,6 +426,52 @@ def test_conservation_fails_only_in_the_round_that_creates_load(monkeypatch, str
         assert report.witnesses["conservation"] == {"before": "10", "after": "11"}
 
 
+class HandsBackRoundOnesRecord(BalancingAlgorithm):
+    """Round 1 moves nothing and keeps its record, round 2 adds one unit to
+    node 0, and round 3 hands round 1's record back on round 2's tuple."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau, n):
+        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+        self.rounds = 0
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        if self.rounds == 1:
+            self.first = RoundOutcome(new_loads=loads)
+            return self.first
+        if self.rounds == 2:
+            return RoundOutcome(new_loads=(loads[0] + 1,) + loads[1:])
+        return self.first
+
+
+def test_kept_verdicts_hold_only_on_the_committed_record_they_were_judged_on(monkeypatch):
+    # Round 1's record carries round 1's verdicts.  Handed back in round 3
+    # from another committed record, it is judged afresh, so round 3's
+    # conservation failure (11 back to 10) is reported.
+    monkeypatch.setattr(engine, "make_algorithm", lambda name, **params: HandsBackRoundOnesRecord())
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="0",
+            algorithm="randMaxNeighbor",
+            roundBudget=3,
+            checks=["conservation"],
+        )
+    )
+    result = run_trial(cfg)
+    assert result.final_loads == [1, 2, 3, 4]
+    assert [report.round_index for report in result.failure_reports] == [2, 3]
+    assert [report.witnesses["conservation"] for report in result.failure_reports] == [
+        {"before": "10", "after": "11"},
+        {"before": "11", "after": "10"},
+    ]
+
+
 class CommitsNegativeLoadInRoundTwo(BalancingAlgorithm):
     """Round 2 moves two units off node 0, leaving it at -1; every other
     round hands the committed tuple back, so the bad vector stays committed."""

@@ -331,6 +331,31 @@ def test_direct_draws_match_the_stdlib(seed):
             assert rng.getstate() == reference.getstate()
 
 
+def test_randbelow_accepts_each_value_below_its_bound_once():
+    # Every getrandbits outcome of the bound's width, fed once as the first
+    # draw: 0..b-1 are each accepted on that draw, and every other outcome
+    # draws again.  So each accepted draw is uniform on [0, b).
+    for bound in range(1, 257):
+        width = bound.bit_length()
+        accepted = Counter()
+        for first in range(1 << width):
+            draws = [first, 0]
+            widths = []
+
+            def getrandbits(k):
+                widths.append(k)
+                return draws[len(widths) - 1]
+
+            value = _randbelow(getrandbits, bound)
+            assert set(widths) == {width}
+            if first < bound:
+                assert (value, len(widths)) == (first, 1)
+                accepted[value] += 1
+            else:
+                assert (value, len(widths)) == (0, 2)
+        assert accepted == Counter(range(bound))
+
+
 @pytest.mark.parametrize("k", ["1/2", "5/4", "7/3", "13/8", "255/256", "3/1000", "9"])
 def test_rounding_draws_match_the_stdlib(k):
     params = SmoothingParams(k=Fraction(k))
