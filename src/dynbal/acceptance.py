@@ -142,35 +142,32 @@ def criterion_3(scale: str) -> CriterionOutcome:
     back node never drops under 8 - the max gap stays >= 7 in every round.
     """
     params = SCALES[scale]
-    seeds = range(params["impossibility_seeds"])
+    seeds = params["impossibility_seeds"]
     rounds = params["impossibility_rounds"]
-    worst_gap_floor = None
-    failures = 0
-    for seed in seeds:
-        cfg = config_from_dict(
-            {
-                "n": 8,
-                "initialLoads": "lineRamp",
-                "mode": "integral",
-                "tau": "1",
-                "k": "0",
-                "adversary": "sortingLine",
-                "algorithm": "randMaxNeighbor",
-                "roundBudget": rounds,
-                "checks": ["prefixMonotone", "conservation", "integrality", "matchingBudget"],
-                "seed": seed,
-            }
-        )
-        result = run_trial(cfg)
-        failures += result.invariant_failures
-        if worst_gap_floor is None or result.min_max_gap < worst_gap_floor:
-            worst_gap_floor = result.min_max_gap
+    cfg = config_from_dict(
+        {
+            "n": 8,
+            "initialLoads": "lineRamp",
+            "mode": "integral",
+            "tau": "1",
+            "k": "0",
+            "adversary": "sortingLine",
+            "algorithm": "randMaxNeighbor",
+            "roundBudget": rounds,
+            "checks": ["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+            "trials": seeds,
+            "seed": 0,
+        }
+    )
+    result = run_experiment(cfg)
+    worst_gap_floor = min(trial.min_max_gap for trial in result.trials)
+    failures = result.total_invariant_failures
     ok = worst_gap_floor >= 7 and failures == 0
     return CriterionOutcome(
         3,
         "sorting-line impossibility (gap floor 7)",
         ok,
-        f"min max-gap {worst_gap_floor} over {len(seeds)} seeds x {rounds} rounds, "
+        f"min max-gap {worst_gap_floor} over {seeds} seeds x {rounds} rounds, "
         f"{failures} invariant violations",
     )
 
@@ -291,16 +288,10 @@ def criterion_7(scale: str) -> CriterionOutcome:
             "seed": 10_000,
         }
     )
-    successes = 0
-    conserved = 0
-    failures = 0
-    for i in range(trials):
-        result = run_trial(cfg, seed=cfg.seed + i)
-        failures += result.invariant_failures
-        if result.converged and result.final_gap <= Fraction(1, 4):
-            successes += 1
-        if total_load(result.final_loads) == result.total:
-            conserved += 1
+    results = run_experiment(cfg).trials
+    successes = sum(r.converged and r.final_gap <= Fraction(1, 4) for r in results)
+    conserved = sum(total_load(r.final_loads) == r.total for r in results)
+    failures = sum(r.invariant_failures for r in results)
     floor = int(trials * STAT_SUCCESS_FLOOR + 0.5)
     ok = successes >= floor and conserved == trials and failures == 0
     return CriterionOutcome(

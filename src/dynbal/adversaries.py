@@ -1,10 +1,11 @@
 """Adaptive adversaries that pick each round's communication graph.
 
-A policy sees the committed loads and last round's connections, and must
-answer with a connected simple graph on the same nodes.  The built-in
-policies cover the scenarios the test-bed ships: fixed topologies, loads
-re-sorted onto a line, the sorting-line adversary that keeps every balanced
-pair in ascending order, and uniformly random connected graphs.
+A policy is handed the committed `LoadState` and the last round's
+`RoundOutcome.matching`, and must answer with a connected simple graph on
+the same nodes.  The built-in policies cover the scenarios the test-bed
+ships: fixed topologies, loads re-sorted onto a line, the sorting-line
+adversary that keeps every balanced pair in ascending order, and uniformly
+random connected graphs.
 
 A random connected graph draws its Pruefer sequence and its extra-edge
 coins as rng.randrange would, but in batches.  CPython's getrandbits(k) for
@@ -17,7 +18,6 @@ drawn as, connected without a walk because a tree spans every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -28,18 +28,6 @@ from .loads import LoadState
 from .smoothing import _randbelow
 
 
-@dataclass(slots=True)
-class AdversaryContext:
-    """Everything an adaptive adversary may look at before choosing a graph.
-
-    `loads` is the record of the loads the previous round committed;
-    `last_matching` the pairs that actually exchanged load in it.
-    """
-
-    loads: LoadState
-    last_matching: Sequence[tuple[int, int]] = ()
-
-
 class AdversaryPolicy:
     name = "abstract"
 
@@ -48,7 +36,8 @@ class AdversaryPolicy:
         self.n = n
         self.rng = rng
 
-    def next_graph(self, ctx: AdversaryContext) -> Graph:
+    def next_graph(self, state: LoadState, matching: Sequence[tuple]) -> Graph:
+        """`matching` is the last round's, empty before round 1."""
         raise NotImplementedError
 
 
@@ -74,7 +63,7 @@ class StaticPolicy(AdversaryPolicy):
             raise ValueError("static adversary graph must be connected")
         self.graph = graph
 
-    def next_graph(self, ctx: AdversaryContext) -> Graph:
+    def next_graph(self, state: LoadState, matching: Sequence[tuple]) -> Graph:
         return self.graph
 
 
@@ -88,8 +77,8 @@ class ResortDescendingPolicy(AdversaryPolicy):
         self._last_order: Optional[tuple[int, ...]] = None
         self._last_graph: Optional[Graph] = None
 
-    def next_graph(self, ctx: AdversaryContext) -> Graph:
-        loads = ctx.loads.loads
+    def next_graph(self, state: LoadState, matching: Sequence[tuple]) -> Graph:
+        loads = state.loads
         # A stable sort stays stable under reverse=True: equal loads keep
         # ascending ids, the order the key (-loads[v], v) would give.
         order = tuple(sorted(range(self.n), key=loads.__getitem__, reverse=True))
@@ -101,34 +90,35 @@ class ResortDescendingPolicy(AdversaryPolicy):
 
 def sorting_line_postprocess(
     order: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
+    matching: Sequence[tuple],
     loads: Sequence,
 ) -> list[int]:
     """Re-sort every balanced pair into ascending load order on the line.
 
+    `matching` holds a round's `(u, v, gap)` triples; the gap is not read.
     Pairs are applied in sorted order; a pair that does not sit on adjacent
     line positions when its turn comes (it balanced over an edge off the
     line, or an earlier swap moved one of its nodes) is left in place.
     Equal loads keep their positions.
     """
     position = sorted(range(len(order)), key=order.__getitem__)
-    return list(_swap_pairs(order, position, pairs, loads) or order)
+    return list(_swap_pairs(order, position, matching, loads) or order)
 
 
-def _swap_pairs(order, position: list[int], pairs, loads) -> Optional[tuple[int, ...]]:
+def _swap_pairs(order, position: list[int], matching, loads) -> Optional[tuple[int, ...]]:
     """`sorting_line_postprocess` on `order` and its inverse `position`
     (position[node] is node's index in order): the new order as a tuple,
     with `position` updated in place, or None when no pair swaps.  No
     position moves before the first swap, so one unsorted scan for a pair
     adjacent and out of order now tells whether any pair swaps at all."""
-    for u, v in pairs:
+    for u, v, _ in matching:
         step = position[v] - position[u]
         if step == 1 and loads[u] > loads[v] or step == -1 and loads[v] > loads[u]:
             break
     else:
         return None
     order = list(order)
-    for u, v in sorted({(u, v) if u < v else (v, u) for u, v in pairs}):
+    for u, v in sorted({(u, v) if u < v else (v, u) for u, v, _ in matching}):
         pu, pv = position[u], position[v]
         if pu > pv:
             u, v, pu, pv = v, u, pv, pu
@@ -167,11 +157,10 @@ class SortingLinePolicy(AdversaryPolicy):
         # The pair last met and its verdict: None until it is met again.
         self._met_loads = self._met_order = self._ascending = None
 
-    def next_graph(self, ctx: AdversaryContext) -> Graph:
-        pairs = ctx.last_matching
-        if not pairs:
+    def next_graph(self, state: LoadState, matching: Sequence[tuple]) -> Graph:
+        if not matching:
             return self._graph
-        loads, order = ctx.loads.loads, self.order
+        loads, order = state.loads, self.order
         if loads is self._met_loads and order is self._met_order:
             if self._ascending is None:
                 self._ascending = all(loads[u] <= loads[v] for u, v in zip(order, order[1:]))
@@ -179,7 +168,7 @@ class SortingLinePolicy(AdversaryPolicy):
                 return self._graph
         else:
             self._met_loads, self._met_order, self._ascending = loads, order, None
-        if order := _swap_pairs(order, self.position, pairs, loads):
+        if order := _swap_pairs(order, self.position, matching, loads):
             self.order = order
             self._graph = line_of(order)
         return self._graph
@@ -196,7 +185,7 @@ class RandomConnectedPolicy(AdversaryPolicy):
             raise ValueError("extra edge probability must lie in [0, 1]")
         self.extra_edge_prob = prob
 
-    def next_graph(self, ctx: AdversaryContext) -> Graph:
+    def next_graph(self, state: LoadState, matching: Sequence[tuple]) -> Graph:
         return random_connected_graph(self.n, self.extra_edge_prob, self.rng)
 
 

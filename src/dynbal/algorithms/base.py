@@ -34,11 +34,10 @@ class BalancingAlgorithm:
     kind = KIND_MATCHING
     modes: tuple[str, ...] = ()
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
         """Reset per-trial state.  Subclasses must call super().start()."""
         self.mode = mode
         self.rng = rng
-        self.n = n
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         """Play one round on integer numerators over a shared exponent.

@@ -64,8 +64,8 @@ class _CallChain(BalancingAlgorithm):
     def __init__(self, c1: Fraction = DEFAULT_C1):
         self.c1 = hitting_constant(c1)
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.k = Fraction(k)
         self.tau = tau
         self.total = sum(loads)
@@ -79,11 +79,11 @@ class _CallChain(BalancingAlgorithm):
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
         # Start calls until one is live; once the chain is over, coast.
-        while self.current is None or self.current.is_done(loads):
+        while self.current is None or self.current.is_done():
             call = self._next_call(loads)
             if call is None:
                 return budget_left
-            call.start(loads, self.mode, self.rng, k=self.k, tau=self.tau, n=self.n)
+            call.start(loads, self.mode, self.rng, k=self.k, tau=self.tau)
             self.calls_started += 1
             self.current = call
         return self.current.consume_idle_rounds(loads, budget_left)
@@ -95,9 +95,10 @@ class _CallChain(BalancingAlgorithm):
 class SmoothedBalance(_CallChain):
     name = "smoothedBalance"
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.calls_budget = smoothed_calls_budget(self.total, tau)
+        n = len(loads)
         self._per_call = n + gap_reduce_round_budget(n, self.total, self.c1, self.k)
 
     def planned_rounds(self):
@@ -115,10 +116,10 @@ class SmoothedBalance(_CallChain):
 class GaplessBalance(_CallChain):
     name = "gaplessBalance"
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.schedule = gapless_schedule(self.total, int(tau))
-        self._per_call = gapless_round_budget(n, self.total, self.c1, self.k)
+        self._per_call = gapless_round_budget(len(loads), self.total, self.c1, self.k)
 
     def planned_rounds(self):
         return len(self.schedule) * self._per_call

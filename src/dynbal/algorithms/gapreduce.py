@@ -125,8 +125,8 @@ class ProposalMemo(BalancingAlgorithm):
     def __init__(self, c1: Fraction = DEFAULT_C1):
         self.c1 = hitting_constant(c1)
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.k = Fraction(k)
         self._memo_base, self._memo_loads, self._memo = None, None, {}
         self._kept = self._busy = None
@@ -140,7 +140,7 @@ class ProposalMemo(BalancingAlgorithm):
     def planned_rounds(self):
         return self._budget
 
-    def is_done(self, loads: tuple) -> bool:
+    def is_done(self) -> bool:
         return self._left == 0
 
     def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
@@ -195,11 +195,12 @@ class ProposalMemo(BalancingAlgorithm):
 class GapReduce(ProposalMemo):
     name = "gapReduce"
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
         # Where flooding ends (see the module docstring).
         self.low, self.high = min(loads), max(loads)
         self.psi = self.high - self.low
+        n = len(loads)
         self._main_budget = gap_reduce_round_budget(n, sum(loads), self.c1, self.k)
         self._plan(n + self._main_budget)
         self._flood_record = None
@@ -244,9 +245,9 @@ class GaplessGapReduce(ProposalMemo):
         super().__init__(c1)
         self.psi = psi
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
-        self._plan(gapless_round_budget(n, sum(loads), self.c1, self.k))
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
+        self._plan(gapless_round_budget(len(loads), sum(loads), self.c1, self.k))
         self._max_of = self._max = None
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:

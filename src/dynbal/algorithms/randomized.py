@@ -12,13 +12,13 @@ the same integral kernel on loads one bit finer (doubled numerators), where
 the floor never bites: the pair averages exactly and the round raises the
 loads' exponent by one.
 
-A round asks each sender for its proposal in one walk of the coin.  While
-the base graph (the one a smoothed graph was flipped from) and the
-committed tuple stay the same objects, a round on the unflipped base that
-moved no load is kept by its coin, and a later such round that draws the
-same coin (still drawn every round) gets that very record back.  The
-table empties when either object changes and holds at most
-`REPLAY_LIMIT` records, every coin at n <= 10.
+A round is `offer_round` on the offers `coin_offers` reads off its coin,
+a pure function of (graph, loads, coin).  While the base graph (the one a
+smoothed graph was flipped from) and the committed tuple stay the same
+objects, a round on the unflipped base that moved no load is kept by its
+coin, and a later such round that draws the same coin (still drawn every
+round) gets that very record back.  The table empties when either object
+changes and holds at most `REPLAY_LIMIT` records, every coin at n <= 10.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class RandMaxNeighbor(BalancingAlgorithm):
     kind = KIND_MATCHING
     modes = ("integral", "continuous")
 
-    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau, n: int) -> None:
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
+        super().start(loads, mode, rng, k=k, tau=tau)
         self._replay_base, self._replay_loads, self._replay = None, None, {}
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
@@ -56,17 +56,24 @@ class RandMaxNeighbor(BalancingAlgorithm):
                 self._replay.clear()
                 replayable = graph is base
 
-        offers = {}
-        rows = graph.adj
-        senders = coin
-        while senders:
-            bit = senders & -senders
-            senders ^= bit
-            u = bit.bit_length() - 1
-            if rows[u]:
-                offers[u] = heaviest_gap_neighbor(u, rows[u], loads)
-        outcome = offer_round(offers, loads, 0 if self.mode == MODE_INTEGRAL else 1)
+        shift = 0 if self.mode == MODE_INTEGRAL else 1
+        outcome = offer_round(coin_offers(graph, loads, coin), loads, shift)
         # Only an unshifted split hands back `loads` itself.
         if outcome.new_loads is loads and replayable and len(self._replay) < REPLAY_LIMIT:
             self._replay[coin] = outcome
         return outcome
+
+
+def coin_offers(graph: Graph, loads: tuple, coin: int) -> dict:
+    """The offers of the senders, the set bits of `coin`: each sender with
+    a neighbor offers to its `heaviest_gap_neighbor`, in ascending id."""
+    offers = {}
+    rows = graph.adj
+    senders = coin
+    while senders:
+        bit = senders & -senders
+        senders ^= bit
+        u = bit.bit_length() - 1
+        if rows[u]:
+            offers[u] = heaviest_gap_neighbor(u, rows[u], loads)
+    return offers

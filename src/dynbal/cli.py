@@ -11,7 +11,7 @@ Exit codes:
       budget, or `smoothing-test` exceeded its tolerance.
 
 `experiment --threads N` with N > 1 runs trials in separate processes;
-without it they run serially.
+with N = 1 or without it they run serially, and N < 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -150,6 +150,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, not {args.threads}")
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -12,11 +12,10 @@ asks the algorithm one idle call, `consume_idle_rounds`; a finished
 algorithm's loads are frozen, so that call accounts the rest of its budget
 in one step without simulating it.
 
-A trial binds its components' round methods once and refills one
-`AdversaryContext` each round; no callee may keep it past its call.  Its
-`last_matching` is the `pairs` list of the last round's record, derived
-once per record with its `d_r` (see records.py), so an algorithm that hands
-a record back again costs the round neither; no callee may mutate it.
+A trial binds its components' round methods once.  The adversary is
+handed the committed record and the last round's `matching` as they stand;
+`d_r` is derived once per round record (see records.py), so an algorithm
+that hands a record back again does not pay for it twice.
 
 The committed loads are one `LoadState` record over an immutable tuple (see
 loads.py), the only loads object a component is handed.  A round whose
@@ -48,7 +47,7 @@ from math import ceil, log, sqrt
 from random import Random
 from typing import Optional
 
-from .adversaries import AdversaryContext, SortingLinePolicy, make_adversary
+from .adversaries import SortingLinePolicy, make_adversary
 from .algorithms import CONTINUOUS_VIA_INTEGRAL, make_algorithm
 from .algorithms.drivers import decompose_by_unit, recombine_by_unit
 from .config import ScenarioConfig
@@ -254,7 +253,7 @@ def run_trial(
     adversary = make_adversary(cfg.adversary[0], **cfg.adversary[1])
     adversary.bind(n, rng_adversary)
     algorithm = make_algorithm(cfg.algorithm_name, **cfg.algorithm[1])
-    algorithm.start(loads, cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau, n=n)
+    algorithm.start(loads, cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau)
 
     budget = cfg.round_budget
     if budget is None:
@@ -307,7 +306,6 @@ def run_trial(
     last_matching: list = []
     aborted: Optional[str] = None
 
-    ctx = AdversaryContext(state)
     next_graph, play_round = adversary.next_graph, algorithm.play_round
     consume_idle_rounds = algorithm.consume_idle_rounds
 
@@ -319,8 +317,7 @@ def run_trial(
             continue
         rounds += 1
 
-        ctx.loads, ctx.last_matching = state, last_matching
-        base_graph = next_graph(ctx)
+        base_graph = next_graph(state, last_matching)
         if base_graph.n != n:
             raise EngineError("adversary changed the node count")
         # Every round; a random connected graph answers from its tree's flag.
@@ -352,9 +349,8 @@ def run_trial(
                 gap = state_gap(committed)
             d_r = outcome.d_r
             if d_r is None:
-                # Derived once per record: a record handed back again keeps both.
+                # Derived once per record: a record handed back again keeps it.
                 d_r = outcome.d_r = twice_shifted_load(outcome.matching)
-                outcome.pairs = [(u, v) for u, v, _ in outcome.matching]
 
             checks = None
             if enabled and rounds % cfg.check_stride == 0:
@@ -409,7 +405,7 @@ def run_trial(
             _check_integer_loads(after, f"round {rounds}")
             raise
         state, loads, exp = committed, committed.loads, committed.exp
-        last_matching = outcome.pairs
+        last_matching = outcome.matching
         if gap << min_exp < min_gap << exp:
             min_gap, min_exp = gap, exp
         if converged_at is None and within_tau:
@@ -426,8 +422,7 @@ def run_trial(
         and line_policy is not None
         and rounds > 0
     ):
-        ctx.loads, ctx.last_matching = state, last_matching
-        next_graph(ctx)
+        next_graph(state, last_matching)
         witness = prefix_growth(line_policy.order, loads, exp, initial_prefix)
         if witness is not None:
             report = InvariantReport(rounds + 1)

@@ -81,7 +81,7 @@ class Graph:
             if self._mask is None:
                 self._edges = self.base.edges.symmetric_difference(self.flips)
             else:
-                self._edges = frozenset(compress(_pairs(self.n), self._mask))
+                self._edges = frozenset(compress(all_pairs(self.n), self._mask))
         return self._edges
 
     def row(self, u: int) -> tuple[int, ...]:
@@ -109,7 +109,7 @@ class Graph:
                     adj[u] = self.row(u)
                 self._adj = tuple(adj)
             elif self._mask is not None:
-                self._adj = _sorted_rows(self.n, compress(_pairs(self.n), self._mask))
+                self._adj = _sorted_rows(self.n, compress(all_pairs(self.n), self._mask))
             else:
                 self._adj = _sorted_rows(self.n, sorted(self.edges))
         return self._adj
@@ -178,17 +178,13 @@ def nodes_within(g: Graph, sources: Iterable[int], depth: int) -> set[int]:
     return reached
 
 
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
 
 
 @lru_cache(maxsize=8)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Every canonical pair of n nodes, in lexicographic order."""
     return tuple(combinations(range(n), 2))
 

@@ -234,24 +234,15 @@ def _shift_lower_bound(before, after, trace, *_):
 
 
 def _matching_budget(before, after, trace, kind, *_):
-    matching = trace.matching
-    if kind == KIND_TWO_SIDED:
-        if len({u for u, _, _ in matching}) == len({v for _, v, _ in matching}) == len(matching):
-            return None
-        as_sender: dict[int, int] = {}
-        as_answerer: dict[int, int] = {}
-        for u, v, _ in matching:
-            as_sender[u] = as_sender.get(u, 0) + 1
-            as_answerer[v] = as_answerer.get(v, 0) + 1
-            if as_sender[u] > 1 or as_answerer[v] > 1:
-                return {"node": u if as_sender[u] > 1 else v}
-        return None
-    seen: set[int] = set()
-    for u, v, _ in matching:
-        if u in seen or v in seen:
-            return {"node": u if u in seen else v}
-        seen.add(u)
-        seen.add(v)
+    # A two-sided node sends once and answers once; a matching round pairs
+    # a node once, so there its answerers are its senders.
+    senders: set[int] = set()
+    answerers = set() if kind == KIND_TWO_SIDED else senders
+    for u, v, _ in trace.matching:
+        if u in senders or v in answerers:
+            return {"node": u if u in senders else v}
+        senders.add(u)
+        answerers.add(v)
     return None
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from dynbal import adversaries
 from dynbal.adversaries import (
-    AdversaryContext,
     RandomConnectedPolicy,
     ResortDescendingPolicy,
     SortingLinePolicy,
@@ -22,8 +21,8 @@ from dynbal.loads import LoadState
 from oracles import randrange_connected_graph
 
 
-def ctx_for(loads, last_matching=()):
-    return AdversaryContext(loads=LoadState("integral", loads), last_matching=last_matching)
+def state_of(loads):
+    return LoadState("integral", loads)
 
 
 # ----------------------------------------------------------------------
@@ -34,13 +33,13 @@ def ctx_for(loads, last_matching=()):
 def test_static_named_shapes():
     policy = StaticPolicy(shape="star")
     policy.bind(5, Random(0))
-    assert policy.next_graph(ctx_for([0] * 5)) == star_graph(5)
+    assert policy.next_graph(state_of([0] * 5), ()) == star_graph(5)
 
 
 def test_static_explicit_edges():
     policy = StaticPolicy(edges=[[0, 1], [1, 2], [0, 2]])
     policy.bind(3, Random(0))
-    assert policy.next_graph(ctx_for([0, 0, 0])).edges == {(0, 1), (1, 2), (0, 2)}
+    assert policy.next_graph(state_of([0, 0, 0]), ()).edges == {(0, 1), (1, 2), (0, 2)}
 
 
 def test_static_rejects_disconnected():
@@ -62,7 +61,7 @@ def test_static_rejects_unknown_shape():
 def test_resort_descending_orders_heaviest_first():
     policy = ResortDescendingPolicy()
     policy.bind(3, Random(0))
-    g = policy.next_graph(ctx_for([1, 5, 3]))
+    g = policy.next_graph(state_of([1, 5, 3]), ())
     # Line 1 - 2 - 0 (loads 5, 3, 1).
     assert g.edges == {(1, 2), (0, 2)}
 
@@ -70,7 +69,7 @@ def test_resort_descending_orders_heaviest_first():
 def test_resort_descending_breaks_ties_by_id():
     policy = ResortDescendingPolicy()
     policy.bind(4, Random(0))
-    g = policy.next_graph(ctx_for([7, 7, 7, 7]))
+    g = policy.next_graph(state_of([7, 7, 7, 7]), ())
     # All equal: identity order 0-1-2-3.
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
 
@@ -78,8 +77,8 @@ def test_resort_descending_breaks_ties_by_id():
 def test_resort_descending_caches_unchanged_orders():
     policy = ResortDescendingPolicy()
     policy.bind(3, Random(0))
-    g1 = policy.next_graph(ctx_for([1, 5, 3]))
-    g2 = policy.next_graph(ctx_for([2, 6, 4]))
+    g1 = policy.next_graph(state_of([1, 5, 3]), ())
+    g2 = policy.next_graph(state_of([2, 6, 4]), ())
     assert g1 is g2
 
 
@@ -94,7 +93,7 @@ def test_resort_descending_matches_negated_key_order(levels, offset):
     n = len(loads)
     policy = ResortDescendingPolicy()
     policy.bind(n, Random(0))
-    graph = policy.next_graph(ctx_for(loads))
+    graph = policy.next_graph(state_of(loads), ())
     expected = tuple(sorted(range(n), key=lambda v: (-loads[v], v)))
     assert policy._last_order == expected
     assert graph == line_of(expected)
@@ -110,25 +109,25 @@ def test_postprocess_reorders_balanced_pair():
     # balanced to loads (7, 4); afterwards the line must read (4, 7).
     order = [4, 3, 0, 1, 2]
     loads = [7, 4, 0, 0, 0]
-    updated = sorting_line_postprocess(order, [(0, 1)], loads)
+    updated = sorting_line_postprocess(order, [(0, 1, 7)], loads)
     assert updated == [4, 3, 1, 0, 2]
 
 
 def test_postprocess_keeps_sorted_pairs():
     order = [0, 1, 2]
-    updated = sorting_line_postprocess(order, [(0, 1)], [2, 9, 0])
+    updated = sorting_line_postprocess(order, [(0, 1, 7)], [2, 9, 0])
     assert updated == [0, 1, 2]
 
 
 def test_postprocess_keeps_ties():
-    updated = sorting_line_postprocess([0, 1], [(0, 1)], [5, 5])
+    updated = sorting_line_postprocess([0, 1], [(0, 1, 0)], [5, 5])
     assert updated == [0, 1]
 
 
 def test_postprocess_rejects_non_adjacent_pairs():
     # Nodes 0 and 2 are not neighbours on the line 0-1-2: the pair is left
     # in place, however its loads compare.
-    assert sorting_line_postprocess([0, 1, 2], [(0, 2)], [3, 2, 1]) == [0, 1, 2]
+    assert sorting_line_postprocess([0, 1, 2], [(0, 2, 2)], [3, 2, 1]) == [0, 1, 2]
 
 
 def test_postprocess_chain_of_overlapping_pairs():
@@ -136,25 +135,25 @@ def test_postprocess_chain_of_overlapping_pairs():
     # first, which moves node 1 away from node 2: pair (1, 2) is then no
     # longer adjacent and is skipped.
     loads = [5, 3, 1]
-    assert sorting_line_postprocess([0, 1, 2], [(0, 1), (2, 1)], loads) == [1, 0, 2]
+    assert sorting_line_postprocess([0, 1, 2], [(0, 1, 2), (2, 1, 2)], loads) == [1, 0, 2]
     # Pair (0, 2) is not adjacent before that swap but is after it, so it
     # is applied too.
-    assert sorting_line_postprocess([0, 1, 2], [(0, 1), (2, 0)], loads) == [1, 2, 0]
+    assert sorting_line_postprocess([0, 1, 2], [(0, 1, 2), (2, 0, 4)], loads) == [1, 2, 0]
 
 
 def test_sorting_line_starts_with_identity():
     policy = SortingLinePolicy()
     policy.bind(4, Random(0))
-    g = policy.next_graph(ctx_for([1, 2, 3, 4]))
+    g = policy.next_graph(state_of([1, 2, 3, 4]), ())
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
 
 
 def test_sorting_line_applies_swaps_from_matching():
     policy = SortingLinePolicy()
     policy.bind(3, Random(0))
-    policy.next_graph(ctx_for([0, 8, 0]))
+    policy.next_graph(state_of([0, 8, 0]), ())
     # Pair (0, 1) balanced; node 0 now heavier, so next line is 1-0-2.
-    g = policy.next_graph(ctx_for([5, 3, 0], last_matching=[(0, 1)]))
+    g = policy.next_graph(state_of([5, 3, 0]), [(0, 1, 8)])
     assert policy.order == (1, 0, 2)
     assert g.edges == {(0, 1), (0, 2)}
 
@@ -162,18 +161,18 @@ def test_sorting_line_applies_swaps_from_matching():
 def test_sorting_line_ignores_off_line_pairs():
     policy = SortingLinePolicy()
     policy.bind(4, Random(0))
-    policy.next_graph(ctx_for([0, 0, 0, 0]))
-    g = policy.next_graph(ctx_for([9, 0, 0, 1], last_matching=[(0, 3)]))
+    policy.next_graph(state_of([0, 0, 0, 0]), ())
+    g = policy.next_graph(state_of([9, 0, 0, 1]), [(0, 3, 0)])
     assert policy.order == (0, 1, 2, 3)
     assert g.edges == {(0, 1), (1, 2), (2, 3)}
 
 
-def rebuilt_postprocess(order, pairs, loads):
+def rebuilt_postprocess(order, matching, loads):
     """The sorting line rebuilt from scratch each round: a position dict
     and a set of canonical pairs, applied in sorted order."""
     new_order = list(order)
     position = {node: i for i, node in enumerate(new_order)}
-    for u, v in sorted({(min(p), max(p)) for p in pairs}):
+    for u, v in sorted({(min(u, v), max(u, v)) for u, v, _ in matching}):
         pu, pv = position[u], position[v]
         if abs(pu - pv) != 1:
             continue
@@ -187,19 +186,21 @@ def rebuilt_postprocess(order, pairs, loads):
 
 @st.composite
 def line_rounds(draw):
-    """Rounds of (kind, loads, pairs) at n <= 10.  Pairs may sit off the
-    line, overlap, repeat, and come in both orientations, as two-sided
-    rounds give; loads come from a small range so ties are common.  A
+    """Rounds of (kind, loads, matching) at n <= 10.  Pairs may sit off
+    the line, overlap, repeat, and come in both orientations, as two-sided
+    rounds give, each with a gap the line does not read; loads come from
+    a small range so ties are common.  A
     "repeat" round presents the previous round's very loads tuple again,
     and a "sorted" round's loads ascend along the line it is played on."""
     n = draw(st.integers(2, 10))
     node = st.integers(0, n - 1)
-    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    pair = st.tuples(node, node, st.integers(0, 6)).filter(lambda p: p[0] != p[1])
     rounds = []
     for index in range(draw(st.integers(1, 12))):
         pairs = draw(st.lists(pair, max_size=n))
         if pairs:
-            pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n))]
+            flipped = draw(st.lists(st.sampled_from(pairs), max_size=n))
+            pairs += [(v, u, gap) for u, v, gap in flipped]
         kinds = ["new", "sorted"] + (["repeat"] if index else [])
         kind = draw(st.sampled_from(kinds))
         rounds.append((kind, draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), pairs))
@@ -225,15 +226,14 @@ def test_in_place_sorting_line_equals_rebuild(scenario):
     policy = SortingLinePolicy()
     policy.bind(n, Random(0))
     order = list(range(n))
-    graph = policy.next_graph(ctx_for([0] * n))
+    graph = policy.next_graph(state_of([0] * n), ())
     assert graph == line_of(order)
     loads = None
     for kind, values, pairs in rounds:
         last_order, last_graph = order, graph
         loads = round_loads(kind, values, order, loads)
         order = rebuilt_postprocess(order, pairs, loads)
-        ctx = AdversaryContext(LoadState("integral", loads), pairs)
-        graph = policy.next_graph(ctx)
+        graph = policy.next_graph(state_of(loads), pairs)
         assert list(policy.order) == order
         assert [policy.order[i] for i in policy.position] == list(range(n))
         assert graph == line_of(order)
@@ -249,9 +249,9 @@ def count_swap_scans(monkeypatch) -> list:
     calls = []
     scan = adversaries._swap_pairs
 
-    def counting(order, position, pairs, loads):
+    def counting(order, position, matching, loads):
         calls.append(order)
-        return scan(order, position, pairs, loads)
+        return scan(order, position, matching, loads)
 
     monkeypatch.setattr(adversaries, "_swap_pairs", counting)
     return calls
@@ -263,16 +263,15 @@ def test_an_ascending_line_stops_scanning_its_pairs(monkeypatch):
     calls = count_swap_scans(monkeypatch)
     policy = SortingLinePolicy()
     policy.bind(8, Random(0))
-    pairs = [(0, 1), (3, 2), (5, 6)]
+    pairs = [(0, 1, 1), (3, 2, 1), (5, 6, 1)]
 
     def present(loads, rounds=4):
         before = len(calls)
         for _ in range(rounds):
-            ctx = AdversaryContext(LoadState("integral", loads), pairs)
-            assert policy.next_graph(ctx) is graph
+            assert policy.next_graph(state_of(loads), pairs) is graph
         return len(calls) - before
 
-    graph = policy.next_graph(AdversaryContext(LoadState("integral", ())))
+    graph = policy.next_graph(state_of(()), ())
     ramp = tuple(range(1, 9))
     # Scanned the first time the (tuple, order) pair is met; the second
     # meeting decides that the line ascends, and no later round scans.
@@ -293,11 +292,10 @@ def test_a_line_that_does_not_ascend_is_scanned_every_round(monkeypatch):
     calls = count_swap_scans(monkeypatch)
     policy = SortingLinePolicy()
     policy.bind(4, Random(0))
-    graph = policy.next_graph(AdversaryContext(LoadState("integral", ())))
+    graph = policy.next_graph(state_of(()), ())
     loads = (4, 3, 2, 1)
     for _ in range(4):
-        ctx = AdversaryContext(LoadState("integral", loads), [(0, 2), (1, 3)])
-        assert policy.next_graph(ctx) is graph
+        assert policy.next_graph(state_of(loads), [(0, 2, 2), (1, 3, 2)]) is graph
     assert len(calls) == 4
     assert policy.order == (0, 1, 2, 3)
 
@@ -375,7 +373,7 @@ def test_random_connected_draws_match_randrange_at_the_byte_bound(n, prob):
 def test_random_connected_varies_between_rounds():
     policy = RandomConnectedPolicy(Fraction(1, 10))
     policy.bind(8, Random(9))
-    seen = {policy.next_graph(ctx_for([0] * 8)) for _ in range(10)}
+    seen = {policy.next_graph(state_of([0] * 8), ()) for _ in range(10)}
     assert len(seen) > 1
 
 

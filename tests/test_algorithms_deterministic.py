@@ -33,7 +33,7 @@ from oracles import interactive_round, internal_round, split_evenly
 def play_scaled(nums, graph):
     """One round on numerators; the outcome is in the kernel's scales."""
     alg = TwoSidedDeterministic()
-    alg.start(list(nums), "continuous", Random(0), k=0, tau=0, n=graph.n)
+    alg.start(list(nums), "continuous", Random(0), k=0, tau=0)
     return alg.play_round(graph, list(nums))
 
 

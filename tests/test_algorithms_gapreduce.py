@@ -21,8 +21,8 @@ from oracles import accept_lightest, flood_min_max_round
 from strategies import connected_graphs
 
 
-def started(alg, loads, n, k=Fraction(1)):
-    alg.start(list(loads), "integral", Random(0), k=k, tau=1, n=n)
+def started(alg, loads, k=Fraction(1)):
+    alg.start(list(loads), "integral", Random(0), k=k, tau=1)
     return alg
 
 
@@ -85,7 +85,7 @@ def test_thresholds_equal_the_flooded_tables(base, data):
         lambda ws: max(ws) - min(ws) >= 2
     )))
     graphs = _round_graphs(base, data, Random(data.draw(st.integers(0, 2**32))))
-    alg = started(GapReduce(), loads, n)
+    alg = started(GapReduce(), loads)
     tables = [(w, w) for w in loads]
     for _ in range(n):
         graph = next(graphs)
@@ -110,7 +110,7 @@ class _UnreadableGraph:
 
 def test_flooding_rounds_never_read_their_graph():
     loads = (3, 0, 9, 4)
-    alg = started(GapReduce(), loads, 4)
+    alg = started(GapReduce(), loads)
     for _ in range(4):
         assert alg.play_round(_UnreadableGraph(), loads).new_loads is loads
     assert (alg._left, alg.low, alg.high, alg.psi) == (alg._main_budget, 0, 9, 9)
@@ -125,10 +125,10 @@ def test_flooding_rounds_never_read_their_graph():
 
 def test_pair_call_balances_completely():
     g = path_graph(2)
-    alg = started(GapReduce(), [0, 8], 2)
+    alg = started(GapReduce(), [0, 8])
     loads = (0, 8)
     rounds = 0
-    while not alg.is_done(loads) and rounds < 10_000:
+    while not alg.is_done() and rounds < 10_000:
         skipped = alg.consume_idle_rounds(loads, 10_000)
         if skipped:
             rounds += skipped
@@ -143,7 +143,7 @@ def test_pair_call_balances_completely():
 
 def test_spread_three_exchanges_one_unit():
     g = path_graph(2)
-    alg = started(GapReduce(), [10, 13], 2)
+    alg = started(GapReduce(), [10, 13])
     loads = (10, 13)
     for _ in range(2):
         loads = alg.play_round(g, loads).new_loads
@@ -155,7 +155,7 @@ def test_spread_three_exchanges_one_unit():
 
 def test_spread_two_meets_in_the_middle():
     g = path_graph(2)
-    alg = started(GapReduce(), [5, 7], 2)
+    alg = started(GapReduce(), [5, 7])
     loads = (5, 7)
     for _ in range(2):
         loads = alg.play_round(g, loads).new_loads
@@ -164,17 +164,17 @@ def test_spread_two_meets_in_the_middle():
 
 
 def test_sub_two_spread_is_a_no_op():
-    alg = started(GapReduce(), [3, 4], 2)
-    assert alg.is_done([3, 4])
-    alg = started(GapReduce(), [5, 5], 2)
-    assert alg.is_done([5, 5])
+    alg = started(GapReduce(), [3, 4])
+    assert alg.is_done()
+    alg = started(GapReduce(), [5, 5])
+    assert alg.is_done()
 
 
 def test_light_proposes_only_to_heavy():
     # Line 0-1-2, loads (0, 4, 8), spread 8: thresholds light < 2, heavy > 6.
     # Node 0's heaviest neighbor is the middling node 1, so no proposal fires.
     g = path_graph(3)
-    alg = started(GapReduce(), [0, 4, 8], 3)
+    alg = started(GapReduce(), [0, 4, 8])
     loads = [0, 4, 8]
     for _ in range(3):
         loads = alg.play_round(g, loads).new_loads
@@ -186,7 +186,7 @@ def test_light_proposes_only_to_heavy():
 def test_heavy_accepts_lightest_proposer():
     # Star center 3 heavy; two light leaves with different loads.
     g = Graph(4, [(0, 3), (1, 3), (2, 3)])
-    alg = started(GapReduce(), [0, 1, 9, 30], 4)
+    alg = started(GapReduce(), [0, 1, 9, 30])
     loads = (0, 1, 9, 30)
     for _ in range(4):
         loads = alg.play_round(g, loads).new_loads
@@ -198,7 +198,7 @@ def test_heavy_accepts_lightest_proposer():
 
 
 def test_idle_fast_forward_consumes_remaining_budget():
-    alg = started(GapReduce(), [0, 8], 2)
+    alg = started(GapReduce(), [0, 8])
     loads = (0, 8)
     g = path_graph(2)
     for _ in range(2):
@@ -208,7 +208,7 @@ def test_idle_fast_forward_consumes_remaining_budget():
     remaining = alg._left
     assert remaining > 0
     assert alg.consume_idle_rounds(loads, 10**9) == remaining
-    assert alg.is_done(loads)
+    assert alg.is_done()
 
 
 def test_rounds_that_move_nothing_hand_back_their_tuple():
@@ -217,7 +217,7 @@ def test_rounds_that_move_nothing_hand_back_their_tuple():
     # very tuple it was given; a moving round returns a new tuple.
     g = path_graph(2)
     loads = (0, 8)
-    alg = started(GapReduce(), loads, 2)
+    alg = started(GapReduce(), loads)
     for _ in range(2):
         assert alg.play_round(g, loads).new_loads is loads
     moved = alg.play_round(g, loads).new_loads
@@ -234,7 +234,7 @@ def test_rounds_that_move_nothing_hand_back_their_tuple():
     # lowest proposer (1 -> 4 over 3 -> 4).
     offers = {3: (4, 2), 0: (1, 9), 1: (4, 2), 5: (2, 1), 6: (2, 3)}
     assert accept_offers(offers) == [(6, 2, 3), (1, 4, 2)]
-    alg = started(GaplessGapReduce(psi=2), unit_gap, 2)
+    alg = started(GaplessGapReduce(psi=2), unit_gap)
     outcome = alg.play_round(g, unit_gap)
     assert outcome.matching == [(0, 1, 1)] and outcome.new_loads is unit_gap
 
@@ -242,8 +242,8 @@ def test_rounds_that_move_nothing_hand_back_their_tuple():
 def test_finished_call_skips_the_whole_budget():
     # A call skipped outright never set its thresholds; asking it to
     # fast-forward must not reach them, and it coasts through any budget.
-    for alg in (started(GapReduce(), [3, 4], 2), started(GaplessGapReduce(psi=1), [3, 4], 2)):
-        assert alg.is_done((3, 4))
+    for alg in (started(GapReduce(), [3, 4]), started(GaplessGapReduce(psi=1), [3, 4])):
+        assert alg.is_done()
         assert alg.consume_idle_rounds((3, 4), 10) == 10
 
 
@@ -256,8 +256,8 @@ def test_a_call_spent_while_busy_skips_the_whole_budget(make, loads):
     # spent it is finished, although the tuple it last judged busy is the
     # very one it is offered.
     g = path_graph(3)
-    alg = started(make(), loads, 3)
-    while not alg.is_done(loads):
+    alg = started(make(), loads)
+    while not alg.is_done():
         assert alg.consume_idle_rounds(loads, 10**6) == 0
         assert alg.play_round(g, loads).new_loads is loads
     assert alg._busy is loads
@@ -272,8 +272,8 @@ def test_a_call_spent_while_busy_skips_the_whole_budget(make, loads):
 def test_light_and_heavy_sets_never_grow(loads, seed):
     n = len(loads)
     alg = GapReduce()
-    alg.start(list(loads), "integral", Random(seed), k=Fraction(1), tau=1, n=n)
-    if alg.is_done(loads):
+    alg.start(list(loads), "integral", Random(seed), k=Fraction(1), tau=1)
+    if alg.is_done():
         return
     rng = Random(seed + 1)
     state = list(loads)
@@ -282,7 +282,7 @@ def test_light_and_heavy_sets_never_grow(loads, seed):
     count_light = sum(1 for w in state if alg._is_light(w))
     count_heavy = sum(1 for w in state if alg._is_heavy(w))
     for _ in range(30):
-        if alg.is_done(state):
+        if alg.is_done():
             break
         order = list(range(n))
         rng.shuffle(order)
@@ -335,14 +335,14 @@ def test_constructor_validation():
 
 
 def test_gapless_threshold_is_inclusive():
-    alg = started(GaplessGapReduce(psi=4), [0, 2], 2)
+    alg = started(GaplessGapReduce(psi=4), [0, 2])
     outcome = alg.play_round(path_graph(2), (0, 2))
     assert outcome.matching == [(0, 1, 2)]
     assert outcome.new_loads == (1, 1)
 
 
 def test_gapless_below_threshold_stays_put():
-    alg = started(GaplessGapReduce(psi=4), [0, 1], 2)
+    alg = started(GaplessGapReduce(psi=4), [0, 1])
     outcome = alg.play_round(path_graph(2), [0, 1])
     assert outcome.matching == []
     assert outcome.new_loads == [0, 1]
@@ -352,22 +352,22 @@ def test_gapless_senders_do_not_accept():
     # Chain 0-1-2 with loads (0, 4, 8) and psi = 8: node 0 proposes to 1,
     # node 1 proposes to 2.  Node 1 is a sender, so node 0's proposal dies
     # and only the (1, 2) pair balances.
-    alg = started(GaplessGapReduce(psi=8), [0, 4, 8], 3)
+    alg = started(GaplessGapReduce(psi=8), [0, 4, 8])
     outcome = alg.play_round(path_graph(3), (0, 4, 8))
     assert outcome.matching == [(1, 2, 4)]
     assert outcome.new_loads == (0, 6, 6)
 
 
 def test_gapless_idle_when_spread_too_small():
-    alg = started(GaplessGapReduce(psi=8), [10, 13], 2)
+    alg = started(GaplessGapReduce(psi=8), [10, 13])
     budget = alg.planned_rounds()
     assert alg.consume_idle_rounds([10, 13], 10**9) == budget
-    assert alg.is_done([10, 13])
+    assert alg.is_done()
 
 
 def test_gapless_sub_two_spread_is_immediately_done():
-    alg = started(GaplessGapReduce(psi=1), [0, 100], 2)
-    assert alg.is_done([0, 100])
+    alg = started(GaplessGapReduce(psi=1), [0, 100])
+    assert alg.is_done()
 
 
 @settings(max_examples=50, deadline=None)
@@ -379,8 +379,8 @@ def test_gapless_sub_two_spread_is_immediately_done():
 def test_gapless_rounds_conserve_and_never_widen(loads, psi, seed):
     n = len(loads)
     alg = GaplessGapReduce(psi=psi)
-    alg.start(list(loads), "integral", Random(seed), k=Fraction(1), tau=1, n=n)
-    if alg.is_done(loads):
+    alg.start(list(loads), "integral", Random(seed), k=Fraction(1), tau=1)
+    if alg.is_done():
         return
     outcome = alg.play_round(path_graph(n), list(loads))
     assert total_load(outcome.new_loads) == total_load(loads)
@@ -416,7 +416,7 @@ def _per_node_gapless_round(graph, loads, psi):
 def test_gapless_edge_proposals_match_per_node_scan(graph, data, psi):
     # Loads from a narrow range, so ties between neighbors are common.
     loads = data.draw(st.lists(st.integers(0, 6), min_size=graph.n, max_size=graph.n))
-    alg = started(GaplessGapReduce(psi=psi), loads, graph.n)
+    alg = started(GaplessGapReduce(psi=psi), loads)
     outcome = alg.play_round(graph, list(loads))
     expected = _per_node_gapless_round(graph, list(loads), psi)
     assert outcome.new_loads == expected.new_loads
@@ -443,8 +443,8 @@ def _any_scan_idle_skip(alg, loads, budget_left):
 )
 def test_idle_skip_from_extremes_matches_any_scan(start_loads, data, budget_left):
     n = len(start_loads)
-    alg = started(GapReduce(), start_loads, n)
-    if not alg.is_done(start_loads):
+    alg = started(GapReduce(), start_loads)
+    if not alg.is_done():
         for _ in range(n):
             alg.play_round(path_graph(n), start_loads)
     lo, hi = min(start_loads), max(start_loads)
@@ -475,9 +475,9 @@ def test_idle_verdicts_over_a_call_match_the_scans(start_loads, psi, data):
     # The same tuple again, or an equal or a new tuple: every verdict
     # equals the reference scan.
     n = len(start_loads)
-    alg = started(GapReduce() if psi is None else GaplessGapReduce(psi), start_loads, n)
+    alg = started(GapReduce() if psi is None else GaplessGapReduce(psi), start_loads)
     reference = _any_scan_idle_skip if psi is None else _gapless_idle_skip
-    if isinstance(alg, GapReduce) and not alg.is_done(start_loads):
+    if isinstance(alg, GapReduce) and not alg.is_done():
         for _ in range(n):
             alg.play_round(path_graph(n), start_loads)
     lo, hi = min(start_loads), max(start_loads)
@@ -500,7 +500,7 @@ def test_idle_verdict_is_judged_afresh_after_start():
     busy = (0, 8)
 
     def flooded(alg, loads):
-        alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=2)
+        alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1)
         for _ in range(2):
             alg.play_round(g, loads)
         return alg
@@ -508,8 +508,8 @@ def test_idle_verdict_is_judged_afresh_after_start():
     first = flooded(GapReduce(), busy)
     assert first.consume_idle_rounds(busy, 100) == 0 and first._busy is busy
     # A new call with another psi judges the very tuple again.
-    assert started(GaplessGapReduce(psi=9), busy, 2).consume_idle_rounds(busy, 50) == 0
-    call = started(GaplessGapReduce(psi=20), busy, 2)
+    assert started(GaplessGapReduce(psi=9), busy).consume_idle_rounds(busy, 50) == 0
+    call = started(GaplessGapReduce(psi=20), busy)
     assert call._busy is None and call.consume_idle_rounds(busy, 50) == call._budget > 0
     # So does the same call started again: under its new thresholds (light
     # below 12.5, heavy above 17.5) the tuple it judged busy is idle.
@@ -538,7 +538,7 @@ def _per_node_gap_reduce_round(alg, graph, loads):
 
 def _in_main_rounds(alg, loads, graph):
     """Start the call and play its flooding rounds, if it has any."""
-    alg = started(alg, loads, graph.n)
+    alg = started(alg, loads)
     if isinstance(alg, GapReduce):
         while alg._left > alg._main_budget:
             alg.play_round(graph, list(loads))
@@ -553,7 +553,7 @@ def test_memo_rounds_match_per_node_scan(base, data, psi):
     alg = _in_main_rounds(GapReduce() if psi is None else GaplessGapReduce(psi), loads, base)
     rng = Random(data.draw(st.integers(0, 2**32)))
     for _ in range(data.draw(st.integers(1, 10))):
-        if alg.is_done(loads):
+        if alg.is_done():
             return
         shape = data.draw(st.sampled_from(["base", "smooth", "remove", "twin"]))
         graph = base
@@ -612,7 +612,7 @@ def test_kept_records_match_fresh_rounds(base, data, psi):
     alg = _in_main_rounds(GapReduce() if psi is None else GaplessGapReduce(psi), loads, base)
     earlier, current, kept = [], [], None
     for _ in range(data.draw(st.integers(1, 16))):
-        if alg.is_done(loads):
+        if alg.is_done():
             return
         flips = []
         if n > 1:

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from dynbal import engine
-from dynbal.adversaries import AdversaryContext, SortingLinePolicy
+from dynbal.adversaries import SortingLinePolicy
 from dynbal.algorithms import RandMaxNeighbor, make_algorithm, randomized
+from dynbal.algorithms.base import offer_round
+from dynbal.algorithms.randomized import coin_offers
 from dynbal.config import config_from_dict
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, all_pairs, path_graph
@@ -28,7 +30,7 @@ def play(loads, graph, mode, seed):
     them, continuous int or Fraction loads as numerators, and their new
     loads come back rendered as Dyadic values."""
     alg = RandMaxNeighbor()
-    alg.start(list(loads), mode, Random(seed), k=0, tau=0, n=graph.n)
+    alg.start(list(loads), mode, Random(seed), k=0, tau=0)
     if mode == "integral":
         return alg.play_round(graph, tuple(loads))
     nums, exp = to_scaled(loads)
@@ -78,7 +80,7 @@ def test_round_that_moves_nothing_hands_back_its_tuple():
     for seed in range(40):
         for loads, mode in cases:
             alg = RandMaxNeighbor()
-            alg.start(loads, mode, Random(seed), k=0, tau=0, n=3)
+            alg.start(loads, mode, Random(seed), k=0, tau=0)
             outcome = alg.play_round(graph, loads)
             moved = mode == "continuous" or loads == (2, 9, 3) and outcome.matching
             assert type(outcome.new_loads) is tuple
@@ -167,14 +169,15 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
     # loads, so a coin often repeats while the memo's key holds: such a
     # round on an unflipped graph hands back the very record its coin got
     # before, if that round moved no load.  Any other round, the first
-    # after `start` or a change of key included, is computed afresh.
+    # after `start` or a change of key included, is computed afresh.  Up
+    # to n = 6 the round's kernel is also checked on every coin.
     n = graph.n
     seed = data.draw(st.integers(0, 2**32))
     rng, reference_rng = Random(seed), Random(seed)
     # Loads from a narrow range, so ties and unit gaps are common.
     loads = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
     alg = RandMaxNeighbor()
-    alg.start(loads, mode, rng, k=0, tau=0, n=n)
+    alg.start(loads, mode, rng, k=0, tau=0)
     base, smooth_rng = graph, Random(seed + 1)
     key, kept, earlier = None, {}, []
     for _ in range(data.draw(st.integers(1, 5))):
@@ -194,6 +197,15 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
                 .map(lambda ps: ps + [p for p in sorted(base.edges) if p not in ps][:1])
             )
             graph = Graph.toggled(base, pairs)
+
+        if n <= 6:
+            shift = 0 if mode == "integral" else 1
+            for coin in range(2**n):
+                fixed_coin = SimpleNamespace(getrandbits=lambda bits, coin=coin: coin)
+                expected = rand_max_neighbor_round(fixed_coin, mode, graph, list(loads))
+                outcome = offer_round(coin_offers(graph, loads, coin), loads, shift)
+                assert list(outcome.new_loads) == list(expected.new_loads)
+                assert outcome.matching == expected.matching
 
         # The memo's key: the base graph and the tuple, both by identity.
         round_key = (graph if graph.base is None else graph.base, loads)
@@ -228,7 +240,7 @@ def test_memo_rounds_match_the_reference(graph, mode, data):
         elif step == "fresh":
             loads = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
         elif step == "restart":
-            alg.start(loads, mode, rng, k=0, tau=0, n=n)
+            alg.start(loads, mode, rng, k=0, tau=0)
             key = None
 
 
@@ -249,9 +261,9 @@ def test_frozen_sorting_line_replays_each_coin(monkeypatch):
     loads = tuple(line_ramp(n))
     rng = Random(0)
     alg = RandMaxNeighbor()
-    alg.start(loads, "integral", rng, k=0, tau=0, n=n)
-    ctx = AdversaryContext(LoadState("integral", loads))
-    first_graph = policy.next_graph(ctx)
+    alg.start(loads, "integral", rng, k=0, tau=0)
+    state, matching = LoadState("integral", loads), []
+    first_graph = policy.next_graph(state, matching)
 
     def coin():
         probe = Random()
@@ -260,7 +272,7 @@ def test_frozen_sorting_line_replays_each_coin(monkeypatch):
 
     pairs, by_coin, replays = 0, {}, 0
     for _ in range(50):
-        graph = policy.next_graph(ctx)
+        graph = policy.next_graph(state, matching)
         assert graph is first_graph
         drawn = coin()
         asked.clear()
@@ -270,7 +282,7 @@ def test_frozen_sorting_line_replays_each_coin(monkeypatch):
             assert outcome is by_coin[drawn] and not asked
             replays += 1
         by_coin[drawn] = outcome
-        ctx.last_matching = [(u, v) for u, v, _ in outcome.matching]
+        matching = outcome.matching
         pairs += len(outcome.matching)
     assert pairs > 0 and replays > 0
 
@@ -296,7 +308,7 @@ def test_a_round_on_a_flipped_graph_is_never_replayed():
     loads = (5, 5, 5, 5)
     coin = SimpleNamespace(getrandbits=lambda bits: 0b0100)  # node 2 sends
     alg = RandMaxNeighbor()
-    alg.start(loads, "integral", coin, k=0, tau=0, n=4)
+    alg.start(loads, "integral", coin, k=0, tau=0)
     assert alg.play_round(flipped, loads).matching == [(2, 0, 0)]
     outcome = alg.play_round(base, loads)
     assert outcome.matching == [(2, 1, 0)] and outcome.new_loads is loads
@@ -314,11 +326,11 @@ def test_replay_table_stays_bounded_on_a_stuck_line():
     loads = tuple(line_ramp(n))
     rng, reference_rng = Random(3), Random(3)
     alg = RandMaxNeighbor()
-    alg.start(loads, "integral", rng, k=0, tau=0, n=n)
-    ctx = AdversaryContext(LoadState("integral", loads))
+    alg.start(loads, "integral", rng, k=0, tau=0)
+    state, matching = LoadState("integral", loads), []
     returned, replays = set(), 0
     for _ in range(4000):
-        graph = policy.next_graph(ctx)
+        graph = policy.next_graph(state, matching)
         expected = rand_max_neighbor_round(reference_rng, "integral", graph, loads)
         outcome = alg.play_round(graph, loads)
         assert outcome == expected
@@ -326,16 +338,16 @@ def test_replay_table_stays_bounded_on_a_stuck_line():
         assert len(alg._replay) <= randomized.REPLAY_LIMIT
         replays += id(outcome) in returned
         returned.add(id(outcome))
-        ctx.last_matching = [(u, v) for u, v, _ in outcome.matching]
+        matching = outcome.matching
     assert len(alg._replay) == randomized.REPLAY_LIMIT
     assert replays > 0
 
 
 def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
     # A full n = 8 sorting-line trial with every check and a full trace: the
-    # adversary reads each kept record's `pairs` on many rounds, and the
-    # checks and the trace read its matching.  None of them may change it,
-    # and the verdicts kept on it must be the ones a fresh check gives.
+    # adversary, the checks and the trace read each kept record's matching
+    # on many rounds.  None of them may change it, and the verdicts kept on
+    # it must be the ones a fresh check gives.
     made = []
 
     def capture(name, **params):
@@ -369,7 +381,6 @@ def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
         expected = rand_max_neighbor_round(fixed_coin, "integral", graph, loads)
         assert record == expected
         assert record.new_loads is loads
-        assert record.pairs == [(u, v) for u, v, _ in expected.matching]
         assert record.d_r == sum(gap for _, _, gap in expected.matching)
         # Its verdicts, derived once, are those of a check made afresh on
         # the inputs they were taken on.

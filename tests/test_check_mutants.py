@@ -58,7 +58,7 @@ CRITERION_2 = [
 
 def true_round(graph, loads):
     alg = TwoSidedDeterministic()
-    alg.start(loads, MODE_CONTINUOUS, Random(0), k=0, tau=0, n=graph.n)
+    alg.start(loads, MODE_CONTINUOUS, Random(0), k=0, tau=0)
     return alg.play_round(graph, loads)
 
 
@@ -155,7 +155,7 @@ RAMP = tuple(line_ramp(8))
 
 def true_line_round(loads):
     alg = RandMaxNeighbor()
-    alg.start(loads, MODE_INTEGRAL, Random(0), k=0, tau=1, n=len(loads))
+    alg.start(loads, MODE_INTEGRAL, Random(0), k=0, tau=1)
     return alg.play_round(path_graph(len(loads)), loads)
 
 

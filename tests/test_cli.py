@@ -192,6 +192,14 @@ def test_experiment_runs_trials_on_two_threads(tmp_path, capsys):
     assert capsys.readouterr().out == parallel
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_experiment_rejects_fewer_than_one_thread(tmp_path, capsys, threads):
+    path = write_config(tmp_path, trials=2)
+    assert main(["experiment", str(path), "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert "--threads" in captured.err and captured.out == ""
+
+
 def test_smoothing_test_reports_tv(capsys):
     assert main(["smoothing-test", "4", "1", "20000", "--seed", "1"]) == 0
     out = capsys.readouterr().out

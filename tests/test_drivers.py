@@ -72,14 +72,14 @@ def test_gapless_schedule_terminates_below_target(total, tau):
 def test_smoothed_balance_skips_when_already_converged():
     alg = SmoothedBalance()
     loads = (4, 4, 5, 4)
-    alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
+    alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1)
     assert alg.consume_idle_rounds(loads, 7) == 7
     assert alg.calls_started == 0
 
 
 def test_smoothed_balance_planned_rounds():
     alg = SmoothedBalance(c1=Fraction(2))
-    alg.start([1024] + [0] * 15, "integral", Random(0), k=Fraction(1), tau=1, n=16)
+    alg.start([1024] + [0] * 15, "integral", Random(0), k=Fraction(1), tau=1)
     assert alg.calls_budget == 28
     assert alg.planned_rounds() == 28 * (16 + 3014)
 
@@ -89,7 +89,7 @@ def test_gapless_balance_runs_the_whole_schedule():
     # without moving anything.
     alg = GaplessBalance()
     loads = (3, 3, 3, 4)
-    alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
+    alg.start(loads, "integral", Random(0), k=Fraction(1), tau=1)
     expected_schedule = gapless_schedule(13, 1)
     left = alg.planned_rounds()
     calls = []
@@ -114,13 +114,13 @@ def assert_stays_finished(alg, loads):
 def test_finished_call_chains_stay_finished():
     smoothed = SmoothedBalance()
     loads = (4, 4, 5, 4)
-    smoothed.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
+    smoothed.start(loads, "integral", Random(0), k=Fraction(1), tau=1)
     assert_stays_finished(smoothed, loads)
     assert smoothed.current is None
 
     gapless = GaplessBalance()
     loads = (3, 3, 3, 4)
-    gapless.start(loads, "integral", Random(0), k=Fraction(1), tau=1, n=4)
+    gapless.start(loads, "integral", Random(0), k=Fraction(1), tau=1)
     left = gapless.planned_rounds()
     while left:
         left -= gapless.consume_idle_rounds(loads, left)

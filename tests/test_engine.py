@@ -181,7 +181,7 @@ def spy_idle_calls(monkeypatch) -> dict:
             seen["idle"].append(idle(loads, budget_left))
             return seen["idle"][-1]
 
-        def is_done(loads):
+        def is_done():
             raise AssertionError("the engine asked is_done")
 
         alg.play_round, alg.consume_idle_rounds, alg.is_done = play_round, consume_idle_rounds, is_done
@@ -359,7 +359,7 @@ class DisconnectsOnRoundThree(AdversaryPolicy):
         self.path = path_graph(n)
         self.rounds = []
 
-    def next_graph(self, ctx):
+    def next_graph(self, state, matching):
         # Called once per round, from round 1.
         self.rounds.append(len(self.rounds) + 1)
         if self.rounds[-1] < 3:
@@ -386,8 +386,8 @@ class CreatesLoadInRoundThree(BalancingAlgorithm):
     name = "randMaxNeighbor"
     modes = ("integral",)
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.rounds = 0
 
     def play_round(self, graph, loads):
@@ -433,8 +433,8 @@ class HandsBackRoundOnesRecord(BalancingAlgorithm):
     name = "randMaxNeighbor"
     modes = ("integral",)
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.rounds = 0
 
     def play_round(self, graph, loads):
@@ -479,8 +479,8 @@ class CommitsNegativeLoadInRoundTwo(BalancingAlgorithm):
     name = "randMaxNeighbor"
     modes = ("integral",)
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.rounds = 0
 
     def play_round(self, graph, loads):
@@ -528,8 +528,8 @@ class MovesHalfAUnitInRoundTwo(BalancingAlgorithm):
     def __init__(self, giver=0):
         self.giver = giver
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.rounds = 0
 
     def play_round(self, graph, loads):
@@ -592,8 +592,8 @@ class HalvesEveryLoadInRoundTwo(BalancingAlgorithm):
     name = "randMaxNeighbor"
     modes = ("integral",)
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.rounds = 0
 
     def play_round(self, graph, loads):
@@ -713,8 +713,8 @@ class HandsBackOneBadMatching(BalancingAlgorithm):
     name = "randMaxNeighbor"
     modes = ("integral",)
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.record = RoundOutcome(new_loads=loads, matching=[(0, 1, 1), (1, 2, 1)])
 
     def play_round(self, graph, loads):
@@ -766,8 +766,8 @@ def test_a_failing_record_handed_back_fails_every_checked_round(monkeypatch, str
 class PairsNodeZeroTwice(HandsBackOneBadMatching):
     """Hands back one record every round, whose matching uses node 0 twice."""
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.record = RoundOutcome(new_loads=loads, matching=[(0, 1, 1), (0, 2, 2)])
 
 
@@ -912,7 +912,7 @@ class ReplacesItsGraphAndOrder(SortingLinePolicy):
         super().bind(n, rng)
         self.round = 0  # called once per round, from round 1
 
-    def next_graph(self, ctx):
+    def next_graph(self, state, matching):
         self.round += 1
         if self.round == 3:
             self._graph = Graph(self.n, self._graph.edges)
@@ -929,8 +929,8 @@ class HandsBackOneRecordAroundAMove(BalancingAlgorithm):
     name = "randMaxNeighbor"
     modes = ("integral",)
 
-    def start(self, loads, mode, rng, *, k, tau, n):
-        super().start(loads, mode, rng, k=k, tau=tau, n=n)
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
         self.rounds = 0
         self.record = RoundOutcome(new_loads=loads, matching=[(0, 1, 1)])
 

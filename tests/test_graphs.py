@@ -202,7 +202,7 @@ def test_line_of_order():
 
 
 def test_all_pairs():
-    assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
+    assert all_pairs(3) == ((0, 1), (0, 2), (1, 2))
     assert len(all_pairs(6)) == 15
 
 

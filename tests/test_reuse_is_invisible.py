@@ -27,8 +27,8 @@ from test_golden import golden_configs, outcome_and_csv
 @cache
 def _fresh_graphs(cls):
     class FreshGraphs(cls):
-        def next_graph(self, ctx):
-            g = super().next_graph(ctx)
+        def next_graph(self, state, matching):
+            g = super().next_graph(state, matching)
             return Graph(g.n, g.edges)
 
     return FreshGraphs

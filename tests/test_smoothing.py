@@ -4,12 +4,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbal import smoothing
 from dynbal.adversaries import random_connected_graph
 from dynbal.graphs import (
     Graph,
@@ -356,6 +357,108 @@ def test_randbelow_accepts_each_value_below_its_bound_once():
         assert accepted == Counter(range(bound))
 
 
+class Draw:
+    """One `_randbelow(bound)` answer, uniform on [0, bound): an interval
+    [lo, hi) until it is read as an index or tested for equality.  A
+    comparison that splits the interval, and an index read, are choice
+    points of the replay (see `one_attempt_law`); any other use raises."""
+
+    __hash__ = None
+
+    def __init__(self, choose, bound: int):
+        self.choose, self.bound, self.lo, self.hi = choose, bound, 0, bound
+
+    def __ge__(self, c: int) -> bool:
+        if self.lo < c < self.hi:
+            if self.choose(2):
+                self.lo = c
+            else:
+                self.hi = c
+        return self.lo >= c
+
+    def __index__(self) -> int:
+        if self.hi - self.lo > 1:
+            self.lo += self.choose(self.hi - self.lo)
+            self.hi = self.lo + 1
+        return self.lo
+
+    def __eq__(self, other) -> bool:
+        return self.__index__() == other
+
+
+def one_attempt_law(g: Graph, t: int, monkeypatch) -> tuple[dict, Fraction]:
+    """The exact law of one `t_smooth` attempt on g: each accepted edge set
+    with its probability, and the probability of a rejection.  Each
+    `_randbelow(b)` call is uniform on [0, b) (the test above) and answers
+    a `Draw`; every sequence of choices is replayed once, in lexicographic
+    order, and weighs the product of its draws' interval shares."""
+    choices: list[int] = []
+    arities: list[int] = []
+    draws: list[Draw] = []
+
+    def choose(arity: int) -> int:
+        arities.append(arity)
+        if len(choices) < len(arities):
+            choices.append(0)
+        return choices[len(arities) - 1]
+
+    def replay(getrandbits, bound: int) -> Draw:
+        draws.append(Draw(choose, bound))
+        return draws[-1]
+
+    monkeypatch.setattr(smoothing, "_randbelow", replay)
+    law = Counter()
+    rng = Random(0)  # its bits are never read
+    while True:
+        arities.clear()
+        draws.clear()
+        try:
+            key = t_smooth(g, t, rng, max_rejections=1).edges
+        except RejectionBudgetExceeded:
+            key = None
+        law[key] += prod(Fraction(d.hi - d.lo, d.bound) for d in draws)
+        while choices and choices[-1] == arities[len(choices) - 1] - 1:
+            choices.pop()
+        if not choices:
+            break
+        choices[-1] += 1
+    monkeypatch.undo()
+    return law, law.pop(None, Fraction(0))
+
+
+ONE_ATTEMPT_CASES = [
+    pytest.param(build(n), t, id=f"{name}-{n}-{t}")
+    for name, build in UNIFORMITY_BASES.items()
+    for n, t in ((4, 1), (4, 2), (5, 2), (6, 2))
+] + [
+    pytest.param(
+        random_connected_graph(n, Fraction(1, 3), Random(n * t)), t, id=f"randomConnected-{n}-{t}"
+    )
+    for n in (4, 5, 6)
+    for t in (1, 2)
+]
+
+
+@pytest.mark.parametrize("base, t", ONE_ATTEMPT_CASES)
+def test_one_attempt_law_is_uniform_on_the_ball(base, t, monkeypatch):
+    law, rejected = one_attempt_law(base, t, monkeypatch)
+    assert set(law) == {h.edges for h in enumerate_ball(base, t)}
+    assert len(set(law.values())) == 1
+    assert sum(law.values()) + rejected == 1
+
+
+@pytest.mark.parametrize(
+    "shape, n, t, rejected",
+    [
+        ("path", 4, 1, Fraction(3, 7)),
+        ("path", 6, 2, Fraction(35, 121)),
+        ("cycle", 6, 2, Fraction(15, 121)),
+    ],
+)
+def test_one_attempt_rejects_with_its_exact_probability(shape, n, t, rejected, monkeypatch):
+    assert one_attempt_law(UNIFORMITY_BASES[shape](n), t, monkeypatch)[1] == rejected
+
+
 @pytest.mark.parametrize("k", ["1/2", "5/4", "7/3", "13/8", "255/256", "3/1000", "9"])
 def test_rounding_draws_match_the_stdlib(k):
     params = SmoothingParams(k=Fraction(k))
@@ -372,7 +475,7 @@ def test_rounding_draws_match_the_stdlib(k):
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 59])
 def test_pair_unranking_matches_lexicographic_pairs(n):
     total = n * (n - 1) // 2
-    assert [_unrank_pair(n, total, i) for i in range(total)] == all_pairs(n)
+    assert tuple(_unrank_pair(n, total, i) for i in range(total)) == all_pairs(n)
 
 
 def test_sampler_keeps_no_table_of_pairs():
