@@ -6,6 +6,7 @@ graph the engine presents.  It never sees the adversary's or the sampler's
 randomness, and it observes loads only as they stood when the round began.
 The loads it is given are the trial's committed tuple (see loads.py), so
 an algorithm may key what it derives from them by the tuple's identity.
+Only gap reduction and its drivers can idle; they define `consume_idle_rounds`.
 
 Every algorithm here plays one kind of round: each node offers its load to
 at most one neighbor, each target accepts one offer, and each accepted pair
@@ -30,6 +31,12 @@ from ..records import KIND_MATCHING, KIND_TWO_SIDED, RoundOutcome  # noqa: F401 
 
 
 class BalancingAlgorithm:
+    """An algorithm that can prove rounds idle defines `consume_idle_rounds(
+    loads, budget_left)`, asked once per loop, which fast-forwards rounds
+    and says how many: all of `budget_left` once none are left to play.
+    Sound only if no graph could move load before the current phase ends;
+    skipped rounds draw no randomness, sound as those draws are independent."""
+
     name = "abstract"
     kind = KIND_MATCHING
     modes: tuple[str, ...] = ()
@@ -48,18 +55,6 @@ class BalancingAlgorithm:
         algorithms never shift.
         """
         raise NotImplementedError
-
-    def consume_idle_rounds(self, loads: tuple, budget_left: int) -> int:
-        """Skip rounds that provably cannot move any load.
-
-        Returns how many rounds were fast-forwarded: all of `budget_left`
-        once the algorithm has no further rounds to play.  Only safe when
-        the algorithm can show that no future graph could trigger a transfer
-        before its current phase ends; skipped rounds draw no randomness,
-        which is sound because the skipped draws are independent of
-        everything that follows.
-        """
-        return 0
 
     def planned_rounds(self) -> Optional[int]:
         """Total round budget implied by the algorithm's own schedule."""

@@ -8,12 +8,13 @@ no component's consumption of randomness can perturb another's.
 Idle fast-forward (skipping rounds an algorithm proves load-neutral)
 applies at every trace level, so no observation knob changes an outcome;
 a trace shows a skipped span as a jump in its round column.  Each loop
-asks the algorithm one idle call, `consume_idle_rounds`; a finished
-algorithm's loads are frozen, so that call accounts the rest of its budget
-in one step without simulating it.
+asks an algorithm that defines `consume_idle_rounds` (no other) one idle
+call; a finished algorithm's loads are frozen, so that call accounts the
+rest of its budget in one step without simulating it.
 
 A trial binds its components' round methods once.  The adversary is
-handed the committed record and the last round's `matching` as they stand;
+handed the committed record and the last round's `matching` as they stand,
+and each (immutable) graph object it returns is validated once.
 `d_r` is derived once per round record (see records.py), so an algorithm
 that hands a record back again does not pay for it twice.
 
@@ -22,13 +23,14 @@ loads.py), the only loads object a component is handed.  A round whose
 algorithm hands back the very tuple it was given, unshifted, moved no
 load: the trial keeps the very record, and with it the gap and whatever
 the trace and the checks derived from it.  Any other round commits a new
-record.  Each round is checked against the record it started from, so a
-round that creates or destroys load fails conservation alone.  A checked
-round that moved no load keeps its verdicts on its round record (see
-records.py); records judged alike share one verdict dict.  A round that
-hands the record back on the same committed record and line order (by
-identity) reuses them instead of calling `check_round`; the graph object
-must match too only when an enabled check reads it (`GRAPH_CHECKS`), as
+record, which alone moves the minimum gap and the verdict on tau.  Each
+round is checked against the record it started from, so a round that
+creates or destroys load fails conservation alone.  A checked round that
+moved no load keeps its verdicts on its round record (see records.py);
+records judged alike share one verdict dict.  A round that hands the
+record back on the same committed record and line order (by identity)
+reuses them instead of calling `check_round`; the graph object must
+match too only when an enabled check reads it (`GRAPH_CHECKS`), as
 smoothing draws a new graph almost every round.  Such a round still
 counts its failures, and builds a report of its own index only when it
 failed.  A trace row reads the round's verdict dict.
@@ -287,7 +289,8 @@ def run_trial(
     gap = state_gap(state)
     min_gap, min_exp = gap, exp
     # Cross-shifted comparisons (see loads.py): gap / 2**exp <= tau.
-    converged_at: Optional[int] = 0 if gap << tau_exp <= tau_num << exp else None
+    within_tau = gap << tau_exp <= tau_num << exp
+    converged_at: Optional[int] = 0 if within_tau else None
 
     if trace_writer is not None:
         # Numerators with their exponents; the writer renders them.
@@ -299,32 +302,34 @@ def run_trial(
                 connections=0, converged=converged,
             )
 
-        write_row(0, state_potential(state), gap, exp, converged_at is not None)
+        write_row(0, state_potential(state), gap, exp, within_tau)
 
-    rounds = 0
-    last_emitted = 0
+    rounds = last_emitted = 0
     last_matching: list = []
     aborted: Optional[str] = None
 
     next_graph, play_round = adversary.next_graph, algorithm.play_round
-    consume_idle_rounds = algorithm.consume_idle_rounds
+    consume_idle_rounds = getattr(algorithm, "consume_idle_rounds", None)
+    stop_on_converge, check_stride = cfg.stop_on_converge, cfg.check_stride
+    validated = None
 
-    while rounds < budget and (converged_at is None or not cfg.stop_on_converge):
-        # A finished algorithm coasts through the rest of its budget here.
-        skipped = consume_idle_rounds(loads, budget - rounds)
-        if skipped:
-            rounds += skipped
-            continue
+    while rounds < budget and (converged_at is None or not stop_on_converge):
+        if consume_idle_rounds is not None:
+            skipped = consume_idle_rounds(loads, budget - rounds)
+            if skipped:
+                rounds += skipped
+                continue
         rounds += 1
 
         base_graph = next_graph(state, last_matching)
-        if base_graph.n != n:
-            raise EngineError("adversary changed the node count")
-        # Every round; a random connected graph answers from its tree's flag.
-        # Also the premise of the flooding lemma that gap reduction reads its
-        # thresholds by (algorithms/gapreduce.py).
-        if not is_connected(base_graph):
-            raise EngineError("adversary produced a disconnected graph")
+        if base_graph is not validated:
+            # Once per (immutable) graph object.  Connectivity is also the
+            # premise of gap reduction's flooding lemma (algorithms/gapreduce.py).
+            if base_graph.n != n:
+                raise EngineError("adversary changed the node count")
+            if not is_connected(base_graph):
+                raise EngineError("adversary produced a disconnected graph")
+            validated = base_graph
 
         if smoothing is not None:
             try:
@@ -347,13 +352,18 @@ def run_trial(
                     after, after_exp = renormalise(after, after_exp)
                 committed = LoadState(cfg.mode, after, after_exp)
                 gap = state_gap(committed)
+                within_tau = gap << tau_exp <= tau_num << after_exp
+                if gap << min_exp < min_gap << after_exp:
+                    min_gap, min_exp = gap, after_exp
+                if converged_at is None and within_tau:
+                    converged_at = rounds
             d_r = outcome.d_r
             if d_r is None:
                 # Derived once per record: a record handed back again keeps it.
                 d_r = outcome.d_r = twice_shifted_load(outcome.matching)
 
             checks = None
-            if enabled and rounds % cfg.check_stride == 0:
+            if enabled and rounds % check_stride == 0:
                 order = line_policy.order if line_policy is not None else None
                 kept = outcome.verdicts
                 if (
@@ -390,7 +400,6 @@ def run_trial(
                     if len(failure_reports) < MAX_FAILURE_REPORTS:
                         failure_reports.append(report)
 
-            within_tau = gap << tau_exp <= tau_num << after_exp
             if trace_stride is not None and rounds % trace_stride == 0:
                 round_row(
                     round_index=rounds, phi=state_potential(committed), max_gap=gap,
@@ -406,10 +415,6 @@ def run_trial(
             raise
         state, loads, exp = committed, committed.loads, committed.exp
         last_matching = outcome.matching
-        if gap << min_exp < min_gap << exp:
-            min_gap, min_exp = gap, exp
-        if converged_at is None and within_tau:
-            converged_at = rounds
 
     # A bad load between the extremes fails no shift; search the final vector.
     _check_integer_loads(loads, f"by round {rounds}")

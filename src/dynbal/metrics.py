@@ -271,10 +271,10 @@ def _prefix_monotone(before, after, trace, kind, line_order, initial_prefix):
 
 
 def _split_potential(before, *_):
-    # Both halves of each node, one bit finer than the loads: the split
-    # potential must be twice the whole one.
+    # Both halves of each node, one bit finer than the loads, are the loads
+    # twice over: the split potential must be twice the whole one.
     phi_before = state_potential(before)
-    split = potential([w for w in before.loads for _ in (0, 1)])
+    split = potential(before.loads * 2)
     if split == phi_before * 4:
         return None
     return {"split": _text(split, before.exp + 1), "twice_whole": _text(phi_before * 2, before.exp)}

@@ -165,13 +165,14 @@ def test_finished_algorithm_coasts_to_the_full_budget():
 
 
 def spy_idle_calls(monkeypatch) -> dict:
-    """Make the trial's algorithm count its rounds and record what each
-    idle call returned; asking it `is_done` fails the test."""
+    """Make the trial's algorithm count its rounds and, if it defines an
+    idle call, record what each returned; asking it `is_done` fails the
+    test.  An algorithm that defines no idle call is given none."""
     seen = {"plays": 0, "idle": []}
 
     def algorithm(name, **params):
         alg = make_algorithm(name, **params)
-        play, idle = alg.play_round, alg.consume_idle_rounds
+        play, idle = alg.play_round, getattr(alg, "consume_idle_rounds", None)
 
         def play_round(graph, loads):
             seen["plays"] += 1
@@ -184,7 +185,9 @@ def spy_idle_calls(monkeypatch) -> dict:
         def is_done():
             raise AssertionError("the engine asked is_done")
 
-        alg.play_round, alg.consume_idle_rounds, alg.is_done = play_round, consume_idle_rounds, is_done
+        alg.play_round, alg.is_done = play_round, is_done
+        if idle is not None:
+            alg.consume_idle_rounds = consume_idle_rounds
         return alg
 
     monkeypatch.setattr(engine, "make_algorithm", algorithm)
@@ -218,6 +221,104 @@ def test_each_loop_makes_one_idle_call(monkeypatch, algorithm):
     assert sum(idle) + plays == result.rounds_played
     if algorithm == "gapReduce":
         assert result.rounds_played == 500 and idle[-1] > 0
+
+
+@pytest.mark.parametrize(
+    "algorithm, mode", [("deterministic", "continuous"), ("randMaxNeighbor", "integral")]
+)
+def test_an_algorithm_that_cannot_idle_gets_no_idle_call(monkeypatch, algorithm, mode):
+    # Neither defines an idle call, so the engine has none to ask and plays
+    # every round of the budget.
+    assert not hasattr(make_algorithm(algorithm), "consume_idle_rounds")
+    seen = spy_idle_calls(monkeypatch)
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode=mode,
+            k="1",
+            adversary="randomConnected",
+            algorithm=algorithm,
+            roundBudget=40,
+            stopOnConverge=False,
+        )
+    )
+    result = run_trial(cfg)
+    assert seen["idle"] == []
+    assert seen["plays"] == result.rounds_played == 40
+
+
+class CountsIdleCalls(BalancingAlgorithm):
+    """Moves nothing; its class defines an idle call that never skips and
+    counts how often it is asked."""
+
+    name = "randMaxNeighbor"
+    modes = ("integral",)
+
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
+        self.idle_calls = 0
+
+    def play_round(self, graph, loads):
+        return RoundOutcome(new_loads=loads)
+
+    def consume_idle_rounds(self, loads, budget_left):
+        self.idle_calls += 1
+        return 0
+
+
+@pytest.mark.parametrize("where", ["class", "instance"])
+def test_an_idle_call_is_asked_once_per_loop_wherever_it_is_defined(monkeypatch, where):
+    # The engine looks the idle call up on the instance, so one the class
+    # defines and one set on the instance are asked alike.
+    if where == "class":
+        alg = CountsIdleCalls()
+    else:
+        alg = make_algorithm("randMaxNeighbor")
+        alg.idle_calls = 0
+
+        def consume_idle_rounds(loads, budget_left):
+            alg.idle_calls += 1
+            return 0
+
+        alg.consume_idle_rounds = consume_idle_rounds
+    monkeypatch.setattr(engine, "make_algorithm", lambda name, **params: alg)
+    cfg = config_from_dict(
+        scenario(
+            n=4,
+            initialLoads="lineRamp",
+            mode="integral",
+            algorithm="randMaxNeighbor",
+            roundBudget=30,
+            stopOnConverge=False,
+        )
+    )
+    result = run_trial(cfg)
+    assert alg.idle_calls == result.rounds_played == 30
+
+
+def test_kept_rounds_keep_the_starting_bookkeeping():
+    # Loads 1 and 2 start within tau 1, and a pair one unit apart never
+    # moves: every round keeps the starting record, whose convergence,
+    # minimum gap and trace verdict were settled before round 1.
+    cfg = config_from_dict(
+        scenario(
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="1",
+            algorithm="randMaxNeighbor",
+            roundBudget=20,
+            stopOnConverge=False,
+            traceLevel="full",
+        )
+    )
+    result, rows = trace_rows(cfg)
+    assert result.rounds_played == 20
+    assert result.converged_at == 0
+    assert result.final_loads == [1, 2]
+    assert result.min_max_gap == result.final_gap == 1
+    assert [int(row[0]) for row in rows] == list(range(21))
+    assert {row[5] for row in rows} == {"true"}
 
 
 def trace_rows(cfg, seed=None):
@@ -367,17 +468,77 @@ class DisconnectsOnRoundThree(AdversaryPolicy):
         return Graph(4, [(0, 1), (2, 3)]) if self.fresh else self.split
 
 
+def spy_validations(monkeypatch) -> list:
+    """The graphs the engine's connectivity check is called on, in order."""
+    validated = []
+
+    def spy(graph):
+        validated.append(graph)
+        return is_connected(graph)
+
+    monkeypatch.setattr(engine, "is_connected", spy)
+    return validated
+
+
 @pytest.mark.parametrize("fresh", [True, False])
 def test_disconnected_adversary_graph_is_rejected(monkeypatch, fresh):
     policy = DisconnectsOnRoundThree(fresh)
     assert not is_connected(policy.split)  # its connectivity is cached before any trial
     monkeypatch.setattr(engine, "make_adversary", lambda name, **params: policy)
+    validated = spy_validations(monkeypatch)
     cfg = config_from_dict(scenario(n=4, initialLoads=[8, 0, 0, 0], roundBudget=10))
-    # The second trial sees the kept object again.
+    # The second trial sees the kept object again, and validates it afresh.
     for _ in range(2):
+        validated.clear()
         with pytest.raises(EngineError, match="adversary produced a disconnected graph"):
             run_trial(cfg)
         assert policy.rounds == [1, 2, 3]
+        # The path handed out twice is validated once.
+        assert validated[0] is policy.path and len(validated) == 2
+        assert (validated[1] is policy.split) is not fresh
+
+
+def test_a_graph_object_handed_back_is_validated_once(monkeypatch):
+    # The line ascends from the start, so the sorting line hands back one
+    # graph object every round.
+    validated = spy_validations(monkeypatch)
+    cfg = config_from_dict(
+        scenario(
+            n=6,
+            initialLoads="lineRamp",
+            mode="integral",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=300,
+            stopOnConverge=False,
+        )
+    )
+    result = run_trial(cfg)
+    assert result.rounds_played == 300
+    assert len(validated) == 1
+
+
+class ShrinksOnRoundTwo(AdversaryPolicy):
+    """A path on all nodes in round 1, then a path on one node fewer."""
+
+    name = "shrinksOnRoundTwo"
+
+    def bind(self, n, rng):
+        super().bind(n, rng)
+        self.rounds = []
+
+    def next_graph(self, state, matching):
+        self.rounds.append(len(self.rounds) + 1)
+        return path_graph(self.n if self.rounds[-1] < 2 else self.n - 1)
+
+
+def test_adversary_that_changes_the_node_count_is_rejected(monkeypatch):
+    policy = ShrinksOnRoundTwo()
+    monkeypatch.setattr(engine, "make_adversary", lambda name, **params: policy)
+    cfg = config_from_dict(scenario(n=4, initialLoads=[8, 0, 0, 0], roundBudget=10))
+    with pytest.raises(EngineError, match="adversary changed the node count"):
+        run_trial(cfg)
+    assert policy.rounds == [1, 2]
 
 
 class CreatesLoadInRoundThree(BalancingAlgorithm):
@@ -676,13 +837,13 @@ def test_rounds_that_move_load_derive_once_per_committed_vector(monkeypatch):
     # Every round of the two-sided rule from a single source moves load, so
     # each round commits a new vector.  The trace row and potentialDrop read
     # the same potential of it, and the next round's checks read it again as
-    # their before-state.  splitPotential takes the potential of a list of
-    # halves, which is not a committed vector.  Totals are not kept: the
+    # their before-state.  splitPotential takes the potential of the halves,
+    # twice as many loads as a committed vector.  Totals are not kept: the
     # trial sums its initial loads once and conservation sums both records
     # of each of the 43 rounds.
     calls = {"total_load": 0, "potential": 0}
     count_calls(monkeypatch, calls, "total_load")
-    count_calls(monkeypatch, calls, "potential", lambda loads: type(loads) is tuple)
+    count_calls(monkeypatch, calls, "potential", lambda loads: len(loads) == 8)
     cfg = config_from_dict(
         scenario(
             n=8,
