@@ -6,6 +6,10 @@ graph the engine presents.  It never sees the adversary's or the sampler's
 randomness, and it observes loads only as they stood when the round began.
 The loads it is given are the trial's committed tuple (see loads.py), so
 an algorithm may key what it derives from them by the tuple's identity.
+`start` is handed tau in the scale of those numerators (the config's tau
+times 2**exp), and every algorithm plans its own round budget in
+`planned_rounds()`, which the engine asks when a trial sets no
+`roundBudget`; each budget formula sits beside its class.
 Only gap reduction and its drivers can idle; they define `consume_idle_rounds`.
 
 Every algorithm here plays one kind of round: each node offers its load to
@@ -21,6 +25,7 @@ deterministic.py).
 
 from __future__ import annotations
 
+from math import log
 from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
@@ -42,9 +47,11 @@ class BalancingAlgorithm:
     modes: tuple[str, ...] = ()
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
-        """Reset per-trial state.  Subclasses must call super().start()."""
+        """Reset per-trial state; `tau` is in the scale of `loads`.
+        Subclasses must call super().start()."""
         self.mode = mode
         self.rng = rng
+        self.n, self.total, self.tau = len(loads), sum(loads), tau
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         """Play one round on integer numerators over a shared exponent.
@@ -56,9 +63,20 @@ class BalancingAlgorithm:
         """
         raise NotImplementedError
 
-    def planned_rounds(self) -> Optional[int]:
-        """Total round budget implied by the algorithm's own schedule."""
-        return None
+    def planned_rounds(self) -> int:
+        """Total round budget implied by the algorithm's own schedule, asked
+        after `start` when a trial sets no `roundBudget`.  Every algorithm
+        defines it."""
+        raise NotImplementedError
+
+
+def ratio_log(ratio) -> float:
+    """ln(ratio) for a positive Fraction, also past float range: the log of
+    its numerator less that of its denominator when it has no float."""
+    try:
+        return log(ratio)
+    except OverflowError:
+        return log(ratio.numerator) - log(ratio.denominator)
 
 
 def heaviest_gap_neighbor(u: int, neighbors: Sequence[int], loads) -> tuple[Optional[int], object]:

@@ -35,19 +35,51 @@ wider gap takes over: the lowest proposer keeps a tie, as in
 order, the order `accept_offers` sorts into, so loads and matching are
 those of the two-stage oracle, which still asks `heaviest_gap_neighbor`
 once per node.
+
+The planned budget is `deterministic_round_budget` on the numerators and
+tau in their scale: n T / tau is the same ratio in any scale.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import ceil
+
 from ..graphs import Graph
 from ..records import RoundOutcome
-from .base import KIND_TWO_SIDED, BalancingAlgorithm
+from .base import KIND_TWO_SIDED, BalancingAlgorithm, ratio_log
+
+
+def deterministic_round_budget(n: int, total, tau) -> int:
+    """Budget ceil(60 * min(n^2 ln(n T / tau), n T / tau)), for an int or
+    Fraction total and tau.
+
+    The additive arm is evaluated in exact rational arithmetic; the
+    logarithmic arm in floats, which is safe because its ceil is never
+    within one of the true value for the magnitudes involved.
+    """
+    total_fr, tau_fr = Fraction(total), Fraction(tau)
+    if total_fr <= 0:
+        return 0
+    if tau_fr <= 0:
+        raise ValueError("the budget formula needs tau > 0")
+    ratio = Fraction(n) * total_fr / tau_fr
+    if ratio <= 1:
+        return 0
+    additive = 60 * ratio
+    multiplicative = 60 * n * n * ratio_log(ratio)
+    if additive <= multiplicative:
+        return -(-additive.numerator // additive.denominator)
+    return ceil(multiplicative)
 
 
 class TwoSidedDeterministic(BalancingAlgorithm):
     name = "deterministic"
     kind = KIND_TWO_SIDED
     modes = ("continuous",)
+
+    def planned_rounds(self) -> int:
+        return deterministic_round_budget(self.n, self.total, self.tau)
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         n = len(loads)

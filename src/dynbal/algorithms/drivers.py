@@ -18,14 +18,14 @@ is output-only and no schedule here names it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, log
+from math import ceil
 from random import Random
 
 from ..graphs import Graph
 from ..loads import to_scaled
 from ..records import RoundOutcome
 from ..smoothing import DEFAULT_C1
-from .base import KIND_MATCHING, BalancingAlgorithm
+from .base import KIND_MATCHING, BalancingAlgorithm, ratio_log
 from .gapreduce import (
     GapReduce,
     GaplessGapReduce,
@@ -40,7 +40,7 @@ def smoothed_calls_budget(total: int, tau) -> int:
     ratio = Fraction(total) / Fraction(tau)
     if ratio <= 1:
         return 0
-    return max(0, ceil(4 * log(float(ratio))))
+    return max(0, ceil(4 * ratio_log(ratio)))
 
 
 def gapless_schedule(total: int, tau: int) -> list[int]:
@@ -67,8 +67,6 @@ class _CallChain(BalancingAlgorithm):
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
         super().start(loads, mode, rng, k=k, tau=tau)
         self.k = Fraction(k)
-        self.tau = tau
-        self.total = sum(loads)
         self.current: BalancingAlgorithm | None = None
         self.calls_started = 0
 
@@ -98,8 +96,7 @@ class SmoothedBalance(_CallChain):
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
         super().start(loads, mode, rng, k=k, tau=tau)
         self.calls_budget = smoothed_calls_budget(self.total, tau)
-        n = len(loads)
-        self._per_call = n + gap_reduce_round_budget(n, self.total, self.c1, self.k)
+        self._per_call = self.n + gap_reduce_round_budget(self.n, self.total, self.c1, self.k)
 
     def planned_rounds(self):
         return self.calls_budget * self._per_call
@@ -119,7 +116,7 @@ class GaplessBalance(_CallChain):
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
         super().start(loads, mode, rng, k=k, tau=tau)
         self.schedule = gapless_schedule(self.total, int(tau))
-        self._per_call = gapless_round_budget(len(loads), self.total, self.c1, self.k)
+        self._per_call = gapless_round_budget(self.n, self.total, self.c1, self.k)
 
     def planned_rounds(self):
         return len(self.schedule) * self._per_call

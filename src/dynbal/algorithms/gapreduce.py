@@ -90,8 +90,9 @@ def gap_reduce_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> in
 
 
 def gapless_round_budget(n: int, total: int, c1: Fraction, k: Fraction) -> int:
-    """Per-call rounds for the gapless variant: the plain budget times ln n.
-    For what `DEFAULT_C1` assumes, see gap_reduce_round_budget."""
+    """Per-call rounds for the gapless variant:
+    ceil(2 n^2 ln(n ln T) ln n / (c1 k)).  For what `DEFAULT_C1` assumes,
+    see gap_reduce_round_budget."""
     if k <= 0:
         raise ValueError("gap reduction needs a positive smoothing amount")
     c1 = hitting_constant(c1)
@@ -200,9 +201,8 @@ class GapReduce(ProposalMemo):
         # Where flooding ends (see the module docstring).
         self.low, self.high = min(loads), max(loads)
         self.psi = self.high - self.low
-        n = len(loads)
-        self._main_budget = gap_reduce_round_budget(n, sum(loads), self.c1, self.k)
-        self._plan(n + self._main_budget)
+        self._main_budget = gap_reduce_round_budget(self.n, self.total, self.c1, self.k)
+        self._plan(self.n + self._main_budget)
         self._flood_record = None
 
     def _is_light(self, w: int) -> bool:
@@ -247,7 +247,7 @@ class GaplessGapReduce(ProposalMemo):
 
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
         super().start(loads, mode, rng, k=k, tau=tau)
-        self._plan(gapless_round_budget(len(loads), sum(loads), self.c1, self.k))
+        self._plan(gapless_round_budget(self.n, self.total, self.c1, self.k))
         self._max_of = self._max = None
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:

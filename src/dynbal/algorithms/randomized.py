@@ -23,14 +23,23 @@ changes and holds at most `REPLAY_LIMIT` records, every coin at n <= 10.
 
 from __future__ import annotations
 
+from math import ceil, log
 from random import Random
 
 from ..graphs import Graph
 from ..loads import MODE_INTEGRAL
 from ..records import KIND_MATCHING, RoundOutcome
 from .base import BalancingAlgorithm, heaviest_gap_neighbor, offer_round
+from .deterministic import deterministic_round_budget
 
 REPLAY_LIMIT = 1024
+
+
+def randomized_round_budget(n: int, total, tau) -> int:
+    """Deterministic budget times an extra ln n: the randomised max-neighbor
+    rule only matches the two-sided bound up to a logarithmic factor."""
+    factor = max(1, ceil(log(n))) if n > 1 else 1
+    return deterministic_round_budget(n, total, tau) * factor
 
 
 class RandMaxNeighbor(BalancingAlgorithm):
@@ -41,6 +50,9 @@ class RandMaxNeighbor(BalancingAlgorithm):
     def start(self, loads: tuple, mode: str, rng: Random, *, k, tau) -> None:
         super().start(loads, mode, rng, k=k, tau=tau)
         self._replay_base, self._replay_loads, self._replay = None, None, {}
+
+    def planned_rounds(self) -> int:
+        return randomized_round_budget(self.n, self.total, self.tau)
 
     def play_round(self, graph: Graph, loads: tuple) -> RoundOutcome:
         coin = self.rng.getrandbits(graph.n)

@@ -328,14 +328,16 @@ def _name_and_params(value, what: str) -> tuple[str, dict]:
 def _parse_checks(value, algorithm_name: str, adversary_name: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ConfigError("checks must be a list of invariant names")
+    # continuousViaIntegral plays smoothedBalance, which is matching-based.
+    kind = ALGORITHMS[algorithm_name].kind if algorithm_name in ALGORITHMS else KIND_MATCHING
     seen = []
     for name in value:
         if name not in ALL_CHECKS:
             raise ConfigError(f"unknown invariant check {name!r}")
         if name in seen:
             raise ConfigError(f"duplicate check {name!r}")
-        if name in TWO_SIDED_ONLY_CHECKS and algorithm_name != "deterministic":
-            raise ConfigError(f"check {name} applies only to the deterministic algorithm")
+        if name in TWO_SIDED_ONLY_CHECKS and kind == KIND_MATCHING:
+            raise ConfigError(f"check {name} applies only to a two-sided algorithm")
         if name == CHECK_PREFIX_MONOTONE and adversary_name != "sortingLine":
             raise ConfigError("prefixMonotone needs the sortingLine adversary")
         seen.append(name)

@@ -5,6 +5,12 @@ The adversary sees only committed state; the sampler and the algorithm draw
 from independent random streams derived from the trial seed by hashing, so
 no component's consumption of randomness can perturb another's.
 
+A trial's round budget is its config's `roundBudget`, else the algorithm's
+own `planned_rounds()`; the engine holds no budget formula.  The algorithm
+is started with tau in the scale of the loads' numerators (see
+algorithms/base.py).  The engine names no algorithm but the one it still
+dispatches itself, `continuousViaIntegral`.
+
 Idle fast-forward (skipping rounds an algorithm proves load-neutral)
 applies at every trace level, so no observation knob changes an outcome;
 a trace shows a skipped span as a jump in its round column.  Each loop
@@ -45,12 +51,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, log, sqrt
+from math import sqrt
 from random import Random
 from typing import Optional
 
 from .adversaries import SortingLinePolicy, make_adversary
-from .algorithms import CONTINUOUS_VIA_INTEGRAL, make_algorithm
+from .algorithms import CONTINUOUS_VIA_INTEGRAL, SmoothedBalance, make_algorithm
 from .algorithms.drivers import decompose_by_unit, recombine_by_unit
 from .config import ScenarioConfig
 from .dyadic import Dyadic
@@ -101,7 +107,7 @@ def derive_stream(seed: int, label: str) -> Random:
 
 
 # ----------------------------------------------------------------------
-# initial loads and budgets
+# initial loads
 # ----------------------------------------------------------------------
 
 
@@ -120,45 +126,6 @@ def build_initial_loads(cfg: ScenarioConfig, rng: Random) -> list:
     else:  # pragma: no cover - config validation rules this out
         raise EngineError(f"unknown load generator {kind!r}")
     return loads
-
-
-def deterministic_round_budget(n: int, total, tau) -> int:
-    """Default budget ceil(60 * min(n^2 ln(n T / tau), n T / tau)), for an
-    int or Fraction total and tau.
-
-    The additive arm is evaluated in exact rational arithmetic; the
-    logarithmic arm in floats, which is safe because its ceil is never
-    within one of the true value for the magnitudes involved.
-    """
-    total_fr, tau_fr = Fraction(total), Fraction(tau)
-    if total_fr <= 0:
-        return 0
-    if tau_fr <= 0:
-        raise EngineError("the default budget formula needs tau > 0")
-    ratio = Fraction(n) * total_fr / tau_fr
-    if ratio <= 1:
-        return 0
-    additive = 60 * ratio
-    multiplicative = 60 * n * n * log(ratio)
-    if additive <= multiplicative:
-        return -(-additive.numerator // additive.denominator)
-    return ceil(multiplicative)
-
-
-def randomized_round_budget(n: int, total, tau) -> int:
-    """Deterministic budget times an extra ln n: the randomised max-neighbor
-    rule only matches the two-sided bound up to a logarithmic factor."""
-    factor = max(1, ceil(log(n))) if n > 1 else 1
-    return deterministic_round_budget(n, total, tau) * factor
-
-
-def default_round_budget(cfg: ScenarioConfig, total) -> int:
-    name = cfg.algorithm_name
-    if name == "deterministic":
-        return deterministic_round_budget(cfg.n, total, cfg.tau)
-    if name == "randMaxNeighbor":
-        return randomized_round_budget(cfg.n, total, cfg.tau)
-    raise EngineError(f"algorithm {name} must supply its own planned budget")
 
 
 # ----------------------------------------------------------------------
@@ -255,13 +222,12 @@ def run_trial(
     adversary = make_adversary(cfg.adversary[0], **cfg.adversary[1])
     adversary.bind(n, rng_adversary)
     algorithm = make_algorithm(cfg.algorithm_name, **cfg.algorithm[1])
-    algorithm.start(loads, cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau)
+    # Tau in the loads' scale, where n T / tau is the same ratio.
+    algorithm.start(loads, cfg.mode, rng_algorithm, k=cfg.k, tau=cfg.tau * (1 << exp))
 
     budget = cfg.round_budget
     if budget is None:
         budget = algorithm.planned_rounds()
-    if budget is None:
-        budget = default_round_budget(cfg, Fraction(total, 1 << exp))
     if continuous:
         total = Dyadic(total, exp)
 
@@ -475,7 +441,7 @@ def _run_continuous_via_integral(cfg: ScenarioConfig, seed: int, trace_writer) -
         mode=MODE_INTEGRAL,
         initial_loads=("explicit", tuple(quotients)),
         tau=Fraction(1),
-        algorithm=("smoothedBalance", cfg.algorithm[1]),
+        algorithm=(SmoothedBalance.name, cfg.algorithm[1]),
         trials=1,
     )
     sub = run_trial(sub_cfg, seed=seed, trace_writer=trace_writer)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbal.algorithms import TwoSidedDeterministic
+from dynbal.algorithms.deterministic import deterministic_round_budget
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, all_pairs, is_connected, path_graph, star_graph
 from dynbal.loads import LoadState, to_dyadics, to_scaled
@@ -250,3 +251,26 @@ def test_toggled_rows_play_like_a_fresh_graph(k):
         nums = [draw.choice([0, 1, 3, 3, 8]) for _ in range(8)]
         assert play_scaled(nums, graph) == play_scaled(nums, Graph(8, graph.edges))
     assert toggled > 100
+
+
+# ======================================================================
+# planned budget
+# ======================================================================
+
+
+def test_deterministic_budget_values():
+    assert deterministic_round_budget(4, 64, 1) == 5324
+    assert deterministic_round_budget(8, 256, 1) == 29279
+    # Small ratio: the additive arm wins and is evaluated exactly.
+    assert deterministic_round_budget(2, 4, 2) == 240
+    assert deterministic_round_budget(4, 4, Fraction(16)) == 0
+    # Fraction amounts, as configs hold tau and continuous totals.
+    assert deterministic_round_budget(2, Fraction(3, 2), Fraction(1, 2)) == 360
+    assert deterministic_round_budget(4, 0, 1) == 0
+    # n T / tau = 4e400 has no float; its log is still taken.
+    assert deterministic_round_budget(4, 10**400, 1) == 885524
+
+
+def test_budget_formula_rejects_tau_zero():
+    with pytest.raises(ValueError):
+        deterministic_round_budget(4, 64, 0)

@@ -12,7 +12,7 @@ from dynbal import engine
 from dynbal.adversaries import SortingLinePolicy
 from dynbal.algorithms import RandMaxNeighbor, make_algorithm, randomized
 from dynbal.algorithms.base import offer_round
-from dynbal.algorithms.randomized import coin_offers
+from dynbal.algorithms.randomized import coin_offers, randomized_round_budget
 from dynbal.config import config_from_dict
 from dynbal.dyadic import Dyadic
 from dynbal.graphs import Graph, all_pairs, path_graph
@@ -397,3 +397,8 @@ def test_kept_records_stay_unchanged_through_a_trial(monkeypatch):
         )
         assert checks == reference.checks and witnesses == reference.witnesses
         assert ok is reference.ok is True
+
+
+def test_randomized_budget_adds_log_factor():
+    assert randomized_round_budget(5, 15, 1) == 4500 * 2
+    assert randomized_round_budget(2, 4, 2) == 240

@@ -33,6 +33,34 @@ def test_run_converges_with_exit_zero(tmp_path, capsys):
     assert "invariant_failures: 0" in out
 
 
+def test_run_plans_a_budget_past_float_range(tmp_path, capsys):
+    # n T / tau = 4e400: the planned budget's log is taken past float range.
+    path = write_config(
+        tmp_path,
+        initialLoads={"name": "singleSource", "total": 10**400},
+        tau="1",
+        adversary={"name": "static", "graph": "path"},
+    )
+    assert main(["run", str(path)]) == 0
+    assert "converged: yes" in capsys.readouterr().out
+
+
+def test_run_plans_smoothed_calls_past_float_range(tmp_path, capsys):
+    # smoothedBalance plans its calls in start, even under a roundBudget.
+    path = write_config(
+        tmp_path,
+        initialLoads={"name": "singleSource", "total": 10**400},
+        mode="integral",
+        tau="1",
+        k="1",
+        adversary="sortingLine",
+        algorithm="smoothedBalance",
+        roundBudget=100,
+    )
+    assert main(["run", str(path)]) == 0
+    assert "rounds: 100" in capsys.readouterr().out
+
+
 def test_run_writes_trace_csv(tmp_path):
     path = write_config(tmp_path, traceLevel="full", checks=["conservation"])
     out_file = tmp_path / "trace.csv"

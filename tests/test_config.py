@@ -337,7 +337,7 @@ def test_check_validation():
         algorithm="smoothedBalance",
         checks=["potentialDrop"],
     )
-    with pytest.raises(ConfigError, match="only to the deterministic algorithm"):
+    with pytest.raises(ConfigError, match="only to a two-sided algorithm"):
         config_from_dict(raw)
     with pytest.raises(ConfigError, match="needs the sortingLine adversary"):
         config_from_dict(minimal(checks=["prefixMonotone"]))

@@ -34,6 +34,8 @@ def test_smoothed_calls_budget_values():
     assert smoothed_calls_budget(0, 1) == 0
     assert smoothed_calls_budget(512, Fraction(2)) == 23
     assert smoothed_calls_budget(512, Fraction(1, 2)) == 28
+    # T / tau = 1e400 has no float; its log is still taken.
+    assert smoothed_calls_budget(10**400, 1) == 3685
 
 
 @pytest.mark.parametrize("c1", [0, -1, Fraction(-1, 2)])

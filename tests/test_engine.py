@@ -4,13 +4,14 @@ import csv
 import io
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 from unittest import mock
 
 import pytest
 
 from dynbal import engine, metrics
 from dynbal.adversaries import AdversaryPolicy, SortingLinePolicy, make_adversary
-from dynbal.algorithms import make_algorithm
+from dynbal.algorithms import ALGORITHMS, make_algorithm
 from dynbal.algorithms.base import BalancingAlgorithm
 from dynbal.algorithms.drivers import decompose_by_unit, recombine_by_unit
 from dynbal.config import config_from_dict
@@ -18,8 +19,6 @@ from dynbal.dyadic import Dyadic
 from dynbal.engine import (
     EngineError,
     derive_stream,
-    deterministic_round_budget,
-    randomized_round_budget,
     run_experiment,
     run_trial,
     wilson_interval,
@@ -63,29 +62,25 @@ def test_derived_streams_are_reproducible_and_distinct():
 
 
 # ======================================================================
-# default budgets
+# budgets
 # ======================================================================
 
 
-def test_deterministic_budget_values():
-    assert deterministic_round_budget(4, 64, 1) == 5324
-    assert deterministic_round_budget(8, 256, 1) == 29279
-    # Small ratio: the additive arm wins and is evaluated exactly.
-    assert deterministic_round_budget(2, 4, 2) == 240
-    assert deterministic_round_budget(4, 4, Fraction(16)) == 0
-    # Fraction amounts, as configs hold tau and continuous totals.
-    assert deterministic_round_budget(2, Fraction(3, 2), Fraction(1, 2)) == 360
-    assert deterministic_round_budget(4, 0, 1) == 0
+@pytest.mark.parametrize("name, budget", [("deterministic", 480), ("randMaxNeighbor", 960)])
+def test_planned_budget_reads_tau_in_the_loads_scale(name, budget):
+    # Loads 1/2, 0, 0, 0 are numerators 1, 0, 0, 0 over exp 1, and tau 1/4
+    # is 1/2 in that scale: n T / tau = 8 either way.  A tau handed over
+    # unscaled would read 16 and double the budget.
+    spec = scenario(n=4, initialLoads=["0.5", "0", "0", "0"], tau="0.25", algorithm=name)
+    del spec["roundBudget"]
+    assert run_trial(config_from_dict(spec)).budget == budget
 
 
-def test_randomized_budget_adds_log_factor():
-    assert randomized_round_budget(5, 15, 1) == 4500 * 2
-    assert randomized_round_budget(2, 4, 2) == 240
-
-
-def test_budget_formula_rejects_tau_zero():
-    with pytest.raises(EngineError):
-        deterministic_round_budget(4, 64, 0)
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_algorithm_plans_an_int_budget(name):
+    alg = make_algorithm(name, **({"psi": 4} if name == "gaplessGapReduce" else {}))
+    alg.start((8, 0, 0, 0), alg.modes[0], Random(0), k=Fraction(1), tau=Fraction(1))
+    assert type(alg.planned_rounds()) is int
 
 
 # ======================================================================
