@@ -33,6 +33,11 @@ GENERATOR_NAMES = ("lineRamp", "singleSource", "uniformRandom")
 
 DECIMAL_RE = re.compile(r"^[+-]?\d+(?:\.\d+)?$")
 
+# The finest grid `uniformRandom` may draw on: each load is a numerator of
+# `granularityBits` bits and more, so a larger value would have the draw
+# allocate without limit (or overflow).
+MAX_GRANULARITY_BITS = 1 << 16
+
 _TOP_LEVEL_KEYS = {
     "n",
     "initialLoads",
@@ -245,6 +250,8 @@ def _parse_initial_loads(value, n: int, mode: str) -> tuple:
         bits = params.get("granularityBits", 0)
         if not _is_int(bits) or bits < 0:
             raise ConfigError("granularityBits must be a non-negative integer")
+        if bits > MAX_GRANULARITY_BITS:
+            raise ConfigError(f"granularityBits must be at most {MAX_GRANULARITY_BITS}")
         if mode == MODE_INTEGRAL and bits:
             raise ConfigError("granularityBits needs continuous mode")
     elif params:

@@ -21,8 +21,9 @@ rest of its budget in one step without simulating it.
 A trial binds its components' round methods once.  The adversary is
 handed the committed record and the last round's `matching` as they stand,
 and each (immutable) graph object it returns is validated once.
-`d_r` is derived once per round record (see records.py), so an algorithm
-that hands a record back again does not pay for it twice.
+`d_r` is derived once per round record (see records.py), and only when a
+check or a trace row reads it, so an algorithm that hands a record back
+again does not pay for it twice, and an unobserved trial never pays.
 
 The committed loads are one `LoadState` record over an immutable tuple (see
 loads.py), the only loads object a component is handed.  A round whose
@@ -39,7 +40,11 @@ reuses them instead of calling `check_round`; the graph object must
 match too only when an enabled check reads it (`GRAPH_CHECKS`), as
 smoothing draws a new graph almost every round.  Such a round still
 counts its failures, and builds a report of its own index only when it
-failed.  A trace row reads the round's verdict dict.
+failed.  A trace row reads the round's verdict dict.  A written round
+that moved no load keeps its row tuple on its round record; a round that
+hands the record back on the same committed record and verdict dict (by
+identity) writes that very row, whose text the writer rendered once (see
+io.py).  Any other written round builds a new row.
 A committed load that is not an integer numerator stops the trial with an
 `EngineError` naming the node and the round: the round it was committed in
 when a shift fails on it, else the last round, when the final vector is
@@ -194,6 +199,15 @@ def _check_integer_loads(loads, when: str) -> None:
             )
 
 
+def _round_d_r(outcome) -> object:
+    """The record's `d_r`, derived the first time a check or a trace row
+    reads it; a record handed back again keeps it."""
+    d_r = outcome.d_r
+    if d_r is None:
+        d_r = outcome.d_r = twice_shifted_load(outcome.matching)
+    return d_r
+
+
 def run_trial(
     cfg: ScenarioConfig,
     seed: Optional[int] = None,
@@ -263,10 +277,7 @@ def run_trial(
         round_row = trace_writer.round_row
 
         def write_row(index, phi, row_gap, row_exp, converged):
-            round_row(
-                round_index=index, phi=phi, max_gap=row_gap, exp=row_exp, d_r=0,
-                connections=0, converged=converged,
-            )
+            round_row(round_index=index, row=(phi, row_gap, 0, 0, converged, None, row_exp, 0))
 
         write_row(0, state_potential(state), gap, exp, within_tau)
 
@@ -323,11 +334,6 @@ def run_trial(
                     min_gap, min_exp = gap, after_exp
                 if converged_at is None and within_tau:
                     converged_at = rounds
-            d_r = outcome.d_r
-            if d_r is None:
-                # Derived once per record: a record handed back again keeps it.
-                d_r = outcome.d_r = twice_shifted_load(outcome.matching)
-
             checks = None
             if enabled and rounds % check_stride == 0:
                 order = line_policy.order if line_policy is not None else None
@@ -344,7 +350,7 @@ def run_trial(
                     report = check_round(
                         state,
                         committed,
-                        RoundTrace(rounds, graph, outcome.matching, d_r),
+                        RoundTrace(rounds, graph, outcome.matching, _round_d_r(outcome)),
                         algorithm_kind=algorithm.kind,
                         enabled=enabled,
                         line_order=order,
@@ -367,11 +373,20 @@ def run_trial(
                         failure_reports.append(report)
 
             if trace_stride is not None and rounds % trace_stride == 0:
-                round_row(
-                    round_index=rounds, phi=state_potential(committed), max_gap=gap,
-                    exp=after_exp, d_r=d_r, d_r_exp=exp + 1,
-                    connections=len(outcome.matching), converged=within_tau, checks=checks,
-                )
+                kept = outcome.row
+                if kept is not None and kept[0] is committed and kept[1] is checks:
+                    # Every field is a function of the round record, the
+                    # committed record and the verdict dict: the very row
+                    # again, whose text the writer kept.
+                    row = kept[2]
+                else:
+                    row = (
+                        state_potential(committed), gap, _round_d_r(outcome),
+                        len(outcome.matching), within_tau, checks, after_exp, exp + 1,
+                    )
+                    if committed is state:
+                        outcome.row = committed, checks, row
+                round_row(round_index=rounds, row=row)
                 last_emitted = rounds
         except TypeError:
             # Integer numerators never fail these shifts (nor the

@@ -15,20 +15,26 @@ bytes `csv.writer` would, without its per-character quoting scan over
 amounts thousands of digits long.  The header, written once, keeps
 `csv.writer`, as does the experiment summary, whose `aborted` message can
 contain a comma.
+
+A trace row reaches the writer as one tuple, and the writer renders each
+row object's text once: a replayed round hands it the very row the engine
+kept on the round record (see engine.py), and only its index is new.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .dyadic import Dyadic, decimal_text
 
 TRACE_COLUMNS = ("round", "phi", "max_gap", "d_r", "connections", "converged")
 
-# How many recent rows' text a trace writer keeps for reuse, and the
-# longest text it keeps (a longer row's amounts are not held either).
-ROW_TEXTS = 16
+# How many rows' text a trace writer keeps for reuse, and the longest text
+# it keeps (a longer row is not held either).  The table holds every row a
+# trial can cycle through: `randMaxNeighbor` replays up to 1024 records
+# (`algorithms.randomized.REPLAY_LIMIT`), each written from its kept row.
+ROW_TEXTS = 1024
 ROW_TEXT_CHARS = 256
 
 SUMMARY_COLUMNS = (
@@ -55,53 +61,38 @@ def render_amount(value, exp: int = 0) -> str:
 class TraceCsvWriter:
     """Writes one row per retained round of a single trial.
 
-    A row's amounts are dyadic values, or int numerators: `phi` and
-    `max_gap` over 2**exp, `d_r` over 2**d_r_exp.  The engine passes
-    numerators, so no row builds a Dyadic.  `checks` is the round's verdict
-    dict (check name -> passed), None when no check ran.
+    A row is one tuple `(phi, max_gap, d_r, connections, converged, checks,
+    exp, d_r_exp)`.  Its amounts are dyadic values, or int numerators:
+    `phi` and `max_gap` over 2**exp, `d_r` over 2**d_r_exp.  The engine
+    passes numerators, so no row builds a Dyadic.  `checks` is the round's
+    verdict dict (check name -> passed), None when no check ran.
 
-    A row whose amounts, exponents, `connections`, `converged` and `checks`
-    are the very objects of a kept row reuses its text after the round
-    index.  Objects match by identity, never by value, so
-    equal values that render differently (`Dyadic(2)` and the numerator 2
-    at exp=1) never share text; the table holds the objects it keys, so
-    their ids stay theirs.  So a `checks` dict must not change once a row
-    has read it.  The table keeps up to `ROW_TEXTS` rows of at most
-    `ROW_TEXT_CHARS` characters each, then empties.
+    The writer renders a row object's text once: when the very same tuple
+    comes back (the engine hands a replayed round's kept row again), its
+    text after the round index is reused.  Rows match by identity, never by
+    value, so equal values that render differently (`Dyadic(2)` and the
+    numerator 2 at exp=1) never share text; the table holds the rows it
+    keys, so their ids stay theirs.  So a row's `checks` dict must not
+    change once the row has been written.  The table keeps up to
+    `ROW_TEXTS` rows of at most `ROW_TEXT_CHARS` characters each, then
+    empties.
     """
 
     def __init__(self, stream, checks: Sequence[str] = (), close_stream: bool = False):
         self.checks = tuple(checks)
         self._stream = stream
         self._close_stream = close_stream
-        # ids of a row's objects -> (the objects, the text after the index)
-        self._texts: dict[tuple, tuple[tuple, str]] = {}
+        # id of a row -> (the row, its text after the index)
+        self._texts: dict[int, tuple[tuple, str]] = {}
         csv.writer(stream).writerow(TRACE_COLUMNS + self.checks)
 
-    def round_row(
-        self,
-        *,
-        round_index: int,
-        phi,
-        max_gap,
-        d_r,
-        connections: int,
-        converged: bool,
-        checks: Optional[dict] = None,
-        exp: int = 0,
-        d_r_exp: int = 0,
-    ) -> None:
-        # Spelled out: tuple(map(id, ...)) grows its result as it goes,
-        # which left a traced trial's peak RSS a quarter MiB higher.
-        ids = (
-            id(phi), id(max_gap), id(d_r), id(connections), id(converged), id(checks),
-            id(exp), id(d_r_exp),
-        )
-        kept = self._texts.get(ids)
+    def round_row(self, *, round_index: int, row: tuple) -> None:
+        kept = self._texts.get(id(row))
         if kept is not None:
             tail = kept[1]
         else:
-            row = [
+            phi, max_gap, d_r, connections, converged, checks, exp, d_r_exp = row
+            fields = [
                 render_amount(phi, exp),
                 render_amount(max_gap, exp),
                 render_amount(d_r, d_r_exp),
@@ -110,15 +101,14 @@ class TraceCsvWriter:
             ]
             for name in self.checks:
                 if checks is None or name not in checks:
-                    row.append("")
+                    fields.append("")
                 else:
-                    row.append("0" if checks[name] else "1")
-            tail = ",".join(row)
+                    fields.append("0" if checks[name] else "1")
+            tail = ",".join(fields)
             if len(tail) <= ROW_TEXT_CHARS:
                 if len(self._texts) >= ROW_TEXTS:
                     self._texts.clear()
-                objects = (phi, max_gap, d_r, connections, converged, checks, exp, d_r_exp)
-                self._texts[ids] = objects, tail
+                self._texts[id(row)] = row, tail
         self._stream.write(f"{round_index},{tail}\r\n")
 
     def close(self) -> None:

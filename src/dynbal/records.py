@@ -1,12 +1,15 @@
 """Round-level record types shared by the algorithms, metrics and engine.
 
 Amounts are numerators over the trial's shared load exponent (see loads.py).
-The engine derives two fields once, on a round record: `d_r` and, for a
-checked round that moved no load, its verdicts.  A round that hands the
-record back reuses them, so the trace rows and the failure reports of
-replayed rounds share read-only `checks` and `witnesses` dicts.  Verdicts are keyed on the committed record and the
-line order, and on the graph only when an enabled check reads it
-(`metrics.GRAPH_CHECKS`).
+The engine derives three fields once, on a round record: `d_r`, when a
+check or a trace row first reads it, and, for a round that moved no load,
+its verdicts when checked and its trace row when written.  A round that
+hands the record back reuses them, so the trace rows and the failure
+reports of replayed rounds share read-only `checks` and `witnesses` dicts,
+and their rows are the very row tuple.  Verdicts are keyed on the
+committed record and the line order, and on the graph only when an enabled
+check reads it (`metrics.GRAPH_CHECKS`); a row is keyed on the committed
+record and the verdict dict it carries.
 """
 
 from __future__ import annotations
@@ -36,13 +39,17 @@ class RoundOutcome:
     A record is never mutated after `play_round` returns, and nothing
     downstream mutates its lists: an algorithm may hand the very record
     back in a later round (see randomized.py and gapreduce.py).  The engine
-    derives two fields on it, left out of equality and repr: the first
-    time it meets it, `d_r`, the matching's gaps summed (see
-    `metrics.twice_shifted_load`); on a checked round that moved no load,
-    `verdicts`, the tuple `(state, graph, line_order, checks, witnesses,
-    ok)`: the report's verdicts and the very objects they were taken on,
-    which a round that reuses them must present again, by identity, the
-    graph only when an enabled check reads it (see engine.py).
+    derives three fields on it, left out of equality and repr: the first
+    time a check or a trace row reads it, `d_r`, the matching's gaps summed
+    (see `metrics.twice_shifted_load`); on a checked round that moved no
+    load, `verdicts`, the tuple `(state, graph, line_order, checks,
+    witnesses, ok)`: the report's verdicts and the very objects they were
+    taken on, which a round that reuses them must present again, by
+    identity, the graph only when an enabled check reads it; on a written
+    round that moved no load, `row`, the tuple `(state, checks, row)`: the
+    trace row (see io.py) and the committed record and verdict dict it was
+    built on, which a round that writes it again must present, by identity
+    (see engine.py).
     """
 
     new_loads: tuple
@@ -50,6 +57,7 @@ class RoundOutcome:
     shift: int = 0
     d_r: object = field(default=None, compare=False, repr=False)
     verdicts: Optional[tuple] = field(default=None, compare=False, repr=False)
+    row: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)

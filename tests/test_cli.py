@@ -177,6 +177,17 @@ def test_malformed_static_adversary_exits_one(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_granularity_past_its_bound_exits_one(tmp_path, capsys):
+    # 10**21 bits once escaped uniformRandom's draw as an OverflowError.
+    for bits in (2**16 + 1, 10**21):
+        loads = {"name": "uniformRandom", "maxValue": 16, "granularityBits": bits}
+        path = write_config(tmp_path, initialLoads=loads)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "granularityBits must be at most 65536" in err
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["run"]) == 1  # missing config argument
     assert main(["frobnicate"]) == 1  # unknown subcommand

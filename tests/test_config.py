@@ -276,6 +276,13 @@ def test_numbers_reject_booleans():
         config_from_dict(minimal(initialLoads=bits))
 
 
+def test_granularity_bits_are_bounded():
+    loads = {"name": "uniformRandom", "maxValue": 8, "granularityBits": 2**16}
+    assert config_from_dict(minimal(initialLoads=loads)).initial_loads[1]["granularityBits"] == 2**16
+    with pytest.raises(ConfigError, match="granularityBits must be at most 65536"):
+        config_from_dict(minimal(initialLoads={**loads, "granularityBits": 2**16 + 1}))
+
+
 def test_algorithm_params():
     raw = minimal(
         mode="integral",

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from dynbal import engine, metrics
+from dynbal import io as trace_io
 from dynbal.adversaries import AdversaryPolicy, SortingLinePolicy, make_adversary
 from dynbal.algorithms import ALGORITHMS, make_algorithm
 from dynbal.algorithms.base import BalancingAlgorithm
@@ -1203,6 +1204,106 @@ def test_sampled_trace_respects_stride():
     assert indices[0] == 0
     assert indices[-1] == result.rounds_played
     assert all(i % 3 == 0 or i == result.rounds_played for i in indices)
+
+
+def sorting_line(**overrides):
+    """Criterion 3's stuck n = 8 line: every round hands back a coin's record."""
+    return config_from_dict(
+        scenario(
+            n=8,
+            initialLoads="lineRamp",
+            mode="integral",
+            tau="1",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=2000,
+            traceLevel="full",
+            checks=["prefixMonotone", "conservation", "integrality", "matchingBudget"],
+            **overrides,
+        )
+    )
+
+
+def test_a_kept_row_is_rendered_once(monkeypatch):
+    # A replayed round writes the very row its record kept, and the writer
+    # renders each row object's three amounts once.
+    rendered = []
+    render = trace_io.render_amount
+
+    def counting(value, exp=0):
+        rendered.append(value)
+        return render(value, exp)
+
+    monkeypatch.setattr(trace_io, "render_amount", counting)
+    written = {}
+    buf = io.StringIO()
+    writer = TraceCsvWriter(buf, sorting_line().checks)
+    round_row = writer.round_row
+
+    def keeping(*, round_index, row):
+        written[id(row)] = row  # held, so no id is reused
+        round_row(round_index=round_index, row=row)
+
+    writer.round_row = keeping
+    result = run_trial(sorting_line(), trace_writer=writer)
+    assert result.rounds_played == 2000 and result.invariant_failures == 0
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+    assert len(rows) == 2001
+    # The initial row and one row per coin record at most (2**8 coins).
+    assert len(written) <= 1 + 2**8
+    assert len(rendered) == 3 * len(written)
+
+
+def test_kept_rows_follow_the_round_verdicts():
+    # With checkStride 2 a record is written on checked and unchecked
+    # rounds alike: its row must carry that round's verdicts (or none),
+    # never the verdicts of the round it was first written on.
+    result, rows = trace_rows(sorting_line(checkStride=2))
+    assert result.rounds_played == 2000 and result.invariant_failures == 0
+    assert [row[6:] for row in rows[1:]] == [
+        ["0"] * 4 if r % 2 == 0 else [""] * 4 for r in range(1, 2001)
+    ]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        scenario(
+            n=8,
+            initialLoads={"name": "singleSource", "total": 64},
+            adversary={"name": "static", "graph": "path"},
+            tau="1",
+            roundBudget=200,
+        ),
+        scenario(
+            n=8,
+            initialLoads={"name": "singleSource", "total": 64},
+            mode="integral",
+            tau="1",
+            adversary="sortingLine",
+            algorithm="randMaxNeighbor",
+            roundBudget=500,
+        ),
+    ],
+)
+def test_an_unobserved_trial_never_derives_d_r(monkeypatch, raw):
+    # d_r is read only by the checks and the trace rows: a trial with
+    # neither never sums a matching, and gives the observed trial's outcome.
+    calls = []
+    derive = engine.twice_shifted_load
+
+    def counting(matching):
+        calls.append(len(matching))
+        return derive(matching)
+
+    monkeypatch.setattr(engine, "twice_shifted_load", counting)
+    plain = run_trial(config_from_dict(raw))
+    assert calls == []
+    observed, _ = trace_rows(
+        config_from_dict({**raw, "checks": ["conservation", "matchingBudget"], "traceLevel": "full"})
+    )
+    assert calls and any(calls)
+    assert observed == plain
 
 
 # ======================================================================

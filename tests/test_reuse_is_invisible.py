@@ -3,8 +3,9 @@
 Several layers reuse what they derived when they are handed the same
 object again: `randMaxNeighbor`'s replay table, the gap-reduction memo, its
 kept record and the gapless per-tuple maximum, the engine's kept verdicts
-and shared check dicts, the sorting line's ascending verdict, the trace
-writer's row texts, and a graph's lazy rows and connectivity flag.  Here
+and shared check dicts, its kept trace rows, the sorting line's ascending
+verdict, the trace writer's row texts, and a graph's lazy rows and
+connectivity flag.  Here
 the adversary hands out a fresh `Graph(n, g.edges)` every round and the
 algorithm a fresh tuple in a fresh `RoundOutcome`, so no identity-keyed
 reuse ever hits; every trial must still give the same outcome and write
