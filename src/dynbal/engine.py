@@ -33,18 +33,18 @@ the trace and the checks derived from it.  Any other round commits a new
 record, which alone moves the minimum gap and the verdict on tau.  Each
 round is checked against the record it started from, so a round that
 creates or destroys load fails conservation alone.  A checked round that
-moved no load keeps its verdicts on its round record (see records.py);
-records judged alike share one verdict dict.  A round that hands the
-record back on the same committed record and line order (by identity)
-reuses them instead of calling `check_round`; the graph object must
-match too only when an enabled check reads it (`GRAPH_CHECKS`), as
-smoothing draws a new graph almost every round.  Such a round still
-counts its failures, and builds a report of its own index only when it
-failed.  A trace row reads the round's verdict dict.  A written round
-that moved no load keeps its row tuple on its round record; a round that
-hands the record back on the same committed record and verdict dict (by
-identity) writes that very row, whose text the writer rendered once (see
-io.py).  Any other written round builds a new row.
+moved no load keeps its verdicts on its round record (see records.py); a
+round that hands the record back on the same committed record and line
+order (by identity) reuses them instead of calling `check_round`; the
+graph object must match too only when an enabled check reads it
+(`GRAPH_CHECKS`), as smoothing draws a new graph almost every round.
+Such a round still counts its failures, and builds a report of its own
+index only when it failed.  A trace row reads the round's verdict dict.
+A written round that moved no load keeps its `TraceRow` on its round
+record; a round that hands the record back on the same committed record
+and the row's own verdict dict (by identity) writes that very row, which
+carries the text it was first written with (see io.py).  Any other
+written round, and the initial and final rows, build a new row.
 A committed load that is not an integer numerator stops the trial with an
 `EngineError` naming the node and the round: the round it was committed in
 when a shift fails on it, else the last round, when the final vector is
@@ -90,7 +90,7 @@ from .metrics import (
     state_potential,
     twice_shifted_load,
 )
-from .records import RoundTrace
+from .records import RoundTrace, TraceRow
 from .smoothing import RejectionBudgetExceeded, SmoothingParams, k_smooth
 
 # How many failing per-round reports a trial keeps for inspection.
@@ -262,7 +262,6 @@ def run_trial(
     trace_stride = cfg.trace_stride if trace_writer is not None else None
 
     failure_reports: list[InvariantReport] = []
-    shared_checks: Optional[dict] = None
     invariant_failures = 0
 
     (tau_num,), tau_exp = to_scaled([cfg.tau])  # refuses a tau that is not dyadic
@@ -275,11 +274,8 @@ def run_trial(
     if trace_writer is not None:
         # Numerators with their exponents; the writer renders them.
         round_row = trace_writer.round_row
-
-        def write_row(index, phi, row_gap, row_exp, converged):
-            round_row(round_index=index, row=(phi, row_gap, 0, 0, converged, None, row_exp, 0))
-
-        write_row(0, state_potential(state), gap, exp, within_tau)
+        row = TraceRow(state_potential(state), gap, 0, 0, within_tau, None, exp, 0)
+        round_row(round_index=0, row=row)
 
     rounds = last_emitted = 0
     last_matching: list = []
@@ -358,12 +354,6 @@ def run_trial(
                     )
                     checks, witnesses, ok = report.checks, report.witnesses, report.ok
                     if committed is state:
-                        # Records judged alike share one verdict dict, so
-                        # their trace rows can share text (see io.py).
-                        if checks == shared_checks:
-                            checks = shared_checks
-                        else:
-                            shared_checks = checks
                         outcome.verdicts = state, graph, order, checks, witnesses, ok
                 if not ok:
                     # Only a failing round gets a report, of its own index.
@@ -374,18 +364,18 @@ def run_trial(
 
             if trace_stride is not None and rounds % trace_stride == 0:
                 kept = outcome.row
-                if kept is not None and kept[0] is committed and kept[1] is checks:
+                if kept is not None and kept[0] is committed and kept[1].checks is checks:
                     # Every field is a function of the round record, the
                     # committed record and the verdict dict: the very row
-                    # again, whose text the writer kept.
-                    row = kept[2]
+                    # again, with its text.
+                    row = kept[1]
                 else:
-                    row = (
+                    row = TraceRow(
                         state_potential(committed), gap, _round_d_r(outcome),
                         len(outcome.matching), within_tau, checks, after_exp, exp + 1,
                     )
                     if committed is state:
-                        outcome.row = committed, checks, row
+                        outcome.row = committed, row
                 round_row(round_index=rounds, row=row)
                 last_emitted = rounds
         except TypeError:
@@ -419,7 +409,8 @@ def run_trial(
                 failure_reports.append(report)
 
     if trace_writer is not None and last_emitted != rounds:
-        write_row(rounds, state_potential(state), gap, exp, converged_at is not None)
+        row = TraceRow(state_potential(state), gap, 0, 0, converged_at is not None, None, exp, 0)
+        round_row(round_index=rounds, row=row)
 
     return TrialResult(
         seed=seed,

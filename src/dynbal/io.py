@@ -16,9 +16,10 @@ amounts thousands of digits long.  The header, written once, keeps
 `csv.writer`, as does the experiment summary, whose `aborted` message can
 contain a comma.
 
-A trace row reaches the writer as one tuple, and the writer renders each
-row object's text once: a replayed round hands it the very row the engine
-kept on the round record (see engine.py), and only its index is new.
+A trace row reaches the writer as one `records.TraceRow`, which carries
+its own text once rendered: a replayed round hands the writer the very
+row the engine kept on the round record (see engine.py), and only its
+index is new.  The writer keeps no state between rows.
 """
 
 from __future__ import annotations
@@ -27,15 +28,9 @@ import csv
 from typing import Sequence
 
 from .dyadic import Dyadic, decimal_text
+from .records import TraceRow
 
 TRACE_COLUMNS = ("round", "phi", "max_gap", "d_r", "connections", "converged")
-
-# How many rows' text a trace writer keeps for reuse, and the longest text
-# it keeps (a longer row is not held either).  The table holds every row a
-# trial can cycle through: `randMaxNeighbor` replays up to 1024 records
-# (`algorithms.randomized.REPLAY_LIMIT`), each written from its kept row.
-ROW_TEXTS = 1024
-ROW_TEXT_CHARS = 256
 
 SUMMARY_COLUMNS = (
     "seed",
@@ -61,55 +56,39 @@ def render_amount(value, exp: int = 0) -> str:
 class TraceCsvWriter:
     """Writes one row per retained round of a single trial.
 
-    A row is one tuple `(phi, max_gap, d_r, connections, converged, checks,
-    exp, d_r_exp)`.  Its amounts are dyadic values, or int numerators:
-    `phi` and `max_gap` over 2**exp, `d_r` over 2**d_r_exp.  The engine
-    passes numerators, so no row builds a Dyadic.  `checks` is the round's
-    verdict dict (check name -> passed), None when no check ran.
-
-    The writer renders a row object's text once: when the very same tuple
-    comes back (the engine hands a replayed round's kept row again), its
-    text after the round index is reused.  Rows match by identity, never by
-    value, so equal values that render differently (`Dyadic(2)` and the
-    numerator 2 at exp=1) never share text; the table holds the rows it
-    keys, so their ids stay theirs.  So a row's `checks` dict must not
-    change once the row has been written.  The table keeps up to
-    `ROW_TEXTS` rows of at most `ROW_TEXT_CHARS` characters each, then
-    empties.
+    A row is a `records.TraceRow`; the engine passes numerators, so no row
+    builds a Dyadic.  The writer renders a row only while its `text` is
+    None, and stores the text after the round index on the row, so a row
+    handed back again (the engine's kept row of a replayed round) writes
+    only its index.  Text is the row object's own, never shared by value,
+    so equal values that render differently (`Dyadic(2)` and the numerator
+    2 at exp=1) never share it.
     """
 
     def __init__(self, stream, checks: Sequence[str] = (), close_stream: bool = False):
         self.checks = tuple(checks)
         self._stream = stream
         self._close_stream = close_stream
-        # id of a row -> (the row, its text after the index)
-        self._texts: dict[int, tuple[tuple, str]] = {}
         csv.writer(stream).writerow(TRACE_COLUMNS + self.checks)
 
-    def round_row(self, *, round_index: int, row: tuple) -> None:
-        kept = self._texts.get(id(row))
-        if kept is not None:
-            tail = kept[1]
-        else:
-            phi, max_gap, d_r, connections, converged, checks, exp, d_r_exp = row
+    def round_row(self, *, round_index: int, row: TraceRow) -> None:
+        text = row.text
+        if text is None:
             fields = [
-                render_amount(phi, exp),
-                render_amount(max_gap, exp),
-                render_amount(d_r, d_r_exp),
-                str(connections),
-                "true" if converged else "false",
+                render_amount(row.phi, row.exp),
+                render_amount(row.max_gap, row.exp),
+                render_amount(row.d_r, row.d_r_exp),
+                str(row.connections),
+                "true" if row.converged else "false",
             ]
+            checks = row.checks
             for name in self.checks:
                 if checks is None or name not in checks:
                     fields.append("")
                 else:
                     fields.append("0" if checks[name] else "1")
-            tail = ",".join(fields)
-            if len(tail) <= ROW_TEXT_CHARS:
-                if len(self._texts) >= ROW_TEXTS:
-                    self._texts.clear()
-                self._texts[id(row)] = row, tail
-        self._stream.write(f"{round_index},{tail}\r\n")
+            text = row.text = ",".join(fields)
+        self._stream.write(f"{round_index},{text}\r\n")
 
     def close(self) -> None:
         if self._close_stream:

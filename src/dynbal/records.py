@@ -4,12 +4,12 @@ Amounts are numerators over the trial's shared load exponent (see loads.py).
 The engine derives three fields once, on a round record: `d_r`, when a
 check or a trace row first reads it, and, for a round that moved no load,
 its verdicts when checked and its trace row when written.  A round that
-hands the record back reuses them, so the trace rows and the failure
-reports of replayed rounds share read-only `checks` and `witnesses` dicts,
-and their rows are the very row tuple.  Verdicts are keyed on the
-committed record and the line order, and on the graph only when an enabled
-check reads it (`metrics.GRAPH_CHECKS`); a row is keyed on the committed
-record and the verdict dict it carries.
+hands the record back reuses them, so the failure reports of replayed
+rounds share read-only `checks` and `witnesses` dicts, and their trace
+rows are the very `TraceRow`, which carries its own text once written.
+Verdicts are keyed on the committed record and the line order, and on the
+graph only when an enabled check reads it (`metrics.GRAPH_CHECKS`); a row
+is keyed on the committed record and the verdict dict it carries.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class RoundOutcome:
     witnesses, ok)`: the report's verdicts and the very objects they were
     taken on, which a round that reuses them must present again, by
     identity, the graph only when an enabled check reads it; on a written
-    round that moved no load, `row`, the tuple `(state, checks, row)`: the
-    trace row (see io.py) and the committed record and verdict dict it was
-    built on, which a round that writes it again must present, by identity
-    (see engine.py).
+    round that moved no load, `row`, the pair `(state, row)`: the
+    `TraceRow` and the committed record it was built on, which a round
+    that writes it again must present, by identity, with the row's own
+    verdict dict (see engine.py).
     """
 
     new_loads: tuple
@@ -71,3 +71,26 @@ class RoundTrace:
     graph: Graph
     matching: list[tuple[int, int, object]]
     d_r: object
+
+
+@dataclass(slots=True, eq=False)
+class TraceRow:
+    """One trace row as `io.TraceCsvWriter.round_row` renders it.
+
+    Amounts are dyadic values, or int numerators: `phi` and `max_gap` over
+    2**exp, `d_r` over 2**d_r_exp.  `checks` is the round's verdict dict
+    (check name -> passed), None when no check ran.  `text` is the row's
+    rendering after the round index, None until a writer renders it; it
+    holds that writer's check columns, so a row belongs to one writer, and
+    its fields, `checks` included, must not change once it is written.
+    """
+
+    phi: object
+    max_gap: object
+    d_r: object
+    connections: int
+    converged: bool
+    checks: Optional[dict]
+    exp: int
+    d_r_exp: int
+    text: Optional[str] = field(default=None, init=False)

@@ -22,14 +22,32 @@
 * `check_round` as an if/elif chain over the check names that derives
   every verdict afresh: the check kernels, and the verdicts a round
   record keeps, must give the same report.
+* A trial as a naive round loop over the real components, which keeps its
+  loads as Fractions and derives everything afresh every round: the
+  engine's kept records, kept verdicts and kept trace rows must give the
+  same result and the same trace CSV.
 """
 
 from __future__ import annotations
 
+import io
+from fractions import Fraction
+from itertools import accumulate, combinations
+
+from dynbal.adversaries import SortingLinePolicy, make_adversary
+from dynbal.algorithms import make_algorithm
 from dynbal.algorithms.base import heaviest_gap_neighbor
 from dynbal.dyadic import Dyadic, integral_half_sum
+from dynbal.engine import (
+    MAX_FAILURE_REPORTS,
+    EngineError,
+    TrialResult,
+    build_initial_loads,
+    derive_stream,
+)
 from dynbal.graphs import Graph, is_connected
-from dynbal.loads import MODE_INTEGRAL
+from dynbal.io import TraceCsvWriter
+from dynbal.loads import MODE_CONTINUOUS, MODE_INTEGRAL, LoadState, to_scaled
 from dynbal.metrics import (
     CHECK_CONSERVATION,
     CHECK_COVERING_EDGE,
@@ -45,7 +63,8 @@ from dynbal.metrics import (
     potential,
     prefix_sums,
 )
-from dynbal.records import RoundOutcome
+from dynbal.records import RoundOutcome, RoundTrace, TraceRow
+from dynbal.smoothing import RejectionBudgetExceeded, SmoothingParams, k_smooth
 
 DetState = list  # (sender_half, answerer_half) numerator pairs, one exponent
 
@@ -364,3 +383,172 @@ def reference_matching_budget(matching, algorithm_kind):
         seen.add(u)
         seen.add(v)
     return True, None
+
+
+def _dyadic(value: Fraction) -> Dyadic:
+    """A Fraction whose denominator is a power of two, as a Dyadic."""
+    return Dyadic(value.numerator, value.denominator.bit_length() - 1)
+
+
+def _reaches_all(graph: Graph) -> bool:
+    """Whether a walk over `graph.edges` from node 0 reaches every node."""
+    neighbours = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen, frontier = {0}, [0]
+    while frontier:
+        for v in neighbours[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == graph.n
+
+
+def reference_trial(cfg, seed: int) -> tuple[TrialResult, str]:
+    """`engine.run_trial(cfg, seed, writer)` as a naive round loop: the
+    result and the trace CSV a `TraceCsvWriter` over `cfg.checks` wrote.
+
+    It plays the real adversary, sampler and algorithm on the same four
+    `derive_stream` streams and asks idle of the algorithm as the engine
+    does, but keeps the loads as Fractions and hands the algorithm a fresh
+    canonical numerator tuple (and the adversary a fresh `LoadState`) every
+    round, so no identity-keyed reuse can hit.  Every round it validates
+    the graph, and derives the gap, the minimum gap, convergence and d_r
+    (from the loads the matched pairs started on) itself; checked rounds
+    are judged by `reference_check_round`, and every trace row is a fresh
+    `TraceRow` of Dyadic amounts.  Not for `continuousViaIntegral`, which
+    the engine dispatches to a sub-trial.
+    """
+    tau = cfg.tau
+    loads = [Fraction(w) for w in build_initial_loads(cfg, derive_stream(seed, "loads"))]
+    nums, exp = to_scaled(loads)
+    adversary = make_adversary(cfg.adversary[0], **cfg.adversary[1])
+    adversary.bind(cfg.n, derive_stream(seed, "adversary"))
+    algorithm = make_algorithm(cfg.algorithm_name, **cfg.algorithm[1])
+    algorithm.start(
+        tuple(nums), cfg.mode, derive_stream(seed, "algorithm"), k=cfg.k, tau=tau * (1 << exp)
+    )
+    budget = cfg.round_budget if cfg.round_budget is not None else algorithm.planned_rounds()
+    rng_smoothing = derive_stream(seed, "smoothing")
+    smoothing = (
+        SmoothingParams(k=cfg.k, max_rejections=cfg.max_rejections) if cfg.k > 0 else None
+    )
+    line = adversary if isinstance(adversary, SortingLinePolicy) else None
+    initial_prefix = None
+    if CHECK_PREFIX_MONOTONE in cfg.checks:
+        if line is None:
+            raise EngineError("prefixMonotone needs the sortingLine adversary")
+        initial_prefix = tuple(accumulate((nums[v] for v in line.order), initial=0))
+
+    stream = io.StringIO()
+    writer = TraceCsvWriter(stream, cfg.checks)
+
+    def write(index, d_r, connections, converged, checks):
+        # Amounts over this round's canonical exponent, pair by pair.
+        phi = sum(abs(a - b) for a, b in combinations(nums, 2))
+        row = TraceRow(
+            Dyadic(phi, exp), _dyadic(gap), d_r, connections, converged, checks, 0, 0
+        )
+        writer.round_row(round_index=index, row=row)
+
+    total = sum(loads)
+    gap = min_gap = Fraction(max(nums) - min(nums), 1 << exp)
+    converged_at = 0 if gap <= tau else None
+    write(0, 0, 0, converged_at is not None, None)
+    rounds = written = failures = 0
+    reports = []
+    matching = []
+    aborted = None
+    idle = getattr(algorithm, "consume_idle_rounds", None)
+    while rounds < budget and (converged_at is None or not cfg.stop_on_converge):
+        before = LoadState(cfg.mode, nums, exp)  # a new tuple of the list
+        if idle is not None:
+            skipped = idle(before.loads, budget - rounds)
+            if skipped:
+                rounds += skipped
+                continue
+        rounds += 1
+        base = adversary.next_graph(before, matching)
+        if base.n != cfg.n:
+            raise EngineError("adversary changed the node count")
+        if not _reaches_all(base):
+            raise EngineError("adversary produced a disconnected graph")
+        graph = base
+        if smoothing is not None:
+            try:
+                graph = k_smooth(base, smoothing, rng_smoothing)
+            except RejectionBudgetExceeded as exc:
+                aborted = str(exc)
+                rounds -= 1
+                break
+        outcome = algorithm.play_round(graph, before.loads)
+        matching = outcome.matching
+        for node, w in enumerate(outcome.new_loads):
+            if not isinstance(w, int):
+                raise EngineError(f"round {rounds}: non-integer load {w!r} at node {node}")
+        # Half the pairs' summed gaps, as a numerator one bit finer.
+        d_r = sum(abs(nums[u] - nums[v]) for u, v, _ in matching)
+        scale = 1 << (exp + outcome.shift)
+        loads = [Fraction(w, scale) for w in outcome.new_loads]
+        nums, exp = to_scaled(loads)
+        gap = Fraction(max(nums) - min(nums), 1 << exp)
+        min_gap = min(min_gap, gap)
+        if converged_at is None and gap <= tau:
+            converged_at = rounds
+
+        checks = None
+        if cfg.checks and rounds % cfg.check_stride == 0:
+            report = reference_check_round(
+                before,
+                LoadState(cfg.mode, nums, exp),
+                RoundTrace(rounds, graph, matching, d_r),
+                algorithm_kind=algorithm.kind,
+                enabled=cfg.checks,
+                line_order=line.order if line is not None else None,
+                initial_prefix=initial_prefix,
+            )
+            checks = report.checks
+            failed = [name for name, good in checks.items() if not good]
+            if failed:
+                failures += len(failed)
+                if len(reports) < MAX_FAILURE_REPORTS:
+                    reports.append(report)
+        if cfg.trace_stride is not None and rounds % cfg.trace_stride == 0:
+            write(rounds, Dyadic(d_r, before.exp + 1), len(matching), gap <= tau, checks)
+            written = rounds
+
+    if CHECK_PREFIX_MONOTONE in cfg.checks and aborted is None and rounds > 0:
+        # The order the adversary would present next is held to the baseline too.
+        final = LoadState(cfg.mode, nums, exp)
+        report = reference_check_round(
+            final,
+            final,
+            RoundTrace(rounds + 1, adversary.next_graph(final, matching), [], 0),
+            algorithm_kind=algorithm.kind,
+            enabled=(CHECK_PREFIX_MONOTONE,),
+            line_order=line.order,
+            initial_prefix=initial_prefix,
+        )
+        if not report.checks[CHECK_PREFIX_MONOTONE]:
+            failures += 1
+            if len(reports) < MAX_FAILURE_REPORTS:
+                reports.append(report)
+    if written != rounds:
+        write(rounds, 0, 0, converged_at is not None, None)
+
+    amount = _dyadic if cfg.mode == MODE_CONTINUOUS else int
+    result = TrialResult(
+        seed=seed,
+        rounds_played=rounds,
+        budget=budget,
+        converged_at=converged_at,
+        final_loads=[amount(w) for w in loads],
+        final_gap=amount(gap),
+        min_max_gap=amount(min_gap),
+        total=amount(total),
+        invariant_failures=failures,
+        failure_reports=reports,
+        aborted=aborted,
+    )
+    return result, stream.getvalue()

@@ -449,3 +449,59 @@ def test_explicit_loads_mix_integers_and_decimals():
     )
     assert integral.initial_loads == ("explicit", (1, 2, 3, 0))
     assert all(type(w) is int for w in integral.initial_loads[1])
+
+
+# Valid bases the refusals below mutate: `minimal()` itself (continuous,
+# deterministic), and two integral ones.
+INTEGRAL = {"mode": "integral", "tau": "1", "adversary": "sortingLine",
+            "algorithm": "randMaxNeighbor"}
+SMOOTHED = {**INTEGRAL, "k": "1", "algorithm": "gapReduce"}
+
+
+@pytest.mark.parametrize(
+    "base, mutation, message",
+    [
+        ({}, {"n": 0}, "n must be a positive integer"),
+        ({}, {"mode": "fractional"},
+         "mode must be one of ('integral', 'continuous'), got 'fractional'"),
+        ({}, {"k": "-1"}, "k must be non-negative"),
+        ({}, {"roundBudget": -1}, "roundBudget must be a non-negative integer"),
+        ({}, {"trials": 0}, "trials must be a positive integer"),
+        ({}, {"seed": "7"}, "seed must be an integer"),
+        ({}, {"checkStride": 0}, "checkStride must be a positive integer"),
+        ({}, {"stopOnConverge": 1}, "stopOnConverge must be a boolean"),
+        ({}, {"maxRejections": 0}, "maxRejections must be a positive integer"),
+        ({}, {"initialLoads": {"total": 4}}, "initialLoads object needs a 'name'"),
+        ({}, {"initialLoads": 4},
+         "initialLoads must be a list, a generator name, or an object"),
+        ({}, {"initialLoads": {"name": "singleSource", "total": -1}},
+         "singleSource total must be a non-negative integer"),
+        ({}, {"initialLoads": {"name": "uniformRandom", "maxValue": 4, "bits": 1}},
+         "uniformRandom takes maxValue and optional granularityBits"),
+        (INTEGRAL, {"initialLoads": {"name": "uniformRandom", "maxValue": 4,
+                                     "granularityBits": 1}},
+         "granularityBits needs continuous mode"),
+        ({}, {"initialLoads": {"name": "lineRamp", "step": 1}}, "lineRamp takes no parameters"),
+        ({}, {"adversary": {"name": "static", "shape": "path"}},
+         "static adversary takes 'graph' or 'edges'"),
+        ({}, {"adversary": {"name": "randomConnected", "p": "0.5"}},
+         "randomConnected takes only extraEdgeProb"),
+        ({}, {"adversary": {"name": "resortDescending", "every": 2}},
+         "adversary resortDescending takes no parameters"),
+        ({}, {"algorithm": "fastest"}, "unknown algorithm 'fastest'"),
+        (SMOOTHED, {"algorithm": {"name": "gapReduce", "c1": "0"}}, "c1 must be positive"),
+        (SMOOTHED, {"algorithm": {"name": "gaplessGapReduce", "psi": -2}},
+         "psi must be a non-negative integer"),
+        ({}, {"adversary": {"graph": "path"}}, "adversary object needs a 'name'"),
+        ({}, {"algorithm": ["deterministic"]},
+         "algorithm must be a name or an object with a name"),
+        ({}, {"checks": "conservation"}, "checks must be a list of invariant names"),
+        ({"k": "1"}, {"tau": "0", "algorithm": "continuousViaIntegral"},
+         "continuousViaIntegral needs a positive tau"),
+    ],
+)
+def test_each_refusal_says_what_is_wrong(base, mutation, message):
+    config_from_dict(minimal(**base))
+    with pytest.raises(ConfigError) as refused:
+        config_from_dict(minimal(**{**base, **mutation}))
+    assert str(refused.value) == message

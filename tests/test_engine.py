@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -24,7 +25,7 @@ from dynbal.engine import (
     run_trial,
     wilson_interval,
 )
-from dynbal.graphs import Graph, is_connected, path_graph
+from dynbal.graphs import Graph, is_connected, line_of, path_graph
 from dynbal.io import TraceCsvWriter
 from dynbal.loads import LoadState, total_load
 from dynbal.metrics import KIND_MATCHING, check_round
@@ -1147,6 +1148,53 @@ def test_a_record_handed_back_on_new_inputs_is_judged_afresh(monkeypatch):
         assert checked == judged
 
 
+class ReversesItsLineAtTheEnd(SortingLinePolicy):
+    """The sorting line, until the call after the budget's last round: that
+    call presents the line reversed, heaviest node first."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.calls = 0
+
+    def next_graph(self, state, matching):
+        self.calls += 1
+        if self.calls <= self.budget:
+            return super().next_graph(state, matching)
+        self.order = self.order[::-1]
+        return line_of(self.order)
+
+
+def test_a_final_order_above_the_baseline_fails_prefix_monotone(monkeypatch, tmp_path, capsys):
+    # Loads 1..4 never move on the line; the order presented after the last
+    # round reads 4 on its first prefix, above the baseline's 1.
+    from dynbal.cli import main
+
+    monkeypatch.setattr(engine, "make_adversary", lambda name, **params: ReversesItsLineAtTheEnd(5))
+    raw = scenario(
+        n=4,
+        initialLoads="lineRamp",
+        mode="integral",
+        tau="1",
+        adversary="sortingLine",
+        algorithm="randMaxNeighbor",
+        roundBudget=5,
+        checks=["prefixMonotone", "conservation"],
+    )
+    result = run_trial(config_from_dict(raw))
+    assert result.rounds_played == 5 and result.final_loads == [1, 2, 3, 4]
+    assert result.invariant_failures == 1
+    (report,) = result.failure_reports
+    assert report.round_index == result.rounds_played + 1
+    assert report.checks == {"prefixMonotone": False}
+    assert report.witnesses == {"prefixMonotone": {"prefix": 1, "now": "4", "baseline": "1"}}
+
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "invariant_failures: 1\n" in out and "round 6: failed prefixMonotone\n" in out
+
+
 # ======================================================================
 # trace CSV
 # ======================================================================
@@ -1262,6 +1310,44 @@ def test_kept_rows_follow_the_round_verdicts():
     assert result.rounds_played == 2000 and result.invariant_failures == 0
     assert [row[6:] for row in rows[1:]] == [
         ["0"] * 4 if r % 2 == 0 else [""] * 4 for r in range(1, 2001)
+    ]
+
+
+class HandsBackRoundOnesRecordOneBitFiner(BalancingAlgorithm):
+    """Round 1 moves nothing and keeps its record, round 2 commits loads one
+    bit finer, and round 3 hands round 1's record back, whose numerators now
+    read half their old values."""
+
+    name = "deterministic"
+    modes = ("continuous",)
+
+    def start(self, loads, mode, rng, *, k, tau):
+        super().start(loads, mode, rng, k=k, tau=tau)
+        self.rounds = 0
+
+    def play_round(self, graph, loads):
+        self.rounds += 1
+        if self.rounds == 1:
+            self.first = RoundOutcome(new_loads=loads)
+            return self.first
+        if self.rounds == 2:
+            return RoundOutcome(new_loads=(2 * loads[0] + 1,) + loads[1:], shift=1)
+        return self.first
+
+
+def test_a_kept_row_holds_only_on_its_committed_record(monkeypatch):
+    # Round 3 hands back round 1's record, which kept round 1's row, on a
+    # new committed record: its row is built afresh from that record.
+    monkeypatch.setattr(
+        engine, "make_algorithm", lambda name, **params: HandsBackRoundOnesRecordOneBitFiner()
+    )
+    cfg = config_from_dict(
+        scenario(n=4, initialLoads="lineRamp", roundBudget=3, traceLevel="full")
+    )
+    result, rows = trace_rows(cfg)
+    assert result.final_loads == [Dyadic(1, 1), Dyadic(1), Dyadic(3, 1), Dyadic(2)]
+    assert [row[:3] for row in rows] == [
+        ["0", "10", "3"], ["1", "10", "3"], ["2", "3", "1"], ["3", "5", "1.5"],
     ]
 
 

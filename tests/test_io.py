@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dynbal.dyadic import Dyadic
 from dynbal.io import TRACE_COLUMNS, TraceCsvWriter, open_trace_writer
 from dynbal.metrics import ALL_CHECKS
+from dynbal.records import TraceRow
 
 
 def reference_amount(value, exp: int = 0) -> str:
@@ -26,8 +27,14 @@ def reference_amount(value, exp: int = 0) -> str:
 
 
 def trace_row(phi, max_gap, d_r, connections, converged, checks=None, exp=0, d_r_exp=0):
-    """The row tuple `TraceCsvWriter.round_row` takes, from its fields by name."""
-    return (phi, max_gap, d_r, connections, converged, checks, exp, d_r_exp)
+    """The `TraceRow` `TraceCsvWriter.round_row` takes, from its fields by name."""
+    return TraceRow(phi, max_gap, d_r, connections, converged, checks, exp, d_r_exp)
+
+
+def row_fields(row: TraceRow) -> list:
+    """A row's fields in order, without its text."""
+    return [row.phi, row.max_gap, row.d_r, row.connections, row.converged, row.checks,
+            row.exp, row.d_r_exp]
 
 
 def write_reference(path, checks, trace) -> None:
@@ -36,7 +43,7 @@ def write_reference(path, checks, trace) -> None:
         writer = csv.writer(stream)
         writer.writerow(TRACE_COLUMNS + tuple(checks))
         for round_index, row in trace:
-            phi, max_gap, d_r, connections, converged, verdicts, exp, d_r_exp = row
+            phi, max_gap, d_r, connections, converged, verdicts, exp, d_r_exp = row_fields(row)
             fields = [
                 round_index,
                 reference_amount(phi, exp),
@@ -85,12 +92,12 @@ rows = st.builds(
 )
 
 
-def twin(row: tuple) -> tuple:
+def twin(row: TraceRow) -> TraceRow:
     """A row of equal values that render differently wherever the exponent
     is not 0: each int amount becomes the Dyadic of the same value, each
     Dyadic of an integer value its numerator (so Dyadic(2) and the
     numerator 2 at exp=1 swap), and no verdict dict an empty one."""
-    fields = list(row)
+    fields = row_fields(row)
     for i in range(3):  # phi, max_gap, d_r
         value = fields[i]
         if isinstance(value, int):
@@ -100,14 +107,14 @@ def twin(row: tuple) -> tuple:
         assert fields[i] == value
     verdicts = fields[5]
     fields[5] = {} if verdicts is None else None if not verdicts else verdicts
-    return tuple(fields)
+    return TraceRow(*fields)
 
 
 @st.composite
 def traces(draw):
     """(round_index, row) pairs of which some repeat an earlier row (the
-    previous row's most often) under a new round index: the very tuple, a
-    new tuple of its very objects, or its equal-valued twin."""
+    previous row's most often) under a new round index: the very row, a
+    new row of its very objects, or its equal-valued twin."""
     trace = []
     for _ in range(draw(st.integers(0, 12))):
         kinds = ["new", "previous", "earlier", "copy", "twin"]
@@ -119,7 +126,7 @@ def traces(draw):
             if kind == "twin":
                 row = twin(row)
             elif kind == "copy":
-                row = tuple(list(row))
+                row = TraceRow(*row_fields(row))
         trace.append((draw(st.integers(0, 10**9)), row))
     return trace
 
@@ -159,6 +166,26 @@ def test_equal_rows_that_render_differently_share_no_text():
         "6,2,0,1,1,false,0",
         "",
     ]
+
+
+def test_a_row_keeps_the_text_it_was_first_written_with():
+    # The writer renders a row only while its text is None and keeps no
+    # state of its own between rows: the very row written again writes its
+    # new index and the text it carries.
+    row = trace_row(3, 1, 2, 1, True, {ALL_CHECKS[0]: False}, exp=1, d_r_exp=1)
+    stream = io.StringIO()
+    writer = TraceCsvWriter(stream, ALL_CHECKS[:1])
+    state = dict(vars(writer))
+    writer.round_row(round_index=4, row=row)
+    assert row.text == "1.5,0.5,1,1,true,1"
+    row.phi = 5  # shows only if the row were rendered again
+    writer.round_row(round_index=5, row=row)
+    assert stream.getvalue().split("\r\n")[1:] == [
+        "4,1.5,0.5,1,1,true,1",
+        "5,1.5,0.5,1,1,true,1",
+        "",
+    ]
+    assert vars(writer) == state
 
 
 def test_trace_row_with_amounts_past_int_digit_limit(tmp_path):
